@@ -10,14 +10,28 @@ expected unnormalized type-k length divided by 2n.
 
 Every estimator consumes trials in fixed-size batches; batch i draws from a
 counter-based generator keyed by (seed, i) and partial sums are combined in
-batch order, so results are bit-identical for any worker count.  The
-batched geometry skips per-configuration genericity checks: sampled
-configurations are generic almost surely, and the scalar APIs stay strict.
+batch order, so results are bit-identical for any worker count.
+
+The batched geometry is a rank kernel, O(n log n) per configuration.  Rows
+are sorted and rotated so that p_0 = 0; bisector i then lies between p_i
+and p_{i+1}, so the region of p_j is j plus the number of antipodal
+bisectors below p_j, which is the rank of p_j in one per-row stable argsort
+of the 2n values [p, antipodal bisectors].  The occupancy word is therefore
+the indicator of points in that sorted order.  Region lengths come from the
+sorted boundaries (bisectors and their antipodes).  A batch is processed in
+row chunks of at most ``_CHUNK_ELEMENTS`` regions, and per-row values are
+gathered before summing, so chunking never changes a result.
+
+The batched kernel assumes genericity instead of checking it: no point ties
+with a bisector or its antipode, and no two points coincide.  Sampled
+configurations are generic with probability one; the scalar APIs stay
+strict and reject near-degenerate input.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +44,9 @@ from .geometry import PointConfig, ensure_generic
 from .words import Bracelet
 
 BATCH_SIZE = 1 << 14
+# Most regions (rows * 2n) the batched geometry holds at once; a full batch
+# at n <= 128 is a single chunk.
+_CHUNK_ELEMENTS = 1 << 22
 _MASK64 = (1 << 64) - 1
 
 
@@ -165,7 +182,10 @@ def _batch_plan(trials: int) -> list[tuple[int, int]]:
 
 
 def _map_tasks(tasks: list, workers: int) -> list:
-    if workers <= 1 or len(tasks) == 1:
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
+    if workers == 1 or len(tasks) == 1:
         return [_run_batch(t) for t in tasks]
     chunk = max(1, len(tasks) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -177,39 +197,67 @@ def _map_tasks(tasks: list, workers: int) -> list:
 
 
 def _rotate_rows(p: np.ndarray) -> np.ndarray:
-    return p - p[:, :1]
+    """Rotate each row, in place, so that its first entry is 0."""
+    p -= p[:, :1].copy()
+    return p
 
 
-def _boundaries_rows(p: np.ndarray) -> np.ndarray:
-    """Region boundaries per row; rows must be sorted with first entry 0."""
+def _chunk_rows(n: int) -> int:
+    return max(1, _CHUNK_ELEMENTS // (2 * n))
+
+
+def _split_rows(p: np.ndarray) -> list[np.ndarray]:
+    step = _chunk_rows(p.shape[1])
+    return [p[i : i + step] for i in range(0, p.shape[0], step)]
+
+
+def _bisectors_rows(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bisectors (increasing) and their antipodes per row; rows sorted, first entry 0."""
     mid = np.empty_like(p)
     mid[:, :-1] = (p[:, :-1] + p[:, 1:]) / 2
     mid[:, -1] = (1 + p[:, -1]) / 2
     anti = mid + 0.5
     anti[anti >= 1] -= 1
-    return np.sort(np.concatenate([mid, anti], axis=1), axis=1)
+    return mid, anti
+
+
+def _boundaries_rows(p: np.ndarray) -> np.ndarray:
+    """Sorted region boundaries per row; rows must be sorted with first entry 0."""
+    return np.sort(np.concatenate(_bisectors_rows(p), axis=1), axis=1)
 
 
 def _words_rows(p: np.ndarray) -> np.ndarray:
-    bnd = _boundaries_rows(p)
-    regions = (bnd[:, None, :] < p[:, :, None]).sum(axis=2) % (2 * p.shape[1])
-    w = np.zeros((p.shape[0], 2 * p.shape[1]), dtype=np.uint8)
-    np.put_along_axis(w, regions, 1, axis=1)
-    return w
+    """Occupancy words per row by the rank kernel (see the module docstring)."""
+    _, anti = _bisectors_rows(p)
+    order = np.argsort(np.concatenate([p, anti], axis=1), axis=1, kind="stable")
+    return (order < p.shape[1]).view(np.uint8)
+
+
+def _lengths_rows(bnd: np.ndarray) -> np.ndarray:
+    """Region lengths; region 0 is the arc that wraps through position 0."""
+    lengths = np.empty_like(bnd)
+    lengths[:, 1:] = np.diff(bnd, axis=1)
+    lengths[:, 0] = 1 - bnd[:, -1] + bnd[:, 0]
+    return lengths
 
 
 def _region_rows(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Occupancy words, region types and region lengths for each row."""
-    n = p.shape[1]
-    bnd = _boundaries_rows(p)
-    regions = (bnd[:, None, :] < p[:, :, None]).sum(axis=2) % (2 * n)
-    w = np.zeros((p.shape[0], 2 * n), dtype=np.uint8)
-    np.put_along_axis(w, regions, 1, axis=1)
-    types = w + np.roll(w, -n, axis=1)
-    lengths = np.empty_like(bnd)
-    lengths[:, 1:] = np.diff(bnd, axis=1)
-    lengths[:, 0] = 1 - bnd[:, -1] + bnd[:, 0]
-    return w, types, lengths
+    w = _words_rows(p)
+    types = w + np.roll(w, -p.shape[1], axis=1)
+    return w, types, _lengths_rows(_boundaries_rows(p))
+
+
+def _region_values(p: np.ndarray) -> np.ndarray:
+    """Per-row h2, l0, l1, l2 and le as a (5, rows) array."""
+    w, types, lengths = _region_rows(p)
+    return np.stack(
+        [
+            (types == 2).sum(axis=1),
+            *((lengths * (types == k)).sum(axis=1) for k in (0, 1, 2)),
+            (lengths * (w == 0)).sum(axis=1),
+        ]
+    )
 
 
 def _pack_words(w: np.ndarray) -> np.ndarray:
@@ -218,7 +266,16 @@ def _pack_words(w: np.ndarray) -> np.ndarray:
 
 
 def _uniform_rows(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    return _rotate_rows(np.sort(rng.random((size, n)), axis=1))
+    p = rng.random((size, n))
+    p.sort(axis=1)
+    return _rotate_rows(p)
+
+
+def _uniform_chunks(n: int, size: int, rng: np.random.Generator):
+    """The rows of :func:`_uniform_rows`, drawn chunk by chunk from the same stream."""
+    step = _chunk_rows(n)
+    for start in range(0, size, step):
+        yield _uniform_rows(n, min(step, size - start), rng)
 
 
 def _exp_model_rows(n: int, size: int, rng: np.random.Generator):
@@ -236,19 +293,16 @@ def _exp_model_rows(n: int, size: int, rng: np.random.Generator):
 
 
 def _count_non_interlacing(signatures: np.ndarray) -> int:
-    bad = 0
-    for row in signatures.tolist():
-        specials = [v for v in row if v != 1]
-        if not specials:
-            bad += 1
-            continue
-        prev = specials[-1]
-        for v in specials:
-            if v == prev:
-                bad += 1
-                break
-            prev = v
-    return bad
+    """Rows whose 0s and 2s do not alternate cyclically, or that have neither."""
+    n = signatures.shape[1]
+    doubled = np.concatenate([signatures, signatures], axis=1)
+    special = doubled != 1
+    # index of the latest 0 or 2 at or before each position, -1 if none yet
+    last = np.maximum.accumulate(np.where(special, np.arange(2 * n), -1), axis=1)
+    # in the second copy, every special letter has its cyclic predecessor behind it
+    prev = np.take_along_axis(doubled, np.maximum(last[:, n - 1 : -1], 0), axis=1)
+    repeats = (special[:, n:] & (prev == doubled[:, n:])).any(axis=1)
+    return int((repeats | ~special[:, :n].any(axis=1)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -258,40 +312,36 @@ def _count_non_interlacing(signatures: np.ndarray) -> int:
 def _run_batch(task: tuple):
     kind, n, seed, index, size, extra = task
     rng = batch_rng(seed, index)
-    if kind == "bracelet_hits":
-        pos = _uniform_rows(n, size, rng)
-        ints = _pack_words(_words_rows(pos))
-        return int(np.isin(ints, np.asarray(extra, dtype=np.int64)).sum())
-    if kind == "bracelet_hits_exp":
-        pos, _ = _exp_model_rows(n, size, rng)
-        ints = _pack_words(_words_rows(pos))
-        return int(np.isin(ints, np.asarray(extra, dtype=np.int64)).sum())
+    # Per-row values are gathered over the chunks before any float sum, so
+    # the result does not depend on the chunk size.
+    if kind in ("bracelet_hits", "bracelet_hits_exp"):
+        if kind == "bracelet_hits":
+            chunks = _uniform_chunks(n, size, rng)
+        else:
+            chunks = _split_rows(_exp_model_rows(n, size, rng)[0])
+        cls = np.asarray(extra, dtype=np.int64)
+        return sum(int(np.isin(_pack_words(_words_rows(p)), cls).sum()) for p in chunks)
     if kind == "region_stats":
-        pos = _uniform_rows(n, size, rng)
-        w, types, lengths = _region_rows(pos)
-        h2 = (types == 2).sum(axis=1)
-        values = {
-            "h2": h2.astype(np.float64),
-            "l0": (lengths * (types == 0)).sum(axis=1),
-            "l1": (lengths * (types == 1)).sum(axis=1),
-            "l2": (lengths * (types == 2)).sum(axis=1),
-            "le": (lengths * (w == 0)).sum(axis=1),
+        values = np.concatenate([_region_values(p) for p in _uniform_chunks(n, size, rng)], axis=1)
+        return {
+            k: (float(v.sum()), float((v * v).sum()))
+            for k, v in zip(("h2", "l0", "l1", "l2", "le"), values)
         }
-        return {k: (float(v.sum()), float((v * v).sum())) for k, v in values.items()}
     if kind == "exp_lengths":
         pos, circumference = _exp_model_rows(n, size, rng)
-        _, types, lengths = _region_rows(pos)
+        typed = np.concatenate([_region_values(p)[1:4] for p in _split_rows(pos)], axis=1)
         out = {}
         for k in (0, 1, 2):
-            v = (lengths * (types == k)).sum(axis=1) * circumference / (2 * n)
+            v = typed[k] * circumference / (2 * n)
             out[f"l{k}"] = (float(v.sum()), float((v * v).sum()))
         out["total"] = (float(circumference.sum()), float((circumference**2).sum()))
         return out
     if kind == "interlacing":
-        pos = _uniform_rows(n, size, rng)
-        w = _words_rows(pos)
-        signatures = w[:, :n] + w[:, n:]
-        return _count_non_interlacing(signatures)
+        bad = 0
+        for p in _uniform_chunks(n, size, rng):
+            w = _words_rows(p)
+            bad += _count_non_interlacing(w[:, :n] + w[:, n:])
+        return bad
     raise ValueError(f"unknown batch kind {kind!r}")
 
 
@@ -385,7 +435,10 @@ def estimate_bracelet_prob(
     target is the run-word bracelet, and is NaN otherwise.  Deterministic
     for fixed (seed, trials) whatever the worker count.
     """
-    kind = {"circle": "bracelet_hits", "exp": "bracelet_hits_exp"}[model]
+    kinds = {"circle": "bracelet_hits", "exp": "bracelet_hits_exp"}
+    if model not in kinds:
+        raise ValueError(f"unknown model {model!r}; choose from {sorted(kinds)}")
+    kind = kinds[model]
     if target_prob is None:
         if target.word == words.canonical_bracelet(words.run_word(n)).word:
             target_prob = closed_form("pbn", n)
@@ -496,44 +549,55 @@ class PathReport:
     length_fraction: tuple[tuple[float, ...], ...]
 
 
-def _boundaries_single(p: np.ndarray) -> np.ndarray:
-    mid = np.empty_like(p)
-    mid[:-1] = (p[:-1] + p[1:]) / 2
-    mid[-1] = (1 + p[-1]) / 2
-    anti = mid + 0.5
-    anti[anti >= 1] -= 1
-    return np.sort(np.concatenate([mid, anti]))
+def _path_rows(p: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, type and t: fraction of the 2n regions, and their length, ending by t."""
+    m = 2 * p.shape[1]
+    w = _words_rows(p)
+    bnd = _boundaries_rows(p)
+    # The region through position 0 is only contained at t = 1, so it goes
+    # last; the right ends are then increasing along each row.
+    types = np.roll(w + np.roll(w, -p.shape[1], axis=1), -1, axis=1)
+    lengths = np.roll(_lengths_rows(bnd), -1, axis=1)
+    ends = np.roll(bnd, -1, axis=1)
+    ends[:, -1] = 1.0
+    ended = np.empty((p.shape[0], grid.size), dtype=np.int64)
+    for j, t in enumerate(grid):
+        ended[:, j] = (ends <= t).sum(axis=1)
+    fractions = np.empty((p.shape[0], 3, grid.size))
+    sums = np.empty_like(fractions)
+    for k in (0, 1, 2):
+        mask = types == k
+        # cumulative sums with a leading 0 column, indexed by the number of ended regions
+        cnt = np.zeros((p.shape[0], m + 1), dtype=np.int64)
+        np.cumsum(mask, axis=1, out=cnt[:, 1:])
+        cum = np.zeros((p.shape[0], m + 1))
+        np.cumsum(lengths * mask, axis=1, out=cum[:, 1:])
+        fractions[:, k] = np.take_along_axis(cnt, ended, axis=1) / m
+        sums[:, k] = np.take_along_axis(cum, ended, axis=1)
+    return fractions, sums
 
 
 def equidistribution_paths(
     n: int, t_grid: Sequence[float], trials: int, seed: int
 ) -> PathReport:
+    """Type-k region counts and lengths inside [0, t] averaged over trials.
+
+    Trial i draws its n points from ``batch_rng(seed, i)``; trials are
+    processed in row chunks and summed in trial order.
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     grid = np.asarray(t_grid, dtype=np.float64)
     h_acc = np.zeros((3, grid.size))
     l_acc = np.zeros((3, grid.size))
-    m = 2 * n
-    for i in range(trials):
-        rng = batch_rng(seed, i)
-        p = np.sort(rng.random(n))
-        p -= p[0]
-        bnd = _boundaries_single(p)
-        regions = np.searchsorted(bnd, p, side="right") % m
-        w = np.zeros(m, dtype=np.uint8)
-        w[regions] = 1
-        types = w + np.roll(w, -n)
-        lengths = np.empty(m)
-        lengths[1:] = np.diff(bnd)
-        lengths[0] = 1 - bnd[-1] + bnd[0]
-        # the region through position 0 is only contained at t = 1
-        ends = np.concatenate([[1.0], bnd[1:]])
-        for k in (0, 1, 2):
-            mask = types == k
-            order = np.argsort(ends[mask])
-            ek = ends[mask][order]
-            cum = np.concatenate([[0.0], np.cumsum(lengths[mask][order])])
-            idx = np.searchsorted(ek, grid, side="right")
-            h_acc[k] += idx / m
-            l_acc[k] += cum[idx]
+    step = _chunk_rows(n)
+    for start in range(0, trials, step):
+        block = range(start, min(trials, start + step))
+        p = _rotate_rows(np.stack([np.sort(batch_rng(seed, i).random(n)) for i in block]))
+        fractions, sums = _path_rows(p, grid)
+        for h, l in zip(fractions, sums):
+            h_acc += h
+            l_acc += l
     h_acc /= trials
     l_acc /= trials
     return PathReport(

@@ -48,3 +48,20 @@ def enumerate_walks_plus(n: int) -> set[tuple[int, ...]]:
         if zeros > 0 and zeros % 2 == 0:
             out.add(steps)
     return out
+
+
+def count_non_interlacing(signatures) -> int:
+    """Rows whose non-1 letters, read cyclically, repeat a value, or that have none."""
+    bad = 0
+    for row in signatures.tolist():
+        specials = [v for v in row if v != 1]
+        if not specials:
+            bad += 1
+            continue
+        prev = specials[-1]
+        for v in specials:
+            if v == prev:
+                bad += 1
+                break
+            prev = v
+    return bad

@@ -112,6 +112,10 @@ class TestEstimate:
         assert header.split(",")[:3] == ["stat", "n", "estimate"]
         assert row.split(",")[0] == "h2"
 
+    def test_workers_below_one_exits_1(self):
+        code, out, err = run_cli("estimate", "--n", "4", "--stat", "h2", "--workers", "0")
+        assert code == 1 and out == "" and "workers" in err
+
     def test_worker_count_invisible(self):
         args = ["estimate", "--n", "3", "--stat", "le", "--trials", "50000", "--seed", "3"]
         a = run_cli(*args, "--workers", "1")

@@ -1,11 +1,18 @@
+import dataclasses
+import hashlib
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bisector_words import geometry, random_points as rp, words
 from bisector_words.geometry import PointConfig, occupancy_word, region_stats
+
+from oracles import count_non_interlacing
 
 
 class TestClosedForms:
@@ -152,13 +159,27 @@ class TestBatchEngine:
             cfg = PointConfig(tuple(float(x) for x in row))
             assert tuple(int(b) for b in w) == occupancy_word(cfg)
 
-    def test_region_data_matches_scalar_stats(self):
-        rng = rp.batch_rng(12, 0)
-        pos = rp._uniform_rows(4, 32, rng)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(3, 64),
+        rows=st.integers(1, 12),
+        seed=st.integers(0, 2**32),
+        model=st.sampled_from(["uniform", "exp"]),
+    )
+    @example(n=5, rows=64, seed=11, model="uniform")
+    @example(n=4, rows=32, seed=12, model="uniform")
+    def test_region_data_matches_scalar_stats(self, n, rows, seed, model):
+        rng = rp.batch_rng(seed, 0)
+        if model == "uniform":
+            pos = rp._uniform_rows(n, rows, rng)
+        else:
+            pos, _ = rp._exp_model_rows(n, rows, rng)
         wmat, types, lengths = rp._region_rows(pos)
+        assert (rp._words_rows(pos) == wmat).all()
         for row, w, t, ln in zip(pos, wmat, types, lengths):
-            rs = region_stats(PointConfig(tuple(float(x) for x in row)))
-            assert tuple(int(b) for b in w) == rs.occupied
+            cfg = PointConfig(tuple(float(x) for x in row))
+            rs = region_stats(cfg)
+            assert tuple(int(b) for b in w) == occupancy_word(cfg) == rs.occupied
             assert tuple(int(x) for x in t) == rs.types
             assert np.allclose(ln, rs.lengths)
 
@@ -170,6 +191,78 @@ class TestBatchEngine:
     def test_interlacing_failure_counter(self):
         assert rp.interlacing_failures(5, 20_000, seed=14) == 0
         assert rp._count_non_interlacing(np.array([[1, 1, 1], [0, 1, 2]])) == 1
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_non_interlacing_count_matches_loop(self, n):
+        rng = np.random.default_rng(100 + n)
+        sig = rng.integers(0, 3, (2000, n))
+        sig[::7] = 1  # all-1 rows
+        sig[1::7] = rng.integers(0, 2, (len(sig[1::7]), n)) * 2  # only 0s and 2s
+        assert rp._count_non_interlacing(sig) == count_non_interlacing(sig)
+
+
+# Estimator payloads for seed 2024, each over two batches (one full, one
+# partial), recorded from the (rows, n, 2n) comparison kernel that the rank
+# kernel replaced.  The batched geometry must reproduce them bit for bit.
+PIN_SEED = 2024
+PINNED_PAYLOADS = {
+    "region_stats:3": "bf6a1d4096bcc77ece03d1b00b91c1e1f84ec44ab8b37a80f27333ec138de029",
+    "region_stats:8": "9b62e619a36f61e5af7356dde90068ae18d9cc7561d166b75187a069d449dc54",
+    "region_stats:32": "fbf75b9cddccf66addf8c9ea77998ca54ae4139cb2787f22226a2fd03b8be457",
+    "region_stats:128": "96629b7cc7cd5f56ef879aac793fface6571df4cba4cdf9b82b45b564a2cafb4",
+    "bracelet_prob:circle": "21598a97acb56a695ceb50195c8f6b4bb839dfe7f37a87bb7fe93f6778c0f58c",
+    "bracelet_prob:exp": "c3ac3fd380aef7f588ce1599042fc410e643ebe5c31df5d0c007f923c96accde",
+    "interlacing_failures:12": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+    "transfer_check:4": "334c1f62afd85a48958e9f27c97958518b472b0ef26b7d79a5a69ebc77b4925f",
+    "equidistribution_paths:64": "fbb396388666b78a6c9c03b90ce28105c07a984161a94946b27abf93eaa02962",
+    "equidistribution_paths:5000": "969195de0bdf7ccdb6b706c28fde5f982ca4e5a959c43e598bfd2056ef633b12",
+}
+
+
+def _pinned_payload(case: str):
+    trials = rp.BATCH_SIZE + 4096
+    kind, _, arg = case.partition(":")
+    if kind == "region_stats":
+        results = rp.estimate_region_stats(int(arg), trials, PIN_SEED)
+        return {k: r.to_json_dict() for k, r in results.items()}
+    if kind == "bracelet_prob":
+        target = words.canonical_bracelet(words.run_word(4))
+        return rp.estimate_bracelet_prob(4, target, trials, PIN_SEED, model=arg).to_json_dict()
+    if kind == "interlacing_failures":
+        return rp.interlacing_failures(int(arg), trials, PIN_SEED)
+    if kind == "transfer_check":
+        return dataclasses.asdict(rp.transfer_check(int(arg), trials, PIN_SEED))
+    if kind == "equidistribution_paths":
+        n = int(arg)
+        grid = [j / 8 for j in range(9)]
+        return dataclasses.asdict(rp.equidistribution_paths(n, grid, 50 if n < 100 else 2, PIN_SEED))
+    raise AssertionError(case)
+
+
+def _digest(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+class TestPinnedPayloads:
+    @pytest.mark.parametrize("case", sorted(PINNED_PAYLOADS))
+    def test_payload_is_bit_identical(self, case):
+        assert _digest(_pinned_payload(case)) == PINNED_PAYLOADS[case]
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "region_stats:8",
+            "bracelet_prob:exp",
+            "interlacing_failures:12",
+            "transfer_check:4",
+            "equidistribution_paths:64",
+        ],
+    )
+    def test_chunk_boundaries_leave_payload_unchanged(self, monkeypatch, case):
+        # chunks of 250 rows at n=4, 125 at n=8, 83 at n=12 and 15 trials at
+        # n=64: every batch, and the 50 path trials, span several chunks
+        monkeypatch.setattr(rp, "_CHUNK_ELEMENTS", 2_000)
+        assert _digest(_pinned_payload(case)) == PINNED_PAYLOADS[case]
 
 
 class TestEstimators:
@@ -198,6 +291,42 @@ class TestEstimators:
         a = rp.estimate_bracelet_prob(4, target, 200_000, seed=19)
         b = rp.estimate_bracelet_prob(4, target, 200_000, seed=20)
         assert abs(rp.z_between(a, b)) <= 4
+
+    def test_region_stats_within_bands_at_large_n(self):
+        results = rp.estimate_region_stats(1000, 4000, seed=29)
+        for key, res in results.items():
+            assert abs(res.z) <= 4, (key, res)
+
+    def test_workers_below_one_rejected(self):
+        with pytest.raises(ValueError, match="workers"):
+            rp.estimate_region_stats(4, 1000, seed=30, workers=0)
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        seen = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(rp, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(rp.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(rp, "BATCH_SIZE", 100)
+        rp.estimate_region_stats(4, 1000, seed=31, workers=64)
+        assert seen == [3]
+
+    def test_unknown_model_names_the_choices(self):
+        target = words.canonical_bracelet(words.run_word(4))
+        with pytest.raises(ValueError, match="'circle', 'exp'"):
+            rp.estimate_bracelet_prob(4, target, 100, seed=32, model="gauss")
 
     def test_estimator_result_fields(self):
         res = rp.estimate_region_stats(3, 1000, seed=21)["h2"]
