@@ -14,8 +14,6 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import enumeration, random_points, realization, sampler, words
 from .geometry import NonGenericConfiguration, PointConfig, region_stats
 
@@ -95,7 +93,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    rng = random_points.batch_rng(args.seed, 0)
     for _ in range(args.count):
         if args.kind == "word":
             print(words.word_to_string(sampler.sample_uniform_word(args.n, rng)))

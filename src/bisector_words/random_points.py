@@ -48,6 +48,8 @@ BATCH_SIZE = 1 << 14
 # at n <= 128 is a single chunk.
 _CHUNK_ELEMENTS = 1 << 22
 _MASK64 = (1 << 64) - 1
+# Largest n whose words of 2n bits pack into one uint64.
+MAX_PACKED_N = 32
 
 
 def batch_rng(seed: int, index: int) -> np.random.Generator:
@@ -261,8 +263,9 @@ def _region_values(p: np.ndarray) -> np.ndarray:
 
 
 def _pack_words(w: np.ndarray) -> np.ndarray:
-    weights = (1 << np.arange(w.shape[1] - 1, -1, -1)).astype(np.int64)
-    return w.astype(np.int64) @ weights
+    """Rows packed as :func:`words.word_to_int` packs a word; exact up to 64 bits."""
+    weights = np.left_shift(np.uint64(1), np.arange(w.shape[1] - 1, -1, -1, dtype=np.uint64))
+    return w.astype(np.uint64) @ weights
 
 
 def _uniform_rows(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -319,7 +322,7 @@ def _run_batch(task: tuple):
             chunks = _uniform_chunks(n, size, rng)
         else:
             chunks = _split_rows(_exp_model_rows(n, size, rng)[0])
-        cls = np.asarray(extra, dtype=np.int64)
+        cls = np.asarray(extra, dtype=np.uint64)
         return sum(int(np.isin(_pack_words(_words_rows(p)), cls).sum()) for p in chunks)
     if kind == "region_stats":
         values = np.concatenate([_region_values(p) for p in _uniform_chunks(n, size, rng)], axis=1)
@@ -415,7 +418,7 @@ def sample_exp_model(n: int, rng: np.random.Generator) -> ExpSpacingSample:
 
 
 def _class_ints(target: Bracelet) -> tuple[int, ...]:
-    return tuple(sorted(words.word_to_int(w) for w in words.bracelet_class(target.word)))
+    return tuple(sorted(words.bracelet_orbit(target.word)))
 
 
 def estimate_bracelet_prob(
@@ -433,8 +436,11 @@ def estimate_bracelet_prob(
     ("exp"); the two agree in distribution.  The z score is computed against
     ``target_prob`` when given, against the known closed form when the
     target is the run-word bracelet, and is NaN otherwise.  Deterministic
-    for fixed (seed, trials) whatever the worker count.
+    for fixed (seed, trials) whatever the worker count.  Words are packed
+    into 64 bits, so n is at most ``MAX_PACKED_N``.
     """
+    if n > MAX_PACKED_N:
+        raise ValueError(f"bracelet estimates pack 2n bits into 64; need n <= {MAX_PACKED_N}, got {n}")
     kinds = {"circle": "bracelet_hits", "exp": "bracelet_hits_exp"}
     if model not in kinds:
         raise ValueError(f"unknown model {model!r}; choose from {sorted(kinds)}")

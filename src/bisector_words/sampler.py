@@ -5,8 +5,20 @@ even nonzero number of S letters plus one extra bit: S positions carry the
 balanced folded letters 11/00 (strictly alternating, the bit choosing which
 comes first) and 0/1 positions carry the unbalanced letters 01/10.  Uniform
 words are therefore sampled by rejection on i.i.d. uniform letters, which
-is exactly uniform, needs no precomputed weight tables, and accepts with
-probability about 1/2.
+needs no precomputed weight tables and accepts with probability about 1/2
+(2/9 at n = 3).
+
+Each rejection attempt makes one integer draw per block of at most 39
+letters.  The first draw is uniform on [0, 2 * 3^b) with b = min(n, 39):
+its lowest bit is the phase bit and the rest gives b letters as base-3
+digits.  Each further block of m <= 39 letters draws from [0, 3^m).  As
+2 * 3^39 < 2^63, every draw is one int64 draw.  ``Generator.integers`` is
+exactly uniform on its range, and the base-3 digits of an integer uniform
+on [0, 3^m) are i.i.d. uniform letters, so an attempt is a uniform letter
+string plus an independent fair bit.  Attempts are i.i.d., so the accepted
+word is exactly uniform.  The digits are split in plain Python: at the
+small n of exact sampling, numpy calls on arrays of a few letters would
+cost several times more than the letters themselves.
 
 Folding a realizable word and mapping letters 11/00 to step 0, 10 to +1 and
 01 to -1 gives a walk; tracking the running count of 0 steps makes the map
@@ -27,42 +39,60 @@ from .random_points import batch_rng
 from .words import Bracelet, FoldedWord, Word
 
 _STEP_OF_LETTER = {"00": 0, "11": 0, "10": 1, "01": -1}
+# Letters per integer draw: 2 * 3**39 < 2**63, so the first block and the
+# phase bit fit one int64 draw.
+_BLOCK = 39
+
+
+def _base3_digits(x: int, count: int) -> list[int]:
+    """The ``count`` lowest base-3 digits of x, least significant first."""
+    digits = []
+    for _ in range(count):
+        x, d = divmod(x, 3)
+        digits.append(d)
+    return digits
 
 
 def sample_uniform_word(n: int, rng: np.random.Generator) -> Word:
     """Exactly uniform over the 3^n - 2^(n+1) + 1 realizable words of length 2n."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
+    head = min(n, _BLOCK)
+    high = 2 * 3**head
     while True:
-        letters = rng.integers(0, 3, size=n)
-        balanced = int((letters == 2).sum())
-        if balanced > 0 and balanced % 2 == 0:
+        x = int(rng.integers(0, high))
+        letters = _base3_digits(x >> 1, head)
+        for start in range(head, n, _BLOCK):
+            size = min(_BLOCK, n - start)
+            letters += _base3_digits(int(rng.integers(0, 3**size)), size)
+        balanced = letters.count(2)
+        if balanced and balanced % 2 == 0:
             break
-    first_is_11 = bool(rng.integers(0, 2))
-    first = [0] * n
-    second = [0] * n
-    next_is_11 = first_is_11
+    next_is_11 = x & 1
+    word = [0] * (2 * n)
     for i, u in enumerate(letters):
         if u == 2:
-            first[i] = second[i] = 1 if next_is_11 else 0
-            next_is_11 = not next_is_11
+            if next_is_11:
+                word[i] = word[i + n] = 1
+            next_is_11 ^= 1
         elif u == 1:
-            first[i] = 1
+            word[i] = 1
         else:
-            second[i] = 1
-    return tuple(first) + tuple(second)
+            word[i + n] = 1
+    return tuple(word)
 
 
 def sample_uniform_bracelet(n: int, rng: np.random.Generator) -> Bracelet:
     """Exactly uniform over bracelet classes, by 1/orbit-size rejection.
 
     Every class is hit with probability (orbit/total) * (1/orbit); the
-    acceptance rate is the class/word ratio, at least 1/(4n).
+    acceptance rate is the class/word ratio, at least 1/(4n).  Candidates
+    stay packed ints until one is accepted (see :func:`words.canonical_bracelet`).
     """
     while True:
-        b = words.canonical_bracelet(sample_uniform_word(n, rng))
-        if int(rng.integers(0, b.orbit_size)) == 0:
-            return b
+        orbit = words.bracelet_orbit(sample_uniform_word(n, rng))
+        if int(rng.integers(0, len(orbit))) == 0:
+            return Bracelet(n=n, word=words.int_to_word(min(orbit), n), orbit_size=len(orbit))
 
 
 @dataclass(frozen=True)

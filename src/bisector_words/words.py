@@ -26,10 +26,10 @@ FOLDED_ALPHABET = ("00", "01", "10", "11")
 
 def check_word(bits: Iterable[int]) -> Word:
     """Validate and normalize a word to a tuple of 0/1 ints of length 2n, n >= 3."""
-    w = tuple(int(b) for b in bits)
+    w = tuple(map(int, bits))
     if len(w) < 6 or len(w) % 2 != 0:
         raise ValueError(f"word length must be an even number >= 6, got {len(w)}")
-    if any(b not in (0, 1) for b in w):
+    if not set(w) <= {0, 1}:
         raise ValueError("word bits must be 0 or 1")
     return w
 
@@ -124,17 +124,36 @@ class Bracelet:
         return word_to_string(self.word)
 
 
+def bracelet_orbit(w: Iterable[int]) -> set[int]:
+    """The class of w under cyclic shifts and reversal, packed by :func:`word_to_int`.
+
+    Shifting a word left by k positions rotates its 2n-bit integer left by
+    k bits, so the class is the 2n rotations of the word and of its reverse;
+    each rotation is a 2n-bit window of the integer written twice.
+    """
+    word = check_word(w)
+    size = len(word)
+    mask = (1 << size) - 1
+    doubled = [(x << size) | x for x in (word_to_int(word), word_to_int(word[::-1]))]
+    return {(d >> k) & mask for d in doubled for k in range(1, size + 1)}
+
+
 def bracelet_class(w: Iterable[int]) -> set[Word]:
     """All distinct words obtained from w by cyclic shifts and reversal."""
     word = check_word(w)
-    rev = word[::-1]
-    return set(cyclic_shifts(word)) | set(cyclic_shifts(rev))
+    return {int_to_word(x, len(word) // 2) for x in bracelet_orbit(word)}
 
 
 def canonical_bracelet(w: Iterable[int]) -> Bracelet:
-    cls = bracelet_class(w)
+    """The bracelet of w.
+
+    All packed images have 2n bits, so the least integer is the
+    lexicographically least word of the class.
+    """
     word = check_word(w)
-    return Bracelet(n=len(word) // 2, word=min(cls), orbit_size=len(cls))
+    n = len(word) // 2
+    orbit = bracelet_orbit(word)
+    return Bracelet(n=n, word=int_to_word(min(orbit), n), orbit_size=len(orbit))
 
 
 def fold(w: Iterable[int]) -> FoldedWord:

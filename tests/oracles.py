@@ -65,3 +65,9 @@ def count_non_interlacing(signatures) -> int:
                 break
             prev = v
     return bad
+
+
+def bracelet_class_tuples(word) -> set[tuple[int, ...]]:
+    """Every cyclic shift of a word and of its reverse, as tuples."""
+    w = tuple(word)
+    return {v[i:] + v[:i] for v in (w, w[::-1]) for i in range(len(v))}

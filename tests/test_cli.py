@@ -116,6 +116,14 @@ class TestEstimate:
         code, out, err = run_cli("estimate", "--n", "4", "--stat", "h2", "--workers", "0")
         assert code == 1 and out == "" and "workers" in err
 
+    def test_pb_at_packed_limit(self):
+        code, out, _ = run_cli("estimate", "--n", "32", "--stat", "pb", "--trials", "2000")
+        assert code == 0 and json.loads(out)["trials"] == 2000
+
+    def test_pb_above_packed_limit_exits_1(self):
+        code, out, err = run_cli("estimate", "--n", "33", "--stat", "pb", "--trials", "2000")
+        assert code == 1 and out == "" and "n <= 32" in err
+
     def test_worker_count_invisible(self):
         args = ["estimate", "--n", "3", "--stat", "le", "--trials", "50000", "--seed", "3"]
         a = run_cli(*args, "--workers", "1")

@@ -183,6 +183,16 @@ class TestBatchEngine:
             assert tuple(int(x) for x in t) == rs.types
             assert np.allclose(ln, rs.lengths)
 
+    @pytest.mark.parametrize("n", [3, 31, 32])
+    def test_pack_words_matches_word_to_int(self, n):
+        rng = np.random.default_rng(200 + n)
+        w = rng.integers(0, 2, (64, 2 * n)).astype(np.uint8)
+        w[0] = 1  # every bit set, the top one included
+        w[1] = 0
+        packed = rp._pack_words(w)
+        assert packed.dtype == np.uint64
+        assert [int(x) for x in packed] == [words.word_to_int(row.tolist()) for row in w]
+
     def test_type_counts_balanced_per_trial(self):
         rng = rp.batch_rng(13, 0)
         _, types, _ = rp._region_rows(rp._uniform_rows(6, 256, rng))
@@ -327,6 +337,22 @@ class TestEstimators:
         target = words.canonical_bracelet(words.run_word(4))
         with pytest.raises(ValueError, match="'circle', 'exp'"):
             rp.estimate_bracelet_prob(4, target, 100, seed=32, model="gauss")
+
+    def test_bracelet_prob_at_packed_limit(self):
+        # the target is the class of the first configuration drawn, so it is hit
+        first = rp._words_rows(rp._uniform_rows(32, 1, rp.batch_rng(33, 0)))[0]
+        target = words.canonical_bracelet(first.tolist())
+        res = rp.estimate_bracelet_prob(32, target, 2000, seed=33)
+        assert res.trials == 2000 and 1 <= res.estimate * 2000 < 2000
+
+    def test_bracelet_prob_rejects_n_above_packed_limit(self, monkeypatch):
+        def no_batches(tasks, workers):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(rp, "_map_tasks", no_batches)
+        target = words.canonical_bracelet(words.run_word(33))
+        with pytest.raises(ValueError, match="n <= 32"):
+            rp.estimate_bracelet_prob(33, target, 2000, seed=34)
 
     def test_estimator_result_fields(self):
         res = rp.estimate_region_stats(3, 1000, seed=21)["h2"]

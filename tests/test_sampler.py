@@ -14,6 +14,52 @@ def chi_square_p(counts: dict, cells: int) -> float:
     return float(sstats.chisquare(observed).pvalue)
 
 
+class CountingRng:
+    """A generator that records the upper bound of every ``integers`` call."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.highs = []
+
+    def integers(self, low, high, *args, **kwargs):
+        self.highs.append(high)
+        return self.rng.integers(low, high, *args, **kwargs)
+
+
+def pool_cells(observed, expected, minimum=5.0):
+    """Merge neighbouring cells until every expected count is at least ``minimum``."""
+    cells = []
+    for o, e in zip(observed, expected):
+        if cells and cells[-1][1] < minimum:
+            cells[-1][0] += o
+            cells[-1][1] += e
+        else:
+            cells.append([o, e])
+    if len(cells) > 1 and cells[-1][1] < minimum:
+        o, e = cells.pop()
+        cells[-1][0] += o
+        cells[-1][1] += e
+    return cells
+
+
+def special_count_pvalue(n: int, trials: int, rng) -> float:
+    """Chi-square p-value of the number p of 0 letters in sampled signatures.
+
+    The signature has 2p letters 0 or 2 with weight 2 C(n,2p) 2^(n-2p).
+    """
+    observed: dict = {}
+    for _ in range(trials):
+        sig = words.signature(sampler.sample_uniform_word(n, rng))
+        p = sig.count(0)
+        observed[p] = observed.get(p, 0) + 1
+    total_words = enumeration.count_words(n)
+    ps = range(1, n // 2 + 1)
+    expected = [trials * 2 * math.comb(n, 2 * p) * 2 ** (n - 2 * p) / total_words for p in ps]
+    cells = pool_cells([observed.get(p, 0) for p in ps], expected)
+    stat = sum((o - e) ** 2 / e for o, e in cells)
+    return float(sstats.chi2.sf(stat, df=len(cells) - 1))
+
+
 class TestUniformWords:
     def test_always_realizable(self):
         rng = np.random.default_rng(0)
@@ -30,23 +76,28 @@ class TestUniformWords:
         assert chi_square_p(counts, 12) > 1e-3
 
     def test_special_count_marginal_n6(self):
-        # number of 0/2 signature letters is 2p with weight 2 C(n,2p) 2^(n-2p)
-        n, trials = 6, 100_000
-        rng = np.random.default_rng(2)
-        observed: dict = {}
-        for _ in range(trials):
-            sig = words.signature(sampler.sample_uniform_word(n, rng))
-            p = sig.count(0)
-            observed[p] = observed.get(p, 0) + 1
-        total_words = enumeration.count_words(n)
-        expected = {
-            p: trials * 2 * math.comb(n, 2 * p) * 2 ** (n - 2 * p) / total_words
-            for p in range(1, n // 2 + 1)
-        }
-        stat = sum(
-            (observed.get(p, 0) - e) ** 2 / e for p, e in expected.items()
-        )
-        assert float(sstats.chi2.sf(stat, df=len(expected) - 1)) > 1e-3
+        assert special_count_pvalue(6, 100_000, np.random.default_rng(2)) > 1e-3
+
+    def test_special_count_marginal_n41(self):
+        # n=41 makes two draws per attempt, one of 39 letters and one of 2
+        assert special_count_pvalue(41, 50_000, np.random.default_rng(41)) > 1e-3
+
+    @pytest.mark.parametrize("n", [39, 40, 79])
+    def test_draw_block_boundary(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            w = sampler.sample_uniform_word(n, rng)
+            assert len(w) == 2 * n
+            assert words.is_realizable(w)
+
+    @pytest.mark.parametrize("n", [3, 4, 39, 40, 79])
+    def test_one_draw_per_block_of_39_letters(self, n):
+        rng = CountingRng(np.random.default_rng(n))
+        sampler.sample_uniform_word(n, rng)
+        blocks = [min(39, n - start) for start in range(0, n, 39)]
+        attempt = [2 * 3 ** blocks[0]] + [3**b for b in blocks[1:]]
+        attempts = len(rng.highs) // len(attempt)
+        assert attempts >= 1 and rng.highs == attempt * attempts
 
 
 class TestUniformBracelets:

@@ -1,11 +1,12 @@
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bisector_words import words
-from oracles import is_interlacing_literal
+from bisector_words import enumeration, words
+from oracles import bracelet_class_tuples, is_interlacing_literal
 
 EXAMPLE_18 = (0, 0, 0, 0, 1, 0, 1, 0, 1, 1, 0, 1, 1, 1, 1, 0, 0, 1)
 
@@ -119,6 +120,29 @@ class TestBracelet:
 
     def test_string_form(self):
         assert str(words.canonical_bracelet((1, 0, 1, 1, 0, 0))) == "001011"
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_matches_tuple_oracle_on_realizable_words(self, n):
+        for w in enumeration.enumerate_words(n):
+            cls = bracelet_class_tuples(w)
+            assert words.canonical_bracelet(w) == words.Bracelet(n, min(cls), len(cls))
+
+    @pytest.mark.parametrize("n", [16, 31, 32, 33, 40])
+    def test_matches_tuple_oracle_across_64_bits(self, n):
+        # Packed words of 2n bits cross 64 bits between n=32 and n=33.
+        rng = np.random.default_rng(100 + n)
+        samples = [tuple(int(b) for b in row) for row in rng.integers(0, 2, (200, 2 * n))]
+        samples += [
+            (1,) * (2 * n),
+            (0,) * (2 * n - 1) + (1,),
+            (1, 0) * n,
+            (1,) + (0,) * (n - 1) + (1,) + (0,) * (n - 1),
+            words.run_word(n),
+        ]
+        for w in samples:
+            cls = bracelet_class_tuples(w)
+            assert words.canonical_bracelet(w) == words.Bracelet(n, min(cls), len(cls))
+            assert words.bracelet_class(w) == cls
 
 
 class TestFolding:
