@@ -54,8 +54,14 @@ def _criterion_word_counts():
 
 def _criterion_bracelet_table():
     got = {n: enumeration.count_bracelets(n) for n in range(3, 11)}
-    ok = got == TABLE_BRACELETS
-    return ok, f"bracelet counts {got}"
+    if got != TABLE_BRACELETS:
+        return False, f"bracelet counts {got}"
+    for n in range(3, 13):
+        enumerated = enumeration.enumeration_report(n).bracelet_count
+        counted = enumeration.count_bracelets(n)
+        if enumerated != counted:
+            return False, f"n={n}: enumerated {enumerated} classes != count {counted}"
+    return True, f"bracelet counts {got}; enumerated classes == count for n in 3..12"
 
 
 def _criterion_interlacing_necessity():
@@ -245,7 +251,7 @@ def _criterion_cli_determinism():
 
 CRITERIA = (
     (1, "word count formula vs enumeration, n=3..12", _criterion_word_counts),
-    (2, "bracelet counts for n=3..10", _criterion_bracelet_table),
+    (2, "bracelet counts for n=3..10, enumerated classes for n=3..12", _criterion_bracelet_table),
     (3, "every sampled signature interlaces, n=3..12", _criterion_interlacing_necessity),
     (4, "realization round-trip for all words, n<=7", _criterion_realization_roundtrip),
     (5, "run-word bracelet probability n/(3*2^(2n-6))", _criterion_run_bracelet_prob),

@@ -29,12 +29,12 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str) -> range:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
+        values = range(int(lo), int(hi) + 1)
     else:
-        values = [int(text)]
+        values = range(int(text), int(text) + 1)
     if not values:
         raise _CliError(f"empty range {text!r}")
     return values
@@ -59,23 +59,25 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    for n in _parse_range(args.n):
+    ns = _parse_range(args.n)
+    for n in ns:
+        enumeration._check_range(n)
+    for n in ns:
+        spec = f"0{2 * n}b"
+        stream = enumeration._packed_words(n)
         if args.bracelets:
-            seen = set()
-            for w in enumeration.enumerate_words(n):
-                b = words.canonical_bracelet(w)
-                if b.word not in seen:
-                    seen.add(b.word)
-                    print(words.word_to_string(b.word))
-        else:
-            for w in enumeration.enumerate_words(n):
-                print(words.word_to_string(w))
+            stream = (least for least, _ in enumeration._bracelet_classes(stream, n))
+        for x in stream:
+            print(format(x, spec))
     return 0
 
 
 def _cmd_count(args) -> int:
+    ns = _parse_range(args.n)
+    for n in ns:
+        enumeration._check_count_range(n)
     rows = []
-    for n in _parse_range(args.n):
+    for n in ns:
         rows.append(
             {
                 "n": n,
@@ -93,6 +95,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.count < 0:
+        raise _CliError(f"--count must be >= 0, got {args.count}")
     rng = random_points.batch_rng(args.seed, 0)
     for _ in range(args.count):
         if args.kind == "word":

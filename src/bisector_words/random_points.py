@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import words
-from .geometry import PointConfig, ensure_generic
+from .geometry import NonGenericConfiguration, PointConfig, ensure_generic
 from .words import Bracelet
 
 BATCH_SIZE = 1 << 14
@@ -357,10 +357,13 @@ def sample_uniform_config(n: int, rng: np.random.Generator) -> PointConfig:
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     while True:
+        positions = tuple(sorted(float(x) for x in rng.random(n)))
+        if any(a == b for a, b in zip(positions, positions[1:])):
+            continue  # duplicate draw
+        config = PointConfig(positions)
         try:
-            config = PointConfig(tuple(sorted(float(x) for x in rng.random(n))))
             ensure_generic(config)
-        except ValueError:  # duplicate draw or tied critical values
+        except NonGenericConfiguration:
             continue
         return config
 
@@ -441,6 +444,8 @@ def estimate_bracelet_prob(
     """
     if n > MAX_PACKED_N:
         raise ValueError(f"bracelet estimates pack 2n bits into 64; need n <= {MAX_PACKED_N}, got {n}")
+    if target.n != n:
+        raise ValueError(f"target bracelet has n={target.n}, estimate is for n={n}")
     kinds = {"circle": "bracelet_hits", "exp": "bracelet_hits_exp"}
     if model not in kinds:
         raise ValueError(f"unknown model {model!r}; choose from {sorted(kinds)}")

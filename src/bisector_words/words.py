@@ -124,18 +124,24 @@ class Bracelet:
         return word_to_string(self.word)
 
 
-def bracelet_orbit(w: Iterable[int]) -> set[int]:
-    """The class of w under cyclic shifts and reversal, packed by :func:`word_to_int`.
+def _orbit(x: int, n: int) -> set[int]:
+    """The class of the packed word x of length 2n under shifts and reversal.
 
     Shifting a word left by k positions rotates its 2n-bit integer left by
     k bits, so the class is the 2n rotations of the word and of its reverse;
     each rotation is a 2n-bit window of the integer written twice.
     """
-    word = check_word(w)
-    size = len(word)
+    size = 2 * n
     mask = (1 << size) - 1
-    doubled = [(x << size) | x for x in (word_to_int(word), word_to_int(word[::-1]))]
+    reverse = int(format(x, f"0{size}b")[::-1], 2)
+    doubled = ((x << size) | x, (reverse << size) | reverse)
     return {(d >> k) & mask for d in doubled for k in range(1, size + 1)}
+
+
+def bracelet_orbit(w: Iterable[int]) -> set[int]:
+    """The class of w under cyclic shifts and reversal, packed by :func:`word_to_int`."""
+    word = check_word(w)
+    return _orbit(word_to_int(word), len(word) // 2)
 
 
 def bracelet_class(w: Iterable[int]) -> set[Word]:

@@ -71,3 +71,27 @@ def bracelet_class_tuples(word) -> set[tuple[int, ...]]:
     """Every cyclic shift of a word and of its reverse, as tuples."""
     w = tuple(word)
     return {v[i:] + v[:i] for v in (w, w[::-1]) for i in range(len(v))}
+
+
+def interlacing_signatures(n: int) -> list[tuple[int, ...]]:
+    """Signatures of length n that pass the literal test, in lexicographic order."""
+    return [sig for sig in product((0, 1, 2), repeat=n) if is_interlacing_literal(sig)]
+
+
+def enumerate_words_by_product(n: int):
+    """Realizable words in stream order: each interlacing signature in turn, its
+    1-letters expanded over (1,0) then (0,1), the first one varying slowest."""
+    for sig in interlacing_signatures(n):
+        free = [i for i, letter in enumerate(sig) if letter == 1]
+        first = [1 if letter == 2 else 0 for letter in sig]
+        second = list(first)
+        for choice in product(((1, 0), (0, 1)), repeat=len(free)):
+            for i, (a, b) in zip(free, choice):
+                first[i] = a
+                second[i] = b
+            yield tuple(first) + tuple(second)
+
+
+def count_bracelets_by_canonical(n: int) -> int:
+    """Shift/reversal classes of the realizable words, one canonical form per word."""
+    return len({min(bracelet_class_tuples(w)) for w in enumerate_words_by_product(n)})

@@ -1,10 +1,11 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
-from bisector_words import cli
+from bisector_words import cli, enumeration
 from bisector_words.geometry import PointConfig, occupancy_word
 from bisector_words import words
 
@@ -70,6 +71,48 @@ class TestCountAndEnumerate:
         code, _, err = run_cli("count", "--n", "nope")
         assert code == 1
 
+    def test_count_table_unchanged(self):
+        table = {3: 1, 4: 5, 5: 9, 6: 30, 7: 69, 8: 203, 9: 519, 10: 1466}
+        rows = [{"n": n, "words": 3**n - 2 ** (n + 1) + 1, "bracelets": b} for n, b in table.items()]
+        code, out, _ = run_cli("count", "--n", "3..10")
+        assert code == 0
+        assert out.splitlines() == ["n,words,bracelets"] + [
+            f"{r['n']},{r['words']},{r['bracelets']}" for r in rows
+        ]
+        code, out, _ = run_cli("count", "--n", "3..10", "--format", "json")
+        assert code == 0 and out == json.dumps(rows) + "\n"
+
+    def test_enumerate_matches_golden_streams(self):
+        golden = Path(__file__).parent / "golden"
+        code, out, _ = run_cli("enumerate", "--n", "3..6")
+        assert code == 0
+        assert out == "".join((golden / f"words_n{n}.txt").read_text() for n in range(3, 7))
+
+    def test_enumerate_bracelets_matches_per_word_canonical_form(self):
+        lines = []
+        for n in range(3, 8):
+            seen = set()
+            for w in enumeration.enumerate_words(n):
+                b = words.canonical_bracelet(w)
+                if b.word not in seen:
+                    seen.add(b.word)
+                    lines.append(words.word_to_string(b.word) + "\n")
+        code, out, _ = run_cli("enumerate", "--n", "3..7", "--bracelets")
+        assert code == 0 and out == "".join(lines)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("enumerate", "--n", "13..15"),
+            ("enumerate", "--n", "13..15", "--bracelets"),
+            ("count", "--n", "4999..5001"),
+            ("count", "--n", f"3..{10**12}"),
+        ],
+    )
+    def test_range_checked_before_any_output(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 1 and out == "" and "3 <= n <=" in err
+
 
 class TestSample:
     def test_words_deterministic(self):
@@ -83,6 +126,10 @@ class TestSample:
         code, out, _ = run_cli("sample", "--n", "3", "--count", "3", "--kind", "bracelet")
         assert code == 0
         assert out.splitlines() == ["001011"] * 3
+
+    def test_negative_count_exits_1(self):
+        code, out, err = run_cli("sample", "--n", "4", "--count", "-3")
+        assert code == 1 and out == "" and "--count" in err
 
     def test_points(self):
         code, out, _ = run_cli("sample", "--n", "5", "--count", "2", "--kind", "points")

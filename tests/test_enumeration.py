@@ -5,7 +5,12 @@ import pytest
 
 from bisector_words import enumeration, realization, words
 from bisector_words.geometry import occupancy_word
-from oracles import brute_force_realizable_words
+from oracles import (
+    brute_force_realizable_words,
+    count_bracelets_by_canonical,
+    enumerate_words_by_product,
+    interlacing_signatures,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -48,6 +53,10 @@ class TestEnumerateWords:
         with pytest.raises(ValueError):
             list(enumeration.enumerate_words(15))
 
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_stream_matches_product_generator(self, n):
+        assert list(enumeration.enumerate_words(n)) == list(enumerate_words_by_product(n))
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_golden_stream_order(self, n):
         expected = (GOLDEN / f"words_n{n}.txt").read_text().splitlines()
@@ -55,9 +64,31 @@ class TestEnumerateWords:
         assert got == expected
 
 
+class TestSignatures:
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_matches_literal_filter(self, n):
+        assert list(enumeration.enumerate_signatures(n)) == interlacing_signatures(n)
+
+
 class TestCountBracelets:
     def test_small_table(self):
         assert [enumeration.count_bracelets(n) for n in (3, 4, 5, 6)] == [1, 5, 9, 30]
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_matches_canonical_oracle(self, n):
+        assert enumeration.count_bracelets(n) == count_bracelets_by_canonical(n)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_matches_report(self, n):
+        assert enumeration.count_bracelets(n) == enumeration.enumeration_report(n).bracelet_count
+
+    def test_range_bounds(self):
+        top = enumeration.MAX_COUNT_N
+        wc, bc = enumeration.count_words(top), enumeration.count_bracelets(top)
+        assert wc // (4 * top) <= bc <= wc
+        for n in (2, top + 1):
+            with pytest.raises(ValueError, match=f"3 <= n <= {top}"):
+                enumeration.count_bracelets(n)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_sandwich_inequality(self, n):

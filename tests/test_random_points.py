@@ -95,6 +95,25 @@ class TestUniformConfig:
             w = occupancy_word(rp.sample_uniform_config(3, rng))
             assert words.canonical_bracelet(w) == target
 
+    class _ScriptedDraws:
+        """Generator stand-in whose ``random`` returns the given draws in turn."""
+
+        def __init__(self, *draws):
+            self.draws = list(draws)
+
+        def random(self, n):
+            return np.array(self.draws.pop(0))
+
+    def test_redraws_on_duplicate_and_on_tie(self):
+        rng = self._ScriptedDraws([0.3, 0.1, 0.3], [0.0, 1 / 3, 2 / 3], [0.75, 0.1, 0.3])
+        config = rp.sample_uniform_config(3, rng)
+        assert config.positions == (0.1, 0.3, 0.75) and not rng.draws
+
+    def test_other_errors_propagate(self):
+        rng = self._ScriptedDraws([0.2, 0.5, 1.5], [0.75, 0.1, 0.3])
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            rp.sample_uniform_config(3, rng)
+
 
 class TestExpModel:
     def test_conventions(self):
@@ -353,6 +372,15 @@ class TestEstimators:
         target = words.canonical_bracelet(words.run_word(33))
         with pytest.raises(ValueError, match="n <= 32"):
             rp.estimate_bracelet_prob(33, target, 2000, seed=34)
+
+    def test_bracelet_prob_rejects_target_of_other_n(self, monkeypatch):
+        def no_batches(tasks, workers):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(rp, "_map_tasks", no_batches)
+        target = words.canonical_bracelet(words.run_word(5))
+        with pytest.raises(ValueError, match="n=5.*n=4"):
+            rp.estimate_bracelet_prob(4, target, 1000, seed=1)
 
     def test_estimator_result_fields(self):
         res = rp.estimate_region_stats(3, 1000, seed=21)["h2"]
