@@ -13,6 +13,7 @@ import time
 from contextlib import redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 from scipy import stats as sstats
@@ -282,6 +283,15 @@ def run_criterion(number: int) -> CriterionResult:
     raise ValueError(f"no criterion numbered {number}")
 
 
-def run_all(numbers=None) -> list[CriterionResult]:
-    wanted = [num for num, _, _ in CRITERIA] if numbers is None else list(numbers)
-    return [run_criterion(num) for num in wanted]
+def run_all(numbers=None) -> Iterator[CriterionResult]:
+    """Results of the wanted criteria (default: all), each run as it is consumed.
+
+    Every number is checked before any criterion runs, so a bad range fails
+    at once instead of after the criteria before it.
+    """
+    known = [num for num, _, _ in CRITERIA]
+    wanted = known if numbers is None else list(numbers)
+    unknown = [num for num in wanted if num not in known]
+    if unknown:
+        raise ValueError(f"no criterion numbered {', '.join(map(str, unknown))}")
+    return (run_criterion(num) for num in wanted)

@@ -4,8 +4,20 @@ Points live on a circle of total length 1, identified with [0, 1) via
 t -> exp(2*pi*i*t).  The n lines through the center (each the perpendicular
 bisector of two cyclically consecutive points) reduce to n arc positions
 plus their antipodes, so all computations happen on sorted positions mod 1.
-Positions may be exact rationals (``fractions.Fraction``) or floats; the
-same code path serves both, only the genericity tolerance differs.
+
+Positions may be exact rationals (``fractions.Fraction``) or floats, and
+both run through one code path in circle units.  A configuration keeps its
+positions as x = p * U, with U = 1 for floats and U the least common
+multiple of the denominators for exact input, so exact positions are ints.
+A critical value v is handled as 2 * v * U on a circle of length 2U: a
+point is 2x, its antipode 2x + U, the bisector of two consecutive points
+a + b (the wrap pair U + a + b), an antipodal bisector that plus U, all mod
+2U.  Nothing is ever halved, so exact values stay integral (sorting,
+bisecting and gap minima run on ints), and each float value is exactly
+twice what the unit-circle formulas give, so float results are
+bit-identical to them.  Values go back to arc length, ``Fraction(v, 2U)``
+or ``v / 2``, only where a public function returns them.  Only the
+genericity tolerance differs between exact and float input.
 
 Words are read with the first point rotated to 0: region 0 is the arc
 containing positions just above 0, regions follow counterclockwise.
@@ -14,8 +26,9 @@ containing positions just above 0, regions follow counterclockwise.
 from __future__ import annotations
 
 import logging
+import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -39,9 +52,15 @@ def _mod1(x):
 
 @dataclass(frozen=True)
 class PointConfig:
-    """n >= 3 strictly increasing positions in [0, 1) on the unit-length circle."""
+    """n >= 3 strictly increasing positions in [0, 1) on the unit-length circle.
+
+    ``is_exact`` (no position is a float) is settled at construction, as are
+    the positions in circle units (see the module docstring).
+    """
 
     positions: tuple
+    is_exact: bool = field(init=False, repr=False, compare=False)
+    _units: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pos = tuple(self.positions)
@@ -49,20 +68,22 @@ class PointConfig:
             raise ValueError(f"need at least 3 points, got {len(pos)}")
         exact = not any(isinstance(p, float) for p in pos)
         if exact:
-            pos = tuple(Fraction(p) for p in pos)
+            pos = tuple(p if isinstance(p, Fraction) else Fraction(p) for p in pos)
+            unit = math.lcm(*(p.denominator for p in pos))
+            xs = tuple(p.numerator * (unit // p.denominator) for p in pos)
+        else:
+            unit, xs = 1, pos
         object.__setattr__(self, "positions", pos)
-        if any(not 0 <= p < 1 for p in pos):
+        object.__setattr__(self, "is_exact", exact)
+        object.__setattr__(self, "_units", (xs, unit))
+        if any(not 0 <= x < unit for x in xs):
             raise ValueError("positions must lie in [0, 1)")
-        if any(a >= b for a, b in zip(pos, pos[1:])):
+        if any(a >= b for a, b in zip(xs, xs[1:])):
             raise ValueError("positions must be strictly increasing")
 
     @property
     def n(self) -> int:
         return len(self.positions)
-
-    @property
-    def is_exact(self) -> bool:
-        return not any(isinstance(p, float) for p in self.positions)
 
     @classmethod
     def from_points(cls, pts: Iterable) -> "PointConfig":
@@ -84,16 +105,75 @@ class PointConfig:
         return PointConfig.from_points(-p for p in self.positions)
 
 
-def _rotate_first_to_zero(config: PointConfig) -> PointConfig:
-    p0 = config.positions[0]
-    if p0 == 0:
-        return config
-    return PointConfig(tuple(p - p0 for p in config.positions))
+class _Frame:
+    """A configuration in circle units: positions x, circle length 2U.
+
+    ``lines`` are the doubled bisectors in pair order (entry i separates
+    points i and i+1), ``antilines`` their antipodes.
+    """
+
+    __slots__ = ("n", "xs", "unit", "circle", "exact", "lines", "antilines")
+
+    def __init__(self, config: PointConfig, rotate: bool):
+        xs, unit = config._units
+        if rotate:
+            x0 = xs[0]
+            xs = [x - x0 for x in xs]
+        self.n = len(xs)
+        self.xs = xs
+        self.unit = unit
+        self.circle = 2 * unit
+        self.exact = config.is_exact
+        # the wrap pair takes the branch (U + a + b) mod 2U, the short arc
+        self.lines = [a + b for a, b in zip(xs, xs[1:])]
+        self.lines.append((unit + xs[-1] + xs[0]) % self.circle)
+        self.antilines = self.antipodes(self.lines)
+
+    def arc(self, v):
+        """A value in circle units as arc length on the unit circle."""
+        return Fraction(v, self.circle) if self.exact else v / self.circle
+
+    def points(self) -> list:
+        return [2 * x for x in self.xs]
+
+    def antipodes(self, vals) -> list:
+        return [(v + self.unit) % self.circle for v in vals]
+
+    def boundaries(self) -> list:
+        return sorted(self.lines + self.antilines)
+
+    def critical_values(self) -> list:
+        pts = self.points()
+        return sorted(pts + self.antipodes(pts) + self.lines + self.antilines)
+
+    def margin(self):
+        vals = self.critical_values()
+        gaps = [b - a for a, b in zip(vals, vals[1:])]
+        gaps.append(vals[0] + self.circle - vals[-1])
+        return min(gaps)
+
+    def ensure_generic(self) -> None:
+        margin = self.margin()
+        if self.exact:
+            if margin <= 0:
+                raise NonGenericConfiguration("coinciding critical values")
+        elif self.arc(margin) < FLOAT_TIE_TOLERANCE:
+            raise NonGenericConfiguration(
+                f"critical values within {FLOAT_TIE_TOLERANCE} of each other"
+                f" (margin {self.arc(margin)!r})"
+            )
 
 
-def circle_distance(a, b):
+def _generic_frame(config: PointConfig) -> _Frame:
+    """The frame of ``config`` with p_0 rotated to 0, checked for genericity."""
+    f = _Frame(config, rotate=True)
+    f.ensure_generic()
+    return f
+
+
+def circle_distance(a, b, circle=1):
     d = abs(b - a)
-    return min(d, 1 - d)
+    return min(d, circle - d)
 
 
 def bisector_positions(config: PointConfig) -> tuple:
@@ -102,57 +182,45 @@ def bisector_positions(config: PointConfig) -> tuple:
     The wrap-around pair uses the branch (1 + p_last + p_first)/2 mod 1 so the
     midpoint lands on the short arc between the two points.
     """
-    p = config.positions
-    n = config.n
-    out = []
-    for i in range(n):
-        a, b = p[i], p[(i + 1) % n]
-        if a < b:
-            out.append((a + b) / 2)
-        else:
-            out.append(_mod1((1 + a + b) / 2))
-    return tuple(out)
+    f = _Frame(config, rotate=False)
+    return tuple(f.arc(v) for v in f.lines)
 
 
 def critical_values(config: PointConfig) -> list:
     """Points, antipodes, bisectors and antipodal bisectors: 4n values mod 1."""
-    ls = bisector_positions(config)
-    vals = list(config.positions)
-    vals += [_mod1(p + Fraction(1, 2) if config.is_exact else p + 0.5) for p in config.positions]
-    vals += list(ls)
-    vals += [_mod1(l + Fraction(1, 2) if config.is_exact else l + 0.5) for l in ls]
-    return sorted(vals)
+    f = _Frame(config, rotate=False)
+    return [f.arc(v) for v in f.critical_values()]
 
 
 def genericity_margin(config: PointConfig):
     """Smallest cyclic gap between two critical values; 0 means degenerate."""
-    vals = critical_values(config)
-    gaps = [b - a for a, b in zip(vals, vals[1:])]
-    gaps.append(vals[0] + 1 - vals[-1])
-    return min(gaps)
+    f = _Frame(config, rotate=False)
+    return f.arc(f.margin())
 
 
 def ensure_generic(config: PointConfig) -> None:
-    margin = genericity_margin(config)
-    if config.is_exact:
-        if margin <= 0:
-            raise NonGenericConfiguration("coinciding critical values")
-    elif margin < FLOAT_TIE_TOLERANCE:
-        raise NonGenericConfiguration(
-            f"critical values within {FLOAT_TIE_TOLERANCE} of each other (margin {margin!r})"
-        )
+    _Frame(config, rotate=False).ensure_generic()
 
 
 def region_boundaries(config: PointConfig) -> tuple:
     """The 2n sorted region boundaries: bisectors and their antipodes."""
-    ls = bisector_positions(config)
-    half = Fraction(1, 2) if config.is_exact else 0.5
-    return tuple(sorted(list(ls) + [_mod1(l + half) for l in ls]))
+    f = _Frame(config, rotate=False)
+    return tuple(f.arc(v) for v in f.boundaries())
 
 
 def _region_index(boundaries: Sequence, x, m: int) -> int:
     # region 0 is the wrap arc [boundaries[-1] - 1, boundaries[0])
     return bisect_right(boundaries, x) % m
+
+
+def _occupancy(f: _Frame, bnd: Sequence) -> Word:
+    m = 2 * f.n
+    v = [0] * m
+    for p in f.points():
+        v[_region_index(bnd, p, m)] += 1
+    if any(b > 1 for b in v):
+        raise NonGenericConfiguration("two points share a region")
+    return tuple(v)
 
 
 def occupancy_word(config: PointConfig) -> Word:
@@ -161,16 +229,8 @@ def occupancy_word(config: PointConfig) -> Word:
     The configuration is rotated so its first point sits at 0; region 0 is
     the arc containing that point, regions are numbered counterclockwise.
     """
-    c = _rotate_first_to_zero(config)
-    ensure_generic(c)
-    bnd = region_boundaries(c)
-    m = 2 * c.n
-    v = [0] * m
-    for p in c.positions:
-        v[_region_index(bnd, p, m)] += 1
-    if any(b > 1 for b in v):
-        raise NonGenericConfiguration("two points share a region")
-    return tuple(v)
+    f = _generic_frame(config)
+    return _occupancy(f, f.boundaries())
 
 
 @dataclass(frozen=True)
@@ -189,18 +249,14 @@ class Arrangement:
 
 
 def arrangement(config: PointConfig) -> Arrangement:
-    c = _rotate_first_to_zero(config)
-    ensure_generic(c)
-    ls = bisector_positions(c)
-    half = Fraction(1, 2) if c.is_exact else 0.5
-    lsp = tuple(_mod1(l + half) for l in ls)
-    dots = tuple(sorted(list(c.positions) + [_mod1(p + half) for p in c.positions]))
+    f = _generic_frame(config)
+    pts = f.points()
     return Arrangement(
-        n=c.n,
-        bisectors=ls,
-        antipodal_bisectors=lsp,
-        boundaries=tuple(sorted(ls + lsp)),
-        dots=dots,
+        n=f.n,
+        bisectors=tuple(f.arc(v) for v in f.lines),
+        antipodal_bisectors=tuple(f.arc(v) for v in f.antilines),
+        boundaries=tuple(f.arc(v) for v in f.boundaries()),
+        dots=tuple(f.arc(v) for v in sorted(pts + f.antipodes(pts))),
     )
 
 
@@ -215,34 +271,34 @@ def arrangement_signature(arr: Arrangement) -> Signature:
     return tuple(counts[: arr.n])
 
 
-def _colored_dots(c: PointConfig) -> list[tuple]:
-    """All 2n (position, is_black) dots of a rotated configuration, sorted."""
-    half = Fraction(1, 2) if c.is_exact else 0.5
-    dots = [(p, 1) for p in c.positions] + [(_mod1(p + half), 0) for p in c.positions]
+def _colored_dots(f: _Frame) -> list[tuple]:
+    """All 2n (position, is_black) dots of a frame, in circle units, sorted."""
+    pts = f.points()
+    dots = [(p, 1) for p in pts] + [(q, 0) for q in f.antipodes(pts)]
     dots.sort()
     return dots
 
 
-def _look_direction(q, opposite: Sequence) -> str:
+def _look_direction(q, opposite: Sequence, circle) -> str:
     """Side (L/R) of the dot in ``opposite`` nearest to q on the circle."""
     best_delta = None
     best_dist = None
     for x in opposite:
-        delta = _mod1(x - q)
-        dist = min(delta, 1 - delta)
+        delta = (x - q) % circle
+        dist = min(delta, circle - delta)
         if best_dist is None or dist < best_dist:
             best_dist, best_delta = dist, delta
         elif dist == best_dist:
             raise NonGenericConfiguration("equidistant opposite-color dots")
-    if 2 * best_delta == 1:
+    if 2 * best_delta == circle:
         raise NonGenericConfiguration("nearest opposite-color dot is antipodal")
-    return "R" if 2 * best_delta < 1 else "L"
+    return "R" if 2 * best_delta < circle else "L"
 
 
-def _dot_directions(dots: list[tuple]) -> list[str]:
+def _dot_directions(dots: list[tuple], circle) -> list[str]:
     blacks = [q for q, c in dots if c]
     whites = [q for q, c in dots if not c]
-    return [_look_direction(q, whites if c else blacks) for q, c in dots]
+    return [_look_direction(q, whites if c else blacks, circle) for q, c in dots]
 
 
 def ocdc(config: PointConfig) -> tuple[str, ...]:
@@ -252,26 +308,25 @@ def ocdc(config: PointConfig) -> tuple[str, ...]:
     as color (B for a point, W for an antipode) plus the side of its nearest
     opposite-color dot, e.g. "BR" or "WL".  Entry 0 is always black.
     """
-    c = _rotate_first_to_zero(config)
-    ensure_generic(c)
-    dots = _colored_dots(c)
-    dirs = _dot_directions(dots)
+    f = _generic_frame(config)
+    dots = _colored_dots(f)
+    dirs = _dot_directions(dots, f.circle)
     entries = []
     for (q, color), d in zip(dots, dirs):
-        if 2 * q < 1:
+        if 2 * q < f.circle:
             entries.append(("B" if color else "W") + d)
-    if len(entries) != c.n:
+    if len(entries) != f.n:
         raise NonGenericConfiguration("half circle does not hold exactly n dots")
     return tuple(entries)
 
 
-def _nearest_opposite(q, opposite: Sequence):
-    return min(opposite, key=lambda x: circle_distance(q, x))
+def _nearest_opposite(q, opposite: Sequence, circle):
+    return min(opposite, key=lambda x: circle_distance(q, x, circle))
 
 
-def _strictly_between(x, a, b) -> bool:
+def _strictly_between(x, a, b, circle) -> bool:
     """x in the open counterclockwise arc from a to b."""
-    return 0 < _mod1(x - a) < _mod1(b - a)
+    return 0 < (x - a) % circle < (b - a) % circle
 
 
 def verify_direction_patterns(config: PointConfig) -> bool:
@@ -284,12 +339,11 @@ def verify_direction_patterns(config: PointConfig) -> bool:
     signature interlaces.  Returns False (with a logged diagnostic) on any
     violation.
     """
-    c = _rotate_first_to_zero(config)
-    ensure_generic(c)
-    m = 2 * c.n
-    bnd = region_boundaries(c)
-    dots = _colored_dots(c)
-    dirs = _dot_directions(dots)
+    f = _generic_frame(config)
+    n, m, circle = f.n, 2 * f.n, f.circle
+    bnd = f.boundaries()
+    dots = _colored_dots(f)
+    dirs = _dot_directions(dots, circle)
     blacks = [q for q, col in dots if col]
     whites = [q for q, col in dots if not col]
 
@@ -303,9 +357,9 @@ def verify_direction_patterns(config: PointConfig) -> bool:
         regions[0] = upper + lower
 
     types = [len(r) for r in regions]
-    sig = tuple(types[: c.n])
+    sig = tuple(types[:n])
 
-    if types[: c.n] != types[c.n :]:
+    if types[:n] != types[n:]:
         logger.warning("pattern check: antipodal regions have different types")
         return False
 
@@ -327,8 +381,8 @@ def verify_direction_patterns(config: PointConfig) -> bool:
         if (a, b) not in rl_pairs:
             logger.warning("pattern check: two-dot region %d is not an RL pair", j)
             return False
-        if _nearest_opposite(qa, whites if ca else blacks) != qb or _nearest_opposite(
-            qb, whites if cb else blacks
+        if _nearest_opposite(qa, whites if ca else blacks, circle) != qb or _nearest_opposite(
+            qb, whites if cb else blacks, circle
         ) != qa:
             logger.warning("pattern check: region %d dots are not mutual nearest", j)
             return False
@@ -348,7 +402,7 @@ def verify_direction_patterns(config: PointConfig) -> bool:
         return False
     for i, k in lr_pairs:
         qa, qb = dots[i][0], dots[k][0]
-        inside = [j for j, b in enumerate(bnd) if _strictly_between(b, qa, qb)]
+        inside = [j for j, b in enumerate(bnd) if _strictly_between(b, qa, qb, circle)]
         if len(inside) != 2:
             logger.warning("pattern check: LR gap holds %d boundaries", len(inside))
             return False
@@ -399,15 +453,18 @@ class RegionStats:
 
 
 def region_stats(config: PointConfig, t_grid: Sequence = ()) -> RegionStats:
-    c = _rotate_first_to_zero(config)
-    ensure_generic(c)
-    m = 2 * c.n
-    bnd = region_boundaries(c)
-    word = occupancy_word(c)
+    f = _generic_frame(config)
+    m = 2 * f.n
+    bnd_units = f.boundaries()
+    word = _occupancy(f, bnd_units)
     sig = words.signature(word)
-    types = tuple(sig[i % c.n] for i in range(m))
+    types = tuple(sig[i % f.n] for i in range(m))
 
-    lengths = [bnd[0] + 1 - bnd[-1]] + [bnd[j] - bnd[j - 1] for j in range(1, m)]
+    bnd = [f.arc(b) for b in bnd_units]
+    lengths_units = [bnd_units[0] + f.circle - bnd_units[-1]] + [
+        bnd_units[j] - bnd_units[j - 1] for j in range(1, m)
+    ]
+    lengths = [f.arc(x) for x in lengths_units]
     region_counts = tuple(sum(1 for t in types if t == k) for k in (0, 1, 2))
     length_totals = tuple(
         sum(lengths[j] for j in range(m) if types[j] == k) for k in (0, 1, 2)

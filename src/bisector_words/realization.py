@@ -9,8 +9,9 @@ removes the remaining boundary coincidences: the offsets have pairwise
 distinct sums, so no two chord midpoints can keep shifting in lockstep.
 (An arithmetic k*epsilon perturbation fails here: for index-sum-symmetric
 words such as the one with signature (0,2,0,2), two coinciding midpoints
-shift by the same amount for every epsilon.)  All arithmetic is exact
-rational.
+shift by the same amount for every epsilon.)  All arithmetic is exact: the
+positions are integer numerators over one common denominator, each turned
+into a ``Fraction`` once.
 """
 
 from __future__ import annotations
@@ -58,13 +59,10 @@ class RealizationPlan:
     components: tuple[tuple, ...]
 
     def point_positions(self) -> tuple[Fraction, ...]:
-        return tuple(
-            sorted(
-                _mod1(self.perturbed[i])
-                for i in range(2 * self.n)
-                if self.rotated_word[i] == 1
-            )
-        )
+        # the common denominator of _construct: q = 4^n / epsilon
+        q = self.epsilon.denominator * 4**self.n
+        nums = [x.numerator * (q // x.denominator) for x in self.perturbed]
+        return _point_positions(q, nums, self.rotated_word)
 
     def config(self) -> PointConfig:
         return PointConfig(self.point_positions())
@@ -84,7 +82,13 @@ class RealizationPlan:
         }
 
 
-def plan_realization(w) -> RealizationPlan:
+def _construct(w) -> tuple[dict, int, list[int], list[int]]:
+    """The construction over one denominator q = 4^n / epsilon.
+
+    Returns the plan's integer fields, q, and the numerators over q of the
+    base and perturbed positions: eta is e/q with e = 4n * 4^n, and the
+    perturbation of index h is 2^(h+1)/q.
+    """
     word = words.check_word(w)
     sig = words.signature(word)
     if not words.is_interlacing(sig):
@@ -104,13 +108,13 @@ def plan_realization(w) -> RealizationPlan:
     assert all(z < t for z, t in zip(zero_pos, two_pos))
     assert all(t < z for t, z in zip(two_pos, zero_pos[1:]))
 
-    eta = Fraction(1, s * 2 ** (n + 3))
-    epsilon = eta / (4 * n)
+    e = 4 * n * 4**n
+    q = e * s * 2 ** (n + 3)
 
     base: list = [None] * m
     for k in range(1, s + 1):
-        base[two_pos[k - 1]] = Fraction(k, s)
-        base[zero_pos[k - 1]] = Fraction(2 * k - 1, 2 * s)
+        base[two_pos[k - 1]] = k * (q // s)
+        base[zero_pos[k - 1]] = (2 * k - 1) * (q // (2 * s))
 
     components = []
     for k in range(1, s + 1):
@@ -118,10 +122,10 @@ def plan_realization(w) -> RealizationPlan:
         stop = zero_pos[k] if k < s else m
         descending = tuple(range(anchor + 1, stop))
         for h in descending:
-            base[h] = base[anchor] + eta * (2 ** (h - anchor) - 1)
+            base[h] = base[anchor] + e * (2 ** (h - anchor) - 1)
         ascending = tuple(range(zero_pos[k - 1] + 1, anchor))
         for h in ascending:
-            base[h] = base[anchor] - eta * (2 ** (anchor - h) - 1)
+            base[h] = base[anchor] - e * (2 ** (anchor - h) - 1)
         if len(descending) > n or len(ascending) > n:
             raise AssertionError("component longer than n; construction bound violated")
         if descending:
@@ -129,11 +133,8 @@ def plan_realization(w) -> RealizationPlan:
         if ascending:
             components.append(("ascending", anchor, ascending))
 
-    perturbed = tuple(
-        base[h] + epsilon * Fraction(2 ** (h + 1), 4**n) for h in range(m)
-    )
-
-    return RealizationPlan(
+    perturbed = [b + 2 ** (h + 1) for h, b in enumerate(base)]
+    fields = dict(
         n=n,
         word=word,
         rotation=rotation,
@@ -141,11 +142,26 @@ def plan_realization(w) -> RealizationPlan:
         s=s,
         two_positions=two_pos,
         zero_positions=zero_pos,
-        eta=eta,
-        epsilon=epsilon,
-        base=tuple(base),
-        perturbed=perturbed,
         components=tuple(components),
+    )
+    return fields, q, base, perturbed
+
+
+def _point_positions(q: int, perturbed, rotated_word: Word) -> tuple[Fraction, ...]:
+    """Sorted positions mod 1 of the indices holding a point, from numerators over q."""
+    nums = sorted(x % q for x, bit in zip(perturbed, rotated_word) if bit)
+    return tuple(Fraction(v, q) for v in nums)
+
+
+def plan_realization(w) -> RealizationPlan:
+    fields, q, base, perturbed = _construct(w)
+    n, s = fields["n"], fields["s"]
+    return RealizationPlan(
+        **fields,
+        eta=Fraction(1, s * 2 ** (n + 3)),
+        epsilon=Fraction(1, 4 * n * s * 2 ** (n + 3)),
+        base=tuple(Fraction(b, q) for b in base),
+        perturbed=tuple(Fraction(x, q) for x in perturbed),
     )
 
 
@@ -156,7 +172,8 @@ def realize(w) -> PointConfig:
     returned configuration is a cyclic shift of w; bracelets agree exactly.
     Raises :class:`NotRealizable` when the signature does not interlace.
     """
-    config = plan_realization(w).config()
+    fields, q, _, perturbed = _construct(w)
+    config = PointConfig(_point_positions(q, perturbed, fields["rotated_word"]))
     ensure_generic(config)
     return config
 

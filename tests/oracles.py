@@ -3,6 +3,7 @@
 Nothing here imports the library's decision logic; these exist to check it.
 """
 
+from fractions import Fraction
 from itertools import product
 
 
@@ -95,3 +96,48 @@ def enumerate_words_by_product(n: int):
 def count_bracelets_by_canonical(n: int) -> int:
     """Shift/reversal classes of the realizable words, one canonical form per word."""
     return len({min(bracelet_class_tuples(w)) for w in enumerate_words_by_product(n)})
+
+
+def bisector_positions_by_fractions(positions) -> list:
+    """Midpoint of the short arc between each two cyclically consecutive points."""
+    p = sorted(Fraction(x) for x in positions)
+    return [((a + b) / 2) % 1 for a, b in zip(p, p[1:] + [p[0] + 1])]
+
+
+def _bisector_lines(positions):
+    """The bisector positions and their antipodes."""
+    mids = bisector_positions_by_fractions(positions)
+    return mids + [(x + Fraction(1, 2)) % 1 for x in mids]
+
+
+def region_boundaries_by_fractions(positions) -> list:
+    """The 2n bisector positions and their antipodes, sorted, on [0, 1)."""
+    return sorted(_bisector_lines(positions))
+
+
+def genericity_margin_by_fractions(positions):
+    """Least cyclic gap among points, antipodes, bisectors and their antipodes."""
+    p = [Fraction(x) for x in positions]
+    vals = sorted(p + [(x + Fraction(1, 2)) % 1 for x in p] + _bisector_lines(p))
+    return min(b - a for a, b in zip(vals, vals[1:] + [vals[0] + 1]))
+
+
+def occupancy_word_by_fractions(positions):
+    """Occupancy word read with the first point rotated to 0, or None on a tie.
+
+    Region i (0 <= i < 2n) lies above exactly i boundaries, region 0 also
+    takes what lies above all 2n; a tie is a zero genericity margin or two
+    points in one region.
+    """
+    p = sorted(Fraction(x) for x in positions)
+    if genericity_margin_by_fractions(p) == 0:
+        return None
+    rotated = [x - p[0] for x in p]
+    bnd = region_boundaries_by_fractions(rotated)
+    m = len(bnd)
+    counts = [0] * m
+    for x in rotated:
+        counts[sum(1 for b in bnd if b <= x) % m] += 1
+    if max(counts) > 1:
+        return None
+    return tuple(counts)

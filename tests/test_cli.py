@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -45,6 +46,19 @@ class TestRealize:
     def test_unrealizable_exits_1(self):
         code, _, err = run_cli("realize", "010101")
         assert code == 1 and "interlace" in err
+
+    def test_golden_words_output_unchanged(self):
+        # sha256 of the concatenated output for all 844 words of n = 3..6,
+        # recorded on the Fraction-arithmetic construction
+        golden = Path(__file__).parent / "golden"
+        out = []
+        for n in range(3, 7):
+            for line in (golden / f"words_n{n}.txt").read_text().split():
+                code, text, _ = run_cli("realize", line)
+                assert code == 0
+                out.append(text)
+        digest = hashlib.sha256("".join(out).encode()).hexdigest()
+        assert digest == "befa2f5b7b30c013e7b2eee9d1de2812b6249ee7d9f61b7098be3796defb4d7e"
 
 
 class TestCountAndEnumerate:
@@ -198,3 +212,22 @@ class TestVerify:
         assert code == 0
         assert "PASS criterion 13" in out
         assert out.strip().endswith("OK: 0 criteria failed")
+
+    def test_unknown_criterion_exits_before_running_any(self, monkeypatch):
+        from bisector_words import acceptance
+
+        called = []
+
+        def record(num):
+            def fn():
+                called.append(num)
+                return True, "recorded"
+
+            return fn
+
+        monkeypatch.setattr(
+            acceptance, "CRITERIA", tuple((num, name, record(num)) for num, name, _ in acceptance.CRITERIA)
+        )
+        code, out, err = run_cli("verify", "--criteria", "7..15")
+        assert code == 1 and out == "" and called == []
+        assert "no criterion numbered 15" in err

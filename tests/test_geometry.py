@@ -1,8 +1,12 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bisector_words import geometry, realization, words
 from bisector_words.geometry import (
@@ -14,6 +18,14 @@ from bisector_words.geometry import (
     ocdc,
     region_stats,
     verify_direction_patterns,
+)
+
+from oracles import (
+    bisector_positions_by_fractions,
+    genericity_margin_by_fractions,
+    is_interlacing_literal,
+    occupancy_word_by_fractions,
+    region_boundaries_by_fractions,
 )
 
 EXAMPLE = PointConfig((0.0, 0.1, 0.3))
@@ -50,6 +62,15 @@ class TestPointConfig:
     def test_exactness_detection(self):
         assert EXAMPLE_EXACT.is_exact
         assert not EXAMPLE.is_exact
+
+    def test_exactness_settled_at_construction(self):
+        mixed = PointConfig((0, Fraction(1, 3), 0.5))
+        assert not mixed.is_exact
+        assert PointConfig((0, Fraction(1, 3), Fraction(1, 2))).is_exact
+        # a stored field, yet invisible to repr, equality and hashing
+        assert repr(EXAMPLE_EXACT) == f"PointConfig(positions={EXAMPLE_EXACT.positions!r})"
+        same = PointConfig(EXAMPLE_EXACT.positions)
+        assert same == EXAMPLE_EXACT and hash(same) == hash(EXAMPLE_EXACT)
 
     def test_string_roundtrip(self):
         cfg = PointConfig.from_strings(["0", "1/10", "0.3"])
@@ -130,8 +151,8 @@ class TestArrangement:
         rng = np.random.default_rng(11)
         for _ in range(30):
             cfg = random_config(rng, 6)
-            ls = sorted(geometry.bisector_positions(geometry._rotate_first_to_zero(cfg)))
-            pos = geometry._rotate_first_to_zero(cfg).positions
+            ls = sorted(geometry.bisector_positions(cfg.rotated(-cfg.positions[0])))
+            pos = cfg.rotated(-cfg.positions[0]).positions
             for a, b in zip(ls, ls[1:] + [ls[0] + 1]):
                 inside = sum(1 for p in list(pos) + [p + 1 for p in pos] if a < p < b)
                 assert inside == 1
@@ -263,8 +284,8 @@ class TestTrianglePattern:
             word = occupancy_word(cfg)
             region_of = {}
             m = 6
-            bnd = geometry.region_boundaries(geometry._rotate_first_to_zero(cfg))
-            pos0 = geometry._rotate_first_to_zero(cfg).positions
+            bnd = geometry.region_boundaries(cfg.rotated(-cfg.positions[0]))
+            pos0 = cfg.rotated(-cfg.positions[0]).positions
             for i, q in enumerate(pos0):
                 region_of[i] = geometry._region_index(bnd, q, m)
 
@@ -277,3 +298,161 @@ class TestTrianglePattern:
             assert min(gap(c, a), gap(a, c)) == 2
             assert sorted(word) == [0, 0, 0, 1, 1, 1]
             done += 1
+
+
+@st.composite
+def exact_positions(draw, max_denominators=(16, 1000, 10**6, 2**70), max_n=64):
+    """3..max_n distinct exact positions with random denominators; the bound
+    on the denominators is drawn too, and small ones make ties common."""
+    max_den = draw(st.sampled_from(max_denominators))
+    n = draw(st.integers(3, min(max_n, 12 if max_den == 16 else 64)))
+    fracs = st.tuples(st.integers(1, max_den), st.integers(0, max_den - 1)).map(
+        lambda dk: Fraction(dk[1] % dk[0], dk[0])
+    )
+    return sorted(draw(st.lists(fracs, min_size=n, max_size=n, unique=True)))
+
+
+@st.composite
+def realizable_words(draw, max_n=64):
+    """A word of length 2n whose signature interlaces: specials (both halves
+    equal) alternate 0/2 from a drawn phase, other letters split 10 or 01."""
+    n = draw(st.integers(3, max_n))
+    letters = draw(st.lists(st.sampled_from("s10"), min_size=n, max_size=n))
+    specials = [i for i, c in enumerate(letters) if c == "s"]
+    if len(specials) % 2:
+        letters[specials.pop()] = "1"
+    if not specials:
+        letters[0] = letters[1] = "s"
+    two = draw(st.booleans())
+    first, second = [], []
+    for c in letters:
+        if c == "s":
+            first.append(int(two))
+            second.append(int(two))
+            two = not two
+        else:
+            first.append(int(c == "1"))
+            second.append(int(c == "0"))
+    return tuple(first + second)
+
+
+class TestExactAgainstFractionOracle:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(exact_positions())
+    def test_words_margins_and_boundaries(self, pos):
+        cfg = PointConfig(tuple(pos))
+        assert geometry.bisector_positions(cfg) == tuple(bisector_positions_by_fractions(pos))
+        bnd = geometry.region_boundaries(cfg)
+        assert bnd == tuple(region_boundaries_by_fractions(pos))
+        assert all(type(b) is Fraction for b in bnd)
+        margin = geometry.genericity_margin(cfg)
+        assert type(margin) is Fraction and margin == genericity_margin_by_fractions(pos)
+        want = occupancy_word_by_fractions(pos)
+        if want is None:
+            with pytest.raises(NonGenericConfiguration):
+                occupancy_word(cfg)
+        else:
+            assert occupancy_word(cfg) == want
+        if margin == 0:
+            with pytest.raises(NonGenericConfiguration):
+                geometry.ensure_generic(cfg)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        exact_positions(max_n=62),
+        st.sampled_from(["antipodal points", "point on antipodal bisector", "antipodal bisectors"]),
+        st.integers(0, 63),
+    )
+    def test_ties_built_by_construction_raise(self, pos, kind, pick):
+        i = pick % len(pos)
+        a, b = pos[i], pos[(i + 1) % len(pos)]
+        mid = ((a + b + (1 if b < a else 0)) / 2) % 1
+        half = Fraction(1, 2)
+        if kind == "antipodal points":
+            extra = [(a + half) % 1]
+        elif kind == "point on antipodal bisector":
+            extra = [(mid + half) % 1]
+        else:
+            # a consecutive pair straddling the antipode of the bisector of (a, b)
+            target = (mid + half) % 1
+            gap = min(min((x - target) % 1, (target - x) % 1) for x in pos)
+            assume(gap > 0)
+            extra = [(target - gap / 2) % 1, (target + gap / 2) % 1]
+        assume(not set(extra) & set(pos))
+        tied = sorted(pos + extra)
+        assert genericity_margin_by_fractions(tied) == 0
+        cfg = PointConfig(tuple(tied))
+        assert geometry.genericity_margin(cfg) == 0
+        for fn in (geometry.ensure_generic, occupancy_word, arrangement, region_stats, ocdc):
+            with pytest.raises(NonGenericConfiguration):
+                fn(cfg)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        exact_positions(max_denominators=(1000, 10**6, 2**70)),
+        st.tuples(st.integers(1, 10**9), st.integers(0, 10**9)).map(lambda dk: Fraction(dk[1] % dk[0], dk[0])),
+    )
+    def test_rotation_and_reflection_equivariance(self, pos, delta):
+        cfg = PointConfig(tuple(pos))
+        assume(geometry.genericity_margin(cfg) > 0)
+        base = words.canonical_bracelet(occupancy_word(cfg))
+        assert words.canonical_bracelet(occupancy_word(cfg.rotated(delta))) == base
+        assert words.canonical_bracelet(occupancy_word(cfg.reflected())) == base
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(realizable_words())
+    def test_realize_round_trips(self, w):
+        n = len(w) // 2
+        assert is_interlacing_literal(tuple(w[i] + w[i + n] for i in range(n)))
+        cfg = realization.realize(w)
+        got = occupancy_word(cfg)
+        assert got in set(words.cyclic_shifts(w))
+        assert got == occupancy_word_by_fractions(cfg.positions)
+
+
+def _hexes(xs):
+    return [float(x).hex() for x in xs]
+
+
+def _float_path_payload(n):
+    rng = np.random.default_rng(3000 + n)
+    rows = []
+    for _ in range(200 if n < 64 else 20):
+        cfg = random_config(rng, n)
+        rs = region_stats(cfg, t_grid=[0.0, 0.25, 0.5, 1.0])
+        arr = arrangement(cfg)
+        rows.append(
+            {
+                "margin": geometry.genericity_margin(cfg).hex(),
+                "boundaries": _hexes(geometry.region_boundaries(cfg)),
+                "word": list(occupancy_word(cfg)),
+                "critical": _hexes(geometry.critical_values(cfg)),
+                "bisectors": _hexes(geometry.bisector_positions(cfg)),
+                "arrangement": [
+                    _hexes(arr.bisectors),
+                    _hexes(arr.antipodal_bisectors),
+                    _hexes(arr.boundaries),
+                    _hexes(arr.dots),
+                ],
+                "lengths": _hexes(rs.lengths),
+                "totals": _hexes(rs.length_totals) + [float(rs.empty_length).hex()],
+                "curves": [list(h) for h in rs.h_curves] + [_hexes(l) for l in rs.l_curves],
+                "ocdc": list(ocdc(cfg)),
+            }
+        )
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of every float result above, bit for bit (float.hex), recorded on
+# the Fraction-based implementation that the circle-unit code replaced
+PINNED_FLOAT_PATH = {
+    3: "b549e0e378372b8532c3c43dbc4549344f2bd2dd7d780928c19cfeebe52452a7",
+    8: "d46e48b8baee72331532dbec698282582240eb4a3514b03be544a8f7b859e369",
+    64: "ed651d36c044aa08b0a4860bf5edcf159a6bb36d6570baa15a45f0c4f69414f1",
+}
+
+
+class TestPinnedFloatPath:
+    @pytest.mark.parametrize("n", sorted(PINNED_FLOAT_PATH))
+    def test_payload_is_bit_identical(self, n):
+        assert _float_path_payload(n) == PINNED_FLOAT_PATH[n]

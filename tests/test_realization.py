@@ -1,9 +1,12 @@
+import hashlib
+import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from bisector_words import enumeration, realization, words
-from bisector_words.geometry import genericity_margin, occupancy_word
+from bisector_words import enumeration, realization, sampler, words
+from bisector_words.geometry import genericity_margin, occupancy_word, region_boundaries
 from bisector_words.realization import (
     NotRealizable,
     plan_realization,
@@ -65,6 +68,32 @@ class TestPlan:
         plan = plan_realization((1, 0, 1, 1, 0, 0))
         assert plan.rotation == 1  # signature (2,0,1): first 0 at index 1
         assert words.signature(plan.rotated_word)[0] == 0
+
+    def test_plan_fields_unchanged(self):
+        # sha256 of eta, epsilon, base, perturbed and the positions of 24
+        # plans at n = 3..64, with the boundaries and margin read back,
+        # recorded on the Fraction-arithmetic construction
+        rng = np.random.default_rng(77)
+        rows = []
+        for n in (3, 5, 8, 16, 32, 64):
+            for _ in range(4):
+                w = sampler.sample_uniform_word(n, rng)
+                plan = plan_realization(w)
+                d = plan.to_json_dict()
+                d["perturbed"] = [str(x) for x in plan.perturbed]
+                d["positions"] = plan.config().to_strings()
+                cfg = realize(w)
+                assert cfg == plan.config()
+                rows.append(
+                    {
+                        "plan": d,
+                        "margin": str(genericity_margin(cfg)),
+                        "boundaries": [str(b) for b in region_boundaries(cfg)],
+                        "word": list(occupancy_word(cfg)),
+                    }
+                )
+        digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+        assert digest == "f46a3c7c183b6619d23b7c22eec9fe8a15880987a30c48be2841e650122b31ae"
 
     def test_json_dump_shape(self):
         d = plan_realization((1, 0, 1, 1, 0, 0)).to_json_dict()
