@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import logging
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -44,10 +44,6 @@ FLOAT_TIE_TOLERANCE = 1e-12
 
 class NonGenericConfiguration(ValueError):
     """Configuration with coinciding critical values; words are ill-defined."""
-
-
-def _mod1(x):
-    return x % 1
 
 
 @dataclass(frozen=True)
@@ -88,7 +84,7 @@ class PointConfig:
     @classmethod
     def from_points(cls, pts: Iterable) -> "PointConfig":
         """Build from arbitrary positions: reduced mod 1 and sorted."""
-        return cls(tuple(sorted(_mod1(p) for p in pts)))
+        return cls(tuple(sorted(p % 1 for p in pts)))
 
     @classmethod
     def from_strings(cls, items: Iterable[str]) -> "PointConfig":
@@ -171,9 +167,9 @@ def _generic_frame(config: PointConfig) -> _Frame:
     return f
 
 
-def circle_distance(a, b, circle=1):
+def circle_distance(a, b):
     d = abs(b - a)
-    return min(d, circle - d)
+    return min(d, 1 - d)
 
 
 def bisector_positions(config: PointConfig) -> tuple:
@@ -211,6 +207,18 @@ def region_boundaries(config: PointConfig) -> tuple:
 def _region_index(boundaries: Sequence, x, m: int) -> int:
     # region 0 is the wrap arc [boundaries[-1] - 1, boundaries[0])
     return bisect_right(boundaries, x) % m
+
+
+def _arc_indices(boundaries: Sequence, a, b) -> list[int]:
+    """Indices of the sorted boundaries strictly inside the counterclockwise arc (a, b).
+
+    a and b lie on the circle's range [0, length); the arc wraps through 0
+    when a > b and is empty when a == b.  Indices come in counterclockwise order.
+    """
+    lo, hi = bisect_right(boundaries, a), bisect_left(boundaries, b)
+    if a <= b:
+        return list(range(lo, hi))
+    return list(range(lo, len(boundaries))) + list(range(hi))
 
 
 def _occupancy(f: _Frame, bnd: Sequence) -> Word:
@@ -279,23 +287,20 @@ def _colored_dots(f: _Frame) -> list[tuple]:
     return dots
 
 
-def _look_direction(q, opposite: Sequence, circle) -> str:
-    """Side (L/R) of the dot in ``opposite`` nearest to q on the circle."""
-    best_delta = None
-    best_dist = None
-    for x in opposite:
-        delta = (x - q) % circle
-        dist = min(delta, circle - delta)
-        if best_dist is None or dist < best_dist:
-            best_dist, best_delta = dist, delta
-        elif dist == best_dist:
-            raise NonGenericConfiguration("equidistant opposite-color dots")
-    if 2 * best_delta == circle:
+def _look_direction(q, opposite: Sequence, circle) -> tuple[str, object]:
+    """Side (L/R) of the dot in ``opposite`` nearest to q on the circle, and that dot."""
+    deltas = [(x - q) % circle for x in opposite]
+    dists = [min(d, circle - d) for d in deltas]
+    i = dists.index(min(dists))
+    if dists.count(dists[i]) > 1:
+        raise NonGenericConfiguration("equidistant opposite-color dots")
+    if 2 * deltas[i] == circle:
         raise NonGenericConfiguration("nearest opposite-color dot is antipodal")
-    return "R" if 2 * best_delta < circle else "L"
+    return ("R" if 2 * deltas[i] < circle else "L"), opposite[i]
 
 
-def _dot_directions(dots: list[tuple], circle) -> list[str]:
+def _dot_directions(dots: list[tuple], circle) -> list[tuple[str, object]]:
+    """Per dot, its look direction and its nearest opposite-color dot."""
     blacks = [q for q, c in dots if c]
     whites = [q for q, c in dots if not c]
     return [_look_direction(q, whites if c else blacks, circle) for q, c in dots]
@@ -310,23 +315,13 @@ def ocdc(config: PointConfig) -> tuple[str, ...]:
     """
     f = _generic_frame(config)
     dots = _colored_dots(f)
-    dirs = _dot_directions(dots, f.circle)
     entries = []
-    for (q, color), d in zip(dots, dirs):
+    for (q, color), (d, _) in zip(dots, _dot_directions(dots, f.circle)):
         if 2 * q < f.circle:
             entries.append(("B" if color else "W") + d)
     if len(entries) != f.n:
         raise NonGenericConfiguration("half circle does not hold exactly n dots")
     return tuple(entries)
-
-
-def _nearest_opposite(q, opposite: Sequence, circle):
-    return min(opposite, key=lambda x: circle_distance(q, x, circle))
-
-
-def _strictly_between(x, a, b, circle) -> bool:
-    """x in the open counterclockwise arc from a to b."""
-    return 0 < (x - a) % circle < (b - a) % circle
 
 
 def verify_direction_patterns(config: PointConfig) -> bool:
@@ -343,9 +338,7 @@ def verify_direction_patterns(config: PointConfig) -> bool:
     n, m, circle = f.n, 2 * f.n, f.circle
     bnd = f.boundaries()
     dots = _colored_dots(f)
-    dirs = _dot_directions(dots, circle)
-    blacks = [q for q, col in dots if col]
-    whites = [q for q, col in dots if not col]
+    dirs, nearest = zip(*_dot_directions(dots, circle))
 
     regions: list[list[int]] = [[] for _ in range(m)]
     for idx, (q, _) in enumerate(dots):
@@ -373,17 +366,13 @@ def verify_direction_patterns(config: PointConfig) -> bool:
         if types[j] != 2:
             continue
         a, b = regions[j]
-        qa, ca = dots[a]
-        qb, cb = dots[b]
-        if ca == cb:
+        if dots[a][1] == dots[b][1]:
             logger.warning("pattern check: two-dot region %d has equal colors", j)
             return False
         if (a, b) not in rl_pairs:
             logger.warning("pattern check: two-dot region %d is not an RL pair", j)
             return False
-        if _nearest_opposite(qa, whites if ca else blacks, circle) != qb or _nearest_opposite(
-            qb, whites if cb else blacks, circle
-        ) != qa:
+        if nearest[a] != dots[b][0] or nearest[b] != dots[a][0]:
             logger.warning("pattern check: region %d dots are not mutual nearest", j)
             return False
     if len(rl_pairs) != sum(1 for t in types if t == 2):
@@ -401,12 +390,11 @@ def verify_direction_patterns(config: PointConfig) -> bool:
         logger.warning("pattern check: LR pattern count != number of empty regions")
         return False
     for i, k in lr_pairs:
-        qa, qb = dots[i][0], dots[k][0]
-        inside = [j for j, b in enumerate(bnd) if _strictly_between(b, qa, qb, circle)]
+        inside = _arc_indices(bnd, dots[i][0], dots[k][0])
         if len(inside) != 2:
             logger.warning("pattern check: LR gap holds %d boundaries", len(inside))
             return False
-        j = max(inside) if max(inside) - min(inside) == 1 else 0
+        j = inside[1]  # region j lies between boundaries j - 1 and j
         if types[j] != 0:
             logger.warning("pattern check: region %d between LR pair is not empty", j)
             return False

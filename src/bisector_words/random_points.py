@@ -58,6 +58,14 @@ def batch_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _check_size(n: int, trials: int = 1, least: int = 3) -> None:
+    """Reject n < ``least`` or trials < 1, before anything is drawn."""
+    if n < least:
+        raise ValueError(f"need n >= {least}, got {n}")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+
+
 # ---------------------------------------------------------------------------
 # closed forms (exact rationals)
 
@@ -70,8 +78,7 @@ def closed_form(name: str, n: int) -> Fraction:
     pbn: probability of the bracelet of :func:`bisector_words.words.run_word`;
     phi13: value at 1/3 of the weighted binomial double sum phi.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    _check_size(n)
     if name == "h2":
         return Fraction(n, 2) * (1 + Fraction(1, 3 ** (n - 2)))
     if name == "l0":
@@ -94,8 +101,7 @@ def phi(x, n: int) -> Fraction:
     x = Fraction(x)
     if not 0 < x < Fraction(1, 2):
         raise ValueError(f"need 0 < x < 1/2, got {x}")
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    _check_size(n)
     lead = (x / 2) * (1 - x ** (n - 2)) / (1 - x)
     tail = (x / 2 ** (n - 1)) * (1 - (2 * x) ** (n - 2)) / (1 - 2 * x)
     return lead - tail
@@ -281,18 +287,37 @@ def _uniform_chunks(n: int, size: int, rng: np.random.Generator):
         yield _uniform_rows(n, min(step, size - start), rng)
 
 
+def _trial_chunks(n: int, trials: int, seed: int):
+    """Sorted rows of n uniforms, row i drawn from ``batch_rng(seed, i)``, chunk by chunk."""
+    step = _chunk_rows(n)
+    for start in range(0, trials, step):
+        block = range(start, min(trials, start + step))
+        yield np.stack([np.sort(batch_rng(seed, i).random(n)) for i in block])
+
+
+def _exp_draw(n: int, size: int, rng: np.random.Generator):
+    """Spacings, dots Y_0 = 0, ..., Y_n and colors (dot 0 black) of ``size`` samples.
+
+    All spacings are drawn first, then n - 1 colors per row.
+    """
+    spac = rng.standard_exponential((size, n))
+    y = np.zeros((size, n + 1))
+    np.cumsum(spac, axis=1, out=y[:, 1:])
+    colors = np.ones((size, n), dtype=np.int64)
+    colors[:, 1:] = rng.integers(0, 2, (size, n - 1))
+    return spac, y, colors
+
+
+def _exp_positions(y: np.ndarray, colors: np.ndarray) -> np.ndarray:
+    """Unit-circle positions: the dot span 2*Y_n is the circle, white dots move by 1/2."""
+    x = y[:, :-1] / (2 * y[:, -1:])
+    return np.where(colors == 1, x, x + 0.5)
+
+
 def _exp_model_rows(n: int, size: int, rng: np.random.Generator):
     """Unit-circle positions and circumferences 2*Y_n from the exponential model."""
-    spac = rng.standard_exponential((size, n))
-    y = np.cumsum(spac, axis=1)
-    yn = y[:, -1:]
-    dots = np.concatenate([np.zeros((size, 1)), y[:, :-1]], axis=1) / (2 * yn)
-    colors = np.concatenate(
-        [np.ones((size, 1), dtype=np.int64), rng.integers(0, 2, (size, n - 1))],
-        axis=1,
-    )
-    pos = np.where(colors == 1, dots, dots + 0.5)
-    return _rotate_rows(np.sort(pos, axis=1)), 2 * yn[:, 0]
+    _, y, colors = _exp_draw(n, size, rng)
+    return _rotate_rows(np.sort(_exp_positions(y, colors), axis=1)), 2 * y[:, -1]
 
 
 def _count_non_interlacing(signatures: np.ndarray) -> int:
@@ -354,8 +379,7 @@ def _run_batch(task: tuple):
 
 def sample_uniform_config(n: int, rng: np.random.Generator) -> PointConfig:
     """n i.i.d. uniform positions on the circle, resampled if degenerate."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    _check_size(n)
     while True:
         positions = tuple(sorted(float(x) for x in rng.random(n)))
         if any(a == b for a, b in zip(positions, positions[1:])):
@@ -399,21 +423,16 @@ class ExpSpacingSample:
 
     def to_point_config(self) -> PointConfig:
         """Scale the half circle to the dot span and lift colors back to points."""
-        span = 2 * self.dots[self.n]
-        pts = []
-        for i in range(self.n):
-            x = self.dots[i] / span
-            pts.append(x if self.colors[i] == 1 else x + 0.5)
-        return PointConfig(tuple(sorted(pts)))
+        pos = _exp_positions(np.array([self.dots]), np.array([self.colors[:-1]]))
+        return PointConfig(tuple(sorted(pos[0].tolist())))
 
 
 def sample_exp_model(n: int, rng: np.random.Generator) -> ExpSpacingSample:
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    spacings = tuple(float(t) for t in rng.standard_exponential(n))
-    dots = (0.0, *np.cumsum(spacings).tolist())
-    colors = (1, *(int(b) for b in rng.integers(0, 2, n - 1)), 0)
-    return ExpSpacingSample(spacings=spacings, dots=dots, colors=colors)
+    _check_size(n)
+    spac, y, colors = _exp_draw(n, 1, rng)
+    return ExpSpacingSample(
+        spacings=tuple(spac[0].tolist()), dots=tuple(y[0].tolist()), colors=(*colors[0].tolist(), 0)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +484,7 @@ def estimate_region_stats(
     n: int, trials: int, seed: int, workers: int = 1
 ) -> dict[str, EstimatorResult]:
     """Monte Carlo means of h2/l0/l1/l2/le against their closed forms."""
+    _check_size(n, trials)
     tasks = [("region_stats", n, seed, i, size, None) for i, size in _batch_plan(trials)]
     sums = {k: 0.0 for k in ("h2", "l0", "l1", "l2", "le")}
     sqs = dict(sums)
@@ -480,6 +500,7 @@ def estimate_region_stats(
 
 def interlacing_failures(n: int, trials: int, seed: int, workers: int = 1) -> int:
     """Number of sampled configurations whose signature fails to interlace."""
+    _check_size(n, trials)
     tasks = [("interlacing", n, seed, i, size, None) for i, size in _batch_plan(trials)]
     return sum(_map_tasks(tasks, workers))
 
@@ -596,16 +617,12 @@ def equidistribution_paths(
     Trial i draws its n points from ``batch_rng(seed, i)``; trials are
     processed in row chunks and summed in trial order.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _check_size(n, trials)
     grid = np.asarray(t_grid, dtype=np.float64)
     h_acc = np.zeros((3, grid.size))
     l_acc = np.zeros((3, grid.size))
-    step = _chunk_rows(n)
-    for start in range(0, trials, step):
-        block = range(start, min(trials, start + step))
-        p = _rotate_rows(np.stack([np.sort(batch_rng(seed, i).random(n)) for i in block]))
-        fractions, sums = _path_rows(p, grid)
+    for p in _trial_chunks(n, trials, seed):
+        fractions, sums = _path_rows(_rotate_rows(p), grid)
         for h, l in zip(fractions, sums):
             h_acc += h
             l_acc += l
@@ -625,16 +642,17 @@ def max_spacing_check(n: int, trials: int, seed: int) -> EstimatorResult:
     """Mean of n * (largest gap) / log n for n uniform points on [0, 1/2].
 
     The statistic concentrates at 1/2 as n grows (slowly; expect a loose
-    band at desk scale).
+    band at desk scale).  Trial i draws from ``batch_rng(seed, i)``; the
+    statistics are summed in trial order.
     """
+    _check_size(n, trials, least=2)
     total = 0.0
     total_sq = 0.0
-    for i in range(trials):
-        rng = batch_rng(seed, i)
-        u = np.sort(rng.random(n)) / 2
-        stat = n * float(np.diff(u).max()) / math.log(n)
-        total += stat
-        total_sq += stat * stat
+    for p in _trial_chunks(n, trials, seed):
+        for gap in (np.diff(p, axis=1).max(axis=1) / 2).tolist():
+            stat = n * gap / math.log(n)
+            total += stat
+            total_sq += stat * stat
     return _make_result(total, total_sq, trials, seed, 0.5)
 
 
@@ -645,6 +663,7 @@ def estimate_exp_below_erlangs(
 
     Erlang variables are sampled as sums of independent unit exponentials.
     """
+    target = exp_below_erlangs_prob(k, l)
     hits = 0
     for i, size in _batch_plan(trials):
         rng = batch_rng(seed, i)
@@ -652,4 +671,4 @@ def estimate_exp_below_erlangs(
         u = rng.standard_exponential((size, k)).sum(axis=1)
         v = rng.standard_exponential((size, l)).sum(axis=1)
         hits += int(((x < u) & (x < v)).sum())
-    return _make_result(hits, hits, trials, seed, exp_below_erlangs_prob(k, l))
+    return _make_result(hits, hits, trials, seed, target)

@@ -16,20 +16,17 @@ into a ``Fraction`` once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import words
-from .geometry import PointConfig, ensure_generic, region_boundaries
+from .geometry import PointConfig, _arc_indices, _Frame, ensure_generic
 from .words import Word
 
 
 class NotRealizable(ValueError):
     """Word whose signature does not interlace; no configuration exists."""
-
-
-def _mod1(x: Fraction) -> Fraction:
-    return x % 1
 
 
 @dataclass(frozen=True)
@@ -58,11 +55,13 @@ class RealizationPlan:
     perturbed: tuple[Fraction, ...]
     components: tuple[tuple, ...]
 
+    def _numerators(self) -> tuple[int, list[int]]:
+        """A common denominator q of ``perturbed`` and its numerators over q."""
+        q = math.lcm(*(x.denominator for x in self.perturbed))
+        return q, [x.numerator * (q // x.denominator) for x in self.perturbed]
+
     def point_positions(self) -> tuple[Fraction, ...]:
-        # the common denominator of _construct: q = 4^n / epsilon
-        q = self.epsilon.denominator * 4**self.n
-        nums = [x.numerator * (q // x.denominator) for x in self.perturbed]
-        return _point_positions(q, nums, self.rotated_word)
+        return _point_positions(*self._numerators(), self.rotated_word)
 
     def config(self) -> PointConfig:
         return PointConfig(self.point_positions())
@@ -178,43 +177,34 @@ def realize(w) -> PointConfig:
     return config
 
 
-def _strictly_between(x, a, b) -> bool:
-    return 0 < (x - a) % 1 < (b - a) % 1
-
-
 def verify_bisector_layout(plan: RealizationPlan) -> bool:
     """Check that every region boundary sits where the construction wants it.
 
     Each index of a descending run must have exactly one boundary just below
     its position, each index of an ascending run exactly one just above, and
     each window of width 1/(4s) around a zero anchor exactly two; together
-    these must account for all 2n boundaries, each exactly once.
+    these must account for all 2n boundaries, each exactly once.  It runs on
+    ints: arc 1 is 8*s*q, q a common denominator of the positions, which the
+    frame's unit divides.
     """
-    config = plan.config()
-    boundaries = region_boundaries(config)
-    m = 2 * plan.n
-    pos = [_mod1(x) for x in plan.perturbed]
-
-    claimed: list = []
-
-    def grab(a, b, expected: int) -> bool:
-        hits = [x for x in boundaries if _strictly_between(x, a, b)]
-        claimed.extend(hits)
-        return len(hits) == expected
-
-    for kind, _anchor, indices in plan.components:
-        for h in indices:
-            if kind == "descending":
-                ok = grab(pos[h - 1], pos[h], 1)
-            else:
-                ok = grab(pos[h], pos[(h + 1) % m], 1)
-            if not ok:
-                return False
-
-    window = Fraction(1, 8 * plan.s)
-    for k in range(1, plan.s + 1):
-        center = Fraction(2 * k - 1, 2 * plan.s)
-        if not grab(_mod1(center - window), _mod1(center + window), 2):
+    q, nums = plan._numerators()
+    s, m = plan.s, 2 * plan.n
+    circle = 8 * s * q
+    frame = _Frame(PointConfig(_point_positions(q, nums, plan.rotated_word)), rotate=False)
+    boundaries = [b * (circle // frame.circle) for b in frame.boundaries()]
+    pos = [8 * s * x % circle for x in nums]
+    # (start, end, boundaries expected) of each open counterclockwise arc
+    arcs = [
+        (pos[h - 1], pos[h], 1) if kind == "descending" else (pos[h], pos[(h + 1) % m], 1)
+        for kind, _anchor, indices in plan.components
+        for h in indices
+    ]
+    # windows around the zero anchors (2k - 1)/(2s), k = 1..s
+    arcs += [(c - q, c + q, 2) for c in range(4 * q, circle, 8 * q)]
+    claimed = []
+    for a, b, expected in arcs:
+        hits = _arc_indices(boundaries, a, b)
+        if len(hits) != expected:
             return False
-
-    return len(claimed) == m and len(set(claimed)) == m
+        claimed += hits
+    return len(claimed) == m and len({boundaries[i] for i in claimed}) == m

@@ -141,3 +141,41 @@ def occupancy_word_by_fractions(positions):
     if max(counts) > 1:
         return None
     return tuple(counts)
+
+
+def bisector_layout_by_fractions(plan) -> bool:
+    """The bisector layout check of a realization plan, scanned in Fractions.
+
+    The points are the perturbed positions (mod 1) of the indices whose bit
+    is set in the rotated word.  Each index of a descending run needs exactly
+    one boundary in the open arc from its predecessor's position to its own,
+    each index of an ascending run one in the arc from its own to its
+    successor's, and each window (c - 1/(8s), c + 1/(8s)) around c =
+    (2k - 1)/(2s) exactly two; the boundaries claimed must be 2n distinct ones.
+    """
+    pos = [Fraction(x) % 1 for x in plan.perturbed]
+    points = sorted(x for x, bit in zip(pos, plan.rotated_word) if bit)
+    boundaries = region_boundaries_by_fractions(points)
+    m = len(pos)
+
+    def inside(a, b):
+        return [x for x in boundaries if 0 < (x - a) % 1 < (b - a) % 1]
+
+    claimed = []
+    for kind, _anchor, indices in plan.components:
+        for h in indices:
+            if kind == "descending":
+                hits = inside(pos[h - 1], pos[h])
+            else:
+                hits = inside(pos[h], pos[(h + 1) % m])
+            if len(hits) != 1:
+                return False
+            claimed += hits
+    half = Fraction(1, 8 * plan.s)
+    for k in range(1, plan.s + 1):
+        center = Fraction(2 * k - 1, 2 * plan.s)
+        hits = inside((center - half) % 1, (center + half) % 1)
+        if len(hits) != 2:
+            return False
+        claimed += hits
+    return len(claimed) == m and len(set(claimed)) == m

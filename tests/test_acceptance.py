@@ -1,8 +1,8 @@
 """Full-scale acceptance gate: one test per criterion, each printing its line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` (or ``bisector-words
-verify``) to see the per-criterion PASS/FAIL lines; the whole gate takes a
-few minutes.
+verify``) to see the per-criterion PASS/FAIL lines; the whole gate takes
+70-90 s on a 2-vCPU Xeon VM, most of it criterion 11.
 """
 
 import pytest

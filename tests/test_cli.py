@@ -177,6 +177,10 @@ class TestEstimate:
         code, out, err = run_cli("estimate", "--n", "4", "--stat", "h2", "--workers", "0")
         assert code == 1 and out == "" and "workers" in err
 
+    def test_n_below_three_exits_1(self):
+        code, out, err = run_cli("estimate", "--n", "2", "--stat", "h2")
+        assert code == 1 and out == "" and "n >= 3" in err
+
     def test_pb_at_packed_limit(self):
         code, out, _ = run_cli("estimate", "--n", "32", "--stat", "pb", "--trials", "2000")
         assert code == 0 and json.loads(out)["trials"] == 2000

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bisector_words import geometry, realization, words
@@ -207,6 +207,42 @@ class TestDirectionPatterns:
         got = words.signature(occupancy_word(cfg))
         sig = words.signature(w)
         assert got in {sig[k:] + sig[:k] for k in range(len(sig))}
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.deferred(lambda: realizable_words()))
+    def test_on_realized_words(self, w):
+        assert verify_direction_patterns(realization.realize(w))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.deferred(lambda: exact_positions(max_n=24)))
+    # the point at 1/50 has two white dots at distance 3/25, neither nearest
+    @example([Fraction(1, 50), Fraction(2, 5), Fraction(47, 100), Fraction(16, 25)])
+    def test_nearest_opposite_dot_is_the_literal_minimum(self, pos):
+        cfg = PointConfig(tuple(pos))
+        assume(geometry.genericity_margin(cfg) > 0)
+        f = geometry._generic_frame(cfg)
+        dots = geometry._colored_dots(f)
+        for (q, color), (_, nearest) in zip(dots, geometry._dot_directions(dots, f.circle)):
+            opposite = [x for x, c in dots if c != color]
+            assert nearest == min(opposite, key=lambda x: min((x - q) % f.circle, (q - x) % f.circle))
+        assert len(ocdc(cfg)) == len(pos)
+        assert verify_direction_patterns(cfg)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.integers(0, 29), unique=True).map(sorted),
+        st.integers(0, 29),
+        st.integers(0, 29),
+    )
+    @example([3, 7, 20], 25, 5)  # wraps through 0
+    @example([3, 7, 20], 7, 7)  # empty, from a boundary
+    @example([0, 7, 29], 29, 0)  # wraps, ends on both extremes
+    @example([], 4, 1)
+    def test_arc_indices_match_literal_scan(self, bnd, a, b):
+        circle = 30
+        inside = [j for j, x in enumerate(bnd) if 0 < (x - a) % circle < (b - a) % circle]
+        want = sorted(inside, key=lambda j: (bnd[j] - a) % circle)  # counterclockwise from a
+        assert geometry._arc_indices(bnd, a, b) == want
 
 
 class TestRegionStats:

@@ -245,6 +245,20 @@ PINNED_PAYLOADS = {
     "transfer_check:4": "334c1f62afd85a48958e9f27c97958518b472b0ef26b7d79a5a69ebc77b4925f",
     "equidistribution_paths:64": "fbb396388666b78a6c9c03b90ce28105c07a984161a94946b27abf93eaa02962",
     "equidistribution_paths:5000": "969195de0bdf7ccdb6b706c28fde5f982ca4e5a959c43e598bfd2056ef633b12",
+    # recorded from the one-generator-per-trial loop of max_spacing_check and
+    # the scalar draw of sample_exp_model (five samples from one generator)
+    "max_spacing_check:1000": "298a7765d5307e2744fda95edfc93b73d14f965ba02447f47e250771acb2d925",
+    "max_spacing_check:3": "504e8bff461a4a8aaba14eb50376cadb78f2840a1a06f0c76c4ce618d8340b8f",
+    "sample_exp_model:3": "e6bfad923e277c57c5583f3de64ca5542ea2097ad472032a50c9cd72d8818937",
+    "sample_exp_model:4": "273d78db9ff758077ea722be5691343048c16af2a546b84c49b9939e3beb5507",
+    "sample_exp_model:5": "3b05c56c76849c226078164780b12632673973c1e44ef0f37b26cbae6bce2d48",
+    "sample_exp_model:6": "828c946052bdd91022d1466ce9d896fa05bd33504a08c4c5a6c900eeffb4433b",
+    "sample_exp_model:7": "6df6888c9825632d929363297b01e4f15a2b56032e5b4eb66b0b95ef27a29859",
+    "sample_exp_model:8": "f34438b0297281ec26b91a21ff427d7df09227ecb2e5ed76e7304a61111fb7e0",
+    "sample_exp_model:9": "025a77f3d39e55dd7e87ed7d4627719f27856ead629e9959bbca1be5cee0e0d8",
+    "sample_exp_model:10": "e5e42d7c229b2ede3a6cd23a6fe981570aeb814c0e51d50435efdbd2b224c2e6",
+    "sample_exp_model:11": "10fcc96e1c5473eab23d7cf013d1e6d66b79282b3010f5f391869e4b2e574ff9",
+    "sample_exp_model:12": "d053bc7e872df77d2699f1d28e226ea19926542389ff2ac85a8bf10de494ccd7",
 }
 
 
@@ -265,6 +279,13 @@ def _pinned_payload(case: str):
         n = int(arg)
         grid = [j / 8 for j in range(9)]
         return dataclasses.asdict(rp.equidistribution_paths(n, grid, 50 if n < 100 else 2, PIN_SEED))
+    if kind == "max_spacing_check":
+        n = int(arg)
+        return rp.max_spacing_check(n, 50 if n >= 100 else 5, PIN_SEED).to_json_dict()
+    if kind == "sample_exp_model":
+        rng = rp.batch_rng(PIN_SEED, int(arg))
+        samples = [rp.sample_exp_model(int(arg), rng) for _ in range(5)]
+        return [[dataclasses.asdict(s), s.to_point_config().positions] for s in samples]
     raise AssertionError(case)
 
 
@@ -285,11 +306,13 @@ class TestPinnedPayloads:
             "interlacing_failures:12",
             "transfer_check:4",
             "equidistribution_paths:64",
+            "max_spacing_check:1000",
         ],
     )
     def test_chunk_boundaries_leave_payload_unchanged(self, monkeypatch, case):
-        # chunks of 250 rows at n=4, 125 at n=8, 83 at n=12 and 15 trials at
-        # n=64: every batch, and the 50 path trials, span several chunks
+        # chunks of 250 rows at n=4, 125 at n=8, 83 at n=12, 15 trials at n=64
+        # and 1 at n=1000: every batch, and the 50 trials of paths and of
+        # spacings, span several chunks
         monkeypatch.setattr(rp, "_CHUNK_ELEMENTS", 2_000)
         assert _digest(_pinned_payload(case)) == PINNED_PAYLOADS[case]
 
@@ -381,6 +404,34 @@ class TestEstimators:
         target = words.canonical_bracelet(words.run_word(5))
         with pytest.raises(ValueError, match="n=5.*n=4"):
             rp.estimate_bracelet_prob(4, target, 1000, seed=1)
+
+    @pytest.mark.parametrize(
+        "name,args",
+        [
+            ("max_spacing_check", (1000, 0, 35)),
+            ("max_spacing_check", (1, 5, 35)),
+            ("estimate_region_stats", (2, 10**6, 35)),
+            ("estimate_region_stats", (4, 0, 35)),
+            ("interlacing_failures", (2, 1000, 35)),
+            ("interlacing_failures", (0, 1000, 35)),
+            ("interlacing_failures", (4, 0, 35)),
+            ("equidistribution_paths", (1, [0.5, 1.0], 10, 35)),
+            ("equidistribution_paths", (2, [0.5, 1.0], 10, 35)),
+            ("equidistribution_paths", (64, [0.5, 1.0], 0, 35)),
+            ("estimate_exp_below_erlangs", (0, 1, 1000, 35)),
+        ],
+    )
+    def test_inputs_bounded_before_any_draw(self, monkeypatch, name, args):
+        drawn = []
+
+        def recording_rng(seed, index):
+            drawn.append(index)
+            return np.random.default_rng(0)
+
+        monkeypatch.setattr(rp, "batch_rng", recording_rng)
+        with pytest.raises(ValueError, match="need"):
+            getattr(rp, name)(*args)
+        assert drawn == []
 
     def test_estimator_result_fields(self):
         res = rp.estimate_region_stats(3, 1000, seed=21)["h2"]

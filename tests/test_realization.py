@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from bisector_words import enumeration, realization, sampler, words
 from bisector_words.geometry import genericity_margin, occupancy_word, region_boundaries
@@ -13,6 +15,9 @@ from bisector_words.realization import (
     realize,
     verify_bisector_layout,
 )
+
+from oracles import bisector_layout_by_fractions
+from test_geometry import realizable_words
 
 
 class TestRealize:
@@ -105,10 +110,39 @@ class TestBisectorLayout:
     def test_single_plan(self):
         assert verify_bisector_layout(plan_realization((1, 0, 1, 1, 0, 0)))
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_all_plans(self, n):
         for w in enumeration.enumerate_words(n):
-            assert verify_bisector_layout(plan_realization(w)), words.word_to_string(w)
+            plan = plan_realization(w)
+            assert verify_bisector_layout(plan), words.word_to_string(w)
+            assert bisector_layout_by_fractions(plan), words.word_to_string(w)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(realizable_words())
+    def test_matches_fraction_oracle(self, w):
+        plan = plan_realization(w)
+        assert verify_bisector_layout(plan) and bisector_layout_by_fractions(plan)
+
+    @pytest.mark.parametrize(
+        "w", [(1, 0, 1, 1, 0, 0), (0, 1, 0, 1, 1, 0, 0, 1, 1, 0), (1, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0)]
+    )
+    @pytest.mark.parametrize("tamper", ["kinds swapped", "s + 1", "rotated"])
+    def test_tampered_plans_fail(self, w, tamper):
+        plan = plan_realization(w)
+        assert plan.components
+        if tamper == "kinds swapped":
+            swap = {"ascending": "descending", "descending": "ascending"}
+            components = tuple((swap[kind], a, idx) for kind, a, idx in plan.components)
+            plan = dataclasses.replace(plan, components=components)
+        elif tamper == "s + 1":
+            plan = dataclasses.replace(plan, s=plan.s + 1)
+        else:
+            # every boundary moves by 3/(16s), so those of the zero-anchor
+            # windows land between 1/(8s) and 1/(4s) past the anchor
+            shift = Fraction(3, 16 * plan.s)
+            plan = dataclasses.replace(plan, perturbed=tuple(x + shift for x in plan.perturbed))
+        assert not verify_bisector_layout(plan)
+        assert not bisector_layout_by_fractions(plan)
 
     def test_empty_components_still_verify(self):
         # all signature letters special: every component is empty
