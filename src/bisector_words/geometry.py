@@ -288,15 +288,18 @@ def _colored_dots(f: _Frame) -> list[tuple]:
 
 
 def _look_direction(q, opposite: Sequence, circle) -> tuple[str, object]:
-    """Side (L/R) of the dot in ``opposite`` nearest to q on the circle, and that dot."""
-    deltas = [(x - q) % circle for x in opposite]
+    """Side (L/R) of the dot in ``opposite`` nearest to q on the circle, and that dot.
+
+    The nearest dot is one of the two neighbours of q in the sorted ``opposite``.
+    """
+    i = bisect_left(opposite, q)
+    near = (opposite[i - 1], opposite[i % len(opposite)])
+    deltas = [(x - q) % circle for x in near]
     dists = [min(d, circle - d) for d in deltas]
-    i = dists.index(min(dists))
-    if dists.count(dists[i]) > 1:
+    if dists[0] == dists[1]:
         raise NonGenericConfiguration("equidistant opposite-color dots")
-    if 2 * deltas[i] == circle:
-        raise NonGenericConfiguration("nearest opposite-color dot is antipodal")
-    return ("R" if 2 * deltas[i] < circle else "L"), opposite[i]
+    j = dists.index(min(dists))
+    return ("R" if 2 * deltas[j] < circle else "L"), near[j]
 
 
 def _dot_directions(dots: list[tuple], circle) -> list[tuple[str, object]]:
@@ -440,7 +443,15 @@ class RegionStats:
         }
 
 
+def _check_t_grid(t_grid: Sequence) -> None:
+    """Reject a grid value outside [0, 1], NaN included."""
+    if not all(0 <= t <= 1 for t in t_grid):
+        raise ValueError(f"need 0 <= t <= 1 for every grid value, got {[float(t) for t in t_grid]}")
+
+
 def region_stats(config: PointConfig, t_grid: Sequence = ()) -> RegionStats:
+    grid = tuple(t_grid)
+    _check_t_grid(grid)
     f = _generic_frame(config)
     m = 2 * f.n
     bnd_units = f.boundaries()
@@ -459,7 +470,6 @@ def region_stats(config: PointConfig, t_grid: Sequence = ()) -> RegionStats:
     )
     empty_length = sum(lengths[j] for j in range(m) if word[j] == 0)
 
-    grid = tuple(t_grid)
     h_curves = []
     l_curves = []
     for k in (0, 1, 2):

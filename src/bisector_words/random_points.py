@@ -8,9 +8,12 @@ half circle to the dot span; up to rotation this reproduces the circle
 model, and the expected type-k length on the unit circle equals the
 expected unnormalized type-k length divided by 2n.
 
-Every estimator consumes trials in fixed-size batches; batch i draws from a
-counter-based generator keyed by (seed, i) and partial sums are combined in
-batch order, so results are bit-identical for any worker count.
+Every random stream is a counter-based :func:`batch_rng` keyed by (seed, i).
+The batched estimators share one engine, :func:`_run_batches`: batch i of
+``BATCH_SIZE`` trials and stream i go to a top-level worker function, serially
+or in a process pool, and partial results are combined in batch order, so
+results are bit-identical for any worker count.  :func:`equidistribution_paths`
+and :func:`max_spacing_check` draw trial i from stream i instead.
 
 The batched geometry is a rank kernel, O(n log n) per configuration.  Rows
 are sorted and rotated so that p_0 = 0; bisector i then lies between p_i
@@ -33,29 +36,29 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from . import words
-from .geometry import NonGenericConfiguration, PointConfig, ensure_generic
+from .geometry import NonGenericConfiguration, PointConfig, _check_t_grid, ensure_generic
 from .words import Bracelet
 
 BATCH_SIZE = 1 << 14
 # Most regions (rows * 2n) the batched geometry holds at once; a full batch
 # at n <= 128 is a single chunk.
 _CHUNK_ELEMENTS = 1 << 22
-_MASK64 = (1 << 64) - 1
 # Largest n whose words of 2n bits pack into one uint64.
 MAX_PACKED_N = 32
 
 
 def batch_rng(seed: int, index: int) -> np.random.Generator:
-    """Generator for batch ``index``: a pure function of (seed, index)."""
-    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Generator for batch ``index``: a pure function of (seed, index), 0 <= seed < 2**64."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"need 0 <= seed < 2**64, got {seed}")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
 def _check_size(n: int, trials: int = 1, least: int = 3) -> None:
@@ -147,14 +150,7 @@ class EstimatorResult:
     z: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "trials": self.trials,
-            "seed": self.seed,
-            "target": self.target,
-            "z": self.z,
-        }
+        return asdict(self)
 
 
 def _make_result(total: float, total_sq: float, trials: int, seed: int, target) -> EstimatorResult:
@@ -180,24 +176,35 @@ def z_between(a: EstimatorResult, b: EstimatorResult) -> float:
     return (a.estimate - b.estimate) / se
 
 
-def _batch_plan(trials: int) -> list[tuple[int, int]]:
+def _moments(values: np.ndarray) -> np.ndarray:
+    """Per row of ``values``, its sum and its sum of squares, as a (rows, 2) array."""
+    return np.stack([values.sum(axis=1), (values * values).sum(axis=1)], axis=1)
+
+
+def _call_batch(task: tuple):
+    fn, n, rng, size, args = task
+    return fn(n, rng, size, *args)
+
+
+def _run_batches(fn, n: int, trials: int, seed: int, workers: int, *args) -> list:
+    """``fn(n, batch_rng(seed, i), size, *args)`` for each batch i, in batch order.
+
+    ``fn`` is a top-level function, so that it pickles into worker processes.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
-    return [
-        (i, min(BATCH_SIZE, trials - i * BATCH_SIZE))
-        for i in range((trials + BATCH_SIZE - 1) // BATCH_SIZE)
-    ]
-
-
-def _map_tasks(tasks: list, workers: int) -> list:
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
+    starts = range(0, trials, BATCH_SIZE)
+    tasks = (
+        (fn, n, batch_rng(seed, i), min(BATCH_SIZE, trials - s), args) for i, s in enumerate(starts)
+    )
     workers = min(workers, os.cpu_count() or 1)
-    if workers == 1 or len(tasks) == 1:
-        return [_run_batch(t) for t in tasks]
-    chunk = max(1, len(tasks) // (4 * workers))
+    if workers == 1 or len(starts) == 1:
+        return list(map(_call_batch, tasks))
+    chunk = max(1, len(starts) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_batch, tasks, chunksize=chunk))
+        return list(pool.map(_call_batch, tasks, chunksize=chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +327,14 @@ def _exp_model_rows(n: int, size: int, rng: np.random.Generator):
     return _rotate_rows(np.sort(_exp_positions(y, colors), axis=1)), 2 * y[:, -1]
 
 
+def _exp_chunks(n: int, size: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """The positions of :func:`_exp_model_rows`, drawn at once, split into chunks."""
+    return _split_rows(_exp_model_rows(n, size, rng)[0])
+
+
+_MODEL_CHUNKS = {"circle": _uniform_chunks, "exp": _exp_chunks}
+
+
 def _count_non_interlacing(signatures: np.ndarray) -> int:
     """Rows whose 0s and 2s do not alternate cyclically, or that have neither."""
     n = signatures.shape[1]
@@ -334,43 +349,39 @@ def _count_non_interlacing(signatures: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# batch workers (top level so they cross process boundaries)
+# batch workers of :func:`_run_batches`.  Per-row values are gathered over the
+# chunks before any float sum, so no result depends on the chunk size.
 
 
-def _run_batch(task: tuple):
-    kind, n, seed, index, size, extra = task
-    rng = batch_rng(seed, index)
-    # Per-row values are gathered over the chunks before any float sum, so
-    # the result does not depend on the chunk size.
-    if kind in ("bracelet_hits", "bracelet_hits_exp"):
-        if kind == "bracelet_hits":
-            chunks = _uniform_chunks(n, size, rng)
-        else:
-            chunks = _split_rows(_exp_model_rows(n, size, rng)[0])
-        cls = np.asarray(extra, dtype=np.uint64)
-        return sum(int(np.isin(_pack_words(_words_rows(p)), cls).sum()) for p in chunks)
-    if kind == "region_stats":
-        values = np.concatenate([_region_values(p) for p in _uniform_chunks(n, size, rng)], axis=1)
-        return {
-            k: (float(v.sum()), float((v * v).sum()))
-            for k, v in zip(("h2", "l0", "l1", "l2", "le"), values)
-        }
-    if kind == "exp_lengths":
-        pos, circumference = _exp_model_rows(n, size, rng)
-        typed = np.concatenate([_region_values(p)[1:4] for p in _split_rows(pos)], axis=1)
-        out = {}
-        for k in (0, 1, 2):
-            v = typed[k] * circumference / (2 * n)
-            out[f"l{k}"] = (float(v.sum()), float((v * v).sum()))
-        out["total"] = (float(circumference.sum()), float((circumference**2).sum()))
-        return out
-    if kind == "interlacing":
-        bad = 0
-        for p in _uniform_chunks(n, size, rng):
-            w = _words_rows(p)
-            bad += _count_non_interlacing(w[:, :n] + w[:, n:])
-        return bad
-    raise ValueError(f"unknown batch kind {kind!r}")
+def _class_hits(n: int, rng: np.random.Generator, size: int, chunks, cls: np.ndarray) -> int:
+    """Configurations, drawn by ``chunks``, whose packed word lies in ``cls``."""
+    return sum(int(np.isin(_pack_words(_words_rows(p)), cls).sum()) for p in chunks(n, size, rng))
+
+
+def _region_sums(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """:func:`_moments` of h2, l0, l1, l2 and le over uniform configurations."""
+    chunks = _uniform_chunks(n, size, rng)
+    return _moments(np.concatenate([_region_values(p) for p in chunks], axis=1))
+
+
+def _exp_length_sums(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """:func:`_moments` of the type-k lengths over 2n and the circumference, exp model."""
+    pos, circumference = _exp_model_rows(n, size, rng)
+    typed = np.concatenate([_region_values(p)[1:4] for p in _split_rows(pos)], axis=1)
+    return _moments(np.vstack([typed * circumference / (2 * n), circumference]))
+
+
+def _interlacing_failures(n: int, rng: np.random.Generator, size: int) -> int:
+    chunks = map(_words_rows, _uniform_chunks(n, size, rng))
+    return sum(_count_non_interlacing(w[:, :n] + w[:, n:]) for w in chunks)
+
+
+def _erlang_hits(k: int, rng: np.random.Generator, size: int, l: int) -> int:
+    """Draws with X < U and X < V; X ~ Exp(1), U ~ Erlang(k, 1), V ~ Erlang(l, 1)."""
+    x = rng.standard_exponential(size)
+    u = rng.standard_exponential((size, k)).sum(axis=1)
+    v = rng.standard_exponential((size, l)).sum(axis=1)
+    return int(((x < u) & (x < v)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +450,6 @@ def sample_exp_model(n: int, rng: np.random.Generator) -> ExpSpacingSample:
 # estimators
 
 
-def _class_ints(target: Bracelet) -> tuple[int, ...]:
-    return tuple(sorted(words.bracelet_orbit(target.word)))
-
-
 def estimate_bracelet_prob(
     n: int,
     target: Bracelet,
@@ -450,34 +457,29 @@ def estimate_bracelet_prob(
     seed: int,
     workers: int = 1,
     model: str = "circle",
-    target_prob=None,
 ) -> EstimatorResult:
     """Fraction of sampled configurations whose bracelet equals ``target``.
 
     ``model`` selects the circle model or the exponential spacing model
     ("exp"); the two agree in distribution.  The z score is computed against
-    ``target_prob`` when given, against the known closed form when the
-    target is the run-word bracelet, and is NaN otherwise.  Deterministic
-    for fixed (seed, trials) whatever the worker count.  Words are packed
-    into 64 bits, so n is at most ``MAX_PACKED_N``.
+    the known closed form when the target is the run-word bracelet, and is
+    NaN otherwise.  Deterministic for fixed (seed, trials) whatever the
+    worker count.  Words are packed into 64 bits, so n is at most
+    ``MAX_PACKED_N``.
     """
     if n > MAX_PACKED_N:
         raise ValueError(f"bracelet estimates pack 2n bits into 64; need n <= {MAX_PACKED_N}, got {n}")
     if target.n != n:
         raise ValueError(f"target bracelet has n={target.n}, estimate is for n={n}")
-    kinds = {"circle": "bracelet_hits", "exp": "bracelet_hits_exp"}
-    if model not in kinds:
-        raise ValueError(f"unknown model {model!r}; choose from {sorted(kinds)}")
-    kind = kinds[model]
-    if target_prob is None:
-        if target.word == words.canonical_bracelet(words.run_word(n)).word:
-            target_prob = closed_form("pbn", n)
-        else:
-            target_prob = float("nan")
-    cls = _class_ints(target)
-    tasks = [(kind, n, seed, i, size, cls) for i, size in _batch_plan(trials)]
-    hits = sum(_map_tasks(tasks, workers))
-    return _make_result(hits, hits, trials, seed, target_prob)
+    if model not in _MODEL_CHUNKS:
+        raise ValueError(f"unknown model {model!r}; choose from {sorted(_MODEL_CHUNKS)}")
+    if target.word == words.canonical_bracelet(words.run_word(n)).word:
+        exact = closed_form("pbn", n)
+    else:
+        exact = float("nan")
+    cls = np.array(sorted(words.bracelet_orbit(target.word)), dtype=np.uint64)
+    hits = sum(_run_batches(_class_hits, n, trials, seed, workers, _MODEL_CHUNKS[model], cls))
+    return _make_result(hits, hits, trials, seed, exact)
 
 
 def estimate_region_stats(
@@ -485,24 +487,17 @@ def estimate_region_stats(
 ) -> dict[str, EstimatorResult]:
     """Monte Carlo means of h2/l0/l1/l2/le against their closed forms."""
     _check_size(n, trials)
-    tasks = [("region_stats", n, seed, i, size, None) for i, size in _batch_plan(trials)]
-    sums = {k: 0.0 for k in ("h2", "l0", "l1", "l2", "le")}
-    sqs = dict(sums)
-    for result in _map_tasks(tasks, workers):
-        for k, (s, sq) in result.items():
-            sums[k] += s
-            sqs[k] += sq
+    sums = sum(_run_batches(_region_sums, n, trials, seed, workers)).tolist()
     return {
-        k: _make_result(sums[k], sqs[k], trials, seed, closed_form(k, n))
-        for k in sums
+        k: _make_result(s, sq, trials, seed, closed_form(k, n))
+        for k, (s, sq) in zip(("h2", "l0", "l1", "l2", "le"), sums)
     }
 
 
 def interlacing_failures(n: int, trials: int, seed: int, workers: int = 1) -> int:
     """Number of sampled configurations whose signature fails to interlace."""
     _check_size(n, trials)
-    tasks = [("interlacing", n, seed, i, size, None) for i, size in _batch_plan(trials)]
-    return sum(_map_tasks(tasks, workers))
+    return sum(_run_batches(_interlacing_failures, n, trials, seed, workers))
 
 
 @dataclass(frozen=True)
@@ -532,26 +527,18 @@ def transfer_check(n: int, trials: int, seed: int, workers: int = 1) -> Transfer
     Internally uses seeds seed+1 (circle) and seed+2 (exponential).
     """
     circle = estimate_region_stats(n, trials, seed + 1, workers)
-    tasks = [("exp_lengths", n, seed + 2, i, size, None) for i, size in _batch_plan(trials)]
-    sums = {f"l{k}": 0.0 for k in (0, 1, 2)}
-    sums["total"] = 0.0
-    sqs = dict(sums)
-    for result in _map_tasks(tasks, workers):
-        for key, (s, sq) in result.items():
-            sums[key] += s
-            sqs[key] += sq
+    sums = sum(_run_batches(_exp_length_sums, n, trials, seed + 2, workers))
+    *typed, (total, total_sq) = sums.tolist()
     comparisons = []
-    for k in (0, 1, 2):
-        exp_res = _make_result(
-            sums[f"l{k}"], sqs[f"l{k}"], trials, seed + 2, closed_form(f"l{k}", n)
-        )
+    for k, (s, sq) in enumerate(typed):
+        exp_res = _make_result(s, sq, trials, seed + 2, closed_form(f"l{k}", n))
         circ_res = circle[f"l{k}"]
         comparisons.append(
             TransferComparison(
                 k=k, exp_model=exp_res, circle_model=circ_res, z_between=z_between(exp_res, circ_res)
             )
         )
-    total = _make_result(sums["total"], sqs["total"], trials, seed + 2, 2 * n)
+    total = _make_result(total, total_sq, trials, seed + 2, 2 * n)
     return TransferReport(
         n=n,
         trials=trials,
@@ -612,13 +599,15 @@ def _path_rows(p: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def equidistribution_paths(
     n: int, t_grid: Sequence[float], trials: int, seed: int
 ) -> PathReport:
-    """Type-k region counts and lengths inside [0, t] averaged over trials.
+    """Type-k region counts and lengths inside [0, t], 0 <= t <= 1, averaged over trials.
 
-    Trial i draws its n points from ``batch_rng(seed, i)``; trials are
-    processed in row chunks and summed in trial order.
+    Trial i draws its n points from the
+    :func:`batch_rng` stream keyed by (seed, i); trials are processed in row
+    chunks and summed in trial order.
     """
     _check_size(n, trials)
     grid = np.asarray(t_grid, dtype=np.float64)
+    _check_t_grid(grid)
     h_acc = np.zeros((3, grid.size))
     l_acc = np.zeros((3, grid.size))
     for p in _trial_chunks(n, trials, seed):
@@ -642,8 +631,8 @@ def max_spacing_check(n: int, trials: int, seed: int) -> EstimatorResult:
     """Mean of n * (largest gap) / log n for n uniform points on [0, 1/2].
 
     The statistic concentrates at 1/2 as n grows (slowly; expect a loose
-    band at desk scale).  Trial i draws from ``batch_rng(seed, i)``; the
-    statistics are summed in trial order.
+    band at desk scale).  Trial i draws from the :func:`batch_rng` stream
+    keyed by (seed, i); the statistics are summed in trial order.
     """
     _check_size(n, trials, least=2)
     total = 0.0
@@ -664,11 +653,5 @@ def estimate_exp_below_erlangs(
     Erlang variables are sampled as sums of independent unit exponentials.
     """
     target = exp_below_erlangs_prob(k, l)
-    hits = 0
-    for i, size in _batch_plan(trials):
-        rng = batch_rng(seed, i)
-        x = rng.standard_exponential(size)
-        u = rng.standard_exponential((size, k)).sum(axis=1)
-        v = rng.standard_exponential((size, l)).sum(axis=1)
-        hits += int(((x < u) & (x < v)).sum())
+    hits = sum(_run_batches(_erlang_hits, k, trials, seed, 1, l))
     return _make_result(hits, hits, trials, seed, target)

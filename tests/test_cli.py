@@ -181,6 +181,10 @@ class TestEstimate:
         code, out, err = run_cli("estimate", "--n", "2", "--stat", "h2")
         assert code == 1 and out == "" and "n >= 3" in err
 
+    def test_seed_outside_64_bits_exits_1(self):
+        code, out, err = run_cli("estimate", "--n", "4", "--stat", "h2", "--seed", "-1")
+        assert code == 1 and out == "" and "seed" in err
+
     def test_pb_at_packed_limit(self):
         code, out, _ = run_cli("estimate", "--n", "32", "--stat", "pb", "--trials", "2000")
         assert code == 0 and json.loads(out)["trials"] == 2000
@@ -208,6 +212,10 @@ class TestStats:
     def test_nongeneric_exits_1(self):
         code, _, err = run_cli("stats", "--positions", "0,1/2,3/4")
         assert code == 1
+
+    def test_t_outside_unit_interval_exits_1(self):
+        code, out, err = run_cli("stats", "--positions", "0,1/10,3/10", "--t-grid", "2,-1")
+        assert code == 1 and out == "" and "0 <= t <= 1" in err
 
 
 class TestVerify:

@@ -217,6 +217,8 @@ class TestDirectionPatterns:
     @given(st.deferred(lambda: exact_positions(max_n=24)))
     # the point at 1/50 has two white dots at distance 3/25, neither nearest
     @example([Fraction(1, 50), Fraction(2, 5), Fraction(47, 100), Fraction(16, 25)])
+    # the dot at 0 and the white dot at 99/100 are each other's nearest, across 0
+    @example([Fraction(0), Fraction(49, 100), Fraction(3, 5)])
     def test_nearest_opposite_dot_is_the_literal_minimum(self, pos):
         cfg = PointConfig(tuple(pos))
         assume(geometry.genericity_margin(cfg) > 0)

@@ -212,6 +212,13 @@ class TestBatchEngine:
         assert packed.dtype == np.uint64
         assert [int(x) for x in packed] == [words.word_to_int(row.tolist()) for row in w]
 
+    def test_seed_is_a_64_bit_key(self):
+        last = (1 << 64) - 1
+        assert rp.batch_rng(last, 0).random() != rp.batch_rng(0, 0).random()
+        for seed in (-1, 1 << 64):
+            with pytest.raises(ValueError, match="seed"):
+                rp.batch_rng(seed, 0)
+
     def test_type_counts_balanced_per_trial(self):
         rng = rp.batch_rng(13, 0)
         _, types, _ = rp._region_rows(rp._uniform_rows(6, 256, rng))
@@ -337,6 +344,11 @@ class TestEstimators:
         a = rp.estimate_region_stats(4, 40_000, seed=18, workers=1)
         b = rp.estimate_region_stats(4, 40_000, seed=18, workers=2)
         assert a == b
+        lone = rp.estimate_bracelet_prob(4, target, 40_000, seed=17, workers=1, model="exp")
+        pooled = rp.estimate_bracelet_prob(4, target, 40_000, seed=17, workers=2, model="exp")
+        assert lone == pooled
+        for estimator, args in ((rp.interlacing_failures, (5,)), (rp.transfer_check, (4,))):
+            assert estimator(*args, 40_000, 18, workers=1) == estimator(*args, 40_000, 18, workers=2)
 
     def test_disjoint_seeds_agree(self):
         target = words.canonical_bracelet(words.run_word(4))
@@ -388,19 +400,19 @@ class TestEstimators:
         assert res.trials == 2000 and 1 <= res.estimate * 2000 < 2000
 
     def test_bracelet_prob_rejects_n_above_packed_limit(self, monkeypatch):
-        def no_batches(tasks, workers):
+        def no_batches(*args):
             raise AssertionError("a batch was drawn")
 
-        monkeypatch.setattr(rp, "_map_tasks", no_batches)
+        monkeypatch.setattr(rp, "_run_batches", no_batches)
         target = words.canonical_bracelet(words.run_word(33))
         with pytest.raises(ValueError, match="n <= 32"):
             rp.estimate_bracelet_prob(33, target, 2000, seed=34)
 
     def test_bracelet_prob_rejects_target_of_other_n(self, monkeypatch):
-        def no_batches(tasks, workers):
+        def no_batches(*args):
             raise AssertionError("a batch was drawn")
 
-        monkeypatch.setattr(rp, "_map_tasks", no_batches)
+        monkeypatch.setattr(rp, "_run_batches", no_batches)
         target = words.canonical_bracelet(words.run_word(5))
         with pytest.raises(ValueError, match="n=5.*n=4"):
             rp.estimate_bracelet_prob(4, target, 1000, seed=1)
@@ -419,6 +431,13 @@ class TestEstimators:
             ("equidistribution_paths", (2, [0.5, 1.0], 10, 35)),
             ("equidistribution_paths", (64, [0.5, 1.0], 0, 35)),
             ("estimate_exp_below_erlangs", (0, 1, 1000, 35)),
+            ("estimate_exp_below_erlangs", (1, 1, 0, 35)),
+            ("estimate_bracelet_prob", (4, words.canonical_bracelet(words.run_word(4)), 0, 35)),
+            ("transfer_check", (2, 1000, 35)),
+            ("transfer_check", (4, 0, 35)),
+            ("equidistribution_paths", (64, [0.5, 2.0], 10, 35)),
+            ("equidistribution_paths", (64, [-0.25, 1.0], 10, 35)),
+            ("equidistribution_paths", (64, [float("nan")], 10, 35)),
         ],
     )
     def test_inputs_bounded_before_any_draw(self, monkeypatch, name, args):
