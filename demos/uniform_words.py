@@ -1,7 +1,7 @@
 """What does a typical realizable word look like, sampled uniformly?
 
-Uniform sampling over realizable words is exact (rejection on an i.i.d.
-letter string), and the letter statistics concentrate: the signature is
+Uniform sampling over realizable words is exact (one integer draw decoded
+as a letter string by rank), and the letter statistics concentrate: the signature is
 about one sixth 0s, two thirds 1s and one sixth 2s, in contrast with the
 quarter/half/quarter split produced by uniform random points.
 """
@@ -43,7 +43,7 @@ print("var of 10-count fluctuation at c=1:      ", round(report.var_s10[-1], 4),
 print("corr of 0-letter and 1-letter counts:    ", round(report.corr_f0_f1[-1], 4), "(limit -1)")
 
 print()
-print("== the parity identity behind the sampler's acceptance rate ==")
+print("== the parity identity behind the sampler's letter-string counts ==")
 for n in (1, 2, 5, 10):
     even, odd = binomial_parity_check(n)
     print(f"n={n:>2}: P(even)={even}  P(odd)={odd}  difference={even - odd}")

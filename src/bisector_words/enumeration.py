@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import count
 from math import gcd
 from typing import Iterable, Iterator
@@ -114,20 +115,22 @@ def _bracelet_classes(stream: Iterable[int], n: int) -> Iterator[tuple[int, int]
             yield min(orbit), len(orbit)
 
 
-def count_bracelets(n: int) -> int:
-    """Number of shift/reversal classes among the realizable words.
+@lru_cache(maxsize=128)
+def _fixed_point_counts(n: int) -> tuple[tuple[int | None, int, int], ...]:
+    """Burnside terms on the realizable words of length 2n: (type, multiplicity, |Fix|).
 
-    Burnside's lemma over the dihedral group of order 4n acting on the 2n
-    positions: the count is the mean number of realizable words fixed by a
-    group element.  With cw(m) = 3^m - 2^(m+1) + 1 and d = gcd(r, 2n), the
-    rotation by r fixes cw(d/2) words when d does not divide n, and
-    2·[d even] words when it does.  A fixed word has period d.  If d divides
-    n, bits i and i+n agree, so the signature has no 1s and its 0s and 2s
-    alternate with period d: d is even and the first bit picks one of 2
-    words.  Otherwise n = d/2 mod d, so the signature is a length-d/2
+    The dihedral group of order 4n acts on the 2n positions.  With
+    cw(m) = 3^m - 2^(m+1) + 1 and d = gcd(r, 2n), the rotation by r fixes
+    cw(d/2) words when d does not divide n, and 2·[d even] words when it
+    does.  A fixed word has period d.  If d divides n, bits i and i+n
+    agree, so the signature has no 1s and its 0s and 2s alternate with
+    period d: d is even and the first bit picks one of the 2 words 1010...
+    and 0101....  Otherwise n = d/2 mod d, so the signature is a length-d/2
     signature repeated an odd number of times; it interlaces iff that one
-    does, so the fixed words are the realizable words of length d (cw holds
-    for every m >= 1).
+    does, so the fixed words are the realizable words of length d repeated
+    2n/d times (cw holds for every m >= 1).  The fixed set depends on d
+    only, so rotations are grouped by d: type d, multiplicity the number of
+    r in [0, 2n) with gcd(r, 2n) = d.
 
     Reflections fix 2n·3^(n/2-1) words in total for even n and none for odd
     n.  The reflection w_i -> w_{c-i} (indices mod 2n) maps the signature by
@@ -141,20 +144,39 @@ def count_bracelets(n: int) -> int:
     of other positions holds two 1s (the bits of one choose the other's, 2
     ways) or two specials forced by alternation (1 way).  So each of the n
     reflections with even c fixes 2·3^(n/2-1) words and the other n none.
+    The reflection with c = 2a is the one with c = 0 conjugated by the
+    rotation by a, so its fixed words are those of c = 0 rotated, and they
+    meet every class equally often: one type, None, stands for all n, with
+    c = 0 as its representative.
+
+    Types with no fixed word are left out.  Rotation types come first, the
+    identity (d = 2n) leading.
     """
     _check_count_range(n)
     m = 2 * n
-    total = 0
-    for r in range(m):
-        d = gcd(r, m)
+    terms = []
+    for d, mult in sorted(Counter(gcd(r, m) for r in range(m)).items(), reverse=True):
         if n % d:
-            total += 3 ** (d // 2) - 2 ** (d // 2 + 1) + 1
-        elif d % 2 == 0:
-            total += 2
+            fixed = 3 ** (d // 2) - 2 ** (d // 2 + 1) + 1
+        else:
+            fixed = 2 if d % 2 == 0 else 0
+        if fixed:
+            terms.append((d, mult, fixed))
     if n % 2 == 0:
-        total += 2 * n * 3 ** (n // 2 - 1)
-    assert total % (2 * m) == 0, f"Burnside total {total} is not a multiple of {2 * m}"
-    return total // (2 * m)
+        terms.append((None, n, 2 * 3 ** (n // 2 - 1)))
+    return tuple(terms)
+
+
+def count_bracelets(n: int) -> int:
+    """Number of shift/reversal classes among the realizable words.
+
+    Burnside's lemma: the count is the mean number of realizable words fixed
+    by an element of the dihedral group of order 4n, summed from
+    :func:`_fixed_point_counts`, which also weighs the bracelet sampler.
+    """
+    total = sum(mult * fixed for _, mult, fixed in _fixed_point_counts(n))
+    assert total % (4 * n) == 0, f"Burnside total {total} is not a multiple of {4 * n}"
+    return total // (4 * n)
 
 
 @dataclass(frozen=True)

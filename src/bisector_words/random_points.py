@@ -54,10 +54,14 @@ _CHUNK_ELEMENTS = 1 << 22
 MAX_PACKED_N = 32
 
 
-def batch_rng(seed: int, index: int) -> np.random.Generator:
-    """Generator for batch ``index``: a pure function of (seed, index), 0 <= seed < 2**64."""
+def _check_seed(seed: int) -> None:
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"need 0 <= seed < 2**64, got {seed}")
+
+
+def batch_rng(seed: int, index: int) -> np.random.Generator:
+    """Generator for batch ``index``: a pure function of (seed, index), 0 <= seed < 2**64."""
+    _check_seed(seed)
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
@@ -526,6 +530,9 @@ def transfer_check(n: int, trials: int, seed: int, workers: int = 1) -> Transfer
     which the transfer identity equates with the unit-circle expectation.
     Internally uses seeds seed+1 (circle) and seed+2 (exponential).
     """
+    _check_size(n, trials)
+    _check_seed(seed)
+    _check_seed(seed + 2)
     circle = estimate_region_stats(n, trials, seed + 1, workers)
     sums = sum(_run_batches(_exp_length_sums, n, trials, seed + 2, workers))
     *typed, (total, total_sq) = sums.tolist()

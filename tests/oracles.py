@@ -98,6 +98,20 @@ def count_bracelets_by_canonical(n: int) -> int:
     return len({min(bracelet_class_tuples(w)) for w in enumerate_words_by_product(n)})
 
 
+def dihedral_image(word, shift: int, reflect: bool) -> tuple[int, ...]:
+    """The word read as w_{shift+i}, or as w_{shift-i} when reflecting (indices mod length)."""
+    m = len(word)
+    sign = -1 if reflect else 1
+    return tuple(word[(shift + sign * i) % m] for i in range(m))
+
+
+def fixed_words(n: int, shift: int, reflect: bool) -> set[tuple[int, ...]]:
+    """Realizable words of length 2n left unchanged by one rotation or reflection."""
+    return {
+        w for w in enumerate_words_by_product(n) if dihedral_image(w, shift, reflect) == w
+    }
+
+
 def bisector_positions_by_fractions(positions) -> list:
     """Midpoint of the short arc between each two cyclically consecutive points."""
     p = sorted(Fraction(x) for x in positions)

@@ -141,6 +141,10 @@ class TestSample:
         assert code == 0
         assert out.splitlines() == ["001011"] * 3
 
+    def test_bracelet_n_above_count_range_exits_1(self):
+        code, out, err = run_cli("sample", "--kind", "bracelet", "--n", str(enumeration.MAX_COUNT_N + 1))
+        assert code == 1 and out == "" and "3 <= n <=" in err
+
     def test_negative_count_exits_1(self):
         code, out, err = run_cli("sample", "--n", "4", "--count", "-3")
         assert code == 1 and out == "" and "--count" in err

@@ -438,6 +438,8 @@ class TestEstimators:
             ("equidistribution_paths", (64, [0.5, 2.0], 10, 35)),
             ("equidistribution_paths", (64, [-0.25, 1.0], 10, 35)),
             ("equidistribution_paths", (64, [float("nan")], 10, 35)),
+            ("transfer_check", (4, 20000, 2**64 - 2)),
+            ("transfer_check", (4, 20000, -1)),
         ],
     )
     def test_inputs_bounded_before_any_draw(self, monkeypatch, name, args):

@@ -3,11 +3,10 @@ import hashlib
 import json
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from bisector_words import enumeration, realization, sampler, words
+from bisector_words import enumeration, realization, words
 from bisector_words.geometry import genericity_margin, occupancy_word, region_boundaries
 from bisector_words.realization import (
     NotRealizable,
@@ -48,6 +47,26 @@ class TestRealize:
             assert all(a < b for a, b in zip(pos, pos[1:]))
 
 
+# Four realizable words at each n, packed as hex (:func:`words.word_to_int`):
+# the inputs of the pinned plan digest below.
+PLAN_WORDS = (
+    (3, ("1a", "19", "25", "25")),
+    (5, ("354", "d5", "b3", "323")),
+    (8, ("95d8", "554d", "9ac5", "b90b")),
+    (16, ("aea192d6", "d9bea604", "2bd3e88c", "b23a9ae1")),
+    (32, ("d9d0ec712cab928e", "9914d7d96bd99806", "783f215d23e05f62", "34ac52a96371d6d3")),
+    (
+        64,
+        (
+            "4557855b40f1cd3db3627549b70e6352",
+            "1a2e5471b75a170ce2e5a69c48d5a977",
+            "b663c25e90aec03344b4b9a8de9277d5",
+            "65a9c9f98d40d67ad8a7341556af2d14",
+        ),
+    ),
+)
+
+
 class TestPlan:
     def test_offsets_inside_stated_bounds(self):
         for w in list(enumeration.enumerate_words(5))[::7]:
@@ -78,11 +97,10 @@ class TestPlan:
         # sha256 of eta, epsilon, base, perturbed and the positions of 24
         # plans at n = 3..64, with the boundaries and margin read back,
         # recorded on the Fraction-arithmetic construction
-        rng = np.random.default_rng(77)
         rows = []
-        for n in (3, 5, 8, 16, 32, 64):
-            for _ in range(4):
-                w = sampler.sample_uniform_word(n, rng)
+        for n, packed in PLAN_WORDS:
+            for x in packed:
+                w = words.int_to_word(int(x, 16), n)
                 plan = plan_realization(w)
                 d = plan.to_json_dict()
                 d["perturbed"] = [str(x) for x in plan.perturbed]

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,13 @@ import pytest
 from scipy import stats as sstats
 
 from bisector_words import enumeration, sampler, words
-from oracles import enumerate_walks_plus
+from oracles import (
+    bracelet_class_tuples,
+    count_bracelets_by_canonical,
+    enumerate_walks_plus,
+    fixed_words,
+    is_interlacing_literal,
+)
 
 
 def chi_square_p(counts: dict, cells: int) -> float:
@@ -24,6 +31,54 @@ class CountingRng:
     def integers(self, low, high, *args, **kwargs):
         self.highs.append(high)
         return self.rng.integers(low, high, *args, **kwargs)
+
+
+class ScriptedRng:
+    """A generator whose ``integers`` calls return scripted values, recording each bound."""
+
+    class Exhausted(Exception):
+        pass
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.highs = []
+
+    def integers(self, low, high):
+        if len(self.highs) == len(self.values):
+            raise ScriptedRng.Exhausted(high)
+        value = self.values[len(self.highs)]
+        assert low <= value < high
+        self.highs.append(high)
+        return value
+
+
+def attempt_outcomes(n: int, block: int) -> list:
+    """Every draw sequence of one word-sampler attempt: (probability, word or None if rejected).
+
+    An attempt draws the tail blocks of ``block`` letters, then the head.
+    """
+    draws = 1 + math.ceil((n - min(n, block)) / block)
+    outcomes = []
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
+        rng = ScriptedRng(prefix)
+        try:
+            word = sampler.sample_uniform_word(n, rng)
+        except ScriptedRng.Exhausted as exc:
+            if len(prefix) == draws:  # a second attempt begins: the first was rejected
+                outcomes.append((math.prod(Fraction(1, h) for h in rng.highs), None))
+            else:
+                stack.extend(prefix + (v,) for v in range(exc.args[0]))
+            continue
+        assert len(prefix) == draws
+        outcomes.append((math.prod(Fraction(1, h) for h in rng.highs), word))
+    return outcomes
+
+
+def realizable_literal(word) -> bool:
+    n = len(word) // 2
+    return is_interlacing_literal(tuple(word[i] + word[i + n] for i in range(n)))
 
 
 def pool_cells(observed, expected, minimum=5.0):
@@ -92,12 +147,69 @@ class TestUniformWords:
 
     @pytest.mark.parametrize("n", [3, 4, 39, 40, 79])
     def test_one_draw_per_block_of_39_letters(self, n):
+        # Up to n = 39 the whole word is one head draw.  Above, the tail
+        # blocks come first, then one head draw of twice the largest head
+        # count the tail can leave: (3^39 - 1)/2 after one tail letter (odd
+        # S count), (3^39 + 1)/2 after two or more (even S count).
         rng = CountingRng(np.random.default_rng(n))
         sampler.sample_uniform_word(n, rng)
-        blocks = [min(39, n - start) for start in range(0, n, 39)]
-        attempt = [2 * 3 ** blocks[0]] + [3**b for b in blocks[1:]]
-        attempts = len(rng.highs) // len(attempt)
-        assert attempts >= 1 and rng.highs == attempt * attempts
+        if n <= 39:
+            assert rng.highs == [enumeration.count_words(n)]
+        else:
+            tail = [3 ** min(39, n - start) for start in range(39, n, 39)]
+            head = 3**39 - 1 if n == 40 else 3**39 + 1
+            assert rng.highs == tail + [head]
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_every_head_rank_decodes_a_distinct_word(self, n):
+        total = enumeration.count_words(n)
+        sampled = []
+        for x in range(total):
+            rng = ScriptedRng([x])
+            sampled.append(sampler.sample_uniform_word(n, rng))
+            assert rng.highs == [total]
+        assert len(set(sampled)) == total
+        assert set(sampled) == set(enumeration.enumerate_words(n))
+
+    @pytest.mark.parametrize("block", [2, 3])
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_every_draw_sequence_with_small_blocks(self, monkeypatch, n, block):
+        # With blocks of 2 or 3 letters, n <= 7 has tails, all three head
+        # requirements and rejections; every valid word must come from
+        # exactly one draw sequence, all equally likely.
+        monkeypatch.setattr(sampler, "_BLOCK", block)
+        outcomes = attempt_outcomes(n, block)
+        assert sum(p for p, _ in outcomes) == 1
+        accepted = [(p, w) for p, w in outcomes if w is not None]
+        assert len({p for p, _ in accepted}) == 1
+        sampled = [w for _, w in accepted]
+        assert len(set(sampled)) == len(sampled)
+        assert set(sampled) == set(enumeration.enumerate_words(n))
+        if n > block:
+            assert len(accepted) < len(outcomes)
+
+
+class TestUniformBelow:
+    @pytest.mark.parametrize("high", [1, 12, 2**63])
+    def test_one_draw_up_to_2_to_the_63(self, high):
+        rng = CountingRng(np.random.default_rng(high))
+        assert 0 <= sampler._uniform_below(high, rng) < high
+        assert rng.highs == [high]
+
+    def test_blocks_of_63_bits_above(self):
+        high = 3**50  # 80 bits
+        rng = CountingRng(np.random.default_rng(50))
+        assert 0 <= sampler._uniform_below(high, rng) < high
+        attempts = len(rng.highs) // 2
+        assert rng.highs == [2**63, 2**17] * attempts
+
+    def test_rejects_and_assembles_high_bits_first(self):
+        high = 2**64 + 3
+        # 65 bits: a 63-bit block, then a 2-bit block; 2^64 + 3 itself is
+        # rejected, 2^64 + 2 accepted.
+        rng = ScriptedRng([2**62, 3, 2**62, 2])
+        assert sampler._uniform_below(high, rng) == 2**64 + 2
+        assert rng.highs == [2**63, 4, 2**63, 4]
 
 
 class TestUniformBracelets:
@@ -118,9 +230,82 @@ class TestUniformBracelets:
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_acceptance_rate_bound(self, n):
-        # mean acceptance probability is classes/words, at least 1/(4n)
+        # classes/words, the fraction of words that are class
+        # representatives, is at least 1/(4n): no orbit exceeds the group
         ratio = enumeration.count_bracelets(n) / enumeration.count_words(n)
         assert ratio >= 1 / (4 * n)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_fixed_point_counts_match_fixed_sets(self, n):
+        terms = {kind: (mult, fixed) for kind, mult, fixed in enumeration._fixed_point_counts(n)}
+        gcds = Counter(math.gcd(r, 2 * n) for r in range(2 * n))
+        for r in range(2 * n):
+            assert len(fixed_words(n, r, False)) == terms.get(math.gcd(r, 2 * n), (0, 0))[1]
+        reflection = terms.get(None, (0, 0))
+        for c in range(2 * n):
+            assert len(fixed_words(n, c, True)) == (reflection[1] if c % 2 == 0 else 0)
+        assert all(mult == (gcds[kind] if kind else n) for kind, (mult, _) in terms.items())
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_fixed_word_decoders_hit_their_fixed_sets(self, n):
+        # The representative of rotation type d is the rotation by d; of
+        # the reflection type, the reflection i -> -i.
+        for kind, _, fixed in enumeration._fixed_point_counts(n):
+            decoded = [tuple(sampler._fixed_word(n, kind, q, None)) for q in range(fixed)]
+            assert all(realizable_literal(w) for w in decoded)
+            assert len(set(decoded)) == fixed
+            if kind is None:
+                assert set(decoded) == fixed_words(n, 0, True)
+            else:
+                assert set(decoded) == fixed_words(n, kind, False)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_class_law_is_uniform(self, n):
+        terms = enumeration._fixed_point_counts(n)
+        total = sum(mult * fixed for _, mult, fixed in terms)
+        law = Counter()
+        for kind, mult, fixed in terms:
+            for q in range(fixed):
+                w = tuple(sampler._fixed_word(n, kind, q, None))
+                law[min(bracelet_class_tuples(w))] += Fraction(mult, total)
+        assert len(law) == count_bracelets_by_canonical(n)
+        assert set(law.values()) == {Fraction(1, len(law))}
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_every_draw_gives_each_class_4n_times(self, n):
+        # One draw per bracelet below 2^63: every value of that draw, fed
+        # through the public sampler, hits each class exactly 4n times.
+        total = 4 * n * enumeration.count_bracelets(n)
+        hits = Counter()
+        for t in range(total):
+            rng = ScriptedRng([t])
+            b = sampler.sample_uniform_bracelet(n, rng)
+            assert rng.highs == [total]
+            assert b == words.canonical_bracelet(b.word)
+            hits[b.word] += 1
+        assert len(hits) == enumeration.count_bracelets(n)
+        assert set(hits.values()) == {4 * n}
+
+    @pytest.mark.parametrize("n", [39, 40, 64, 97])
+    def test_large_n(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            b = sampler.sample_uniform_bracelet(n, rng)
+            assert words.is_realizable(b.word)
+            assert b == words.canonical_bracelet(b.word)
+
+    def test_rotation_type_above_39_letters_draws_its_word(self):
+        # n = 120, d = 80: words of size 40 repeated 3 times, drawn afresh
+        w = tuple(sampler._fixed_word(120, 80, 0, np.random.default_rng(80)))
+        assert words.is_realizable(w)
+        assert w[80:] + w[:80] == w
+
+    @pytest.mark.parametrize("n", [2, enumeration.MAX_COUNT_N + 1])
+    def test_n_bounded_before_any_draw(self, n):
+        rng = CountingRng(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="3 <= n <="):
+            sampler.sample_uniform_bracelet(n, rng)
+        assert rng.highs == []
 
 
 class TestWalkBijection:
