@@ -13,17 +13,24 @@ The batched estimators share one engine, :func:`_run_batches`: batch i of
 ``BATCH_SIZE`` trials and stream i go to a top-level worker function, serially
 or in a process pool, and partial results are combined in batch order, so
 results are bit-identical for any worker count.  :func:`equidistribution_paths`
-and :func:`max_spacing_check` draw trial i from stream i instead.
+and :func:`max_spacing_check` draw trial i from stream i instead, through one
+generator whose Philox key is reset to (seed, i) for each trial.
 
 The batched geometry is a rank kernel, O(n log n) per configuration.  Rows
-are sorted and rotated so that p_0 = 0; bisector i then lies between p_i
+are sorted and rotated so that p_0 = +0.0; bisector i then lies between p_i
 and p_{i+1}, so the region of p_j is j plus the number of antipodal
-bisectors below p_j, which is the rank of p_j in one per-row stable argsort
-of the 2n values [p, antipodal bisectors].  The occupancy word is therefore
-the indicator of points in that sorted order.  Region lengths come from the
-sorted boundaries (bisectors and their antipodes).  A batch is processed in
-row chunks of at most ``_CHUNK_ELEMENTS`` regions, and per-row values are
-gathered before summing, so chunking never changes a result.
+bisectors below p_j, its rank among the 2n values [p, antipodal bisectors]
+when a point comes before an antipodal bisector equal to it.  The occupancy
+word is therefore the indicator of points in that order.  All 2n values are
+non-negative and below 2, where the bit patterns of float64 values are
+ordered like the values and stay below 2**62; so each value becomes the
+uint64 key (bits << 1) with low bit 1 for an antipodal bisector, one
+in-place sort per row orders the keys with points first on ties, and the
+word is the complement of the sorted keys' low bits.  Region lengths come
+from the sorted boundaries (bisectors and their antipodes), computed once
+per chunk with the word.  A batch is processed in cache-sized row chunks of
+at most ``_CHUNK_ELEMENTS`` regions, and per-row values are gathered before
+summing, so chunking never changes a result.
 
 The batched kernel assumes genericity instead of checking it: no point ties
 with a bisector or its antipode, and no two points coincide.  Sampled
@@ -47,11 +54,15 @@ from .geometry import NonGenericConfiguration, PointConfig, _check_t_grid, ensur
 from .words import Bracelet
 
 BATCH_SIZE = 1 << 14
-# Most regions (rows * 2n) the batched geometry holds at once; a full batch
-# at n <= 128 is a single chunk.
-_CHUNK_ELEMENTS = 1 << 22
+# Most regions (rows * 2n) the batched geometry holds at once: 256 KiB per
+# float64 array, so a chunk's temporaries stay in the L2 cache.  Chosen by
+# measurement over 2**15..2**17; the larger sizes were slower at n <= 12.
+_CHUNK_ELEMENTS = 1 << 15
 # Largest n whose words of 2n bits pack into one uint64.
 MAX_PACKED_N = 32
+# Largest n the batched geometry takes: one configuration is then a single
+# chunk whose 2n-wide temporaries hold about 100 MB.
+MAX_GEOMETRY_N = 10**6
 
 
 def _check_seed(seed: int) -> None:
@@ -65,10 +76,12 @@ def batch_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def _check_size(n: int, trials: int = 1, least: int = 3) -> None:
-    """Reject n < ``least`` or trials < 1, before anything is drawn."""
+def _check_size(n: int, trials: int = 1, least: int = 3, most: int | None = None) -> None:
+    """Reject n outside [``least``, ``most``] or trials < 1, before anything is drawn."""
     if n < least:
         raise ValueError(f"need n >= {least}, got {n}")
+    if most is not None and n > most:
+        raise ValueError(f"need n <= {most}, got {n}")
     if trials < 1:
         raise ValueError("need at least one trial")
 
@@ -233,23 +246,35 @@ def _split_rows(p: np.ndarray) -> list[np.ndarray]:
 def _bisectors_rows(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bisectors (increasing) and their antipodes per row; rows sorted, first entry 0."""
     mid = np.empty_like(p)
-    mid[:, :-1] = (p[:, :-1] + p[:, 1:]) / 2
-    mid[:, -1] = (1 + p[:, -1]) / 2
+    np.add(p[:, :-1], p[:, 1:], out=mid[:, :-1])
+    np.add(p[:, -1], 1, out=mid[:, -1])
+    mid /= 2
     anti = mid + 0.5
-    anti[anti >= 1] -= 1
+    anti -= anti >= 1
     return mid, anti
 
 
-def _boundaries_rows(p: np.ndarray) -> np.ndarray:
-    """Sorted region boundaries per row; rows must be sorted with first entry 0."""
-    return np.sort(np.concatenate(_bisectors_rows(p), axis=1), axis=1)
+def _words_rows(p: np.ndarray, anti: np.ndarray | None = None) -> np.ndarray:
+    """Occupancy words per row by the rank kernel (see the module docstring).
+
+    ``anti`` holds the antipodal bisectors of ``p`` if the caller has them.
+    """
+    if anti is None:
+        anti = _bisectors_rows(p)[1]
+    n = p.shape[1]
+    keys = np.empty((p.shape[0], 2 * n), dtype=np.uint64)
+    np.left_shift(p.view(np.uint64), 1, out=keys[:, :n])
+    np.bitwise_or(anti.view(np.uint64) << 1, 1, out=keys[:, n:])
+    keys.sort(axis=1)
+    return ((keys & 1) == 0).view(np.uint8)
 
 
-def _words_rows(p: np.ndarray) -> np.ndarray:
-    """Occupancy words per row by the rank kernel (see the module docstring)."""
-    _, anti = _bisectors_rows(p)
-    order = np.argsort(np.concatenate([p, anti], axis=1), axis=1, kind="stable")
-    return (order < p.shape[1]).view(np.uint8)
+def _words_boundaries_rows(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Occupancy words and sorted region boundaries per row, from one bisector computation."""
+    mid, anti = _bisectors_rows(p)
+    bnd = np.concatenate([mid, anti], axis=1)
+    bnd.sort(axis=1)
+    return _words_rows(p, anti), bnd
 
 
 def _lengths_rows(bnd: np.ndarray) -> np.ndarray:
@@ -262,9 +287,8 @@ def _lengths_rows(bnd: np.ndarray) -> np.ndarray:
 
 def _region_rows(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Occupancy words, region types and region lengths for each row."""
-    w = _words_rows(p)
-    types = w + np.roll(w, -p.shape[1], axis=1)
-    return w, types, _lengths_rows(_boundaries_rows(p))
+    w, bnd = _words_boundaries_rows(p)
+    return w, w + np.roll(w, -p.shape[1], axis=1), _lengths_rows(bnd)
 
 
 def _region_values(p: np.ndarray) -> np.ndarray:
@@ -298,12 +322,26 @@ def _uniform_chunks(n: int, size: int, rng: np.random.Generator):
         yield _uniform_rows(n, min(step, size - start), rng)
 
 
+def _trial_streams(seed: int, indices):
+    """``batch_rng(seed, i)`` for each i in turn: one Generator, its Philox re-keyed in place."""
+    rng = batch_rng(seed, 0)
+    state = rng.bit_generator.state  # key (seed, 0), counter 0, empty buffer
+    for i in indices:
+        state["state"]["key"][1] = i
+        rng.bit_generator.state = state
+        yield rng
+
+
 def _trial_chunks(n: int, trials: int, seed: int):
     """Sorted rows of n uniforms, row i drawn from ``batch_rng(seed, i)``, chunk by chunk."""
     step = _chunk_rows(n)
+    streams = _trial_streams(seed, range(trials))
     for start in range(0, trials, step):
-        block = range(start, min(trials, start + step))
-        yield np.stack([np.sort(batch_rng(seed, i).random(n)) for i in block])
+        p = np.empty((min(step, trials - start), n))
+        for row, rng in zip(p, streams):
+            rng.random(out=row)
+        p.sort(axis=1)
+        yield p
 
 
 def _exp_draw(n: int, size: int, rng: np.random.Generator):
@@ -490,7 +528,7 @@ def estimate_region_stats(
     n: int, trials: int, seed: int, workers: int = 1
 ) -> dict[str, EstimatorResult]:
     """Monte Carlo means of h2/l0/l1/l2/le against their closed forms."""
-    _check_size(n, trials)
+    _check_size(n, trials, most=MAX_GEOMETRY_N)
     sums = sum(_run_batches(_region_sums, n, trials, seed, workers)).tolist()
     return {
         k: _make_result(s, sq, trials, seed, closed_form(k, n))
@@ -500,7 +538,7 @@ def estimate_region_stats(
 
 def interlacing_failures(n: int, trials: int, seed: int, workers: int = 1) -> int:
     """Number of sampled configurations whose signature fails to interlace."""
-    _check_size(n, trials)
+    _check_size(n, trials, most=MAX_GEOMETRY_N)
     return sum(_run_batches(_interlacing_failures, n, trials, seed, workers))
 
 
@@ -530,7 +568,7 @@ def transfer_check(n: int, trials: int, seed: int, workers: int = 1) -> Transfer
     which the transfer identity equates with the unit-circle expectation.
     Internally uses seeds seed+1 (circle) and seed+2 (exponential).
     """
-    _check_size(n, trials)
+    _check_size(n, trials, most=MAX_GEOMETRY_N)
     _check_seed(seed)
     _check_seed(seed + 2)
     circle = estimate_region_stats(n, trials, seed + 1, workers)
@@ -578,8 +616,7 @@ class PathReport:
 def _path_rows(p: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row, type and t: fraction of the 2n regions, and their length, ending by t."""
     m = 2 * p.shape[1]
-    w = _words_rows(p)
-    bnd = _boundaries_rows(p)
+    w, bnd = _words_boundaries_rows(p)
     # The region through position 0 is only contained at t = 1, so it goes
     # last; the right ends are then increasing along each row.
     types = np.roll(w + np.roll(w, -p.shape[1], axis=1), -1, axis=1)
@@ -612,7 +649,7 @@ def equidistribution_paths(
     :func:`batch_rng` stream keyed by (seed, i); trials are processed in row
     chunks and summed in trial order.
     """
-    _check_size(n, trials)
+    _check_size(n, trials, most=MAX_GEOMETRY_N)
     grid = np.asarray(t_grid, dtype=np.float64)
     _check_t_grid(grid)
     h_acc = np.zeros((3, grid.size))

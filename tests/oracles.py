@@ -6,6 +6,8 @@ Nothing here imports the library's decision logic; these exist to check it.
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 
 def cyclic_interval(N: int, i: int, j: int) -> set[int]:
     """Open cyclic interval of 1-based integers from i to j."""
@@ -193,3 +195,17 @@ def bisector_layout_by_fractions(plan) -> bool:
             return False
         claimed += hits
     return len(claimed) == m and len(set(claimed)) == m
+
+
+def words_by_stable_argsort(p):
+    """Occupancy words of float rows, each sorted with first entry 0, by one stable
+    argsort per row of [p, antipodal bisectors]: the word is the indicator of the
+    points in that order, so a point goes before an antipodal bisector equal to it.
+    """
+    mid = np.empty_like(p)
+    mid[:, :-1] = (p[:, :-1] + p[:, 1:]) / 2
+    mid[:, -1] = (1 + p[:, -1]) / 2
+    anti = mid + 0.5
+    anti[anti >= 1] -= 1
+    order = np.argsort(np.concatenate([p, anti], axis=1), axis=1, kind="stable")
+    return (order < p.shape[1]).view(np.uint8)

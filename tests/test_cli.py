@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from bisector_words import cli, enumeration
+from bisector_words import cli, enumeration, random_points
 from bisector_words.geometry import PointConfig, occupancy_word
 from bisector_words import words
 
@@ -184,6 +184,11 @@ class TestEstimate:
     def test_n_below_three_exits_1(self):
         code, out, err = run_cli("estimate", "--n", "2", "--stat", "h2")
         assert code == 1 and out == "" and "n >= 3" in err
+
+    def test_n_above_geometry_limit_exits_1(self):
+        n = str(random_points.MAX_GEOMETRY_N + 1)
+        code, out, err = run_cli("estimate", "--n", n, "--stat", "h2", "--trials", "1")
+        assert code == 1 and out == "" and f"n <= {random_points.MAX_GEOMETRY_N}" in err
 
     def test_seed_outside_64_bits_exits_1(self):
         code, out, err = run_cli("estimate", "--n", "4", "--stat", "h2", "--seed", "-1")

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from bisector_words import geometry, random_points as rp, words
 from bisector_words.geometry import PointConfig, occupancy_word, region_stats
 
-from oracles import count_non_interlacing
+from oracles import count_non_interlacing, words_by_stable_argsort
 
 
 class TestClosedForms:
@@ -202,6 +203,73 @@ class TestBatchEngine:
             assert tuple(int(x) for x in t) == rs.types
             assert np.allclose(ln, rs.lengths)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(3, 128),
+        rows=st.integers(1, 12),
+        seed=st.integers(0, 2**32),
+        model=st.sampled_from(["uniform", "exp"]),
+    )
+    def test_words_match_stable_argsort(self, n, rows, seed, model):
+        rng = rp.batch_rng(seed, 0)
+        if model == "uniform":
+            pos = rp._uniform_rows(n, rows, rng)
+        else:
+            pos, _ = rp._exp_model_rows(n, rows, rng)
+        assert (rp._words_rows(pos) == words_by_stable_argsort(pos)).all()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.sets(st.integers(1, 63), min_size=2, max_size=40), min_size=1, max_size=8))
+    def test_words_match_stable_argsort_on_dyadic_ties(self, rows):
+        # points on the grid of 1/64 make bisectors and their antipodes exact,
+        # so many of them tie with points
+        n = min(len(r) for r in rows) + 1
+        pos = np.array([[0.0] + sorted(r)[: n - 1] for r in rows]) / 64
+        assert (rp._words_rows(pos) == words_by_stable_argsort(pos)).all()
+
+    @pytest.mark.parametrize(
+        "row,tie,word",
+        [
+            # the last antipodal bisector equals p_1
+            ((0, 1 / 4, 1 / 2), (2, 1 / 4), (1, 1, 0, 1, 0, 0)),
+            # an antipodal bisector is exactly 0.0, the value of p_0
+            ((0, 3 / 8, 5 / 8), (1, 0.0), (1, 0, 0, 1, 1, 0)),
+        ],
+    )
+    def test_point_goes_before_an_equal_antipodal_bisector(self, row, tie, word):
+        pos = np.array([row])
+        _, anti = rp._bisectors_rows(pos)
+        assert anti[0, tie[0]] == tie[1]
+        assert tuple(rp._words_rows(pos)[0].tolist()) == word
+        assert (rp._words_rows(pos) == words_by_stable_argsort(pos)).all()
+
+    def test_full_batch_allocates_little(self):
+        # the geometry holds one cache-sized chunk at a time, not the batch
+        tracemalloc.start()
+        try:
+            rp.estimate_region_stats(128, rp.BATCH_SIZE, seed=36)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+    def test_trial_streams_equal_batch_rng(self):
+        seed = 2**64 - 5
+        indices = [0, 1, 7, 2, 1, 1000, 2**40, 2**64 - 1]
+        for i, rng in zip(indices, rp._trial_streams(seed, indices), strict=True):
+            ref = rp.batch_rng(seed, i)
+            assert np.array_equal(rng.random(1001), ref.random(1001))
+            # leaves half of a 64-bit draw buffered for the next re-keying to drop
+            got, want = (g.integers(0, 10, 3, dtype=np.int32) for g in (rng, ref))
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_trial_streams_check_the_seed(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            rp.max_spacing_check(1000, 5, seed)
+        with pytest.raises(ValueError, match="seed"):
+            rp.equidistribution_paths(64, [0.5, 1.0], 5, seed)
+
     @pytest.mark.parametrize("n", [3, 31, 32])
     def test_pack_words_matches_word_to_int(self, n):
         rng = np.random.default_rng(200 + n)
@@ -305,10 +373,13 @@ class TestPinnedPayloads:
     def test_payload_is_bit_identical(self, case):
         assert _digest(_pinned_payload(case)) == PINNED_PAYLOADS[case]
 
+    @pytest.mark.parametrize("chunk", [2_000, 1 << 22])
     @pytest.mark.parametrize(
         "case",
         [
             "region_stats:8",
+            "region_stats:32",
+            "region_stats:128",
             "bracelet_prob:exp",
             "interlacing_failures:12",
             "transfer_check:4",
@@ -316,11 +387,13 @@ class TestPinnedPayloads:
             "max_spacing_check:1000",
         ],
     )
-    def test_chunk_boundaries_leave_payload_unchanged(self, monkeypatch, case):
-        # chunks of 250 rows at n=4, 125 at n=8, 83 at n=12, 15 trials at n=64
-        # and 1 at n=1000: every batch, and the 50 trials of paths and of
-        # spacings, span several chunks
-        monkeypatch.setattr(rp, "_CHUNK_ELEMENTS", 2_000)
+    def test_chunk_boundaries_leave_payload_unchanged(self, monkeypatch, case, chunk):
+        # 2_000 regions: chunks of 250 rows at n=4, 125 at n=8, 83 at n=12,
+        # 31 at n=32, 15 trials at n=64, 7 rows at n=128 and 1 trial at
+        # n=1000, so every batch, and the 50 trials of paths and of spacings,
+        # span several chunks.  1 << 22 regions: a full batch at n <= 128 is
+        # a single chunk.
+        monkeypatch.setattr(rp, "_CHUNK_ELEMENTS", chunk)
         assert _digest(_pinned_payload(case)) == PINNED_PAYLOADS[case]
 
 
@@ -408,6 +481,15 @@ class TestEstimators:
         with pytest.raises(ValueError, match="n <= 32"):
             rp.estimate_bracelet_prob(33, target, 2000, seed=34)
 
+    def test_region_stats_rejects_n_above_geometry_limit(self, monkeypatch):
+        def no_batches(*args):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(rp, "_run_batches", no_batches)
+        assert rp.MAX_GEOMETRY_N >= 10**5  # criterion 10 runs at n = 10**5
+        with pytest.raises(ValueError, match=f"n <= {rp.MAX_GEOMETRY_N}"):
+            rp.estimate_region_stats(rp.MAX_GEOMETRY_N + 1, 1000, seed=37)
+
     def test_bracelet_prob_rejects_target_of_other_n(self, monkeypatch):
         def no_batches(*args):
             raise AssertionError("a batch was drawn")
@@ -440,6 +522,10 @@ class TestEstimators:
             ("equidistribution_paths", (64, [float("nan")], 10, 35)),
             ("transfer_check", (4, 20000, 2**64 - 2)),
             ("transfer_check", (4, 20000, -1)),
+            ("estimate_region_stats", (rp.MAX_GEOMETRY_N + 1, 1000, 35)),
+            ("interlacing_failures", (rp.MAX_GEOMETRY_N + 1, 1000, 35)),
+            ("transfer_check", (rp.MAX_GEOMETRY_N + 1, 1000, 35)),
+            ("equidistribution_paths", (rp.MAX_GEOMETRY_N + 1, [0.5, 1.0], 1, 35)),
         ],
     )
     def test_inputs_bounded_before_any_draw(self, monkeypatch, name, args):
