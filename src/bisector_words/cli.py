@@ -94,9 +94,18 @@ def _cmd_count(args) -> int:
     return 0
 
 
+# The check each ``sample --kind`` makes of n before anything is drawn.
+_SAMPLE_N_CHECKS = {
+    "word": sampler._check_word_size,
+    "bracelet": enumeration._check_count_range,
+    "points": random_points._check_size,
+}
+
+
 def _cmd_sample(args) -> int:
     if args.count < 0:
         raise _CliError(f"--count must be >= 0, got {args.count}")
+    _SAMPLE_N_CHECKS[args.kind](args.n)
     rng = random_points.batch_rng(args.seed, 0)
     for _ in range(args.count):
         if args.kind == "word":

@@ -39,9 +39,14 @@ from :func:`enumeration._fixed_point_counts`, as the count does.  One
 exactly uniform t on [0, Σ mult·|Fix|) picks the type and, as remainder,
 the fixed word; the decoders are described at :func:`_fixed_word`.
 
-Digits and letters are handled in plain Python: at the small n of exact
-sampling, numpy calls on arrays of a few letters would cost several times
-more than the letters themselves.
+At small n both samplers read their result from a lookup table: when the
+one draw has at most 2^10 values (n <= 6 for words and for bracelets), the
+draw indexes a table built on first use, once per n, by the same decoders,
+so the draws and the outputs are those of the decoding path, and a call
+costs little more than its one ``integers`` draw.  Above that, digits and
+letters are decoded in plain Python: at the n of exact sampling, numpy
+calls on arrays of a few letters would cost several times more than the
+letters themselves.
 
 Folding a realizable word and mapping letters 11/00 to step 0, 10 to +1 and
 01 to -1 gives a walk; tracking the running count of 0 steps makes the map
@@ -53,6 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -74,6 +80,13 @@ _COUNTS = (
     tuple((3**L - 1) // 2 for L in range(40)),
 )
 _AFTER_S = (_ODD, _ODD, _EVEN)
+# Most values of a sampler's one draw for which it reads a lookup table of
+# every outcome, decoded once, instead of decoding each draw: words and
+# bracelets up to n = 6.
+_TABLE_SIZE = 1 << 10
+# Largest word length n sampled: a word of n letters takes about 0.5 s and
+# 30 MB at this bound, growing linearly.
+MAX_WORD_N = 10**6
 
 
 def _base3_digits(x: int, count: int) -> list[int]:
@@ -158,10 +171,26 @@ def _word_bits(phase: int, letters: list[int]) -> list[int]:
     return word
 
 
+def _check_word_size(n: int) -> None:
+    if not 3 <= n <= MAX_WORD_N:
+        raise ValueError(f"words are sampled for 3 <= n <= {MAX_WORD_N}, got {n}")
+
+
+@lru_cache(maxsize=None)  # called only for the n <= 6 of a table
+def _word_table(n: int) -> tuple[Word, ...]:
+    """Every realizable word of length 2n, at the index of the head draw that decodes to it."""
+    return tuple(
+        tuple(_word_bits(x & 1, _head_letters(x >> 1, n, _EVEN_WITH_S)))
+        for x in range(2 * _COUNTS[_EVEN_WITH_S][n])
+    )
+
+
 def sample_uniform_word(n: int, rng: np.random.Generator) -> Word:
-    """Exactly uniform over the 3^n - 2^(n+1) + 1 realizable words of length 2n."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    """Exactly uniform over the 3^n - 2^(n+1) + 1 realizable words of length 2n, 3 <= n <= 10^6."""
+    _check_word_size(n)
+    if n <= _BLOCK and 2 * _COUNTS[_EVEN_WITH_S][n] <= _TABLE_SIZE:
+        table = _word_table(n)
+        return table[int(rng.integers(0, len(table)))]
     return tuple(_word_bits(*_word_letters(n, rng)))
 
 
@@ -216,6 +245,29 @@ def _fixed_word(n: int, kind: int | None, q: int, rng: np.random.Generator) -> l
     return _word_bits(phase, letters) * (n // size)
 
 
+@lru_cache(maxsize=None)  # called only for the n <= 6 of a table
+def _bracelet_table(n: int) -> tuple[Bracelet, ...]:
+    """The bracelet of every value t of the sampler's draw, for n whose Burnside total is small.
+
+    Each fixed word is decoded once and its block repeated mult times.  As
+    in :func:`enumeration._bracelet_classes`, a class is canonicalised once
+    and its whole orbit marked, so later words of the class are looked up.
+    """
+    classes: dict[int, Bracelet] = {}
+    table: list[Bracelet] = []
+    for kind, mult, fixed in enumeration._fixed_point_counts(n):
+        block = []
+        for q in range(fixed):
+            x = words.word_to_int(_fixed_word(n, kind, q, None))
+            if x not in classes:
+                orbit = words._orbit(x, n)
+                bracelet = Bracelet(n=n, word=words.int_to_word(min(orbit), n), orbit_size=len(orbit))
+                classes.update(dict.fromkeys(orbit, bracelet))
+            block.append(classes[x])
+        table += block * mult
+    return tuple(table)
+
+
 def sample_uniform_bracelet(n: int, rng: np.random.Generator) -> Bracelet:
     """Exactly uniform over bracelet classes, by Burnside sampling, 3 <= n <= 5000.
 
@@ -227,9 +279,13 @@ def sample_uniform_bracelet(n: int, rng: np.random.Generator) -> Bracelet:
     Σ_g |Fix(g) ∩ C| / Σ = |C| · (4n/|C|) / Σ = 1/#classes; grouping
     rotations by gcd and reflections by conjugacy does not change these
     sums.  The word is canonicalised once; there is no rejection loop.
+    Up to n = 6, Σ <= 2^10 and t indexes :func:`_bracelet_table` instead.
     """
     terms = enumeration._fixed_point_counts(n)
-    t = _uniform_below(sum(mult * fixed for _, mult, fixed in terms), rng)
+    total = sum(mult * fixed for _, mult, fixed in terms)
+    t = _uniform_below(total, rng)
+    if total <= _TABLE_SIZE:
+        return _bracelet_table(n)[t]
     for kind, mult, fixed in terms:
         if t < mult * fixed:
             break
@@ -351,14 +407,21 @@ def lln_clt_experiment(
     """Sample uniform realizable words and collect LLN/CLT statistics.
 
     Works on the letter-string representation directly, so n of order 10^4
-    with 10^4 trials stays cheap.  Deterministic given (n, trials, seed).
+    with 10^4 trials stays cheap: each letter is compared once with 2 and
+    once with 1, in the segment between the sorted cuts (and n) it falls
+    in, and prefix counts are sums of segment counts.  Deterministic given
+    (n, trials, seed); trials >= 2, since the moments are sample variances.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
+    if trials < 2:
+        raise ValueError(f"need trials >= 2, got {trials}")
     grid = tuple(float(c) for c in c_grid)
     if any(not 0 < c <= 1 for c in grid):
         raise ValueError("grid values must lie in (0, 1]")
     cuts = [math.floor(c * n) for c in grid]
+    bounds = sorted({0, n, *cuts})
+    columns = [bounds.index(m) for m in cuts]
 
     max_rows = max(1, (1 << 22) // n)
     collected = 0
@@ -375,26 +438,32 @@ def lln_clt_experiment(
         rows = min(max_rows, 2 * (trials - collected) + 64)
         letters = rng.integers(0, 3, size=(rows, n), dtype=np.int8)
         phase = rng.integers(0, 2, size=rows)
-        balanced = (letters == 2).sum(axis=1)
+        # Counts per segment between consecutive bounds, then prefix sums:
+        # twos[:, i] and ones[:, i] count the 2s and 1s before bounds[i].
+        twos = np.zeros((rows, len(bounds)), dtype=np.int64)
+        ones = np.zeros((rows, len(bounds)), dtype=np.int64)
+        for i in range(1, len(bounds)):
+            segment = letters[:, bounds[i - 1] : bounds[i]]
+            twos[:, i] = (segment == 2).sum(axis=1)
+            ones[:, i] = (segment == 1).sum(axis=1)
+        twos = twos.cumsum(axis=1)
+        ones = ones.cumsum(axis=1)
+        balanced = twos[:, -1]
         keep = (balanced > 0) & (balanced % 2 == 0)
-        letters = letters[keep]
-        phase = phase[keep]
-        take = min(trials - collected, letters.shape[0])
-        letters = letters[:take]
-        phase = phase[:take]
+        take = min(trials - collected, int(keep.sum()))
+        twos, ones, phase = (a[keep][:take] for a in (twos, ones, phase))
         sl = slice(collected, collected + take)
-        for j, m in enumerate(cuts):
-            k_m = (letters[:, :m] == 2).sum(axis=1)
-            ones = (letters[:, :m] == 1).sum(axis=1)
-            # phase 1: the first balanced letter is 11
-            f2_m = (k_m + phase) // 2
-            f0[sl, j] = k_m - f2_m
-            f2[sl, j] = f2_m
-            s10[sl, j] = ones
-            s01[sl, j] = m - k_m - ones
+        k_m = twos[:, columns]
+        ones_m = ones[:, columns]
+        # phase 1: the first balanced letter is 11
+        f2_m = (k_m + phase[:, None]) // 2
+        f0[sl] = k_m - f2_m
+        f2[sl] = f2_m
+        s10[sl] = ones_m
+        s01[sl] = np.array(cuts) - k_m - ones_m
         collected += take
-        kn = (letters == 2).sum(axis=1)
-        ones_n = (letters == 1).sum(axis=1)
+        kn = twos[:, -1]
+        ones_n = ones[:, -1]
         half = kn / 2  # full-length balanced counts split evenly
         sums_full += np.array(
             [half.sum(), half.sum(), ones_n.sum(), (n - kn - ones_n).sum()]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from bisector_words import cli, enumeration, random_points
+from bisector_words import cli, enumeration, random_points, sampler
 from bisector_words.geometry import PointConfig, occupancy_word
 from bisector_words import words
 
@@ -144,6 +144,20 @@ class TestSample:
     def test_bracelet_n_above_count_range_exits_1(self):
         code, out, err = run_cli("sample", "--kind", "bracelet", "--n", str(enumeration.MAX_COUNT_N + 1))
         assert code == 1 and out == "" and "3 <= n <=" in err
+
+    @pytest.mark.parametrize(
+        "kind, n",
+        [
+            ("word", 2),
+            ("word", sampler.MAX_WORD_N + 1),
+            ("bracelet", 2),
+            ("bracelet", 6000),
+            ("points", 2),
+        ],
+    )
+    def test_n_checked_before_the_loop(self, kind, n):
+        code, out, err = run_cli("sample", "--kind", kind, "--n", str(n), "--count", "0")
+        assert code == 1 and out == "" and f"got {n}" in err
 
     def test_negative_count_exits_1(self):
         code, out, err = run_cli("sample", "--n", "4", "--count", "-3")

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +10,7 @@ import pytest
 from scipy import stats as sstats
 
 from bisector_words import enumeration, sampler, words
+from bisector_words.random_points import batch_rng
 from oracles import (
     bracelet_class_tuples,
     count_bracelets_by_canonical,
@@ -162,14 +166,28 @@ class TestUniformWords:
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_every_head_rank_decodes_a_distinct_word(self, n):
+        # The decoder is called directly; the public sampler, which reads a
+        # table up to n = 6, must give the decoder's word for every draw.
         total = enumeration.count_words(n)
-        sampled = []
+        decoded = [
+            tuple(sampler._word_bits(x & 1, sampler._head_letters(x >> 1, n, sampler._EVEN_WITH_S)))
+            for x in range(total)
+        ]
+        assert len(set(decoded)) == total
+        assert set(decoded) == set(enumeration.enumerate_words(n))
         for x in range(total):
             rng = ScriptedRng([x])
-            sampled.append(sampler.sample_uniform_word(n, rng))
+            assert sampler.sample_uniform_word(n, rng) == decoded[x]
             assert rng.highs == [total]
-        assert len(set(sampled)) == total
-        assert set(sampled) == set(enumeration.enumerate_words(n))
+        if n <= 6:
+            assert sampler._word_table(n) == tuple(decoded)
+
+    @pytest.mark.parametrize("n", [2, sampler.MAX_WORD_N + 1])
+    def test_n_bounded_before_any_draw(self, n):
+        rng = CountingRng(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="3 <= n <="):
+            sampler.sample_uniform_word(n, rng)
+        assert rng.highs == []
 
     @pytest.mark.parametrize("block", [2, 3])
     @pytest.mark.parametrize("n", range(3, 8))
@@ -286,6 +304,16 @@ class TestUniformBracelets:
         assert len(hits) == enumeration.count_bracelets(n)
         assert set(hits.values()) == {4 * n}
 
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_table_is_the_decoding_path(self, monkeypatch, n):
+        # Up to n = 6 every draw t reads the table; with the table turned
+        # off, the same t decodes and canonicalises the same bracelet.
+        table = sampler._bracelet_table(n)
+        assert len(table) == 4 * n * enumeration.count_bracelets(n)
+        monkeypatch.setattr(sampler, "_TABLE_SIZE", 0)
+        for t, bracelet in enumerate(table):
+            assert sampler.sample_uniform_bracelet(n, ScriptedRng([t])) == bracelet
+
     @pytest.mark.parametrize("n", [39, 40, 64, 97])
     def test_large_n(self, n):
         rng = np.random.default_rng(n)
@@ -306,6 +334,113 @@ class TestUniformBracelets:
         with pytest.raises(ValueError, match="3 <= n <="):
             sampler.sample_uniform_bracelet(n, rng)
         assert rng.highs == []
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_tables_serve_n_up_to_6(n):
+    words_total = enumeration.count_words(n)
+    bracelets_total = 4 * n * enumeration.count_bracelets(n)
+    assert (words_total <= sampler._TABLE_SIZE) == (bracelets_total <= sampler._TABLE_SIZE) == (n <= 6)
+
+
+def test_table_builds_at_n6_decode_each_word_once(monkeypatch):
+    # The word table decodes each rank once; the bracelet table decodes
+    # each fixed word once, not once per group element of its type, and
+    # computes one orbit per class, never canonicalising a word.
+    calls = Counter()
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(sampler, "_head_letters")
+    counting(sampler, "_fixed_word")
+    counting(words, "_orbit")
+    counting(words, "canonical_bracelet")
+    sampler._word_table.cache_clear()
+    sampler._bracelet_table.cache_clear()
+    assert len(sampler._word_table(6)) == enumeration.count_words(6)
+    assert calls == {"_head_letters": enumeration.count_words(6)}
+    calls.clear()
+    assert len(sampler._bracelet_table(6)) <= sampler._TABLE_SIZE
+    terms = enumeration._fixed_point_counts(6)
+    assert calls["_fixed_word"] == sum(fixed for _, _, fixed in terms)
+    assert calls["_orbit"] == enumeration.count_bracelets(6)
+    assert calls["canonical_bracelet"] == 0
+    sampler._word_table.cache_clear()
+    sampler._bracelet_table.cache_clear()
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _float_hex(value):
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: _float_hex(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_float_hex(v) for v in value]
+    return value
+
+
+# sha256 of 2000 outputs from one generator per case, recorded before the
+# samplers read lookup tables and before the CLT counted letters by
+# segment: both changes keep the draws and the outputs.
+PINNED_WORDS = {
+    3: "0a2b78df493a0e78f161f11867f138b3b33ba61faaf2a369a5aa28dc97e33dea",
+    4: "bde57ea174de52d6ed3a8840216923f6d08e3382de9d0ee5d6134099a95d08b5",
+    5: "b04a50a476fa58dc7ced227eac56afb683f1355f0f637fb1f7c43d09dadf1712",
+    6: "b975121af88ab2a683bd0ca2f4ea090b6fffed599affa10565e494c9bf8fe634",
+    7: "343dc27ca3f1bfc46bb0efd93be23489476e446ff5590c4e5ce22f5e0657f4b8",
+    8: "c5131fae4482af7819ac92bfca54f0478b02f6170a51ab0d4154ed4f4ef57bb9",
+    32: "0eb0b0d71ab55be74f4333a2d697ae8e5f6ae14fbc2835b6b3575c4f699c646a",
+    41: "ec1a3b3a681d2a8e35acb2ba722f1281296c4abedf09f2d36c779646399d7d6b",
+}
+PINNED_BRACELETS = {
+    3: "fc50a0855a34fc746d09b9b86e8df7439f9a1b6c3c01aa6616b0354bffb529f4",
+    4: "bf5d58af1e672e2b4cb7c54dc7d8ae9776b38bbdb933607b14e73d8113eb4ab4",
+    5: "2c2630cfce080812b09ee2e827f4def58160d8960122235d000f1537f77658d8",
+    6: "43569b27f67a52d207e6a91db2649ac2ad63070dfb5cd1622b685af956ecef12",
+    7: "8ce2fe6e69df977234a65beecf7bac7d21c26e4dd0df50b8007fe294a10fb76f",
+    8: "4bd0abe87d544de6c811536978f128ff4357144f141d7015b580c122b2ead20f",
+    40: "4222320dc6f8c66355e551c7d2fe4732a33db925add7ac35b36775ea78c86837",
+}
+# (n, trials, grid, seed): a cut of 0 and a repeated cut at n = 7, an
+# unsorted grid with a repeat, and batches of 419 rows at n = 10^4.
+PINNED_CLT = {
+    (7, 500, (0.1, 0.5, 0.5, 1.0), 3): "a8c0dc4107018adde0d51f8d2c85cc5a1fc8aceb7312ff6ad048a69da359d3be",
+    (101, 400, (0.77, 0.25, 1.0, 0.25, 0.5), 9): "d9ef72445af2c645152e989813521dae36ec1b977605e085fddc541517048ae2",
+    (10_000, 1000, (0.3, 0.6, 1.0), 2): "bbe02cfd015b57e7f17fe59a67bef4c6139433d27bd60248cf26d8f7bef57d31",
+}
+
+
+class TestPinnedStreams:
+    @pytest.mark.parametrize("n", sorted(PINNED_WORDS))
+    def test_words(self, n):
+        rng = batch_rng(n, 0)
+        out = (words.word_to_string(sampler.sample_uniform_word(n, rng)) for _ in range(2000))
+        assert _sha256("\n".join(out)) == PINNED_WORDS[n]
+
+    @pytest.mark.parametrize("n", sorted(PINNED_BRACELETS))
+    def test_bracelets(self, n):
+        rng = batch_rng(n, 1)
+        out = (str(sampler.sample_uniform_bracelet(n, rng)) for _ in range(2000))
+        assert _sha256("\n".join(out)) == PINNED_BRACELETS[n]
+
+    @pytest.mark.parametrize("case", sorted(PINNED_CLT))
+    def test_clt_report(self, case):
+        # The cut of 0 has constant counts, so its correlation is NaN.
+        with np.errstate(invalid="ignore", divide="ignore"):
+            report = sampler.lln_clt_experiment(*case)
+        payload = json.dumps(_float_hex(dataclasses.asdict(report)), sort_keys=True)
+        assert _sha256(payload) == PINNED_CLT[case]
 
 
 class TestWalkBijection:
@@ -404,3 +539,13 @@ class TestCltExperiment:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             sampler.lln_clt_experiment(100, 10, (0.0, 1.0), seed=7)
+
+    @pytest.mark.parametrize("trials", [-1, 0, 1])
+    def test_trials_bounded_before_any_draw(self, monkeypatch, trials):
+        # A sample variance needs two trials; fewer gave NaN moments.
+        def no_draws(*args):
+            raise AssertionError("drew before checking trials")
+
+        monkeypatch.setattr(sampler, "batch_rng", no_draws)
+        with pytest.raises(ValueError, match="trials >= 2"):
+            sampler.lln_clt_experiment(100, trials)
