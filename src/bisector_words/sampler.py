@@ -87,6 +87,12 @@ _TABLE_SIZE = 1 << 10
 # Largest word length n sampled: a word of n letters takes about 0.5 s and
 # 30 MB at this bound, growing linearly.
 MAX_WORD_N = 10**6
+# Letters per draw of the CLT experiment's letter counts: 3^10 < 2^16, so a
+# block is one uint16 draw and its counts one lookup in a 3^10-entry table.
+_COUNT_BLOCK = 10
+# Low bits of a packed (2s, 1s) count that hold the 1s: room for the 1s of
+# any segment of a word of at most MAX_WORD_N letters.
+_ONES_BITS = MAX_WORD_N.bit_length()
 
 
 def _base3_digits(x: int, count: int) -> list[int]:
@@ -375,6 +381,43 @@ def binomial_parity_check(n: int) -> tuple[Fraction, Fraction]:
     return even, 1 - even
 
 
+@lru_cache(maxsize=None)
+def _block_counts() -> np.ndarray:
+    """(number of 2s) << _ONES_BITS | (number of 1s) among the base-3 digits of every x < 3^_COUNT_BLOCK.
+
+    Built digit by digit: x = 3y + d has the counts of y plus those of its
+    lowest digit d, so no array larger than the table is made.  Entries
+    are uint32, half the bytes that a lookup of many blocks moves at int64.
+    """
+    table = np.zeros(1, dtype=np.uint32)
+    for _ in range(_COUNT_BLOCK):
+        table = np.add.outer(table, np.array([0, 1, 1 << _ONES_BITS], dtype=np.uint32)).ravel()
+    table.setflags(write=False)  # cached: every caller gets this array
+    return table
+
+
+def _letter_counts(length: int, rows: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Counts of 2s and of 1s in each of ``rows`` uniform letter strings of the given length.
+
+    Each string takes one draw on [0, 3^B) per block of B = ``_COUNT_BLOCK``
+    letters, then one on [0, 3^r) for the r letters left over.  Each draw
+    is exactly uniform, so its base-3 digits are i.i.d. uniform letters (a
+    value below 3^r has only 0 digits above the r-th), and the counts have
+    the law of counting ``length`` uniform letters one by one.  Both counts
+    of a block are read from :func:`_block_counts` and summed packed, which
+    is exact for ``length`` <= MAX_WORD_N < 2^_ONES_BITS.
+    """
+    table = _block_counts()
+    blocks, rest = divmod(length, _COUNT_BLOCK)
+    packed = np.zeros(rows, dtype=np.int64)
+    if blocks:
+        draws = rng.integers(0, 3**_COUNT_BLOCK, size=(rows, blocks), dtype=np.uint16)
+        packed += np.take(table, draws).sum(axis=1, dtype=np.int64)
+    if rest:
+        packed += np.take(table, rng.integers(0, 3**rest, size=rows, dtype=np.uint16))
+    return packed >> _ONES_BITS, packed & ((1 << _ONES_BITS) - 1)
+
+
 @dataclass(frozen=True)
 class CltReport:
     """Empirical moments of prefix letter counts of uniform realizable words.
@@ -404,16 +447,23 @@ def lln_clt_experiment(
     c_grid: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
     seed: int = 0,
 ) -> CltReport:
-    """Sample uniform realizable words and collect LLN/CLT statistics.
+    """Sample uniform realizable words and collect LLN/CLT statistics, 3 <= n <= 10^6.
 
-    Works on the letter-string representation directly, so n of order 10^4
-    with 10^4 trials stays cheap: each letter is compared once with 2 and
-    once with 1, in the segment between the sorted cuts (and n) it falls
-    in, and prefix counts are sums of segment counts.  Deterministic given
-    (n, trials, seed); trials >= 2, since the moments are sample variances.
+    Works on the letter-string representation directly, and only on the
+    counts of 2s (S letters) and 1s that the statistics need, so n of order
+    10^4 with 10^4 trials stays cheap.  Each batch draws, for every segment
+    between the sorted distinct cuts (and 0 and n), its counts by
+    :func:`_letter_counts`: one draw per block of 10 letters, whose counts
+    a table gives.  Prefix counts are sums of segment counts.  Then come
+    the phase bits, and rows whose S count is zero or odd are rejected, so
+    the kept rows are uniform realizable words.
+
+    The correlation of F0 and F1 is NaN at a cut where either is constant
+    over the trials, as both are at an empty prefix (a cut c·n < 1): a
+    correlation is undefined there.  Deterministic given (n, trials, seed);
+    trials >= 2, since the moments are sample variances.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    _check_word_size(n)
     if trials < 2:
         raise ValueError(f"need trials >= 2, got {trials}")
     grid = tuple(float(c) for c in c_grid)
@@ -436,16 +486,13 @@ def lln_clt_experiment(
         rng = batch_rng(seed, index)
         index += 1
         rows = min(max_rows, 2 * (trials - collected) + 64)
-        letters = rng.integers(0, 3, size=(rows, n), dtype=np.int8)
-        phase = rng.integers(0, 2, size=rows)
         # Counts per segment between consecutive bounds, then prefix sums:
         # twos[:, i] and ones[:, i] count the 2s and 1s before bounds[i].
         twos = np.zeros((rows, len(bounds)), dtype=np.int64)
         ones = np.zeros((rows, len(bounds)), dtype=np.int64)
         for i in range(1, len(bounds)):
-            segment = letters[:, bounds[i - 1] : bounds[i]]
-            twos[:, i] = (segment == 2).sum(axis=1)
-            ones[:, i] = (segment == 1).sum(axis=1)
+            twos[:, i], ones[:, i] = _letter_counts(bounds[i] - bounds[i - 1], rows, rng)
+        phase = rng.integers(0, 2, size=rows)
         twos = twos.cumsum(axis=1)
         ones = ones.cumsum(axis=1)
         balanced = twos[:, -1]
@@ -477,7 +524,10 @@ def lln_clt_experiment(
     corr = []
     for j in range(len(grid)):
         f1 = cuts[j] - f0[:, j] - f2[:, j]
-        corr.append(float(np.corrcoef(f0[:, j], f1)[0, 1]))
+        if np.ptp(f0[:, j]) and np.ptp(f1):
+            corr.append(float(np.corrcoef(f0[:, j], f1)[0, 1]))
+        else:
+            corr.append(math.nan)
 
     means = sums_full / (trials * n)
     return CltReport(

@@ -99,8 +99,16 @@ def is_interlacing(letters: Iterable[int]) -> bool:
 
 
 def is_realizable(w: Iterable[int]) -> bool:
-    """A word is achievable by points on the circle iff its signature interlaces."""
-    return is_interlacing(signature(w))
+    """A word is achievable by points on the circle iff its signature interlaces.
+
+    The signature's 0s and 2s are the pairs with w_i == w_{i+n}, letter 2
+    where that bit is 1, so they are read off the word, which is validated
+    once, and tested for strict cyclic alternation as in
+    :func:`is_interlacing`: an alternating cycle has even length.
+    """
+    word = check_word(w)
+    specials = [a for a, b in zip(word, word[len(word) // 2 :]) if a == b]
+    return bool(specials) and specials == [specials[0], 1 - specials[0]] * (len(specials) // 2)
 
 
 def cyclic_shifts(w: Sequence) -> list:

@@ -3,6 +3,7 @@
 Nothing here imports the library's decision logic; these exist to check it.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -41,6 +42,19 @@ def brute_force_realizable_words(n: int) -> set[tuple[int, ...]]:
         if is_interlacing_literal(sig):
             out.add(bits)
     return out
+
+
+def letter_count_law(length: int) -> dict[tuple[int, int], Fraction]:
+    """Law of (number of 2s, number of 1s) in a uniform string over {0, 1, 2}: multinomial."""
+    return {
+        (twos, ones): Fraction(
+            math.factorial(length)
+            // (math.factorial(twos) * math.factorial(ones) * math.factorial(length - twos - ones)),
+            3**length,
+        )
+        for twos in range(length + 1)
+        for ones in range(length + 1 - twos)
+    }
 
 
 def enumerate_walks_plus(n: int) -> set[tuple[int, ...]]:

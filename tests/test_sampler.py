@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from oracles import (
     enumerate_walks_plus,
     fixed_words,
     is_interlacing_literal,
+    letter_count_law,
 )
 
 
@@ -26,15 +28,17 @@ def chi_square_p(counts: dict, cells: int) -> float:
 
 
 class CountingRng:
-    """A generator that records the upper bound of every ``integers`` call."""
+    """A generator that records the upper bound and the values of every ``integers`` call."""
 
     def __init__(self, rng):
         self.rng = rng
         self.highs = []
+        self.values = []
 
     def integers(self, low, high, *args, **kwargs):
         self.highs.append(high)
-        return self.rng.integers(low, high, *args, **kwargs)
+        self.values.append(self.rng.integers(low, high, *args, **kwargs))
+        return self.values[-1]
 
 
 class ScriptedRng:
@@ -391,8 +395,7 @@ def _float_hex(value):
 
 
 # sha256 of 2000 outputs from one generator per case, recorded before the
-# samplers read lookup tables and before the CLT counted letters by
-# segment: both changes keep the draws and the outputs.
+# samplers read lookup tables, a change that keeps the draws and the outputs.
 PINNED_WORDS = {
     3: "0a2b78df493a0e78f161f11867f138b3b33ba61faaf2a369a5aa28dc97e33dea",
     4: "bde57ea174de52d6ed3a8840216923f6d08e3382de9d0ee5d6134099a95d08b5",
@@ -414,10 +417,12 @@ PINNED_BRACELETS = {
 }
 # (n, trials, grid, seed): a cut of 0 and a repeated cut at n = 7, an
 # unsorted grid with a repeat, and batches of 419 rows at n = 10^4.
+# Recorded when the CLT began to draw its letter counts in base-3 blocks:
+# the stream changed, not its law (see _letter_counts).
 PINNED_CLT = {
-    (7, 500, (0.1, 0.5, 0.5, 1.0), 3): "a8c0dc4107018adde0d51f8d2c85cc5a1fc8aceb7312ff6ad048a69da359d3be",
-    (101, 400, (0.77, 0.25, 1.0, 0.25, 0.5), 9): "d9ef72445af2c645152e989813521dae36ec1b977605e085fddc541517048ae2",
-    (10_000, 1000, (0.3, 0.6, 1.0), 2): "bbe02cfd015b57e7f17fe59a67bef4c6139433d27bd60248cf26d8f7bef57d31",
+    (7, 500, (0.1, 0.5, 0.5, 1.0), 3): "031739a2f554998c2a6ad46a065303f8e3e4a43e4fb086aec883845c4b32792f",
+    (101, 400, (0.77, 0.25, 1.0, 0.25, 0.5), 9): "a0dee49d3651b39dbe9ee71214049b5bd59e9505bdc4863fbdfdda13e76480f5",
+    (10_000, 1000, (0.3, 0.6, 1.0), 2): "ca31879654ae699b70b2e021663527a67e177632976aaac35658592b09bb14f7",
 }
 
 
@@ -436,9 +441,7 @@ class TestPinnedStreams:
 
     @pytest.mark.parametrize("case", sorted(PINNED_CLT))
     def test_clt_report(self, case):
-        # The cut of 0 has constant counts, so its correlation is NaN.
-        with np.errstate(invalid="ignore", divide="ignore"):
-            report = sampler.lln_clt_experiment(*case)
+        report = sampler.lln_clt_experiment(*case)
         payload = json.dumps(_float_hex(dataclasses.asdict(report)), sort_keys=True)
         assert _sha256(payload) == PINNED_CLT[case]
 
@@ -518,6 +521,48 @@ class TestBinomialParity:
         assert even + odd == 1
 
 
+class TestLetterCounts:
+    B = sampler._COUNT_BLOCK
+
+    def test_table_is_the_digit_counts(self):
+        table = sampler._block_counts()
+        assert len(table) == 3**self.B
+        for x in range(3**self.B):
+            digits = np.base_repr(x, 3)
+            assert table[x] >> sampler._ONES_BITS == digits.count("2")
+            assert table[x] & (1 << sampler._ONES_BITS) - 1 == digits.count("1")
+
+    @pytest.mark.parametrize("length", [1, B - 1, B, B + 1, 3 * B + 7, 5 * B])
+    def test_blocks_then_remainder(self, length):
+        # One draw on [0, 3^B) per block, then one on [0, 3^r) for the r
+        # letters left over; the counts are those of the drawn digits.
+        rows = 40
+        rng = CountingRng(np.random.default_rng(length))
+        twos, ones = sampler._letter_counts(length, rows, rng)
+        blocks, rest = divmod(length, self.B)
+        assert rng.highs == [3**self.B] * (blocks > 0) + [3**rest] * (rest > 0)
+        strings = [""] * rows
+        for high, values in zip(rng.highs, rng.values):
+            width = round(math.log(high, 3))
+            for i, row in enumerate(np.reshape(values, (rows, -1))):
+                strings[i] += "".join(np.base_repr(int(v), 3).zfill(width) for v in row)
+        assert all(len(letters) == length for letters in strings)
+        assert twos.tolist() == [letters.count("2") for letters in strings]
+        assert ones.tolist() == [letters.count("1") for letters in strings]
+
+    @pytest.mark.parametrize("length", [7, 23])
+    def test_counts_follow_the_multinomial_law(self, length):
+        # 7 letters are one remainder draw; 23 are two blocks and a remainder.
+        rows = 200_000
+        twos, ones = sampler._letter_counts(length, rows, np.random.default_rng(length))
+        observed = Counter(zip(twos.tolist(), ones.tolist()))
+        law = letter_count_law(length)
+        assert sum(law.values()) == 1 and set(observed) <= set(law)
+        cells = pool_cells([observed[k] for k in law], [rows * float(p) for p in law.values()])
+        stat = sum((o - e) ** 2 / e for o, e in cells)
+        assert sstats.chi2.sf(stat, df=len(cells) - 1) > 1e-3
+
+
 class TestCltExperiment:
     def test_moments_and_correlation(self):
         report = sampler.lln_clt_experiment(2000, 2000, (0.5, 1.0), seed=5)
@@ -536,6 +581,30 @@ class TestCltExperiment:
         b = sampler.lln_clt_experiment(500, 300, (1.0,), seed=6)
         assert a == b
 
+    def test_draw_layout(self, monkeypatch):
+        # bounds 0, 12, 25: per segment its blocks, then its remainder,
+        # then the phase bits; one batch of 2 * trials + 64 rows.
+        rngs = []
+
+        def counting(seed, index):
+            rngs.append(CountingRng(batch_rng(seed, index)))
+            return rngs[-1]
+
+        monkeypatch.setattr(sampler, "batch_rng", counting)
+        sampler.lln_clt_experiment(25, 2, (0.5, 1.0), seed=8)
+        assert len(rngs) == 1
+        assert rngs[0].highs == [3**10, 3**2, 3**10, 3**3, 2]
+        assert rngs[0].values[-1].shape == (68,)
+
+    def test_empty_prefix_correlation_is_nan_without_warning(self):
+        # c = 0.1 at n = 7 is a cut of 0: F0 and F1 are 0 on every row.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = sampler.lln_clt_experiment(7, 200, (0.1, 1.0), seed=3)
+        assert math.isnan(report.corr_f0_f1[0])
+        assert report.var_f0[0] == report.var_s10[0] == 0
+        assert report.corr_f0_f1[1] < -0.999
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             sampler.lln_clt_experiment(100, 10, (0.0, 1.0), seed=7)
@@ -549,3 +618,12 @@ class TestCltExperiment:
         monkeypatch.setattr(sampler, "batch_rng", no_draws)
         with pytest.raises(ValueError, match="trials >= 2"):
             sampler.lln_clt_experiment(100, trials)
+
+    @pytest.mark.parametrize("n", [-1, 2, sampler.MAX_WORD_N + 1])
+    def test_n_bounded_before_any_draw(self, monkeypatch, n):
+        def no_draws(*args):
+            raise AssertionError("drew before checking n")
+
+        monkeypatch.setattr(sampler, "batch_rng", no_draws)
+        with pytest.raises(ValueError, match="3 <= n <="):
+            sampler.lln_clt_experiment(n, 10)

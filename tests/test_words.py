@@ -90,6 +90,21 @@ class TestRealizable:
         for variant in words.bracelet_class(w):
             assert words.is_realizable(variant) == base
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_matches_signature_interlacing_on_every_word(self, n):
+        for w in product((0, 1), repeat=2 * n):
+            assert words.is_realizable(w) is words.is_interlacing(words.signature(w)), w
+
+    @given(st.lists(st.integers(-1, 2), max_size=14))
+    def test_same_results_and_errors_as_signature_interlacing(self, bits):
+        try:
+            expected = words.is_interlacing(words.signature(bits))
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                words.is_realizable(bits)
+        else:
+            assert words.is_realizable(bits) is expected
+
 
 class TestBracelet:
     def test_same_class_and_orbit(self):
