@@ -1,7 +1,9 @@
 """Count realizable words and bracelets at small sizes.
 
-The word count has the closed form 3^n - 2^(n+1) + 1; bracelet classes are
-counted by canonicalizing every word.  The orbit histogram shows that
+The word count has the closed form 3^n - 2^(n+1) + 1.  The report streams
+every word and counts, for each, how many of its 4n shift/reversal images
+equal it, which gives its orbit size; the classes of each orbit size are
+the words of that size divided by it.  The orbit histogram shows that
 almost every class has the full 4n members once n grows.
 """
 

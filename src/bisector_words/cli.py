@@ -64,11 +64,9 @@ def _cmd_enumerate(args) -> int:
         enumeration._check_range(n)
     for n in ns:
         spec = f"0{2 * n}b"
-        stream = enumeration._packed_words(n)
-        if args.bracelets:
-            stream = (least for least, _ in enumeration._bracelet_classes(stream, n))
-        for x in stream:
-            print(format(x, spec))
+        chunks = enumeration._bracelet_chunks(n) if args.bracelets else enumeration._word_chunks(n)
+        for chunk in chunks:
+            sys.stdout.write("".join(f"{x:{spec}}\n" for x in chunk.tolist()))
     return 0
 
 
@@ -98,7 +96,7 @@ def _cmd_count(args) -> int:
 _SAMPLE_N_CHECKS = {
     "word": sampler._check_word_size,
     "bracelet": enumeration._check_count_range,
-    "points": random_points._check_size,
+    "points": random_points._check_config_size,
 }
 
 

@@ -1,10 +1,12 @@
 """Exact generation and counting of realizable words and bracelets.
 
 Words stream as packed integers (first bit most significant, as in
-:func:`words.word_to_int`) and are decoded only where a caller wants tuples.
-Bracelet counts come from Burnside's lemma and need no enumeration; the
-per-class report marks whole orbits as seen, so each class is canonicalised
-once rather than once per word.
+:func:`words.word_to_int`), built with numpy from the interlacing
+signatures in chunks of a few thousand words, and are decoded only where
+a caller wants tuples.  Per-class results come from the same chunks: the
+least of a word's 4n shift/reversal images names its class, and the number
+of images equal to the word gives its orbit size, so no set of words is
+kept.  Bracelet counts come from Burnside's lemma and need no enumeration.
 """
 
 from __future__ import annotations
@@ -12,17 +14,28 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
+from itertools import chain
 from math import gcd
-from typing import Iterable, Iterator
+from operator import add
+from typing import Iterator
 
-from . import words
+import numpy as np
+
 from .words import Word
 
-MAX_ENUMERATION_N = 14  # desk scale; the report holds every word of length 2n in one set
+MAX_ENUMERATION_N = 14  # desk scale; `enumerate --bracelets` keeps a 2^(2n)-bit bitmap, 32 MB at 14
 # The bracelet count has about 0.48 n decimal digits; this keeps it below
 # Python's default limit of 4300 digits for converting an int to text.
 MAX_COUNT_N = 5000
+# Words per chunk of the stream; a signature with more words is a chunk of
+# its own.  A chunk's uint64 arrays are then 64 KiB, below glibc's 128 KiB
+# mmap threshold, so the heap reuses them: chunks of 2^15 words were no
+# faster and raised the exact-words benchmark's peak RSS by about 1.2 MB.
+_CHUNK_WORDS = 1 << 13
+# Words per tolist() when chunks become tuples, so that a chunk's Python
+# ints are not all alive at once.
+_TUPLE_SLICE = 1 << 10
+_LETTERS = np.arange(3)
 
 
 def _check_range(n: int) -> None:
@@ -42,48 +55,76 @@ def count_words(n: int) -> int:
     return 3**n - 2 ** (n + 1) + 1
 
 
-def enumerate_signatures(n: int) -> Iterator[tuple[int, ...]]:
-    """Interlacing signatures of length n in lexicographic order.
+def _signature_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Interlacing signatures of length n in lexicographic order, as uint64 masks.
 
-    Prefixes grow one letter at a time, trying 0, 1, 2 in turn, so each
-    level stays in lexicographic order.  A prefix carries its first and last
-    special letter (0 or 2); a special letter must differ from the last one,
+    Returns (base, ones): ``base`` holds the word bits of the 2s, and bit
+    n-1-i of ``ones`` marks a 1 at position i.  Prefixes grow one letter at
+    a time, trying 0, 1, 2 in turn, so each level stays in lexicographic
+    order.  A prefix carries its first and last special letter (0 or 2; 1
+    while there is none); a special letter must differ from the last one,
     and a complete signature needs a special letter whose first and last
     differ, which closes the alternation around the cycle.
     """
     _check_range(n)
-    level = [((), None, None)]  # (prefix, first special letter, last special letter)
-    for _ in range(n):
-        level = [
-            (sig + (x,), x if first is None and x != 1 else first, last if x == 1 else x)
-            for sig, first, last in level
-            for x in (0, 1, 2)
-            if x == 1 or x != last
-        ]
-    for sig, first, last in level:
-        if first is not None and first != last:
-            yield sig
+    twos = ones = np.zeros(1, np.uint64)
+    first = last = np.ones(1, np.intp)
+    for i in range(n):
+        bit = np.uint64(1 << (n - 1 - i))
+        prefix, x = np.nonzero((_LETTERS != last[:, None]) | (_LETTERS == 1))
+        special = x != 1
+        twos = twos[prefix] | np.where(x == 2, bit, 0)
+        ones = ones[prefix] | np.where(special, 0, bit)
+        first = np.where(special & (first[prefix] == 1), x, first[prefix])
+        last = np.where(special, x, last[prefix])
+    keep = first != last
+    return twos[keep] | (twos[keep] << np.uint64(n)), ones[keep]
 
 
-def _packed_words(n: int) -> Iterator[int]:
-    """All realizable words of length 2n as packed integers, in stream order.
+def enumerate_signatures(n: int) -> Iterator[tuple[int, ...]]:
+    """Interlacing signatures of length n in lexicographic order (see :func:`_signature_masks`)."""
+    base, ones = _signature_masks(n)
+    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
+    letters = 2 * ((base[:, None] >> shifts) & 1) + ((ones[:, None] >> shifts) & 1)
+    return map(tuple, letters.tolist())
 
-    Letter 2 at position i sets bits i and i + n; letter 1 sets one of them,
-    first bit i (the pair (1,0)) and then bit i + n (the pair (0,1)), the
-    first free position varying slowest.
+
+def _word_chunks(n: int) -> Iterator[np.ndarray]:
+    """All realizable words of length 2n as packed uint64, in stream order, chunk by chunk.
+
+    A signature with k letters 1 has 2^k words.  Letter 2 at position i
+    sets bits i and i + n; letter 1 sets one of them, first bit i (the pair
+    (1,0)) and then bit i + n (the pair (0,1)), the first free position
+    varying slowest.  So the word with expansion index e is
+    ``base | dep | ((ones ^ dep) << n)``, where ``dep`` deposits the bits
+    of e on the set bits of ``ones``, lowest bit first.  Signatures are
+    taken in contiguous ranges of at most ``_CHUNK_WORDS`` words.
     """
-    size = 2 * n
-    for sig in enumerate_signatures(n):
-        base = 0
-        expansions = [0]
-        for i in range(n - 1, -1, -1):
-            high, low = 1 << (size - 1 - i), 1 << (n - 1 - i)
-            if sig[i] == 2:
-                base |= high | low
-            elif sig[i] == 1:
-                expansions = [b | e for b in (high, low) for e in expansions]
-        for e in expansions:
-            yield base | e
+    base, ones = _signature_masks(n)
+    sizes = np.left_shift(1, np.bitwise_count(ones).astype(np.intp))
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    lo = 0
+    while lo < len(base):
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + _CHUNK_WORDS, side="right")))
+        block = sizes[lo:hi]
+        word, mask = np.repeat(base[lo:hi], block), np.repeat(ones[lo:hi], block)
+        e = np.arange(len(word), dtype=np.uint64)
+        e -= np.repeat((starts[lo:hi] - starts[lo]).astype(np.uint64), block)
+        dep, bit, digit = np.zeros_like(e), np.empty_like(e), np.empty_like(e)
+        for p in range(n):
+            np.right_shift(mask, p, out=bit)
+            np.bitwise_and(bit, 1, out=bit)
+            np.bitwise_and(e, bit, out=digit)
+            np.left_shift(digit, p, out=digit)
+            np.bitwise_or(dep, digit, out=dep)
+            np.right_shift(e, bit, out=e)
+        np.bitwise_or(word, dep, out=word)
+        np.bitwise_xor(mask, dep, out=mask)
+        np.left_shift(mask, n, out=mask)
+        np.bitwise_or(word, mask, out=word)
+        yield word
+        lo = hi
 
 
 def enumerate_words(n: int) -> Iterator[Word]:
@@ -95,24 +136,65 @@ def enumerate_words(n: int) -> Iterator[Word]:
     """
     _check_range(n)
     halves = [tuple((h >> i) & 1 for i in range(n - 1, -1, -1)) for h in range(1 << n)]
-    mask = (1 << n) - 1
-    for x in _packed_words(n):
-        yield halves[x >> n] + halves[x & mask]
+    shift, low = np.uint64(n), np.uint64((1 << n) - 1)
+    parts = (c[s : s + _TUPLE_SLICE] for c in _word_chunks(n) for s in range(0, len(c), _TUPLE_SLICE))
+    return chain.from_iterable(
+        map(add, map(halves.__getitem__, (part >> shift).tolist()), map(halves.__getitem__, (part & low).tolist()))
+        for part in parts
+    )
 
 
-def _bracelet_classes(stream: Iterable[int], n: int) -> Iterator[tuple[int, int]]:
-    """(least packed word, orbit size) of each class, in order of first appearance.
+@lru_cache(maxsize=None)  # one table per n <= MAX_ENUMERATION_N
+def _reversed_halves(n: int) -> np.ndarray:
+    """Entry h is the n-bit integer h with its bits in reverse order (read-only)."""
+    halves = np.arange(1 << n, dtype=np.uint64)
+    reverse = np.zeros_like(halves)
+    for b in range(n):
+        reverse |= ((halves >> np.uint64(b)) & 1) << np.uint64(n - 1 - b)
+    reverse.flags.writeable = False
+    return reverse
 
-    The stream must hold every realizable word of length 2n.  A word whose
-    class has been seen is skipped; a new word has its orbit computed once,
-    and the whole orbit is marked as seen.
+
+def _images(x: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """The 4n images of each packed word in x under shifts and reversal, one array per group element.
+
+    Shifting a word left by r positions rotates its 2n-bit integer left by
+    r bits, so the images are the 2n-bit windows of the word and of its
+    reverse, each written twice.  The reverse swaps the word's n-bit halves
+    and reverses each.  Each image is a buffer that the next one overwrites.
     """
-    seen: set[int] = set()
-    for x in stream:
-        if x not in seen:
-            orbit = words._orbit(x, n)
-            seen |= orbit
-            yield min(orbit), len(orbit)
+    size = 2 * n
+    reverse = _reversed_halves(n)
+    low = np.uint64((1 << n) - 1)
+    mirrored = (reverse[x & low] << np.uint64(n)) | reverse[x >> np.uint64(n)]
+    image = np.empty_like(x)
+    window = np.uint64((1 << size) - 1)
+    for y in (x, mirrored):
+        doubled = (y << np.uint64(size)) | y
+        for r in range(size):
+            np.right_shift(doubled, r, out=image)
+            np.bitwise_and(image, window, out=image)
+            yield image
+
+
+def _bracelet_chunks(n: int) -> Iterator[np.ndarray]:
+    """The least word of each class, in order of the class's first word in the stream, chunk by chunk.
+
+    Each word's least image names its class.  Within a chunk the classes
+    are ordered by their first word; bit x of a 2^(2n)-bit bitmap records
+    that the class with least word x was already reported.
+    """
+    reported = np.zeros(1 << (2 * n - 3), np.uint8)
+    for chunk in _word_chunks(n):
+        least = chunk.copy()
+        for image in _images(chunk, n):
+            np.minimum(least, image, out=least)
+        classes, first = np.unique(least, return_index=True)
+        classes = classes[np.argsort(first)]
+        byte, bit = classes >> np.uint64(3), np.left_shift(1, classes & 7).astype(np.uint8)
+        fresh = (reported[byte] & bit) == 0
+        np.bitwise_or.at(reported, byte, bit)
+        yield classes[fresh]
 
 
 @lru_cache(maxsize=128)
@@ -192,15 +274,30 @@ class EnumerationReport:
 
 
 def enumeration_report(n: int) -> EnumerationReport:
+    """Word count and orbit-size histogram of the realizable words of length 2n.
+
+    A word's orbit has 4n/s words, s the number of its 4n images equal to
+    it, so the classes of orbit size o are the words of that orbit size
+    divided by o.
+    """
     _check_range(n)
-    counter = count()
-    # zip takes a word before it takes a number, so counter stops at the word count
-    stream = (x for x, _ in zip(_packed_words(n), counter))
-    histogram = Counter(size for _, size in _bracelet_classes(stream, n))
+    group = 4 * n
+    by_stabiliser = np.zeros(group + 1, np.int64)
+    for chunk in _word_chunks(n):
+        stabiliser = np.zeros(len(chunk), np.uint8)
+        for image in _images(chunk, n):
+            stabiliser += image == chunk
+        by_stabiliser += np.bincount(stabiliser, minlength=group + 1)
+    histogram = {}
+    for s, count in reversed(list(enumerate(by_stabiliser.tolist()))):
+        if count:
+            orbit = group // s
+            assert count % orbit == 0, f"{count} words with orbit size {orbit}"
+            histogram[orbit] = count // orbit
     return EnumerationReport(
         n=n,
-        word_count=next(counter),
+        word_count=int(by_stabiliser.sum()),
         bracelet_count=sum(histogram.values()),
         formula_count=count_words(n),
-        orbit_size_histogram=dict(sorted(histogram.items())),
+        orbit_size_histogram=histogram,
     )

@@ -63,6 +63,8 @@ MAX_PACKED_N = 32
 # Largest n the batched geometry takes: one configuration is then a single
 # chunk whose 2n-wide temporaries hold about 100 MB.
 MAX_GEOMETRY_N = 10**6
+# Largest n of one scalar configuration (see :func:`sample_uniform_config`).
+MAX_CONFIG_N = 10**5
 
 
 def _check_seed(seed: int) -> None:
@@ -430,9 +432,20 @@ def _erlang_hits(k: int, rng: np.random.Generator, size: int, l: int) -> int:
 # scalar sampling APIs
 
 
+def _check_config_size(n: int) -> None:
+    _check_size(n, most=MAX_CONFIG_N)
+
+
 def sample_uniform_config(n: int, rng: np.random.Generator) -> PointConfig:
-    """n i.i.d. uniform positions on the circle, resampled if degenerate."""
-    _check_size(n)
+    """n i.i.d. uniform positions on the circle, resampled if degenerate, 3 <= n <= 10^5.
+
+    A draw is degenerate when two critical values lie within
+    ``geometry.FLOAT_TIE_TOLERANCE`` of each other, and that share grows
+    with n: about 1 draw in 40 had such a near-tie at n = 10^5, and every
+    draw did at n = 10^6, where this loop would in effect never return.
+    So n is bounded by ``MAX_CONFIG_N`` before anything is drawn.
+    """
+    _check_config_size(n)
     while True:
         positions = tuple(sorted(float(x) for x in rng.random(n)))
         if any(a == b for a, b in zip(positions, positions[1:])):

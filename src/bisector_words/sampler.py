@@ -255,9 +255,9 @@ def _fixed_word(n: int, kind: int | None, q: int, rng: np.random.Generator) -> l
 def _bracelet_table(n: int) -> tuple[Bracelet, ...]:
     """The bracelet of every value t of the sampler's draw, for n whose Burnside total is small.
 
-    Each fixed word is decoded once and its block repeated mult times.  As
-    in :func:`enumeration._bracelet_classes`, a class is canonicalised once
-    and its whole orbit marked, so later words of the class are looked up.
+    Each fixed word is decoded once and its block repeated mult times.  A
+    class is canonicalised once with :func:`words._orbit` and its whole
+    orbit marked, so later words of the class are looked up.
     """
     classes: dict[int, Bracelet] = {}
     table: list[Bracelet] = []

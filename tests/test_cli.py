@@ -115,6 +115,22 @@ class TestCountAndEnumerate:
         assert code == 0 and out == "".join(lines)
 
     @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("enumerate", "--n", "11..12"), "914e84c7e82cd482800774550be0f4bede9c57eafd9a5ce43b8d4ae12b7cc670"),
+            (
+                ("enumerate", "--n", "3..12", "--bracelets"),
+                "eee1daceddde9094ea0abdcf9c485dff9ebfa872087583b82d231ef9edd47794",
+            ),
+        ],
+    )
+    def test_enumerate_digest_beyond_the_oracles(self, argv, digest):
+        # sha256 of the output, recorded on the per-signature Python expansion
+        # and orbit sets; the product oracle stops at n = 10, the golden files at 6
+        code, out, _ = run_cli(*argv)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("enumerate", "--n", "13..15"),
@@ -158,6 +174,15 @@ class TestSample:
     def test_n_checked_before_the_loop(self, kind, n):
         code, out, err = run_cli("sample", "--kind", kind, "--n", str(n), "--count", "0")
         assert code == 1 and out == "" and f"got {n}" in err
+
+    def test_points_n_bounded_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew before checking n")
+
+        monkeypatch.setattr(random_points, "batch_rng", no_draws)
+        n = random_points.MAX_CONFIG_N + 1
+        code, out, err = run_cli("sample", "--kind", "points", "--n", str(n))
+        assert code == 1 and out == "" and f"need n <= {random_points.MAX_CONFIG_N}, got {n}" in err
 
     def test_negative_count_exits_1(self):
         code, out, err = run_cli("sample", "--n", "4", "--count", "-3")

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
+from collections import deque
 from pathlib import Path
 
 import pytest
 
-from bisector_words import enumeration, realization, words
+from bisector_words import cli, enumeration, realization, words
 from bisector_words.geometry import occupancy_word
 from oracles import (
     brute_force_realizable_words,
@@ -109,6 +111,72 @@ class TestReport:
     def test_few_words_in_small_orbits(self, n):
         rep = enumeration.enumeration_report(n)
         assert rep.words_in_orbits_smaller_than(4 * n) <= 2 * n * 3 ** (n / 2)
+
+
+class TestChunkLayout:
+    @staticmethod
+    def outputs(n, capsys):
+        assert cli.main(["enumerate", "--n", str(n), "--bracelets"]) == 0
+        return (
+            list(enumeration.enumerate_words(n)),
+            list(enumeration.enumerate_signatures(n)),
+            enumeration.enumeration_report(n),
+            capsys.readouterr().out,
+        )
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_outputs_do_not_depend_on_the_chunk_size(self, monkeypatch, capsys, chunk):
+        default = {n: self.outputs(n, capsys) for n in range(3, 10)}
+        monkeypatch.setattr(enumeration, "_CHUNK_WORDS", chunk)
+        for n in range(3, 10):
+            assert self.outputs(n, capsys) == default[n]
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_a_signature_is_never_split(self, monkeypatch, chunk):
+        monkeypatch.setattr(enumeration, "_CHUNK_WORDS", chunk)
+        sizes = [2 ** sig.count(1) for sig in enumeration.enumerate_signatures(9)]
+        chunks = [len(c) for c in enumeration._word_chunks(9)]
+        i = 0
+        for length in chunks:
+            j = i + 1
+            while j < len(sizes) and sum(sizes[i : j + 1]) <= chunk:
+                j += 1
+            assert length == sum(sizes[i:j])
+            i = j
+        assert i == len(sizes)
+
+
+class TestMemory:
+    BOUND = 4 << 20
+
+    @staticmethod
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_report_and_word_stream_hold_no_set_of_words(self):
+        # a set of all words of length 24 took 34.5 MB here
+        assert self.peak(lambda: enumeration.enumeration_report(12)) < self.BOUND
+        assert self.peak(lambda: deque(enumeration.enumerate_words(12), maxlen=0)) < self.BOUND
+
+    def test_bracelets_keep_one_bit_per_word_of_length_2n(self):
+        n = 12
+        tracemalloc.start()
+        try:
+            chunks = enumeration._bracelet_chunks(n)
+            next(chunks)
+            snapshot = tracemalloc.take_snapshot()
+            deque(chunks, maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ours = snapshot.filter_traces([tracemalloc.Filter(True, enumeration.__file__)])
+        assert max(t.size for t in ours.traces) == 2 ** (2 * n) // 8
+        assert peak < 2 ** (2 * n) // 8 + self.BOUND
 
 
 class TestTiesToRealization:

@@ -110,6 +110,11 @@ class TestUniformConfig:
         config = rp.sample_uniform_config(3, rng)
         assert config.positions == (0.1, 0.3, 0.75) and not rng.draws
 
+    def test_n_bounded_before_any_draw(self):
+        rng = self._ScriptedDraws()
+        with pytest.raises(ValueError, match=f"need n <= {rp.MAX_CONFIG_N}"):
+            rp.sample_uniform_config(rp.MAX_CONFIG_N + 1, rng)
+
     def test_other_errors_propagate(self):
         rng = self._ScriptedDraws([0.2, 0.5, 1.5], [0.75, 0.1, 0.3])
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
