@@ -56,6 +56,7 @@ from .words import (
     fold,
     is_interlacing,
     is_realizable,
+    letters_to_word,
     prefix_counts,
     run_word,
     signature,
@@ -92,6 +93,7 @@ __all__ = [
     "fold",
     "is_interlacing",
     "is_realizable",
+    "letters_to_word",
     "lln_clt_experiment",
     "max_spacing_check",
     "occupancy_word",

@@ -48,11 +48,16 @@ def _check_count_range(n: int) -> None:
         raise ValueError(f"bracelet counts support 3 <= n <= {MAX_COUNT_N}, got {n}")
 
 
+def _word_count(m: int) -> int:
+    """3^m - 2^(m+1) + 1, m >= 1: 2 phases times the length-m strings with even nonzero S count."""
+    return 3**m - 2 ** (m + 1) + 1
+
+
 def count_words(n: int) -> int:
     """Number of realizable words of length 2n: 3^n - 2^(n+1) + 1."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    return 3**n - 2 ** (n + 1) + 1
+    return _word_count(n)
 
 
 def _signature_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -202,7 +207,7 @@ def _fixed_point_counts(n: int) -> tuple[tuple[int | None, int, int], ...]:
     """Burnside terms on the realizable words of length 2n: (type, multiplicity, |Fix|).
 
     The dihedral group of order 4n acts on the 2n positions.  With
-    cw(m) = 3^m - 2^(m+1) + 1 and d = gcd(r, 2n), the rotation by r fixes
+    cw = :func:`_word_count` and d = gcd(r, 2n), the rotation by r fixes
     cw(d/2) words when d does not divide n, and 2·[d even] words when it
     does.  A fixed word has period d.  If d divides n, bits i and i+n
     agree, so the signature has no 1s and its 0s and 2s alternate with
@@ -239,7 +244,7 @@ def _fixed_point_counts(n: int) -> tuple[tuple[int | None, int, int], ...]:
     terms = []
     for d, mult in sorted(Counter(gcd(r, m) for r in range(m)).items(), reverse=True):
         if n % d:
-            fixed = 3 ** (d // 2) - 2 ** (d // 2 + 1) + 1
+            fixed = _word_count(d // 2)
         else:
             fixed = 2 if d % 2 == 0 else 0
         if fixed:

@@ -1,10 +1,8 @@
 """Exact uniform sampling of realizable words and bracelets, and the lattice-walk encoding.
 
-A realizable word is equivalent to a letter string in {0, 1, S}^n with an
-even nonzero number of S letters plus one extra bit, the phase: S positions
-carry the balanced folded letters 11/00 (strictly alternating, the phase
-choosing which comes first) and 0/1 positions carry the unbalanced letters
-01/10.
+A realizable word is a letter string in {0, 1, S}^n with an even nonzero
+number of S letters plus a phase bit (see :mod:`words`); the samplers draw
+the letters and the phase.
 
 Words are drawn without rejection up to n = 39.  The last n - k letters,
 k = min(n, 39), form the tail: one ``integers(0, 3^m)`` draw per block of
@@ -50,7 +48,9 @@ letters themselves.
 
 Folding a realizable word and mapping letters 11/00 to step 0, 10 to +1 and
 01 to -1 gives a walk; tracking the running count of 0 steps makes the map
-a bijection onto walks with an even nonzero number of 0 steps.
+a bijection onto walks with an even nonzero number of 0 steps.  Every
+decoding, of draws, fixed words and walks alike, goes through
+:func:`words.letters_to_word`.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ from .random_points import batch_rng
 from .words import Bracelet, FoldedWord, Word
 
 _STEP_OF_LETTER = {"00": 0, "11": 0, "10": 1, "01": -1}
+_LETTER_OF_STEP = {-1: 0, 1: 1, 0: 2}
 # Letters per integer draw: 2 * 3**39 < 2**63, so every head and tail draw
 # is one int64 draw.
 _BLOCK = 39
@@ -160,23 +161,6 @@ def _word_letters(n: int, rng: np.random.Generator) -> tuple[int, list[int]]:
             return x & 1, _head_letters(x >> 1, head, requirement) + tail
 
 
-def _word_bits(phase: int, letters: list[int]) -> list[int]:
-    """The word of a letter string: S alternates 11/00 from the phase, 1 is 10, 0 is 01."""
-    n = len(letters)
-    next_is_11 = phase
-    word = [0] * (2 * n)
-    for i, u in enumerate(letters):
-        if u == 2:
-            if next_is_11:
-                word[i] = word[i + n] = 1
-            next_is_11 ^= 1
-        elif u == 1:
-            word[i] = 1
-        else:
-            word[i + n] = 1
-    return word
-
-
 def _check_word_size(n: int) -> None:
     if not 3 <= n <= MAX_WORD_N:
         raise ValueError(f"words are sampled for 3 <= n <= {MAX_WORD_N}, got {n}")
@@ -186,7 +170,7 @@ def _check_word_size(n: int) -> None:
 def _word_table(n: int) -> tuple[Word, ...]:
     """Every realizable word of length 2n, at the index of the head draw that decodes to it."""
     return tuple(
-        tuple(_word_bits(x & 1, _head_letters(x >> 1, n, _EVEN_WITH_S)))
+        words.letters_to_word(x & 1, _head_letters(x >> 1, n, _EVEN_WITH_S))
         for x in range(2 * _COUNTS[_EVEN_WITH_S][n])
     )
 
@@ -197,37 +181,29 @@ def sample_uniform_word(n: int, rng: np.random.Generator) -> Word:
     if n <= _BLOCK and 2 * _COUNTS[_EVEN_WITH_S][n] <= _TABLE_SIZE:
         table = _word_table(n)
         return table[int(rng.integers(0, len(table)))]
-    return tuple(_word_bits(*_word_letters(n, rng)))
+    return words.letters_to_word(*_word_letters(n, rng))
 
 
-def _mirror_word(n: int, q: int) -> list[int]:
+def _mirror_word(n: int, q: int) -> Word:
     """Fixed word number q of the reflection w_i -> w_{-i mod 2n}, n even.
 
     The letter at position i is (w_i, w_{i+n}), and the mirror puts the
-    swapped letter at n - i.  Bit 0 of q picks the special s_0 (2 if set,
-    else 0).  Base-3 digit i - 1 of q >> 1 fills the mirror pair (i, n - i)
-    for 1 <= i < n/2: digit 0 puts 10 at i and 01 at n - i, digit 1 the
-    reverse, and digit 2 puts the next special at both, alternating from
-    s_0.  The special at n/2 then follows the last one, and the specials
-    alternate around the cycle (see :func:`enumeration._fixed_point_counts`).
+    swapped letter at n - i.  Positions 0 and n/2 hold S, and base-3 digit
+    i - 1 of q >> 1 fills the mirror pair (i, n - i) for 1 <= i < n/2:
+    digit d < 2 puts letters 1 - d at i and d at n - i (10 and 01, or the
+    reverse), and digit 2 puts S at both.  Decoded with phase q & 1, the S
+    at i and at n - i get the same balanced letter: the S strictly between
+    them sit symmetrically around the one at n/2, so they are odd in
+    number (see :func:`enumeration._fixed_point_counts`).
     """
-    half = n // 2
-    bits = [0] * (2 * n)
-    special = q & 1  # 1 for a 2 (both bits set), 0 for a 0
-    bits[0] = bits[n] = special
-    for i, digit in enumerate(_base3_digits(q >> 1, half - 1), 1):
-        if digit == 2:
-            special ^= 1
-            bits[i] = bits[i + n] = bits[n - i] = bits[2 * n - i] = special
-        elif digit:
-            bits[i + n] = bits[n - i] = 1
-        else:
-            bits[i] = bits[2 * n - i] = 1
-    bits[half] = bits[half + n] = special ^ 1
-    return bits
+    letters = [2] * n
+    for i, digit in enumerate(_base3_digits(q >> 1, n // 2 - 1), 1):
+        if digit < 2:
+            letters[i], letters[n - i] = 1 - digit, digit
+    return words.letters_to_word(q & 1, letters)
 
 
-def _fixed_word(n: int, kind: int | None, q: int, rng: np.random.Generator) -> list[int]:
+def _fixed_word(n: int, kind: int | None, q: int, rng: np.random.Generator) -> Word:
     """Word number q, 0 <= q < |Fix|, fixed by the representative of a Burnside type.
 
     - Reflection (``kind`` None): :func:`_mirror_word`.
@@ -242,13 +218,13 @@ def _fixed_word(n: int, kind: int | None, q: int, rng: np.random.Generator) -> l
     if kind is None:
         return _mirror_word(n, q)
     if n % kind == 0:
-        return [q, 1 - q] * n
+        return (q, 1 - q) * n
     size = kind // 2
     if size <= _BLOCK:
         phase, letters = q & 1, _head_letters(q >> 1, size, _EVEN_WITH_S)
     else:
         phase, letters = _word_letters(size, rng)
-    return _word_bits(phase, letters) * (n // size)
+    return words.letters_to_word(phase, letters) * (n // size)
 
 
 @lru_cache(maxsize=None)  # called only for the n <= 6 of a table
@@ -333,21 +309,18 @@ def word_to_walk(folded) -> LatticeWalk:
 def walk_to_word(walk: LatticeWalk, first_zero_is_11: bool = True) -> FoldedWord:
     """Decode a walk back to a folded word; 0 steps alternate 11/00 from the flag.
 
-    Only walks with an even nonzero number of 0 steps decode to the folded
-    word of a realizable word; others are rejected.
+    Only walks of at least 3 steps with an even nonzero number of 0 steps
+    decode to the folded word of a realizable word; others are rejected.
+    The steps are decoded and counted; ``walk.s`` and ``walk.k`` are not read.
     """
-    zeros = walk.k[-1]
+    steps = walk_from_steps(walk.steps).steps
+    if len(steps) < 3:
+        raise ValueError(f"walk has {len(steps)} steps; need at least 3")
+    zeros = steps.count(0)
     if zeros == 0 or zeros % 2:
         raise ValueError(f"walk has {zeros} zero steps; need an even nonzero count")
-    letters = []
-    next_is_11 = first_zero_is_11
-    for x in walk.steps:
-        if x == 0:
-            letters.append("11" if next_is_11 else "00")
-            next_is_11 = not next_is_11
-        else:
-            letters.append("10" if x == 1 else "01")
-    return tuple(letters)
+    letters = [_LETTER_OF_STEP[x] for x in steps]
+    return words.fold(words.letters_to_word(1 if first_zero_is_11 else 0, letters))
 
 
 def counts_from_walk_state(i: int, a: int, p: int) -> tuple[int, int, int, int]:
@@ -364,10 +337,7 @@ def counts_from_walk_state(i: int, a: int, p: int) -> tuple[int, int, int, int]:
 
 def folded_prefix_counts(folded, x: float) -> dict[str, int]:
     """Occurrences of each folded letter among the first floor(x) letters."""
-    f = words.check_folded(folded)
-    if not 0 <= x <= len(f):
-        raise ValueError(f"prefix bound must lie in [0, {len(f)}], got {x}")
-    head = f[: math.floor(x)]
+    head = words._prefix(words.check_folded(folded), x)
     return {a: head.count(a) for a in words.FOLDED_ALPHABET}
 
 

@@ -6,6 +6,13 @@ the center contains a marked point.  Its signature compresses the word to
 length n by adding bits that are n apart, and realizability of a word by an
 actual point configuration is decided entirely on the signature.
 
+Folding pairs bit i with bit i + n.  A realizable word is then a letter
+string in {0, 1, S}^n with an even nonzero number of S, plus a phase bit:
+0 is the folded letter 01, 1 is 10, and the S positions carry the balanced
+letters 11/00, strictly alternating, the phase choosing which comes first.
+:func:`letters_to_word` is the one decoder of this form; :func:`unfold`
+and the sampler's walks are views of it.
+
 Everything here is 0-indexed.  Formulas stated elsewhere in 1-based cyclic
 indexing translate by adding 1 to each index; cyclic indices are reduced
 mod n or mod 2n throughout.
@@ -177,6 +184,26 @@ def fold(w: Iterable[int]) -> FoldedWord:
     return tuple(f"{word[i]}{word[i + n]}" for i in range(n))
 
 
+def letters_to_word(phase: int, letters: Sequence[int]) -> Word:
+    """The word of a letter string: S (2) alternates 11/00 from the phase, 1 is 10, 0 is 01."""
+    n = len(letters)
+    next_is_11 = phase
+    word = [0] * (2 * n)
+    for i, u in enumerate(letters):
+        if u == 2:
+            if next_is_11:
+                word[i] = word[i + n] = 1
+            next_is_11 ^= 1
+        elif u == 1:
+            word[i] = 1
+        else:
+            word[i + n] = 1
+    return tuple(word)
+
+
+_LETTER_OF_FOLDED = {"01": 0, "10": 1, "00": 2, "11": 2}
+
+
 def unfold(folded: Iterable[str], first_zero_is_11: bool = True) -> Word:
     """Inverse of :func:`fold` up to the placement of the balanced letters.
 
@@ -186,28 +213,20 @@ def unfold(folded: Iterable[str], first_zero_is_11: bool = True) -> Word:
     already alternate starting from that value this recovers the exact
     preimage.  A folded word without balanced letters ignores the flag.
     """
-    f = check_folded(folded)
-    n = len(f)
-    first = [0] * n
-    second = [0] * n
-    next_is_11 = first_zero_is_11
-    for i, letter in enumerate(f):
-        if letter in ("00", "11"):
-            bit = 1 if next_is_11 else 0
-            first[i] = second[i] = bit
-            next_is_11 = not next_is_11
-        else:
-            first[i] = int(letter[0])
-            second[i] = int(letter[1])
-    return tuple(first) + tuple(second)
+    letters = [_LETTER_OF_FOLDED[a] for a in check_folded(folded)]
+    return letters_to_word(1 if first_zero_is_11 else 0, letters)
+
+
+def _prefix(seq: Sequence, x: float) -> Sequence:
+    """The first floor(x) items of seq, for 0 <= x <= len(seq)."""
+    if not 0 <= x <= len(seq):
+        raise ValueError(f"prefix bound must lie in [0, {len(seq)}], got {x}")
+    return seq[: math.floor(x)]
 
 
 def prefix_counts(s: Iterable[int], x: float) -> tuple[int, int, int]:
     """Occurrences of each letter among the first floor(x) signature letters."""
-    sig = check_signature(s)
-    if not 0 <= x <= len(sig):
-        raise ValueError(f"prefix bound must lie in [0, {len(sig)}], got {x}")
-    head = sig[: math.floor(x)]
+    head = _prefix(check_signature(s), x)
     return head.count(0), head.count(1), head.count(2)
 
 

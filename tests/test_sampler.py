@@ -174,7 +174,7 @@ class TestUniformWords:
         # table up to n = 6, must give the decoder's word for every draw.
         total = enumeration.count_words(n)
         decoded = [
-            tuple(sampler._word_bits(x & 1, sampler._head_letters(x >> 1, n, sampler._EVEN_WITH_S)))
+            words.letters_to_word(x & 1, sampler._head_letters(x >> 1, n, sampler._EVEN_WITH_S))
             for x in range(total)
         ]
         assert len(set(decoded)) == total
@@ -459,6 +459,26 @@ class TestWalkBijection:
             sampler.walk_to_word(sampler.walk_from_steps((1, -1, 1)))
         with pytest.raises(ValueError):
             sampler.walk_to_word(sampler.walk_from_steps((0, 1, -1)))
+
+    @pytest.mark.parametrize("steps", [(), (0,), (1,), (0, 0), (1, -1)])
+    def test_rejects_walks_shorter_than_three_steps(self, steps):
+        # (0, 0) has two zero steps, but a folded word needs n >= 3 letters,
+        # as word_to_walk and unfold require.
+        with pytest.raises(ValueError, match="need at least 3"):
+            sampler.walk_to_word(sampler.walk_from_steps(steps))
+
+    def test_zero_count_is_read_from_the_steps(self):
+        # k claims two zero steps, but the steps have none: decoding them
+        # would give the unrealizable ('10', '10', '10').
+        walk = sampler.LatticeWalk(steps=(1, 1, 1), s=(0, 1, 2, 3), k=(0, 0, 0, 2))
+        with pytest.raises(ValueError, match="0 zero steps"):
+            sampler.walk_to_word(walk)
+
+    def test_truthy_flag_is_normalised(self):
+        walk = sampler.walk_from_steps((0, 1, 0, 0, -1, 0))
+        assert sampler.walk_to_word(walk, 2) == sampler.walk_to_word(walk, True) == (
+            "11", "10", "00", "11", "01", "00",
+        )
 
     def test_step_validation(self):
         with pytest.raises(ValueError):

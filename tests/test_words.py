@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 import pytest
@@ -173,7 +173,8 @@ class TestFolding:
         assert words.unfold(f, True) == words.unfold(f, False)
 
     def test_roundtrip_with_matching_flag(self):
-        for w in [(1, 0, 1, 1, 0, 0), EXAMPLE_18]:
+        every_word = chain.from_iterable(enumeration.enumerate_words(n) for n in range(3, 9))
+        for w in chain([(1, 0, 1, 1, 0, 0), EXAMPLE_18], every_word):
             f = words.fold(w)
             balanced = [a for a in f if a in ("00", "11")]
             flag = balanced[0] == "11"
@@ -182,6 +183,17 @@ class TestFolding:
     def test_fold_of_unfold_restores_alternation(self):
         f = ("11", "00", "10", "11", "00")
         assert words.fold(words.unfold(f, True)) == f
+
+    def test_truthy_flag_is_normalised(self):
+        f = ("11", "10", "11", "00", "01", "00")
+        assert words.unfold(f, 2) == words.unfold(f, True)
+        assert words.fold(words.unfold(f, 2)) == ("11", "10", "00", "11", "01", "00")
+
+    def test_letters_to_word(self):
+        # 0 is 01, 1 is 10, and S alternates 11/00 from the phase.
+        assert words.letters_to_word(1, (2, 2, 1)) == (1, 0, 1, 1, 0, 0)
+        assert words.letters_to_word(0, (2, 0, 2)) == (0, 0, 1, 0, 1, 1)
+        assert words.letters_to_word(1, (2, 2, 2, 2)) == (1, 0, 1, 0) * 2
 
 
 class TestPrefixCounts:
