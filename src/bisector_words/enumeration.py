@@ -2,8 +2,9 @@
 
 Words stream as packed integers (first bit most significant, as in
 :func:`words.word_to_int`), built with numpy from the interlacing
-signatures in chunks of a few thousand words, and are decoded only where
-a caller wants tuples.  Per-class results come from the same chunks: the
+signatures in chunks of a few thousand words; :func:`enumerate_words`
+decodes them to tuples by joining two cached half-tuples per word in one
+object-array add.  Per-class results come from the same chunks: the
 least of a word's 4n shift/reversal images names its class, and the number
 of images equal to the word gives its orbit size, so no set of words is
 kept.  Bracelet counts come from Burnside's lemma and need no enumeration.
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import gcd
-from operator import add
 from typing import Iterator
 
 import numpy as np
@@ -32,8 +32,8 @@ MAX_COUNT_N = 5000
 # mmap threshold, so the heap reuses them: chunks of 2^15 words were no
 # faster and raised the exact-words benchmark's peak RSS by about 1.2 MB.
 _CHUNK_WORDS = 1 << 13
-# Words per tolist() when chunks become tuples, so that a chunk's Python
-# ints are not all alive at once.
+# Words per object-array add when chunks become tuples, so that the object
+# arrays and tuples of one slice, not of a whole chunk, are alive at once.
 _TUPLE_SLICE = 1 << 10
 _LETTERS = np.arange(3)
 
@@ -140,13 +140,23 @@ def enumerate_words(n: int) -> Iterator[Word]:
     (0,1), so the stream is reproducible.
     """
     _check_range(n)
-    halves = [tuple((h >> i) & 1 for i in range(n - 1, -1, -1)) for h in range(1 << n)]
+    halves = _half_tuples(n)
     shift, low = np.uint64(n), np.uint64((1 << n) - 1)
     parts = (c[s : s + _TUPLE_SLICE] for c in _word_chunks(n) for s in range(0, len(c), _TUPLE_SLICE))
-    return chain.from_iterable(
-        map(add, map(halves.__getitem__, (part >> shift).tolist()), map(halves.__getitem__, (part & low).tolist()))
-        for part in parts
-    )
+    return chain.from_iterable(np.add(halves[part >> shift], halves[part & low]).tolist() for part in parts)
+
+
+@lru_cache(maxsize=None)  # one table per n <= MAX_ENUMERATION_N
+def _half_tuples(n: int) -> np.ndarray:
+    """Object array whose entry h is the n-bit integer h as a tuple of bits (read-only).
+
+    The first bit is the most significant.  The table holds 2^n tuples of
+    n ints, about 2.8 MB at n = 14.
+    """
+    bits = range(n - 1, -1, -1)
+    halves = np.fromiter((tuple((h >> i) & 1 for i in bits) for h in range(1 << n)), object, 1 << n)
+    halves.flags.writeable = False
+    return halves
 
 
 @lru_cache(maxsize=None)  # one table per n <= MAX_ENUMERATION_N

@@ -29,11 +29,29 @@ Signature = tuple[int, ...]
 FoldedWord = tuple[str, ...]
 
 FOLDED_ALPHABET = ("00", "01", "10", "11")
+_INT = frozenset({int})
+
+
+def _as_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """The values as a tuple of Python ints, rejecting any that ``int`` would change.
+
+    A tuple whose elements are all exactly ``int`` is returned uncast; bools
+    and numpy integers are cast, and a value x with int(x) != x (1.7, "1")
+    raises ValueError instead of being truncated.
+    """
+    t = tuple(values)
+    if {*map(type, t)} <= _INT:
+        return t
+    ints = tuple(map(int, t))
+    if ints != t:
+        bad = next(x for x, i in zip(t, ints) if x != i)
+        raise ValueError(f"{what} must be integers, got {bad!r}")
+    return ints
 
 
 def check_word(bits: Iterable[int]) -> Word:
     """Validate and normalize a word to a tuple of 0/1 ints of length 2n, n >= 3."""
-    w = tuple(map(int, bits))
+    w = _as_ints(bits, "word bits")
     if len(w) < 6 or len(w) % 2 != 0:
         raise ValueError(f"word length must be an even number >= 6, got {len(w)}")
     if not set(w) <= {0, 1}:
@@ -42,7 +60,7 @@ def check_word(bits: Iterable[int]) -> Word:
 
 
 def check_signature(letters: Iterable[int]) -> Signature:
-    s = tuple(int(x) for x in letters)
+    s = _as_ints(letters, "signature letters")
     if len(s) < 3:
         raise ValueError(f"signature length must be >= 3, got {len(s)}")
     if any(x not in (0, 1, 2) for x in s):

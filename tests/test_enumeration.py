@@ -66,6 +66,28 @@ class TestEnumerateWords:
         assert got == expected
 
 
+class TestTupleAssembly:
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_words_are_tuples_of_exact_ints(self, n):
+        ws = list(enumeration.enumerate_words(n))
+        assert {type(w) for w in ws} == {tuple}
+        assert {len(w) for w in ws} == {2 * n}
+        assert {type(b) for w in ws for b in w} == {int}
+
+    @pytest.mark.parametrize("n", [3, 7, 10])
+    def test_half_tuples_are_read_only_and_built_once_per_n(self, n):
+        halves = enumeration._half_tuples(n)
+        assert [words.word_to_string(h) for h in halves] == [format(h, f"0{n}b") for h in range(1 << n)]
+        assert not halves.flags.writeable
+        with pytest.raises(ValueError):
+            halves[0] = ()
+        misses = enumeration._half_tuples.cache_info().misses
+        list(enumeration.enumerate_words(n))
+        list(enumeration.enumerate_words(n))
+        assert enumeration._half_tuples(n) is halves
+        assert enumeration._half_tuples.cache_info().misses == misses
+
+
 class TestSignatures:
     @pytest.mark.parametrize("n", range(3, 11))
     def test_matches_literal_filter(self, n):
@@ -130,6 +152,13 @@ class TestChunkLayout:
         monkeypatch.setattr(enumeration, "_CHUNK_WORDS", chunk)
         for n in range(3, 10):
             assert self.outputs(n, capsys) == default[n]
+
+    @pytest.mark.parametrize("size", [1, 7])
+    def test_word_stream_does_not_depend_on_the_tuple_slice(self, monkeypatch, size):
+        default = {n: list(enumeration.enumerate_words(n)) for n in range(3, 10)}
+        monkeypatch.setattr(enumeration, "_TUPLE_SLICE", size)
+        for n in range(3, 10):
+            assert list(enumeration.enumerate_words(n)) == default[n]
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_a_signature_is_never_split(self, monkeypatch, chunk):

@@ -106,6 +106,57 @@ class TestRealizable:
             assert words.is_realizable(bits) is expected
 
 
+class TestValidation:
+    @given(random_words())
+    def test_ints_bools_and_numpy_scalars_give_the_same_int_tuple(self, w):
+        forms = (
+            w,
+            list(w),
+            tuple(map(bool, w)),
+            tuple(map(np.int64, w)),
+            tuple(map(np.uint8, w)),
+            np.array(w),
+            tuple(map(float, w)),
+        )
+        for form in forms:
+            got = words.check_word(form)
+            assert got == w
+            assert type(got) is tuple and {type(b) for b in got} == {int}
+
+    @given(st.lists(st.integers(0, 2), min_size=3, max_size=12).map(tuple))
+    def test_signature_letters_as_numpy_scalars_give_the_same_int_tuple(self, s):
+        for form in (s, tuple(map(np.int8, s)), np.array(s, dtype=np.uint8), tuple(map(float, s))):
+            got = words.check_signature(form)
+            assert got == s
+            assert {type(x) for x in got} == {int}
+
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            [1.7, 0, 0, 1, 1, 0],
+            [0.9, 0, 1, 1, 1, 0.5],
+            [0, 0, 1, 1, 1, np.float64(0.5)],
+            ["1", 0, 0, 1, 1, 0],
+        ],
+    )
+    def test_non_integral_bits_are_rejected_not_truncated(self, bits):
+        with pytest.raises(ValueError, match="word bits must be integers"):
+            words.check_word(bits)
+        with pytest.raises(ValueError, match="word bits must be integers"):
+            words.is_realizable(bits)
+        with pytest.raises(ValueError, match="word bits must be integers"):
+            words.signature(bits)
+
+    def test_non_integral_signature_letters_are_rejected(self):
+        with pytest.raises(ValueError, match="signature letters must be integers, got 2.5"):
+            words.check_signature([2.5, 0, 1])
+        with pytest.raises(ValueError, match="signature letters must be integers"):
+            words.is_interlacing((0, 2, 1.5))
+
+    def test_integral_values_of_mixed_types_are_accepted(self):
+        assert words.check_word([True, np.int64(1), np.uint8(0), 1.0, 0, 0]) == (1, 1, 0, 1, 0, 0)
+
+
 class TestBracelet:
     def test_same_class_and_orbit(self):
         a = words.canonical_bracelet((1, 1, 0, 1, 0, 0))
