@@ -4,29 +4,38 @@ A realizable word is a letter string in {0, 1, S}^n with an even nonzero
 number of S letters plus a phase bit (see :mod:`words`); the samplers draw
 the letters and the phase.
 
+Every draw of the word and bracelet samplers is one call of
+:func:`_uniform_below`, exactly uniform on its range: one raw 64-bit word
+of the bit generator while the range is at most 2^64, multiplied by the
+range and rejected while the low half of the product falls below a
+threshold (Lemire 2019).  None goes through ``Generator.integers``, whose
+per-call argument handling costs several times the raw word.  Above 2^32,
+``integers`` draws this way from the same words, so there the draws equal
+its draws.  (The CLT experiment draws whole arrays with ``integers``.)
+
 Words are drawn without rejection up to n = 39.  The last n - k letters,
-k = min(n, 39), form the tail: one ``integers(0, 3^m)`` draw per block of
-m <= 39 letters, whose base-3 digits are i.i.d. uniform letters.  The tail's
-S count leaves the head (the first k letters) a requirement: an even number
+k = min(n, 39), form the tail: one draw on [0, 3^m) per block of m <= 39
+letters, whose base-3 digits are i.i.d. uniform letters.  The tail's S
+count leaves the head (the first k letters) a requirement: an even number
 of S with at least one, an even number, or an odd number.  The counts of
 length-L strings meeting each are (3^L + 1)/2 - 2^L, (3^L + 1)/2 and
-(3^L - 1)/2, tabled for L <= 39, so every count is below 2^63.  One more
-draw x on [0, 2H) gives the phase bit x & 1 and a rank r = x >> 1, and the
-head is decoded from r letter by letter: 0 and 1 take the first two equal
-shares of the count and S the rest, which flips the parity.  H is the
-largest head count among the requirements the tail can leave, and an
-attempt with r >= count(requirement) is rejected and redrawn whole.
+(3^L - 1)/2, tabled for L <= 39, so every draw is below 2^64: one raw
+word.  One more draw x on [0, 2H) gives the phase bit x & 1 and a rank
+r = x >> 1, and the head is decoded from r letter by letter: 0 and 1 take
+the first two equal shares of the count and S the rest, which flips the
+parity.  H is the largest head count among the requirements the tail can
+leave, and an attempt with r >= count(requirement) is rejected and
+redrawn whole.
 
-This is exact: ``Generator.integers`` is exactly uniform on its range, so a
-valid (tail, phase, head) is produced with probability
-3^-(n-k) · 1/(2H), the same for all of them.  With no tail (n <= 39) there
-is one requirement and H is its count, 2H = 3^n - 2^(n+1) + 1: exactly one
-draw per word and no rejection.  Above n = 39 a requirement's count falls
-short of H by at most 2^39 (no S yet; 2^39 - 1 when H is the odd count), so
-an attempt is rejected with probability at most 2^39 / ((3^39 + 1)/2), below
-3e-7.  The head is not widened
-to the whole word: a rank of more than 63 bits would make every letter
-cost big-int arithmetic.
+This is exact: every draw is exactly uniform on its range, so a valid
+(tail, phase, head) is produced with probability 3^-(n-k) · 1/(2H), the
+same for all of them.  With no tail (n <= 39) there is one requirement and
+H is its count, 2H = 3^n - 2^(n+1) + 1: exactly one draw per word and no
+rejection.  Above n = 39 a requirement's count falls short of H by at most
+2^39 (no S yet; 2^39 - 1 when H is the odd count), so an attempt is
+rejected with probability at most 2^39 / ((3^39 + 1)/2), below 3e-7.  The
+head is not widened to the whole word: a rank of more than 64 bits would
+make every letter cost big-int arithmetic.
 
 Bracelets (classes under shifts and reversal) are drawn by Burnside
 sampling (Jerrum 1994): pick a group element g with probability
@@ -41,10 +50,10 @@ At small n both samplers read their result from a lookup table: when the
 one draw has at most 2^10 values (n <= 6 for words and for bracelets), the
 draw indexes a table built on first use, once per n, by the same decoders,
 so the draws and the outputs are those of the decoding path, and a call
-costs little more than its one ``integers`` draw.  Above that, digits and
-letters are decoded in plain Python: at the n of exact sampling, numpy
-calls on arrays of a few letters would cost several times more than the
-letters themselves.
+costs little more than its one raw word.  Above that, digits and letters
+are decoded in plain Python: at the n of exact sampling, numpy calls on
+arrays of a few letters would cost several times more than the letters
+themselves.
 
 Folding a realizable word and mapping letters 11/00 to step 0, 10 to +1 and
 01 to -1 gives a walk; tracking the running count of 0 steps makes the map
@@ -69,8 +78,8 @@ from .words import Bracelet, FoldedWord, Word
 
 _STEP_OF_LETTER = {"00": 0, "11": 0, "10": 1, "01": -1}
 _LETTER_OF_STEP = {-1: 0, 1: 1, 0: 2}
-# Letters per integer draw: 2 * 3**39 < 2**63, so every head and tail draw
-# is one int64 draw.
+# Letters per draw: 2 * 3**39 < 2**64, and a draw is one raw word while its
+# range is <= 2^64, so every head and tail draw reads one raw word.
 _BLOCK = 39
 # Head requirements on the S count, and _COUNTS[requirement][L], the number
 # of length-L letter strings that meet it.
@@ -94,6 +103,9 @@ _COUNT_BLOCK = 10
 # Low bits of a packed (2s, 1s) count that hold the 1s: room for the 1s of
 # any segment of a word of at most MAX_WORD_N letters.
 _ONES_BITS = MAX_WORD_N.bit_length()
+# Raw words of the bit generator are uniform on [0, _WORD).
+_WORD = 1 << 64
+_MASK = _WORD - 1
 
 
 def _base3_digits(x: int, count: int) -> list[int]:
@@ -105,22 +117,49 @@ def _base3_digits(x: int, count: int) -> list[int]:
     return digits
 
 
-def _uniform_below(high: int, rng: np.random.Generator) -> int:
-    """Exactly uniform on [0, high): one ``integers`` draw while high <= 2^63.
+def _check_raw_words(rng: np.random.Generator) -> None:
+    """Reject, before any draw, a generator whose raw words are not 64-bit.
 
-    Above that, a uniform x of high's bit length is assembled from blocks of
-    at most 63 bits and redrawn while x >= high (acceptance over 1/2).
+    numpy's MT19937 yields 32-bit raw words; PCG64, PCG64DXSM, Philox and
+    SFC64 yield 64-bit words, which :func:`_uniform_below` reads.
     """
-    if high <= 1 << 63:
-        return int(rng.integers(0, high))
-    bits = (high - 1).bit_length()
+    if isinstance(rng.bit_generator, np.random.MT19937):
+        raise ValueError(
+            "the samplers read 64-bit raw words, and MT19937 yields 32-bit ones;"
+            " use PCG64, PCG64DXSM, Philox or SFC64"
+        )
+
+
+def _uniform_below(high: int, rng: np.random.Generator) -> int:
+    """Exactly uniform on [0, high), high >= 1: one raw word while high <= 2^64.
+
+    Lemire's multiply-and-reject ("Fast Random Integer Generation in an
+    Interval", ACM TOMACS 29(1), 2019) on K = 64k raw bits, where k is the
+    number of 64-bit words that high needs, the high word drawn first: a
+    uniform r < 2^K gives r·high >> K, and r is rejected while the low K
+    bits of r·high are below T = 2^K mod high.  A value v is then given by
+    the r whose r·high lies in [v·2^K + T, (v+1)·2^K), an interval of
+    2^K - T = high·floor(2^K / high) integers, so by exactly
+    floor(2^K / high) words r each.  T < high, so a low part of at least
+    high is accepted without computing T.  The public samplers call
+    :func:`_check_raw_words` first, so the raw words are 64-bit.
+    """
+    if high <= _WORD:
+        m = rng.bit_generator.random_raw() * high
+        if m & _MASK < high:
+            threshold = _WORD % high
+            while m & _MASK < threshold:
+                m = rng.bit_generator.random_raw() * high
+        return m >> 64
+    width = 64 * -(-(high - 1).bit_length() // 64)  # K
+    threshold = (1 << width) % high
     while True:
-        x = 0
-        for start in range(0, bits, 63):
-            size = min(63, bits - start)
-            x = (x << size) | int(rng.integers(0, 1 << size))
-        if x < high:
-            return x
+        r = 0
+        for _ in range(width // 64):
+            r = r << 64 | rng.bit_generator.random_raw()
+        m = r * high
+        if m & ((1 << width) - 1) >= threshold:
+            return m >> width
 
 
 def _head_letters(rank: int, size: int, requirement: int) -> list[int]:
@@ -153,10 +192,10 @@ def _word_letters(n: int, rng: np.random.Generator) -> tuple[int, list[int]]:
         tail = []
         for start in range(head, n, _BLOCK):
             size = min(_BLOCK, n - start)
-            tail += _base3_digits(int(rng.integers(0, 3**size)), size)
+            tail += _base3_digits(_uniform_below(3**size, rng), size)
         specials = tail.count(2)
         requirement = _ODD if specials % 2 else _EVEN if specials else _EVEN_WITH_S
-        x = int(rng.integers(0, high))
+        x = _uniform_below(high, rng)
         if x >> 1 < _COUNTS[requirement][head]:
             return x & 1, _head_letters(x >> 1, head, requirement) + tail
 
@@ -176,11 +215,17 @@ def _word_table(n: int) -> tuple[Word, ...]:
 
 
 def sample_uniform_word(n: int, rng: np.random.Generator) -> Word:
-    """Exactly uniform over the 3^n - 2^(n+1) + 1 realizable words of length 2n, 3 <= n <= 10^6."""
+    """Exactly uniform over the 3^n - 2^(n+1) + 1 realizable words of length 2n, 3 <= n <= 10^6.
+
+    ``rng`` must yield 64-bit raw words (PCG64, PCG64DXSM, Philox, SFC64);
+    one backed by MT19937, whose raw words are 32-bit, is rejected with a
+    ValueError before any draw.
+    """
     _check_word_size(n)
+    _check_raw_words(rng)
     if n <= _BLOCK and 2 * _COUNTS[_EVEN_WITH_S][n] <= _TABLE_SIZE:
         table = _word_table(n)
-        return table[int(rng.integers(0, len(table)))]
+        return table[_uniform_below(len(table), rng)]
     return words.letters_to_word(*_word_letters(n, rng))
 
 
@@ -254,16 +299,21 @@ def sample_uniform_bracelet(n: int, rng: np.random.Generator) -> Bracelet:
     """Exactly uniform over bracelet classes, by Burnside sampling, 3 <= n <= 5000.
 
     One uniform t on [0, Σ mult·|Fix|) over the terms of
-    :func:`enumeration._fixed_point_counts` (one draw while that is below
-    2^63, i.e. up to n = 39) picks the group element type g with
+    :func:`enumeration._fixed_point_counts` (one raw word while that is
+    <= 2^64, i.e. up to n = 40) picks the group element type g with
     probability mult·|Fix(g)| / Σ, and t mod |Fix(g)|, uniform given the
     type, picks the fixed word.  Each class C is then hit with probability
     Σ_g |Fix(g) ∩ C| / Σ = |C| · (4n/|C|) / Σ = 1/#classes; grouping
     rotations by gcd and reflections by conjugacy does not change these
     sums.  The word is canonicalised once; there is no rejection loop.
     Up to n = 6, Σ <= 2^10 and t indexes :func:`_bracelet_table` instead.
+
+    ``rng`` must yield 64-bit raw words (PCG64, PCG64DXSM, Philox, SFC64);
+    one backed by MT19937, whose raw words are 32-bit, is rejected with a
+    ValueError before any draw.
     """
     terms = enumeration._fixed_point_counts(n)
+    _check_raw_words(rng)
     total = sum(mult * fixed for _, mult, fixed in terms)
     t = _uniform_below(total, rng)
     if total <= _TABLE_SIZE:

@@ -36,17 +36,28 @@ def _as_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
     """The values as a tuple of Python ints, rejecting any that ``int`` would change.
 
     A tuple whose elements are all exactly ``int`` is returned uncast; bools
-    and numpy integers are cast, and a value x with int(x) != x (1.7, "1")
-    raises ValueError instead of being truncated.
+    and numpy integers are cast.  A value that ``int`` rejects (inf, nan,
+    None) or would change (1.7, "1") raises ValueError, never the
+    OverflowError or TypeError of the cast, and is not truncated.
     """
     t = tuple(values)
     if {*map(type, t)} <= _INT:
         return t
-    ints = tuple(map(int, t))
+    try:
+        ints = tuple(map(int, t))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
     if ints != t:
-        bad = next(x for x, i in zip(t, ints) if x != i)
+        bad = next(x for x in t if not _is_integral(x))
         raise ValueError(f"{what} must be integers, got {bad!r}")
     return ints
+
+
+def _is_integral(x) -> bool:
+    try:
+        return int(x) == x
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def check_word(bits: Iterable[int]) -> Word:

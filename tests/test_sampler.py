@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import random
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -28,10 +29,15 @@ def chi_square_p(counts: dict, cells: int) -> float:
 
 
 class CountingRng:
-    """A generator that records the upper bound and the values of every ``integers`` call."""
+    """A generator that records the upper bound and the values of every ``integers`` call.
+
+    The samplers draw from raw words (``sampler._uniform_below``); the
+    ``draws_via_integers`` fixture routes those draws here to count them.
+    """
 
     def __init__(self, rng):
         self.rng = rng
+        self.bit_generator = rng.bit_generator
         self.highs = []
         self.values = []
 
@@ -42,7 +48,13 @@ class CountingRng:
 
 
 class ScriptedRng:
-    """A generator whose ``integers`` calls return scripted values, recording each bound."""
+    """A generator whose ``integers`` calls return scripted values, recording each bound.
+
+    With the ``draws_via_integers`` fixture every sampler draw is one such
+    call.  It has no bit generator: no raw word is ever read from it.
+    """
+
+    bit_generator = None
 
     class Exhausted(Exception):
         pass
@@ -60,10 +72,20 @@ class ScriptedRng:
         return value
 
 
+@pytest.fixture
+def draws_via_integers(monkeypatch):
+    """Route every sampler draw ``_uniform_below(high, rng)`` to ``rng.integers(0, high)``.
+
+    ScriptedRng then scripts the draws and CountingRng records their bounds.
+    """
+    monkeypatch.setattr(sampler, "_uniform_below", lambda high, rng: int(rng.integers(0, high)))
+
+
 def attempt_outcomes(n: int, block: int) -> list:
     """Every draw sequence of one word-sampler attempt: (probability, word or None if rejected).
 
     An attempt draws the tail blocks of ``block`` letters, then the head.
+    Needs the ``draws_via_integers`` fixture.
     """
     draws = 1 + math.ceil((n - min(n, block)) / block)
     outcomes = []
@@ -154,7 +176,7 @@ class TestUniformWords:
             assert words.is_realizable(w)
 
     @pytest.mark.parametrize("n", [3, 4, 39, 40, 79])
-    def test_one_draw_per_block_of_39_letters(self, n):
+    def test_one_draw_per_block_of_39_letters(self, draws_via_integers, n):
         # Up to n = 39 the whole word is one head draw.  Above, the tail
         # blocks come first, then one head draw of twice the largest head
         # count the tail can leave: (3^39 - 1)/2 after one tail letter (odd
@@ -169,7 +191,7 @@ class TestUniformWords:
             assert rng.highs == tail + [head]
 
     @pytest.mark.parametrize("n", range(3, 11))
-    def test_every_head_rank_decodes_a_distinct_word(self, n):
+    def test_every_head_rank_decodes_a_distinct_word(self, draws_via_integers, n):
         # The decoder is called directly; the public sampler, which reads a
         # table up to n = 6, must give the decoder's word for every draw.
         total = enumeration.count_words(n)
@@ -187,7 +209,7 @@ class TestUniformWords:
             assert sampler._word_table(n) == tuple(decoded)
 
     @pytest.mark.parametrize("n", [2, sampler.MAX_WORD_N + 1])
-    def test_n_bounded_before_any_draw(self, n):
+    def test_n_bounded_before_any_draw(self, draws_via_integers, n):
         rng = CountingRng(np.random.default_rng(0))
         with pytest.raises(ValueError, match="3 <= n <="):
             sampler.sample_uniform_word(n, rng)
@@ -195,7 +217,7 @@ class TestUniformWords:
 
     @pytest.mark.parametrize("block", [2, 3])
     @pytest.mark.parametrize("n", range(3, 8))
-    def test_every_draw_sequence_with_small_blocks(self, monkeypatch, n, block):
+    def test_every_draw_sequence_with_small_blocks(self, monkeypatch, draws_via_integers, n, block):
         # With blocks of 2 or 3 letters, n <= 7 has tails, all three head
         # requirements and rejections; every valid word must come from
         # exactly one draw sequence, all equally likely.
@@ -211,27 +233,137 @@ class TestUniformWords:
             assert len(accepted) < len(outcomes)
 
 
+class RawWords:
+    """A generator whose bit generator's ``random_raw()`` returns scripted words, counting them."""
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.drawn = 0
+        self.bit_generator = self
+
+    def random_raw(self):
+        self.drawn += 1
+        return self.script[self.drawn - 1]
+
+
+def raw_word_count(high: int) -> int:
+    """k, the number of 64-bit raw words that one draw on [0, high) reads."""
+    return max(1, -(-(high - 1).bit_length() // 64))
+
+
+# Bounds at the edges of the draw rule: 2^32 +- 1 around numpy's switch to
+# 64-bit words, twice the largest head count 3^39, the largest one-word
+# bounds, and two-word bounds.
+EDGE_HIGHS = [2**32 - 1, 2**32 + 1, 2 * 3**39, 2**64 - 1, 2**64, 2**64 + 3, 3**50]
+
+
 class TestUniformBelow:
-    @pytest.mark.parametrize("high", [1, 12, 2**63])
-    def test_one_draw_up_to_2_to_the_63(self, high):
-        rng = CountingRng(np.random.default_rng(high))
-        assert 0 <= sampler._uniform_below(high, rng) < high
-        assert rng.highs == [high]
+    @staticmethod
+    def bucket_sizes(high, values):
+        """Accepted words per value v: the r < 2^K with r·high in [v·2^K + T, (v+1)·2^K)."""
+        width = 64 * raw_word_count(high)
+        threshold = (1 << width) % high
+        return {
+            v: -(-((v + 1) << width) // high) - -(-((v << width) + threshold) // high) for v in values
+        }
 
-    def test_blocks_of_63_bits_above(self):
-        high = 3**50  # 80 bits
-        rng = CountingRng(np.random.default_rng(50))
-        assert 0 <= sampler._uniform_below(high, rng) < high
-        attempts = len(rng.highs) // 2
-        assert rng.highs == [2**63, 2**17] * attempts
+    def test_every_value_of_small_bounds_gets_equally_many_words(self):
+        for high in range(1, 2001):
+            assert set(self.bucket_sizes(high, range(high)).values()) == {2**64 // high}
 
-    def test_rejects_and_assembles_high_bits_first(self):
+    @pytest.mark.parametrize("high", EDGE_HIGHS)
+    def test_every_value_of_edge_bounds_gets_equally_many_words(self, high):
+        # Too many values to list for the largest bounds: the first and last
+        # 2000 and 2000 more at random.
+        rnd = random.Random(high)
+        values = {*range(min(high, 2000)), *range(max(0, high - 2000), high)}
+        values |= {rnd.randrange(high) for _ in range(2000)}
+        width = 64 * raw_word_count(high)
+        assert set(self.bucket_sizes(high, values).values()) == {2**width // high}
+
+    @pytest.mark.parametrize("high", [1, 3, 12, 1000, 1999, 2**32, *EDGE_HIGHS])
+    def test_rejects_exactly_the_words_whose_low_part_is_below_the_threshold(self, high):
+        # Candidate r: the first word of each of the first and last 20
+        # buckets and its neighbours.  Each is scripted before an accepted
+        # word, as its k raw words, high word first.
+        k = raw_word_count(high)
+        width = 64 * k
+        threshold = (1 << width) % high
+        mask = (1 << width) - 1
+
+        def script(r):
+            return [(r >> (64 * i)) & (2**64 - 1) for i in reversed(range(k))]
+
+        accepted = next(r for r in range(mask, -1, -1) if (r * high) & mask >= threshold)
+        firsts = [-(-(j << width) // high) for j in (*range(20), *range(max(0, high - 20), high))]
+        candidates = {r + d for r in firsts for d in (-1, 0, 1) if 0 <= r + d <= mask}
+        rejected = 0
+        for r in sorted(candidates):
+            rng = RawWords(script(r) + script(accepted))
+            got = sampler._uniform_below(high, rng)
+            if (r * high) & mask < threshold:
+                rejected += 1
+                assert (got, rng.drawn) == ((accepted * high) >> width, 2 * k)
+            else:
+                assert (got, rng.drawn) == ((r * high) >> width, k)
+        assert (rejected > 0) == (threshold > 0)
+
+    def test_high_word_first(self):
+        # 2^64 + 3 needs two words: (1, 0) is r = 2^64, (0, 1) is r = 1.
         high = 2**64 + 3
-        # 65 bits: a 63-bit block, then a 2-bit block; 2^64 + 3 itself is
-        # rejected, 2^64 + 2 accepted.
-        rng = ScriptedRng([2**62, 3, 2**62, 2])
-        assert sampler._uniform_below(high, rng) == 2**64 + 2
-        assert rng.highs == [2**63, 4, 2**63, 4]
+        assert sampler._uniform_below(high, RawWords([1, 0])) == 1
+        assert sampler._uniform_below(high, RawWords([0, 1])) == 0
+        assert sampler._uniform_below(high, RawWords([2**64 - 1, 2**64 - 1])) == high - 1
+
+    @pytest.mark.parametrize("high", [2**32 + 1, enumeration.count_words(32), 2 * 3**39, 2**63])
+    @pytest.mark.parametrize("make", [np.random.PCG64, np.random.Philox, np.random.SFC64, np.random.PCG64DXSM])
+    def test_draws_equal_integers_above_2_to_the_32(self, high, make):
+        # numpy's integers draws these bounds with the same rule from the
+        # same 64-bit words, so streams of such draws did not change.
+        ours, theirs = np.random.Generator(make(high)), np.random.Generator(make(high))
+        assert [sampler._uniform_below(high, ours) for _ in range(200)] == [
+            int(theirs.integers(0, high)) for _ in range(200)
+        ]
+
+
+class TestRawWords:
+    @pytest.mark.parametrize(
+        "sample, n",
+        [
+            (sampler.sample_uniform_word, 3),
+            (sampler.sample_uniform_word, 41),
+            (sampler.sample_uniform_bracelet, 4),
+            (sampler.sample_uniform_bracelet, 41),
+        ],
+    )
+    def test_mt19937_is_rejected_before_any_draw(self, sample, n):
+        bits = np.random.MT19937(5)
+        with pytest.raises(ValueError, match="MT19937"):
+            sample(n, np.random.Generator(bits))
+        assert bits.random_raw() == np.random.MT19937(5).random_raw()
+
+    @pytest.mark.parametrize("make", [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64])
+    def test_64_bit_generators_are_accepted(self, make):
+        rng = np.random.Generator(make(1))
+        assert words.is_realizable(sampler.sample_uniform_word(7, rng))
+        assert words.is_realizable(sampler.sample_uniform_bracelet(7, rng).word)
+
+    class NoIntegers(np.random.Generator):
+        def integers(self, *args, **kwargs):
+            raise AssertionError("a sampler called Generator.integers")
+
+    @pytest.mark.parametrize("n", [3, 6, 7, 39, 40, 41])
+    def test_words_never_call_integers(self, n):
+        rng = self.NoIntegers(np.random.PCG64(n))
+        for _ in range(5):
+            assert words.is_realizable(sampler.sample_uniform_word(n, rng))
+
+    @pytest.mark.parametrize("n", [4, 7, 40, 41])
+    def test_bracelets_never_call_integers(self, n):
+        rng = self.NoIntegers(np.random.PCG64(n))
+        for _ in range(3):
+            b = sampler.sample_uniform_bracelet(n, rng)
+            assert b == words.canonical_bracelet(b.word)
 
 
 class TestUniformBracelets:
@@ -294,8 +426,8 @@ class TestUniformBracelets:
         assert set(law.values()) == {Fraction(1, len(law))}
 
     @pytest.mark.parametrize("n", range(3, 9))
-    def test_every_draw_gives_each_class_4n_times(self, n):
-        # One draw per bracelet below 2^63: every value of that draw, fed
+    def test_every_draw_gives_each_class_4n_times(self, draws_via_integers, n):
+        # One draw per bracelet up to 2^64: every value of that draw, fed
         # through the public sampler, hits each class exactly 4n times.
         total = 4 * n * enumeration.count_bracelets(n)
         hits = Counter()
@@ -309,7 +441,7 @@ class TestUniformBracelets:
         assert set(hits.values()) == {4 * n}
 
     @pytest.mark.parametrize("n", range(3, 7))
-    def test_table_is_the_decoding_path(self, monkeypatch, n):
+    def test_table_is_the_decoding_path(self, monkeypatch, draws_via_integers, n):
         # Up to n = 6 every draw t reads the table; with the table turned
         # off, the same t decodes and canonicalises the same bracelet.
         table = sampler._bracelet_table(n)
@@ -333,7 +465,7 @@ class TestUniformBracelets:
         assert w[80:] + w[:80] == w
 
     @pytest.mark.parametrize("n", [2, enumeration.MAX_COUNT_N + 1])
-    def test_n_bounded_before_any_draw(self, n):
+    def test_n_bounded_before_any_draw(self, draws_via_integers, n):
         rng = CountingRng(np.random.default_rng(0))
         with pytest.raises(ValueError, match="3 <= n <="):
             sampler.sample_uniform_bracelet(n, rng)
@@ -394,26 +526,29 @@ def _float_hex(value):
     return value
 
 
-# sha256 of 2000 outputs from one generator per case, recorded before the
-# samplers read lookup tables, a change that keeps the draws and the outputs.
+# sha256 of 2000 outputs from one generator per case.  Re-recorded when the
+# samplers began to draw from raw 64-bit words (sampler._uniform_below): the
+# draws on a range of at most 2^32, and the bracelet draw at n = 40 (above
+# 2^63), changed, not their law.  Words at n = 32 (one draw above 2^32, the
+# draw of Generator.integers) and bracelets at n = 3 (one class) kept theirs.
 PINNED_WORDS = {
-    3: "0a2b78df493a0e78f161f11867f138b3b33ba61faaf2a369a5aa28dc97e33dea",
-    4: "bde57ea174de52d6ed3a8840216923f6d08e3382de9d0ee5d6134099a95d08b5",
-    5: "b04a50a476fa58dc7ced227eac56afb683f1355f0f637fb1f7c43d09dadf1712",
-    6: "b975121af88ab2a683bd0ca2f4ea090b6fffed599affa10565e494c9bf8fe634",
-    7: "343dc27ca3f1bfc46bb0efd93be23489476e446ff5590c4e5ce22f5e0657f4b8",
-    8: "c5131fae4482af7819ac92bfca54f0478b02f6170a51ab0d4154ed4f4ef57bb9",
+    3: "d3b2a725f39a5f4042c3c74df9268b6f61edda9accbe86b46934f473a82e1c49",
+    4: "60332c9fd359606504c88f67e74bf6a007bb7c279fea6fc165d0ed6c28197831",
+    5: "930eaa2ffe7454dc3bbcd7389c1c1367f323339b7e160dae763674de1e343972",
+    6: "df28dc1f36958631811bde6cc7d5adbf3d549472223a28ee2a69ec7af35b0393",
+    7: "0ac4b6c2c60cfde5b2e61252fd0c7bf33813367739db7adc1b6b0689e70163aa",
+    8: "a6b84c3268669266e480812696790f161f235404b09fe848a7dc3b2595e72d36",
     32: "0eb0b0d71ab55be74f4333a2d697ae8e5f6ae14fbc2835b6b3575c4f699c646a",
-    41: "ec1a3b3a681d2a8e35acb2ba722f1281296c4abedf09f2d36c779646399d7d6b",
+    41: "d94ae7508e772f2a0e86c5980a790d854afcc8654e5402154dd09110270b1397",
 }
 PINNED_BRACELETS = {
     3: "fc50a0855a34fc746d09b9b86e8df7439f9a1b6c3c01aa6616b0354bffb529f4",
-    4: "bf5d58af1e672e2b4cb7c54dc7d8ae9776b38bbdb933607b14e73d8113eb4ab4",
-    5: "2c2630cfce080812b09ee2e827f4def58160d8960122235d000f1537f77658d8",
-    6: "43569b27f67a52d207e6a91db2649ac2ad63070dfb5cd1622b685af956ecef12",
-    7: "8ce2fe6e69df977234a65beecf7bac7d21c26e4dd0df50b8007fe294a10fb76f",
-    8: "4bd0abe87d544de6c811536978f128ff4357144f141d7015b580c122b2ead20f",
-    40: "4222320dc6f8c66355e551c7d2fe4732a33db925add7ac35b36775ea78c86837",
+    4: "9c072d4e1beb8dd27accb3d0eddd02b2dc7bf87eadf471daa8d966b6e67a768c",
+    5: "4562e6d89c99ceb604e5329f85595d7b2348554b3d3f3b0f00fb9397287c7899",
+    6: "42a224b217beeefaad5123837d922505d8b7833c5dbca5decd5f663f1d913b96",
+    7: "740c048af61f43846864c8bb813a285bf9a27633331ab80666ff4abd831407ea",
+    8: "a78a6bb57dbdad209027af32eff5f111980fd2e4e6968f1e16a35625846dbb13",
+    40: "2a386f4c2c313cf195455ea41b38294b4fc0e381351bd7376e6b3048dc0cbb58",
 }
 # (n, trials, grid, seed): a cut of 0 and a repeated cut at n = 7, an
 # unsorted grid with a repeat, and batches of 419 rows at n = 10^4.

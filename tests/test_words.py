@@ -1,3 +1,4 @@
+import math
 from itertools import chain, product
 
 import numpy as np
@@ -152,6 +153,17 @@ class TestValidation:
             words.check_signature([2.5, 0, 1])
         with pytest.raises(ValueError, match="signature letters must be integers"):
             words.is_interlacing((0, 2, 1.5))
+
+    @pytest.mark.parametrize(
+        "bad", [math.inf, -math.inf, math.nan, np.float64(math.inf), None, object()], ids=repr
+    )
+    def test_values_int_rejects_raise_value_error(self, bad):
+        # int() raises OverflowError for inf, ValueError for nan and
+        # TypeError for None and object(); both validators raise ValueError.
+        with pytest.raises(ValueError, match="word bits must be integers"):
+            words.check_word([0, 0, bad, 1, 1, 0])
+        with pytest.raises(ValueError, match="signature letters must be integers"):
+            words.check_signature([2, bad, 1])
 
     def test_integral_values_of_mixed_types_are_accepted(self):
         assert words.check_word([True, np.int64(1), np.uint8(0), 1.0, 0, 0]) == (1, 1, 0, 1, 0, 0)
