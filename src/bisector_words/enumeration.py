@@ -86,14 +86,6 @@ def _signature_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     return twos[keep] | (twos[keep] << np.uint64(n)), ones[keep]
 
 
-def enumerate_signatures(n: int) -> Iterator[tuple[int, ...]]:
-    """Interlacing signatures of length n in lexicographic order (see :func:`_signature_masks`)."""
-    base, ones = _signature_masks(n)
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
-    letters = 2 * ((base[:, None] >> shifts) & 1) + ((ones[:, None] >> shifts) & 1)
-    return map(tuple, letters.tolist())
-
-
 def _word_chunks(n: int) -> Iterator[np.ndarray]:
     """All realizable words of length 2n as packed uint64, in stream order, chunk by chunk.
 
@@ -264,16 +256,22 @@ def _fixed_point_counts(n: int) -> tuple[tuple[int | None, int, int], ...]:
     return tuple(terms)
 
 
+@lru_cache(maxsize=128)
+def _burnside_total(n: int) -> int:
+    """Σ mult·|Fix| over :func:`_fixed_point_counts`: 4n times the number of classes."""
+    total = sum(mult * fixed for _, mult, fixed in _fixed_point_counts(n))
+    assert total % (4 * n) == 0, f"Burnside total {total} is not a multiple of {4 * n}"
+    return total
+
+
 def count_bracelets(n: int) -> int:
     """Number of shift/reversal classes among the realizable words.
 
     Burnside's lemma: the count is the mean number of realizable words fixed
-    by an element of the dihedral group of order 4n, summed from
-    :func:`_fixed_point_counts`, which also weighs the bracelet sampler.
+    by an element of the dihedral group of order 4n, :func:`_burnside_total`
+    over 4n; the same total weighs the bracelet sampler.
     """
-    total = sum(mult * fixed for _, mult, fixed in _fixed_point_counts(n))
-    assert total % (4 * n) == 0, f"Burnside total {total} is not a multiple of {4 * n}"
-    return total // (4 * n)
+    return _burnside_total(n) // (4 * n)
 
 
 @dataclass(frozen=True)
@@ -283,9 +281,6 @@ class EnumerationReport:
     bracelet_count: int
     formula_count: int
     orbit_size_histogram: dict[int, int]  # orbit size -> number of classes
-
-    def words_in_orbits_smaller_than(self, bound: int) -> int:
-        return sum(o * c for o, c in self.orbit_size_histogram.items() if o < bound)
 
 
 def enumeration_report(n: int) -> EnumerationReport:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import words
-from .words import Signature, Word
+from .words import Word
 
 logger = logging.getLogger(__name__)
 
@@ -96,9 +96,6 @@ class PointConfig:
 
     def rotated(self, delta) -> "PointConfig":
         return PointConfig.from_points(p + delta for p in self.positions)
-
-    def reflected(self) -> "PointConfig":
-        return PointConfig.from_points(-p for p in self.positions)
 
 
 class _Frame:
@@ -167,29 +164,31 @@ def _generic_frame(config: PointConfig) -> _Frame:
     return f
 
 
-def circle_distance(a, b):
-    d = abs(b - a)
-    return min(d, 1 - d)
-
-
 def bisector_positions(config: PointConfig) -> tuple:
     """Midpoint of each pair of cyclically consecutive points, in pair order.
 
     The wrap-around pair uses the branch (1 + p_last + p_first)/2 mod 1 so the
     midpoint lands on the short arc between the two points.
+    Test seam: read by the Fraction-oracle test and the float-path digest.
     """
     f = _Frame(config, rotate=False)
     return tuple(f.arc(v) for v in f.lines)
 
 
 def critical_values(config: PointConfig) -> list:
-    """Points, antipodes, bisectors and antipodal bisectors: 4n values mod 1."""
+    """Points, antipodes, bisectors and antipodal bisectors: 4n values mod 1.
+
+    Test seam: read by the float-path digest of the geometry tests.
+    """
     f = _Frame(config, rotate=False)
     return [f.arc(v) for v in f.critical_values()]
 
 
 def genericity_margin(config: PointConfig):
-    """Smallest cyclic gap between two critical values; 0 means degenerate."""
+    """Smallest cyclic gap between two critical values; 0 means degenerate.
+
+    Test seam: read by the Fraction-oracle test and the float-path and plan digests.
+    """
     f = _Frame(config, rotate=False)
     return f.arc(f.margin())
 
@@ -199,7 +198,10 @@ def ensure_generic(config: PointConfig) -> None:
 
 
 def region_boundaries(config: PointConfig) -> tuple:
-    """The 2n sorted region boundaries: bisectors and their antipodes."""
+    """The 2n sorted region boundaries: bisectors and their antipodes.
+
+    Test seam: read by the Fraction-oracle test and the float-path and plan digests.
+    """
     f = _Frame(config, rotate=False)
     return tuple(f.arc(v) for v in f.boundaries())
 
@@ -266,17 +268,6 @@ def arrangement(config: PointConfig) -> Arrangement:
         boundaries=tuple(f.arc(v) for v in f.boundaries()),
         dots=tuple(f.arc(v) for v in sorted(pts + f.antipodes(pts))),
     )
-
-
-def arrangement_signature(arr: Arrangement) -> Signature:
-    """Dot count per region for the first n regions, read from the arrangement."""
-    m = 2 * arr.n
-    counts = [0] * m
-    for q in arr.dots:
-        counts[_region_index(arr.boundaries, q, m)] += 1
-    if counts[: arr.n] != counts[arr.n :]:
-        raise NonGenericConfiguration("antipodal regions disagree on dot counts")
-    return tuple(counts[: arr.n])
 
 
 def _colored_dots(f: _Frame) -> list[tuple]:

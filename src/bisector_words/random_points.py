@@ -61,7 +61,8 @@ _CHUNK_ELEMENTS = 1 << 15
 # Largest n whose words of 2n bits pack into one uint64.
 MAX_PACKED_N = 32
 # Largest n the batched geometry takes: one configuration is then a single
-# chunk whose 2n-wide temporaries hold about 100 MB.
+# chunk whose 2n-wide temporaries hold about 100 MB.  It also bounds the rows
+# of n floats that max_spacing_check and sample_exp_model draw.
 MAX_GEOMETRY_N = 10**6
 # Largest n of one scalar configuration (see :func:`sample_uniform_config`).
 MAX_CONFIG_N = 10**5
@@ -142,17 +143,6 @@ def phi_series(x, n: int) -> Fraction:
                 for j in range(l):
                     total += weight * math.comb(i + j, j) * x ** (i + j + 1)
     return total
-
-
-def exp_below_erlangs_prob(k: int, l: int) -> Fraction:
-    """P(X < U and X < V) for X ~ Exp(1), U ~ Erlang(k,1), V ~ Erlang(l,1), exact."""
-    if k < 1 or l < 1:
-        raise ValueError("need k, l >= 1")
-    return sum(
-        Fraction(math.comb(i + j, j), 3 ** (i + j + 1))
-        for i in range(k)
-        for j in range(l)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +410,6 @@ def _interlacing_failures(n: int, rng: np.random.Generator, size: int) -> int:
     return sum(_count_non_interlacing(w[:, :n] + w[:, n:]) for w in chunks)
 
 
-def _erlang_hits(k: int, rng: np.random.Generator, size: int, l: int) -> int:
-    """Draws with X < U and X < V; X ~ Exp(1), U ~ Erlang(k, 1), V ~ Erlang(l, 1)."""
-    x = rng.standard_exponential(size)
-    u = rng.standard_exponential((size, k)).sum(axis=1)
-    v = rng.standard_exponential((size, l)).sum(axis=1)
-    return int(((x < u) & (x < v)).sum())
-
-
 # ---------------------------------------------------------------------------
 # scalar sampling APIs
 
@@ -487,14 +469,10 @@ class ExpSpacingSample:
             return y - self.dots[n], 1 - c
         raise IndexError(f"dot index {i} outside [-{n}, {2 * n - 1}]")
 
-    def to_point_config(self) -> PointConfig:
-        """Scale the half circle to the dot span and lift colors back to points."""
-        pos = _exp_positions(np.array([self.dots]), np.array([self.colors[:-1]]))
-        return PointConfig(tuple(sorted(pos[0].tolist())))
-
 
 def sample_exp_model(n: int, rng: np.random.Generator) -> ExpSpacingSample:
-    _check_size(n)
+    """One sample of the exponential spacing model, 3 <= n <= 10^6."""
+    _check_size(n, most=MAX_GEOMETRY_N)
     spac, y, colors = _exp_draw(n, 1, rng)
     return ExpSpacingSample(
         spacings=tuple(spac[0].tolist()), dots=tuple(y[0].tolist()), colors=(*colors[0].tolist(), 0)
@@ -685,13 +663,13 @@ def equidistribution_paths(
 
 
 def max_spacing_check(n: int, trials: int, seed: int) -> EstimatorResult:
-    """Mean of n * (largest gap) / log n for n uniform points on [0, 1/2].
+    """Mean of n * (largest gap) / log n for n uniform points on [0, 1/2], 2 <= n <= 10^6.
 
     The statistic concentrates at 1/2 as n grows (slowly; expect a loose
     band at desk scale).  Trial i draws from the :func:`batch_rng` stream
     keyed by (seed, i); the statistics are summed in trial order.
     """
-    _check_size(n, trials, least=2)
+    _check_size(n, trials, least=2, most=MAX_GEOMETRY_N)
     total = 0.0
     total_sq = 0.0
     for p in _trial_chunks(n, trials, seed):
@@ -700,15 +678,3 @@ def max_spacing_check(n: int, trials: int, seed: int) -> EstimatorResult:
             total += stat
             total_sq += stat * stat
     return _make_result(total, total_sq, trials, seed, 0.5)
-
-
-def estimate_exp_below_erlangs(
-    k: int, l: int, trials: int, seed: int
-) -> EstimatorResult:
-    """Monte Carlo counterpart of :func:`exp_below_erlangs_prob`.
-
-    Erlang variables are sampled as sums of independent unit exponentials.
-    """
-    target = exp_below_erlangs_prob(k, l)
-    hits = sum(_run_batches(_erlang_hits, k, trials, seed, 1, l))
-    return _make_result(hits, hits, trials, seed, target)

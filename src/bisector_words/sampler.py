@@ -42,9 +42,10 @@ sampling (Jerrum 1994): pick a group element g with probability
 |Fix(g)| / Σ|Fix|, then a uniform word fixed by g, and canonicalise it.  A
 class C of orbit size |C| contains |C| words, each fixed by 4n/|C| elements,
 so it is hit with probability 4n / Σ|Fix| = 1/#classes.  The terms come
-from :func:`enumeration._fixed_point_counts`, as the count does.  One
-exactly uniform t on [0, Σ mult·|Fix|) picks the type and, as remainder,
-the fixed word; the decoders are described at :func:`_fixed_word`.
+from :func:`enumeration._fixed_point_counts` and Σ mult·|Fix| from
+:func:`enumeration._burnside_total`, as the count does.  One exactly
+uniform t on [0, Σ mult·|Fix|) picks the type and, as remainder, the fixed
+word; the decoders are described at :func:`_fixed_word`.
 
 At small n both samplers read their result from a lookup table: when the
 one draw has at most 2^10 values (n <= 6 for words and for bracelets), the
@@ -277,7 +278,7 @@ def _bracelet_table(n: int) -> tuple[Bracelet, ...]:
     """The bracelet of every value t of the sampler's draw, for n whose Burnside total is small.
 
     Each fixed word is decoded once and its block repeated mult times.  A
-    class is canonicalised once with :func:`words._orbit` and its whole
+    class is canonicalised once with :func:`words._bracelet` and its whole
     orbit marked, so later words of the class are looked up.
     """
     classes: dict[int, Bracelet] = {}
@@ -287,8 +288,7 @@ def _bracelet_table(n: int) -> tuple[Bracelet, ...]:
         for q in range(fixed):
             x = words.word_to_int(_fixed_word(n, kind, q, None))
             if x not in classes:
-                orbit = words._orbit(x, n)
-                bracelet = Bracelet(n=n, word=words.int_to_word(min(orbit), n), orbit_size=len(orbit))
+                bracelet, orbit = words._bracelet(x, n)
                 classes.update(dict.fromkeys(orbit, bracelet))
             block.append(classes[x])
         table += block * mult
@@ -312,13 +312,12 @@ def sample_uniform_bracelet(n: int, rng: np.random.Generator) -> Bracelet:
     one backed by MT19937, whose raw words are 32-bit, is rejected with a
     ValueError before any draw.
     """
-    terms = enumeration._fixed_point_counts(n)
+    total = enumeration._burnside_total(n)
     _check_raw_words(rng)
-    total = sum(mult * fixed for _, mult, fixed in terms)
     t = _uniform_below(total, rng)
     if total <= _TABLE_SIZE:
         return _bracelet_table(n)[t]
-    for kind, mult, fixed in terms:
+    for kind, mult, fixed in enumeration._fixed_point_counts(n):
         if t < mult * fixed:
             break
         t -= mult * fixed
@@ -371,24 +370,6 @@ def walk_to_word(walk: LatticeWalk, first_zero_is_11: bool = True) -> FoldedWord
         raise ValueError(f"walk has {zeros} zero steps; need an even nonzero count")
     letters = [_LETTER_OF_STEP[x] for x in steps]
     return words.fold(words.letters_to_word(1 if first_zero_is_11 else 0, letters))
-
-
-def counts_from_walk_state(i: int, a: int, p: int) -> tuple[int, int, int, int]:
-    """Prefix letter counts (#11, #00, #10, #01) from the walk state (S_i, K_i).
-
-    Valid for walks of folded words whose first balanced letter is 11.
-    """
-    alpha = (p + 1) // 2
-    beta = p // 2
-    gamma = (i - p + a) // 2
-    delta = (i - p - a) // 2
-    return alpha, beta, gamma, delta
-
-
-def folded_prefix_counts(folded, x: float) -> dict[str, int]:
-    """Occurrences of each folded letter among the first floor(x) letters."""
-    head = words._prefix(words.check_folded(folded), x)
-    return {a: head.count(a) for a in words.FOLDED_ALPHABET}
 
 
 def binomial_parity_check(n: int) -> tuple[Fraction, Fraction]:

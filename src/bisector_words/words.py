@@ -147,10 +147,6 @@ def is_realizable(w: Iterable[int]) -> bool:
     return bool(specials) and specials == [specials[0], 1 - specials[0]] * (len(specials) // 2)
 
 
-def cyclic_shifts(w: Sequence) -> list:
-    return [tuple(w[i:]) + tuple(w[:i]) for i in range(len(w))]
-
-
 @dataclass(frozen=True)
 class Bracelet:
     """Equivalence class of a word under cyclic shifts and reversal.
@@ -188,22 +184,16 @@ def bracelet_orbit(w: Iterable[int]) -> set[int]:
     return _orbit(word_to_int(word), len(word) // 2)
 
 
-def bracelet_class(w: Iterable[int]) -> set[Word]:
-    """All distinct words obtained from w by cyclic shifts and reversal."""
-    word = check_word(w)
-    return {int_to_word(x, len(word) // 2) for x in bracelet_orbit(word)}
+def _bracelet(x: int, n: int) -> tuple[Bracelet, set[int]]:
+    """The bracelet of the packed word x of length 2n (its least 2n-bit image) and its orbit."""
+    orbit = _orbit(x, n)
+    return Bracelet(n=n, word=int_to_word(min(orbit), n), orbit_size=len(orbit)), orbit
 
 
 def canonical_bracelet(w: Iterable[int]) -> Bracelet:
-    """The bracelet of w.
-
-    All packed images have 2n bits, so the least integer is the
-    lexicographically least word of the class.
-    """
+    """The bracelet of w."""
     word = check_word(w)
-    n = len(word) // 2
-    orbit = bracelet_orbit(word)
-    return Bracelet(n=n, word=int_to_word(min(orbit), n), orbit_size=len(orbit))
+    return _bracelet(word_to_int(word), len(word) // 2)[0]
 
 
 def fold(w: Iterable[int]) -> FoldedWord:
@@ -246,16 +236,12 @@ def unfold(folded: Iterable[str], first_zero_is_11: bool = True) -> Word:
     return letters_to_word(1 if first_zero_is_11 else 0, letters)
 
 
-def _prefix(seq: Sequence, x: float) -> Sequence:
-    """The first floor(x) items of seq, for 0 <= x <= len(seq)."""
-    if not 0 <= x <= len(seq):
-        raise ValueError(f"prefix bound must lie in [0, {len(seq)}], got {x}")
-    return seq[: math.floor(x)]
-
-
 def prefix_counts(s: Iterable[int], x: float) -> tuple[int, int, int]:
-    """Occurrences of each letter among the first floor(x) signature letters."""
-    head = _prefix(check_signature(s), x)
+    """Occurrences of each letter among the first floor(x) signature letters, 0 <= x <= n."""
+    sig = check_signature(s)
+    if not 0 <= x <= len(sig):
+        raise ValueError(f"prefix bound must lie in [0, {len(sig)}], got {x}")
+    head = sig[: math.floor(x)]
     return head.count(0), head.count(1), head.count(2)
 
 

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from collections import deque
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,11 @@ from oracles import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def stream_signatures(n):
+    """The signatures of the word stream, one per run of equal signatures."""
+    return [sig for sig, _ in groupby(map(words.signature, enumeration.enumerate_words(n)))]
 
 
 class TestCountWords:
@@ -91,7 +97,7 @@ class TestTupleAssembly:
 class TestSignatures:
     @pytest.mark.parametrize("n", range(3, 11))
     def test_matches_literal_filter(self, n):
-        assert list(enumeration.enumerate_signatures(n)) == interlacing_signatures(n)
+        assert stream_signatures(n) == interlacing_signatures(n)
 
 
 class TestCountBracelets:
@@ -132,7 +138,8 @@ class TestReport:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_few_words_in_small_orbits(self, n):
         rep = enumeration.enumeration_report(n)
-        assert rep.words_in_orbits_smaller_than(4 * n) <= 2 * n * 3 ** (n / 2)
+        small = sum(o * c for o, c in rep.orbit_size_histogram.items() if o < 4 * n)
+        assert small <= 2 * n * 3 ** (n / 2)
 
 
 class TestChunkLayout:
@@ -141,7 +148,7 @@ class TestChunkLayout:
         assert cli.main(["enumerate", "--n", str(n), "--bracelets"]) == 0
         return (
             list(enumeration.enumerate_words(n)),
-            list(enumeration.enumerate_signatures(n)),
+            stream_signatures(n),
             enumeration.enumeration_report(n),
             capsys.readouterr().out,
         )
@@ -163,7 +170,7 @@ class TestChunkLayout:
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_a_signature_is_never_split(self, monkeypatch, chunk):
         monkeypatch.setattr(enumeration, "_CHUNK_WORDS", chunk)
-        sizes = [2 ** sig.count(1) for sig in enumeration.enumerate_signatures(9)]
+        sizes = [2 ** sig.count(1) for sig in stream_signatures(9)]
         chunks = [len(c) for c in enumeration._word_chunks(9)]
         i = 0
         for length in chunks:

@@ -16,6 +16,12 @@ from bisector_words.geometry import PointConfig, occupancy_word, region_stats
 from oracles import count_non_interlacing, words_by_stable_argsort
 
 
+def exp_config(sample):
+    """The positions of an exponential-model sample on the unit circle, as a configuration."""
+    pos = rp._exp_positions(np.array([sample.dots]), np.array([sample.colors[:-1]]))
+    return PointConfig(tuple(sorted(pos[0].tolist())))
+
+
 class TestClosedForms:
     def test_frozen_values(self):
         assert rp.closed_form("h2", 3) == 2
@@ -62,19 +68,6 @@ class TestPhi:
             rp.phi(Fraction(1, 2), 5)
         with pytest.raises(ValueError):
             rp.phi_series(Fraction(3, 5), 5)
-
-
-class TestErlang:
-    def test_simplest_case(self):
-        assert rp.exp_below_erlangs_prob(1, 1) == Fraction(1, 3)
-
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    @pytest.mark.parametrize("l", [1, 2, 3])
-    def test_symmetry_and_monte_carlo(self, k, l):
-        exact = rp.exp_below_erlangs_prob(k, l)
-        assert exact == rp.exp_below_erlangs_prob(l, k)
-        res = rp.estimate_exp_below_erlangs(k, l, 200_000, seed=100 + 10 * k + l)
-        assert abs(res.z) <= 4, (k, l, res)
 
 
 class TestUniformConfig:
@@ -142,6 +135,14 @@ class TestExpModel:
         with pytest.raises(IndexError):
             s.dot_at(2 * n)
 
+    def test_n_bounded_before_any_draw(self):
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"rng.{name} was used")
+
+        with pytest.raises(ValueError, match=f"n <= {rp.MAX_GEOMETRY_N}"):
+            rp.sample_exp_model(rp.MAX_GEOMETRY_N + 1, NoDraws())
+
     def test_mean_total_is_n(self):
         rng = rp.batch_rng(5, 0)
         y = rng.standard_exponential((200_000, 6)).sum(axis=1)
@@ -151,7 +152,7 @@ class TestExpModel:
     def test_config_has_interlacing_signature(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
-            cfg = rp.sample_exp_model(5, rng).to_point_config()
+            cfg = exp_config(rp.sample_exp_model(5, rng))
             assert words.is_interlacing(words.signature(occupancy_word(cfg)))
 
     def test_bracelet_probabilities_match_circle_model(self):
@@ -365,7 +366,7 @@ def _pinned_payload(case: str):
     if kind == "sample_exp_model":
         rng = rp.batch_rng(PIN_SEED, int(arg))
         samples = [rp.sample_exp_model(int(arg), rng) for _ in range(5)]
-        return [[dataclasses.asdict(s), s.to_point_config().positions] for s in samples]
+        return [[dataclasses.asdict(s), exp_config(s).positions] for s in samples]
     raise AssertionError(case)
 
 
@@ -517,8 +518,6 @@ class TestEstimators:
             ("equidistribution_paths", (1, [0.5, 1.0], 10, 35)),
             ("equidistribution_paths", (2, [0.5, 1.0], 10, 35)),
             ("equidistribution_paths", (64, [0.5, 1.0], 0, 35)),
-            ("estimate_exp_below_erlangs", (0, 1, 1000, 35)),
-            ("estimate_exp_below_erlangs", (1, 1, 0, 35)),
             ("estimate_bracelet_prob", (4, words.canonical_bracelet(words.run_word(4)), 0, 35)),
             ("transfer_check", (2, 1000, 35)),
             ("transfer_check", (4, 0, 35)),
@@ -531,6 +530,7 @@ class TestEstimators:
             ("interlacing_failures", (rp.MAX_GEOMETRY_N + 1, 1000, 35)),
             ("transfer_check", (rp.MAX_GEOMETRY_N + 1, 1000, 35)),
             ("equidistribution_paths", (rp.MAX_GEOMETRY_N + 1, [0.5, 1.0], 1, 35)),
+            ("max_spacing_check", (rp.MAX_GEOMETRY_N + 1, 1, 35)),
         ],
     )
     def test_inputs_bounded_before_any_draw(self, monkeypatch, name, args):

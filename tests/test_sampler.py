@@ -471,6 +471,18 @@ class TestUniformBracelets:
             sampler.sample_uniform_bracelet(n, rng)
         assert rng.highs == []
 
+    def test_burnside_total_is_summed_once_per_n(self):
+        # The count and the sampler read one cached total per n.
+        enumeration._burnside_total.cache_clear()
+        rng = np.random.default_rng(0)
+        for n in (4, 8):
+            for _ in range(3):
+                enumeration.count_bracelets(n)
+                sampler.sample_uniform_bracelet(n, rng)
+            terms = enumeration._fixed_point_counts(n)
+            assert enumeration._burnside_total(n) == sum(m * f for _, m, f in terms)
+        assert enumeration._burnside_total.cache_info().misses == 2
+
 
 @pytest.mark.parametrize("n", range(3, 10))
 def test_tables_serve_n_up_to_6(n):
@@ -636,7 +648,9 @@ class TestWalkBijection:
             assert sampler.walk_to_word(sampler.word_to_walk(f), True) == f
 
     def test_walk_state_formulas(self):
-        assert sampler.counts_from_walk_state(3, 1, 2) == (1, 1, 1, 0)
+        # After i letters of a folded word whose first balanced letter is 11,
+        # the walk state (S_i, K_i) = (a, p) gives the letter counts
+        # #11 = (p + 1) // 2, #00 = p // 2, #10 = (i - p + a) // 2, #01 = (i - p - a) // 2.
         for n in (4, 5):
             for w in enumeration.enumerate_words(n):
                 f = words.fold(w)
@@ -645,9 +659,9 @@ class TestWalkBijection:
                     continue
                 walk = sampler.word_to_walk(f)
                 for i in range(n + 1):
-                    counts = sampler.folded_prefix_counts(f, i)
-                    predicted = sampler.counts_from_walk_state(i, walk.s[i], walk.k[i])
-                    assert predicted == (counts["11"], counts["00"], counts["10"], counts["01"])
+                    a, p = walk.s[i], walk.k[i]
+                    predicted = ((p + 1) // 2, p // 2, (i - p + a) // 2, (i - p - a) // 2)
+                    assert predicted == tuple(f[:i].count(x) for x in ("11", "00", "10", "01"))
 
 
 class TestPrefixConsistency:
@@ -657,7 +671,7 @@ class TestPrefixConsistency:
             sig = words.signature(w)
             for x in (0, 2, 3.7, 5):
                 f0, f1, f2 = words.prefix_counts(sig, x)
-                s = sampler.folded_prefix_counts(f, x)
+                s = {a: f[: math.floor(x)].count(a) for a in words.FOLDED_ALPHABET}
                 assert f0 + f2 == s["00"] + s["11"]
                 assert f0 == s["00"] and f2 == s["11"]
                 assert f1 == s["10"] + s["01"]
