@@ -67,6 +67,21 @@ def enumerate_walks_plus(n: int) -> set[tuple[int, ...]]:
     return out
 
 
+def exp_below_erlangs_prob(k: int, l: int) -> Fraction:
+    """P(X < U and X < V) for X ~ Exp(1), U ~ Erlang(k, 1), V ~ Erlang(l, 1).
+
+    Read as a race of three rate-1 Poisson processes: each arrival is X's, U's
+    or V's with chance 1/3, and X wins if it arrives before U's k-th and V's
+    l-th arrival.  Solved by recursion over the (U, V) arrival counts.
+    """
+    third = Fraction(1, 3)
+    win = {}
+    for i in reversed(range(k)):
+        for j in reversed(range(l)):
+            win[i, j] = third + third * (win.get((i + 1, j), 0) + win.get((i, j + 1), 0))
+    return win[0, 0]
+
+
 def count_non_interlacing(signatures) -> int:
     """Rows whose non-1 letters, read cyclically, repeat a value, or that have none."""
     bad = 0

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from bisector_words import geometry, random_points as rp, words
 from bisector_words.geometry import PointConfig, occupancy_word, region_stats
 
-from oracles import count_non_interlacing, words_by_stable_argsort
+from oracles import count_non_interlacing, exp_below_erlangs_prob, words_by_stable_argsort
 
 
 def exp_config(sample):
@@ -68,6 +68,37 @@ class TestPhi:
             rp.phi(Fraction(1, 2), 5)
         with pytest.raises(ValueError):
             rp.phi_series(Fraction(3, 5), 5)
+
+
+class TestErlang:
+    """phi at 1/3 as a weighted sum of exponential-below-Erlang probabilities."""
+
+    def test_simplest_case(self):
+        assert exp_below_erlangs_prob(1, 1) == Fraction(1, 3)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_symmetry_and_monte_carlo(self, k, l):
+        exact = exp_below_erlangs_prob(k, l)
+        assert exact == exp_below_erlangs_prob(l, k)
+        rng = rp.batch_rng(100 + 10 * k + l, 0)
+        trials = 200_000
+        x = rng.standard_exponential(trials)
+        u = rng.standard_exponential((trials, k)).sum(axis=1)
+        v = rng.standard_exponential((trials, l)).sum(axis=1)
+        hits = int(((x < u) & (x < v)).sum())
+        p = float(exact)
+        z = (hits / trials - p) / math.sqrt(p * (1 - p) / trials)
+        assert abs(z) <= 4, (k, l, hits, z)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_phi_series_is_the_erlang_sum(self, n):
+        erlang_sum = sum(
+            Fraction(1, 2 ** min(1 + k + l, n - 1)) * exp_below_erlangs_prob(k, l)
+            for k in range(1, n - 1)
+            for l in range(1, n - k)
+        )
+        assert rp.phi_series(Fraction(1, 3), n) == erlang_sum
 
 
 class TestUniformConfig:
