@@ -46,7 +46,7 @@ def _cmd_check(args) -> int:
     realizable = words.is_realizable(w)
     print(
         f"realizable={'true' if realizable else 'false'} "
-        f"signature={words.signature_to_string(sig)}"
+        f"signature={words.word_to_string(sig)}"
     )
     return 0
 
@@ -118,6 +118,8 @@ def _cmd_sample(args) -> int:
 
 def _cmd_estimate(args) -> int:
     if args.stat == "pb":
+        # the run word's bracelet costs O(n^2); reject n before building it
+        random_points._check_packed_size(args.n)
         target = words.canonical_bracelet(words.run_word(args.n))
         result = random_points.estimate_bracelet_prob(
             args.n, target, args.trials, args.seed, workers=args.workers

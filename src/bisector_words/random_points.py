@@ -8,13 +8,12 @@ half circle to the dot span; up to rotation this reproduces the circle
 model, and the expected type-k length on the unit circle equals the
 expected unnormalized type-k length divided by 2n.
 
-Every random stream is a counter-based :func:`batch_rng` keyed by (seed, i).
-The batched estimators share one engine, :func:`_run_batches`: batch i of
+Every random stream is a counter-based :func:`batch_rng` keyed by (seed, i),
+and every estimator draws through one engine, :func:`_run_batches`: batch i of
 ``BATCH_SIZE`` trials and stream i go to a top-level worker function, serially
 or in a process pool, and partial results are combined in batch order, so
-results are bit-identical for any worker count.  :func:`equidistribution_paths`
-and :func:`max_spacing_check` draw trial i from stream i instead, through one
-generator whose Philox key is reset to (seed, i) for each trial.
+results are bit-identical for any worker count.  Trial j is thus row
+j mod ``BATCH_SIZE`` of the rows drawn from ``batch_rng(seed, j // BATCH_SIZE)``.
 
 The batched geometry is a rank kernel, O(n log n) per configuration.  Rows
 are sorted and rotated so that p_0 = +0.0; bisector i then lies between p_i
@@ -30,7 +29,8 @@ word is the complement of the sorted keys' low bits.  Region lengths come
 from the sorted boundaries (bisectors and their antipodes), computed once
 per chunk with the word.  A batch is processed in cache-sized row chunks of
 at most ``_CHUNK_ELEMENTS`` regions, and per-row values are gathered before
-summing, so chunking never changes a result.
+summing or added in one running sum across chunks, so chunking never changes
+a result.
 
 The batched kernel assumes genericity instead of checking it: no point ties
 with a bisector or its antipode, and no two points coincide.  Sampled
@@ -135,6 +135,7 @@ def phi_series(x, n: int) -> Fraction:
     x = Fraction(x)
     if not 0 < x < Fraction(1, 2):
         raise ValueError(f"need 0 < x < 1/2, got {x}")
+    _check_size(n)
     total = Fraction(0)
     for k in range(1, n - 1):
         for l in range(1, n - k):
@@ -314,28 +315,6 @@ def _uniform_chunks(n: int, size: int, rng: np.random.Generator):
         yield _uniform_rows(n, min(step, size - start), rng)
 
 
-def _trial_streams(seed: int, indices):
-    """``batch_rng(seed, i)`` for each i in turn: one Generator, its Philox re-keyed in place."""
-    rng = batch_rng(seed, 0)
-    state = rng.bit_generator.state  # key (seed, 0), counter 0, empty buffer
-    for i in indices:
-        state["state"]["key"][1] = i
-        rng.bit_generator.state = state
-        yield rng
-
-
-def _trial_chunks(n: int, trials: int, seed: int):
-    """Sorted rows of n uniforms, row i drawn from ``batch_rng(seed, i)``, chunk by chunk."""
-    step = _chunk_rows(n)
-    streams = _trial_streams(seed, range(trials))
-    for start in range(0, trials, step):
-        p = np.empty((min(step, trials - start), n))
-        for row, rng in zip(p, streams):
-            rng.random(out=row)
-        p.sort(axis=1)
-        yield p
-
-
 def _exp_draw(n: int, size: int, rng: np.random.Generator):
     """Spacings, dots Y_0 = 0, ..., Y_n and colors (dot 0 black) of ``size`` samples.
 
@@ -382,9 +361,39 @@ def _count_non_interlacing(signatures: np.ndarray) -> int:
     return int((repeats | ~special[:, :n].any(axis=1)).sum())
 
 
+def _path_rows(p: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Per row, type k and t: fraction of the 2n regions, and their length, ending by t.
+
+    The result has shape (rows, 2, 3, grid size): fractions first, lengths second.
+    """
+    m = 2 * p.shape[1]
+    w, bnd = _words_boundaries_rows(p)
+    # The region through position 0 is only contained at t = 1, so it goes
+    # last; the right ends are then increasing along each row.
+    types = np.roll(w + np.roll(w, -p.shape[1], axis=1), -1, axis=1)
+    lengths = np.roll(_lengths_rows(bnd), -1, axis=1)
+    ends = np.roll(bnd, -1, axis=1)
+    ends[:, -1] = 1.0
+    ended = np.empty((p.shape[0], grid.size), dtype=np.int64)
+    for j, t in enumerate(grid):
+        ended[:, j] = (ends <= t).sum(axis=1)
+    out = np.empty((p.shape[0], 2, 3, grid.size))
+    for k in (0, 1, 2):
+        mask = types == k
+        # cumulative sums with a leading 0 column, indexed by the number of ended regions
+        cnt = np.zeros((p.shape[0], m + 1), dtype=np.int64)
+        np.cumsum(mask, axis=1, out=cnt[:, 1:])
+        cum = np.zeros((p.shape[0], m + 1))
+        np.cumsum(lengths * mask, axis=1, out=cum[:, 1:])
+        out[:, 0, k] = np.take_along_axis(cnt, ended, axis=1) / m
+        out[:, 1, k] = np.take_along_axis(cum, ended, axis=1)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # batch workers of :func:`_run_batches`.  Per-row values are gathered over the
-# chunks before any float sum, so no result depends on the chunk size.
+# chunks before any float sum, or added row by row into a running sum carried
+# across chunks, so no result depends on the chunk size.
 
 
 def _class_hits(n: int, rng: np.random.Generator, size: int, chunks, cls: np.ndarray) -> int:
@@ -408,6 +417,26 @@ def _exp_length_sums(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
 def _interlacing_failures(n: int, rng: np.random.Generator, size: int) -> int:
     chunks = map(_words_rows, _uniform_chunks(n, size, rng))
     return sum(_count_non_interlacing(w[:, :n] + w[:, n:]) for w in chunks)
+
+
+def _path_sums(n: int, rng: np.random.Generator, size: int, grid: np.ndarray) -> np.ndarray:
+    """Sum of the :func:`_path_rows` values over uniform configurations, row by row.
+
+    A batch of per-row grids would not fit in the cache, so the rows of each
+    chunk go into one sequential running sum instead of being gathered.
+    """
+    acc = np.zeros((2, 3, grid.size))
+    for p in _uniform_chunks(n, size, rng):
+        rows = _path_rows(p, grid)
+        rows[0] += acc
+        acc = np.cumsum(rows, axis=0)[-1]
+    return acc
+
+
+def _max_gap_sums(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """:func:`_moments` of n * (largest gap) / log n, the points scaled to [0, 1/2]."""
+    gaps = np.concatenate([np.diff(p, axis=1).max(axis=1) for p in _uniform_chunks(n, size, rng)])
+    return _moments((n * (gaps / 2) / math.log(n))[None])
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +512,11 @@ def sample_exp_model(n: int, rng: np.random.Generator) -> ExpSpacingSample:
 # estimators
 
 
+def _check_packed_size(n: int) -> None:
+    if n > MAX_PACKED_N:
+        raise ValueError(f"bracelet estimates pack 2n bits into 64; need n <= {MAX_PACKED_N}, got {n}")
+
+
 def estimate_bracelet_prob(
     n: int,
     target: Bracelet,
@@ -500,8 +534,7 @@ def estimate_bracelet_prob(
     worker count.  Words are packed into 64 bits, so n is at most
     ``MAX_PACKED_N``.
     """
-    if n > MAX_PACKED_N:
-        raise ValueError(f"bracelet estimates pack 2n bits into 64; need n <= {MAX_PACKED_N}, got {n}")
+    _check_packed_size(n)
     if target.n != n:
         raise ValueError(f"target bracelet has n={target.n}, estimate is for n={n}")
     if model not in _MODEL_CHUNKS:
@@ -604,54 +637,19 @@ class PathReport:
     length_fraction: tuple[tuple[float, ...], ...]
 
 
-def _path_rows(p: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, type and t: fraction of the 2n regions, and their length, ending by t."""
-    m = 2 * p.shape[1]
-    w, bnd = _words_boundaries_rows(p)
-    # The region through position 0 is only contained at t = 1, so it goes
-    # last; the right ends are then increasing along each row.
-    types = np.roll(w + np.roll(w, -p.shape[1], axis=1), -1, axis=1)
-    lengths = np.roll(_lengths_rows(bnd), -1, axis=1)
-    ends = np.roll(bnd, -1, axis=1)
-    ends[:, -1] = 1.0
-    ended = np.empty((p.shape[0], grid.size), dtype=np.int64)
-    for j, t in enumerate(grid):
-        ended[:, j] = (ends <= t).sum(axis=1)
-    fractions = np.empty((p.shape[0], 3, grid.size))
-    sums = np.empty_like(fractions)
-    for k in (0, 1, 2):
-        mask = types == k
-        # cumulative sums with a leading 0 column, indexed by the number of ended regions
-        cnt = np.zeros((p.shape[0], m + 1), dtype=np.int64)
-        np.cumsum(mask, axis=1, out=cnt[:, 1:])
-        cum = np.zeros((p.shape[0], m + 1))
-        np.cumsum(lengths * mask, axis=1, out=cum[:, 1:])
-        fractions[:, k] = np.take_along_axis(cnt, ended, axis=1) / m
-        sums[:, k] = np.take_along_axis(cum, ended, axis=1)
-    return fractions, sums
-
-
 def equidistribution_paths(
     n: int, t_grid: Sequence[float], trials: int, seed: int
 ) -> PathReport:
     """Type-k region counts and lengths inside [0, t], 0 <= t <= 1, averaged over trials.
 
-    Trial i draws its n points from the
-    :func:`batch_rng` stream keyed by (seed, i); trials are processed in row
-    chunks and summed in trial order.
+    Trial j is row j mod ``BATCH_SIZE`` of batch j // ``BATCH_SIZE``, as in
+    every estimator here (see the module docstring); each batch is summed
+    row by row and the batch sums are added in batch order.
     """
     _check_size(n, trials, most=MAX_GEOMETRY_N)
     grid = np.asarray(t_grid, dtype=np.float64)
     _check_t_grid(grid)
-    h_acc = np.zeros((3, grid.size))
-    l_acc = np.zeros((3, grid.size))
-    for p in _trial_chunks(n, trials, seed):
-        fractions, sums = _path_rows(_rotate_rows(p), grid)
-        for h, l in zip(fractions, sums):
-            h_acc += h
-            l_acc += l
-    h_acc /= trials
-    l_acc /= trials
+    h_acc, l_acc = sum(_run_batches(_path_sums, n, trials, seed, 1, grid)) / trials
     return PathReport(
         n=n,
         trials=trials,
@@ -666,15 +664,9 @@ def max_spacing_check(n: int, trials: int, seed: int) -> EstimatorResult:
     """Mean of n * (largest gap) / log n for n uniform points on [0, 1/2], 2 <= n <= 10^6.
 
     The statistic concentrates at 1/2 as n grows (slowly; expect a loose
-    band at desk scale).  Trial i draws from the :func:`batch_rng` stream
-    keyed by (seed, i); the statistics are summed in trial order.
+    band at desk scale).  Trial j is row j mod ``BATCH_SIZE`` of batch
+    j // ``BATCH_SIZE``, as in every estimator here (see the module docstring).
     """
     _check_size(n, trials, least=2, most=MAX_GEOMETRY_N)
-    total = 0.0
-    total_sq = 0.0
-    for p in _trial_chunks(n, trials, seed):
-        for gap in (np.diff(p, axis=1).max(axis=1) / 2).tolist():
-            stat = n * gap / math.log(n)
-            total += stat
-            total_sq += stat * stat
+    total, total_sq = sum(_run_batches(_max_gap_sums, n, trials, seed, 1))[0].tolist()
     return _make_result(total, total_sq, trials, seed, 0.5)

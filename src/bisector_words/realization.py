@@ -91,7 +91,7 @@ def _construct(w) -> tuple[dict, int, list[int], list[int]]:
     word = words.check_word(w)
     sig = words.signature(word)
     if not words.is_interlacing(sig):
-        raise NotRealizable(f"signature {words.signature_to_string(sig)} does not interlace")
+        raise NotRealizable(f"signature {words.word_to_string(sig)} does not interlace")
     n = len(sig)
     m = 2 * n
 

@@ -98,10 +98,6 @@ def word_to_string(w: Sequence[int]) -> str:
     return "".join(str(b) for b in w)
 
 
-def signature_to_string(s: Sequence[int]) -> str:
-    return "".join(str(x) for x in s)
-
-
 def word_to_int(w: Sequence[int]) -> int:
     """Pack a word into an integer, first bit most significant."""
     acc = 0

@@ -237,8 +237,13 @@ class TestEstimate:
         code, out, _ = run_cli("estimate", "--n", "32", "--stat", "pb", "--trials", "2000")
         assert code == 0 and json.loads(out)["trials"] == 2000
 
-    def test_pb_above_packed_limit_exits_1(self):
-        code, out, err = run_cli("estimate", "--n", "33", "--stat", "pb", "--trials", "2000")
+    @pytest.mark.parametrize("n", [33, 10**6])
+    def test_pb_above_packed_limit_exits_1(self, monkeypatch, n):
+        def no_bracelet(*args):
+            raise AssertionError("built the run word's bracelet before checking n")
+
+        monkeypatch.setattr(words, "canonical_bracelet", no_bracelet)
+        code, out, err = run_cli("estimate", "--n", str(n), "--stat", "pb", "--trials", "2000")
         assert code == 1 and out == "" and "n <= 32" in err
 
     def test_worker_count_invisible(self):

@@ -23,7 +23,6 @@ UNEXPORTED = {
         "check_signature",
         "check_word",
         "int_to_word",
-        "signature_to_string",
         "word_to_int",
     },
     geometry: {

@@ -68,6 +68,11 @@ class TestPhi:
             rp.phi(Fraction(1, 2), 5)
         with pytest.raises(ValueError):
             rp.phi_series(Fraction(3, 5), 5)
+        for n in (2, -5):
+            with pytest.raises(ValueError, match="need n >= 3"):
+                rp.phi(Fraction(1, 3), n)
+            with pytest.raises(ValueError, match="need n >= 3"):
+                rp.phi_series(Fraction(1, 3), n)
 
 
 class TestErlang:
@@ -290,22 +295,51 @@ class TestBatchEngine:
             tracemalloc.stop()
         assert peak < 8 << 20
 
-    def test_trial_streams_equal_batch_rng(self):
-        seed = 2**64 - 5
-        indices = [0, 1, 7, 2, 1, 1000, 2**40, 2**64 - 1]
-        for i, rng in zip(indices, rp._trial_streams(seed, indices), strict=True):
-            ref = rp.batch_rng(seed, i)
-            assert np.array_equal(rng.random(1001), ref.random(1001))
-            # leaves half of a 64-bit draw buffered for the next re-keying to drop
-            got, want = (g.integers(0, 10, 3, dtype=np.int32) for g in (rng, ref))
-            assert np.array_equal(got, want)
+    def test_paths_allocate_one_chunk(self):
+        # the per-row grids go into a running sum; a batch of them would be 155 MB
+        grid = np.linspace(0, 1, 201)
+        tracemalloc.start()
+        try:
+            rp.equidistribution_paths(4096, grid, 64, seed=38)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
-    def test_trial_streams_check_the_seed(self, seed):
+    def test_paths_and_spacings_check_the_seed(self, seed):
         with pytest.raises(ValueError, match="seed"):
             rp.max_spacing_check(1000, 5, seed)
         with pytest.raises(ValueError, match="seed"):
             rp.equidistribution_paths(64, [0.5, 1.0], 5, seed)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_paths_and_spacings_read_rows_of_batch_streams(self, monkeypatch, n):
+        # trial j is row j mod BATCH_SIZE of batch_rng(seed, j // BATCH_SIZE)
+        seed, trials, grid = 39, rp.BATCH_SIZE + 3, np.array([0.25, 0.5, 1.0])
+        sizes = (rp.BATCH_SIZE, 3)
+        rows = [rp._uniform_rows(n, size, rp.batch_rng(seed, b)) for b, size in enumerate(sizes)]
+        real_rng, requested = rp.batch_rng, []
+
+        def recording_rng(seed, index):
+            requested.append(index)
+            return real_rng(seed, index)
+
+        monkeypatch.setattr(rp, "batch_rng", recording_rng)
+        paths = rp.equidistribution_paths(n, grid, trials, seed)
+        assert requested == [0, 1]
+        requested.clear()
+        spacing = rp.max_spacing_check(n, trials, seed)
+        assert requested == [0, 1]
+
+        # each batch summed row by row, the batch sums added in batch order
+        h, l = sum(sum(rp._path_rows(p, grid)) for p in rows) / trials
+        assert paths.region_fraction == tuple(map(tuple, h.tolist()))
+        assert paths.length_fraction == tuple(map(tuple, l.tolist()))
+        stats = [n * (np.diff(p, axis=1).max(axis=1) / 2) / math.log(n) for p in rows]
+        total = sum(float(s.sum()) for s in stats)
+        total_sq = sum(float((s * s).sum()) for s in stats)
+        assert spacing == rp._make_result(total, total_sq, trials, seed, 0.5)
 
     @pytest.mark.parametrize("n", [3, 31, 32])
     def test_pack_words_matches_word_to_int(self, n):
@@ -355,12 +389,13 @@ PINNED_PAYLOADS = {
     "bracelet_prob:exp": "c3ac3fd380aef7f588ce1599042fc410e643ebe5c31df5d0c007f923c96accde",
     "interlacing_failures:12": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
     "transfer_check:4": "334c1f62afd85a48958e9f27c97958518b472b0ef26b7d79a5a69ebc77b4925f",
-    "equidistribution_paths:64": "fbb396388666b78a6c9c03b90ce28105c07a984161a94946b27abf93eaa02962",
-    "equidistribution_paths:5000": "969195de0bdf7ccdb6b706c28fde5f982ca4e5a959c43e598bfd2056ef633b12",
-    # recorded from the one-generator-per-trial loop of max_spacing_check and
-    # the scalar draw of sample_exp_model (five samples from one generator)
-    "max_spacing_check:1000": "298a7765d5307e2744fda95edfc93b73d14f965ba02447f47e250771acb2d925",
-    "max_spacing_check:3": "504e8bff461a4a8aaba14eb50376cadb78f2840a1a06f0c76c4ce618d8340b8f",
+    # paths and spacings run 2 to 50 trials: the first rows of the one batch
+    # stream batch_rng(2024, 0), recorded from the batch engine
+    "equidistribution_paths:64": "1cee0ba988b5471714dc11de3a15b7c1dd94488757e303031f419cbb74d40ec3",
+    "equidistribution_paths:5000": "112d22dac8590e03b901cb11a952b9f829d411b20ef4bbbcb6a11b31379d81ce",
+    "max_spacing_check:1000": "e910a5f42329a712186ee4bfc7a85f714957b5baf5b89a480d84a067a66b708b",
+    "max_spacing_check:3": "530577d6f59004d05c666ad13596d74adfb7675affbb7cd753039bbb6db9356e",
+    # recorded from the scalar draw of sample_exp_model (five samples from one generator)
     "sample_exp_model:3": "e6bfad923e277c57c5583f3de64ca5542ea2097ad472032a50c9cd72d8818937",
     "sample_exp_model:4": "273d78db9ff758077ea722be5691343048c16af2a546b84c49b9939e3beb5507",
     "sample_exp_model:5": "3b05c56c76849c226078164780b12632673973c1e44ef0f37b26cbae6bce2d48",
