@@ -423,13 +423,15 @@ def _path_sums(n: int, rng: np.random.Generator, size: int, grid: np.ndarray) ->
     """Sum of the :func:`_path_rows` values over uniform configurations, row by row.
 
     A batch of per-row grids would not fit in the cache, so the rows of each
-    chunk go into one sequential running sum instead of being gathered.
+    chunk go into one sequential running sum, in place, instead of being
+    gathered; only the last row is kept, so no chunk outlives its loop step.
     """
     acc = np.zeros((2, 3, grid.size))
     for p in _uniform_chunks(n, size, rng):
         rows = _path_rows(p, grid)
         rows[0] += acc
-        acc = np.cumsum(rows, axis=0)[-1]
+        acc = np.cumsum(rows, axis=0, out=rows)[-1].copy()
+        del rows  # free this chunk before the next one is built
     return acc
 
 

@@ -285,26 +285,29 @@ class TestBatchEngine:
         assert tuple(rp._words_rows(pos)[0].tolist()) == word
         assert (rp._words_rows(pos) == words_by_stable_argsort(pos)).all()
 
-    def test_full_batch_allocates_little(self):
+    @pytest.mark.parametrize(
+        "run,bound",
+        [
+            (lambda: rp.estimate_region_stats(128, rp.BATCH_SIZE, seed=36), 8 << 20),
+            # a 64 x 4096 batch of 201-point path grids would be 40 MB
+            (lambda: rp.equidistribution_paths(64, np.linspace(0, 1, 201), 4096, seed=38), 16 << 20),
+            # three batches of four 4 MB chunks; no batch result may keep a chunk alive
+            (
+                lambda: rp.equidistribution_paths(4, np.linspace(0, 1, 21), 3 * rp.BATCH_SIZE, 40),
+                10 << 20,
+            ),
+        ],
+        ids=["region-stats", "paths-64x4096", "paths-3-batches"],
+    )
+    def test_full_batch_allocates_little(self, run, bound):
         # the geometry holds one cache-sized chunk at a time, not the batch
         tracemalloc.start()
         try:
-            rp.estimate_region_stats(128, rp.BATCH_SIZE, seed=36)
+            run()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 << 20
-
-    def test_paths_allocate_one_chunk(self):
-        # the per-row grids go into a running sum; a batch of them would be 155 MB
-        grid = np.linspace(0, 1, 201)
-        tracemalloc.start()
-        try:
-            rp.equidistribution_paths(4096, grid, 64, seed=38)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 << 20
+        assert peak < bound
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_paths_and_spacings_check_the_seed(self, seed):
