@@ -14,6 +14,10 @@ and every estimator draws through one engine, :func:`_run_batches`: batch i of
 or in a process pool, and partial results are combined in batch order, so
 results are bit-identical for any worker count.  Trial j is thus row
 j mod ``BATCH_SIZE`` of the rows drawn from ``batch_rng(seed, j // BATCH_SIZE)``.
+Both models draw rows chunk by chunk, each row reading a fixed number of raw
+words in row order (n uniforms, or 2n - 1 in the exponential model), so no row
+depends on the chunk size.  In the CLT experiment of :mod:`sampler`, trial j is
+the (j mod ``BATCH_SIZE``)-th row that its batch keeps after rejection.
 
 The batched geometry is a rank kernel, O(n log n) per configuration.  Rows
 are sorted and rotated so that p_0 = +0.0; bisector i then lies between p_i
@@ -231,11 +235,6 @@ def _chunk_rows(n: int) -> int:
     return max(1, _CHUNK_ELEMENTS // (2 * n))
 
 
-def _split_rows(p: np.ndarray) -> list[np.ndarray]:
-    step = _chunk_rows(p.shape[1])
-    return [p[i : i + step] for i in range(0, p.shape[0], step)]
-
-
 def _bisectors_rows(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bisectors (increasing) and their antipodes per row; rows sorted, first entry 0."""
     mid = np.empty_like(p)
@@ -308,23 +307,31 @@ def _uniform_rows(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
     return _rotate_rows(p)
 
 
-def _uniform_chunks(n: int, size: int, rng: np.random.Generator):
-    """The rows of :func:`_uniform_rows`, drawn chunk by chunk from the same stream."""
+def _chunks(draw, n: int, size: int, rng: np.random.Generator):
+    """``draw(n, rows, rng)`` for consecutive chunks of rows, ``size`` rows in all."""
     step = _chunk_rows(n)
     for start in range(0, size, step):
-        yield _uniform_rows(n, min(step, size - start), rng)
+        yield draw(n, min(step, size - start), rng)
+
+
+def _uniform_chunks(n: int, size: int, rng: np.random.Generator):
+    return _chunks(_uniform_rows, n, size, rng)
 
 
 def _exp_draw(n: int, size: int, rng: np.random.Generator):
     """Spacings, dots Y_0 = 0, ..., Y_n and colors (dot 0 black) of ``size`` samples.
 
-    All spacings are drawn first, then n - 1 colors per row.
+    Each row takes 2n - 1 uniforms u, one raw word each: the first n give
+    the spacings -log1p(-u), Exp(1) by inversion, and the last n - 1 the
+    colors of dots 1..n-1, black (1) when u < 1/2, exactly fair because u
+    is uniform on the multiples of 2^-53 in [0, 1).
     """
-    spac = rng.standard_exponential((size, n))
+    u = rng.random((size, 2 * n - 1))
+    spac = -np.log1p(-u[:, :n])
     y = np.zeros((size, n + 1))
     np.cumsum(spac, axis=1, out=y[:, 1:])
     colors = np.ones((size, n), dtype=np.int64)
-    colors[:, 1:] = rng.integers(0, 2, (size, n - 1))
+    colors[:, 1:] = u[:, n:] < 0.5
     return spac, y, colors
 
 
@@ -340,9 +347,9 @@ def _exp_model_rows(n: int, size: int, rng: np.random.Generator):
     return _rotate_rows(np.sort(_exp_positions(y, colors), axis=1)), 2 * y[:, -1]
 
 
-def _exp_chunks(n: int, size: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """The positions of :func:`_exp_model_rows`, drawn at once, split into chunks."""
-    return _split_rows(_exp_model_rows(n, size, rng)[0])
+def _exp_chunks(n: int, size: int, rng: np.random.Generator):
+    """The positions of :func:`_exp_model_rows`, drawn chunk by chunk from the same stream."""
+    return (pos for pos, _ in _chunks(_exp_model_rows, n, size, rng))
 
 
 _MODEL_CHUNKS = {"circle": _uniform_chunks, "exp": _exp_chunks}
@@ -409,9 +416,9 @@ def _region_sums(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
 
 def _exp_length_sums(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """:func:`_moments` of the type-k lengths over 2n and the circumference, exp model."""
-    pos, circumference = _exp_model_rows(n, size, rng)
-    typed = np.concatenate([_region_values(p)[1:4] for p in _split_rows(pos)], axis=1)
-    return _moments(np.vstack([typed * circumference / (2 * n), circumference]))
+    chunks = _chunks(_exp_model_rows, n, size, rng)
+    rows = [np.vstack([_region_values(p)[1:4] * c / (2 * n), c]) for p, c in chunks]
+    return _moments(np.concatenate(rows, axis=1))
 
 
 def _interlacing_failures(n: int, rng: np.random.Generator, size: int) -> int:
@@ -665,10 +672,16 @@ def equidistribution_paths(
 def max_spacing_check(n: int, trials: int, seed: int) -> EstimatorResult:
     """Mean of n * (largest gap) / log n for n uniform points on [0, 1/2], 2 <= n <= 10^6.
 
-    The statistic concentrates at 1/2 as n grows (slowly; expect a loose
-    band at desk scale).  Trial j is row j mod ``BATCH_SIZE`` of batch
+    The target is exact.  Rows are rotated by their minimum, so the gaps are
+    m = n - 1 of the n + 1 exchangeable spacings of n uniform points on
+    [0, 1], any j of which all exceed x with probability (1 - jx)_+^n.  By
+    inclusion-exclusion, E[max of the m] = ∫ Σ_{j=1}^{m} (-1)^(j+1) C(m, j)
+    (1 - jx)_+^n dx = Σ_j (-1)^(j+1) C(m, j) / (j (n + 1)) = H_m / (n + 1).
+    Halved to [0, 1/2], the target is n H_{n-1} / (2 (n + 1) log n), which
+    tends to 1/2 slowly.  Trial j is row j mod ``BATCH_SIZE`` of batch
     j // ``BATCH_SIZE``, as in every estimator here (see the module docstring).
     """
     _check_size(n, trials, least=2, most=MAX_GEOMETRY_N)
     total, total_sq = sum(_run_batches(_max_gap_sums, n, trials, seed, 1))[0].tolist()
-    return _make_result(total, total_sq, trials, seed, 0.5)
+    harmonic = math.fsum(1 / k for k in range(1, n))
+    return _make_result(total, total_sq, trials, seed, n * harmonic / (2 * (n + 1) * math.log(n)))

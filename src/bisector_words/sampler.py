@@ -11,7 +11,10 @@ range and rejected while the low half of the product falls below a
 threshold (Lemire 2019).  None goes through ``Generator.integers``, whose
 per-call argument handling costs several times the raw word.  Above 2^32,
 ``integers`` draws this way from the same words, so there the draws equal
-its draws.  (The CLT experiment draws whole arrays with ``integers``.)
+its draws.  The CLT experiment draws arrays of letter counts with
+``integers`` on the batch engine of :mod:`random_points`: batch i draws rounds
+of rows from stream (seed, i) and rejects rows until it has kept its trials,
+so trial j is the (j mod ``BATCH_SIZE``)-th kept row of batch j // ``BATCH_SIZE``.
 
 Words are drawn without rejection up to n = 39.  The last n - k letters,
 k = min(n, 39), form the tail: one draw on [0, 3^m) per block of m <= 39
@@ -74,7 +77,7 @@ from typing import Sequence
 import numpy as np
 
 from . import enumeration, words
-from .random_points import batch_rng
+from .random_points import _run_batches
 from .words import Bracelet, FoldedWord, Word
 
 _STEP_OF_LETTER = {"00": 0, "11": 0, "10": 1, "01": -1}
@@ -442,6 +445,36 @@ class CltReport:
     corr_f0_f1: tuple[float, ...]
 
 
+def _clt_sums(n: int, rng: np.random.Generator, size: int, bounds: list[int], columns: list[int]):
+    """Exact sums over the first ``size`` uniform realizable words kept from ``rng``.
+
+    Each round draws min(2^22 // n, 2 * missing + 64) rows: the counts of
+    every segment between consecutive ``bounds``, then the phase bits.  Rows
+    whose S count is zero or odd are rejected, so kept rows are uniform
+    realizable words.  At the prefix ``bounds[c]`` of each c in ``columns``,
+    v is (S count, F2, S10); the result holds Σv and Σ v vᵀ as a
+    (4, 3, len(columns)) array of Python ints.
+    """
+    total = np.zeros((4, 3, len(columns)), dtype=np.int64)
+    missing = size
+    while missing:
+        rows = min((1 << 22) // n, 2 * missing + 64)
+        # counts[0, i] and counts[1, i]: the 2s and the 1s before bounds[i]
+        counts = np.zeros((2, len(bounds), rows), dtype=np.int64)
+        for i in range(1, len(bounds)):
+            counts[:, i] = counts[:, i - 1] + _letter_counts(bounds[i] - bounds[i - 1], rows, rng)
+        phase = rng.integers(0, 2, size=rows)
+        specials = counts[0, -1]
+        kept = np.flatnonzero((specials > 0) & (specials % 2 == 0))[:missing]
+        v = np.empty((3, len(columns), len(kept)), dtype=np.int64)
+        v[0], v[2] = counts[:, columns][..., kept]
+        v[1] = (v[0] + phase[kept]) >> 1  # phase 1: the first balanced letter is 11
+        total[0] += v.sum(axis=2)
+        total[1:] += np.einsum("ick,jck->ijc", v, v)
+        missing -= len(kept)
+    return total.astype(object)
+
+
 def lln_clt_experiment(
     n: int,
     trials: int,
@@ -454,10 +487,9 @@ def lln_clt_experiment(
     counts of 2s (S letters) and 1s that the statistics need, so n of order
     10^4 with 10^4 trials stays cheap.  Each batch draws, for every segment
     between the sorted distinct cuts (and 0 and n), its counts by
-    :func:`_letter_counts`: one draw per block of 10 letters, whose counts
-    a table gives.  Prefix counts are sums of segment counts.  Then come
-    the phase bits, and rows whose S count is zero or odd are rejected, so
-    the kept rows are uniform realizable words.
+    :func:`_letter_counts`: one draw per block of 10 letters, whose counts a
+    table gives.  Batches return exact integer sums (:func:`_clt_sums`), so
+    memory does not grow with the trials, and the moments are exact.
 
     The correlation of F0 and F1 is NaN at a cut where either is constant
     over the trials, as both are at an empty prefix (a cut c·n < 1): a
@@ -472,79 +504,33 @@ def lln_clt_experiment(
         raise ValueError("grid values must lie in (0, 1]")
     cuts = [math.floor(c * n) for c in grid]
     bounds = sorted({0, n, *cuts})
-    columns = [bounds.index(m) for m in cuts]
-
-    max_rows = max(1, (1 << 22) // n)
-    collected = 0
-    index = 0
-    f0 = np.empty((trials, len(grid)))
-    f2 = np.empty((trials, len(grid)))
-    s10 = np.empty((trials, len(grid)))
-    s01 = np.empty((trials, len(grid)))
-    sums_full = np.zeros(4)  # s00, s11, s10, s01 at full length
-
-    while collected < trials:
-        rng = batch_rng(seed, index)
-        index += 1
-        rows = min(max_rows, 2 * (trials - collected) + 64)
-        # Counts per segment between consecutive bounds, then prefix sums:
-        # twos[:, i] and ones[:, i] count the 2s and 1s before bounds[i].
-        twos = np.zeros((rows, len(bounds)), dtype=np.int64)
-        ones = np.zeros((rows, len(bounds)), dtype=np.int64)
-        for i in range(1, len(bounds)):
-            twos[:, i], ones[:, i] = _letter_counts(bounds[i] - bounds[i - 1], rows, rng)
-        phase = rng.integers(0, 2, size=rows)
-        twos = twos.cumsum(axis=1)
-        ones = ones.cumsum(axis=1)
-        balanced = twos[:, -1]
-        keep = (balanced > 0) & (balanced % 2 == 0)
-        take = min(trials - collected, int(keep.sum()))
-        twos, ones, phase = (a[keep][:take] for a in (twos, ones, phase))
-        sl = slice(collected, collected + take)
-        k_m = twos[:, columns]
-        ones_m = ones[:, columns]
-        # phase 1: the first balanced letter is 11
-        f2_m = (k_m + phase[:, None]) // 2
-        f0[sl] = k_m - f2_m
-        f2[sl] = f2_m
-        s10[sl] = ones_m
-        s01[sl] = np.array(cuts) - k_m - ones_m
-        collected += take
-        kn = twos[:, -1]
-        ones_n = ones[:, -1]
-        half = kn / 2  # full-length balanced counts split evenly
-        sums_full += np.array(
-            [half.sum(), half.sum(), ones_n.sum(), (n - kn - ones_n).sum()]
-        )
-
-    scale = 2 / math.sqrt(n)
-
-    def _var(values: np.ndarray) -> tuple[float, ...]:
-        return tuple(float(np.var(scale * values[:, j], ddof=1)) for j in range(len(grid)))
-
-    corr = []
+    columns = [bounds.index(m) for m in cuts] + [len(bounds) - 1]  # and n, for the means
+    sums = sum(_run_batches(_clt_sums, n, trials, seed, 1, bounds, columns))
+    # F0, F2, S10, S01 and F1 are each a constant plus a·v, v = (S count, F2,
+    # S10), for the rows a of coef; cov[j] is trials * (trials - 1) times
+    # their sample covariance matrix at cut j.
+    coef = np.array([(1, -1, 0), (0, 1, 0), (0, 0, 1), (-1, 0, -1), (-1, 0, 0)])
+    cov, corr = [], []
     for j in range(len(grid)):
-        f1 = cuts[j] - f0[:, j] - f2[:, j]
-        if np.ptp(f0[:, j]) and np.ptp(f1):
-            corr.append(float(np.corrcoef(f0[:, j], f1)[0, 1]))
-        else:
-            corr.append(math.nan)
-
-    means = sums_full / (trials * n)
+        total = coef @ sums[0, :, j]
+        cov.append(trials * coef @ sums[1:, :, j] @ coef.T - np.outer(total, total))
+        c04, spreads = cov[-1][0, 4], cov[-1][0, 0] * cov[-1][4, 4]
+        r = math.sqrt(Fraction(c04 * c04, spreads)) if spreads else math.nan
+        corr.append(math.copysign(r, c04))
+    scale = Fraction(4, n * trials * (trials - 1))  # fluctuations are 2 * (count - mean) / sqrt(n)
+    var = [tuple(float(scale * c[i, i]) for c in cov) for i in range(4)]
+    # full-length letter counts; the S letters split evenly into 00 and 11
+    specials, ones = sums[0, 0, -1], sums[0, 2, -1]
+    counts = (Fraction(specials, 2), Fraction(specials, 2), ones, trials * n - specials - ones)
     return CltReport(
         n=n,
         trials=trials,
         seed=seed,
         c_grid=grid,
-        letter_means={
-            "s00": float(means[0]),
-            "s11": float(means[1]),
-            "s10": float(means[2]),
-            "s01": float(means[3]),
-        },
-        var_f0=_var(f0),
-        var_f2=_var(f2),
-        var_s10=_var(s10),
-        var_s01=_var(s01),
+        letter_means={k: float(c / (trials * n)) for k, c in zip(("s00", "s11", "s10", "s01"), counts)},
+        var_f0=var[0],
+        var_f2=var[1],
+        var_s10=var[2],
+        var_s01=var[3],
         corr_f0_f1=tuple(corr),
     )

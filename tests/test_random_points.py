@@ -9,11 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats as sstats
 
-from bisector_words import geometry, random_points as rp, words
+from bisector_words import geometry, random_points as rp, sampler, words
 from bisector_words.geometry import PointConfig, occupancy_word, region_stats
 
 from oracles import count_non_interlacing, exp_below_erlangs_prob, words_by_stable_argsort
+
+
+RUN4 = words.canonical_bracelet(words.run_word(4))
 
 
 def exp_config(sample):
@@ -180,10 +184,37 @@ class TestExpModel:
             rp.sample_exp_model(rp.MAX_GEOMETRY_N + 1, NoDraws())
 
     def test_mean_total_is_n(self):
-        rng = rp.batch_rng(5, 0)
-        y = rng.standard_exponential((200_000, 6)).sum(axis=1)
-        z = (y.mean() - 6) / (y.std(ddof=1) / math.sqrt(len(y)))
+        spac, y, _ = rp._exp_draw(6, 200_000, rp.batch_rng(5, 0))
+        assert np.allclose(y[:, 1:] - y[:, :-1], spac) and (y[:, 0] == 0).all()
+        total = y[:, -1]
+        z = (total.mean() - 6) / (total.std(ddof=1) / math.sqrt(len(total)))
         assert abs(z) <= 4
+
+    def test_spacings_are_unit_exponentials(self):
+        spac, _, _ = rp._exp_draw(5, 40_000, rp.batch_rng(45, 0))
+        assert (spac >= 0).all()
+        assert sstats.kstest(spac.ravel(), "expon").pvalue > 1e-3
+
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_colors_are_fair_and_independent_of_the_spacings(self, shift):
+        # dot i against spacing i (from Y_i to Y_i+1), then against spacing i - 1
+        n, rows = 6, 40_000
+        spac, _, colors = rp._exp_draw(n, rows, rp.batch_rng(46, shift))
+        assert (colors[:, 0] == 1).all()
+        black = colors[:, 1:].ravel() == 1
+        cells = black.size
+        assert abs(black.sum() - cells / 2) <= 4 * math.sqrt(cells / 4)
+        long = spac[:, 1 - shift : n - shift].ravel() > math.log(2)  # median of Exp(1)
+        table = [[int((b & l).sum()) for l in (long, ~long)] for b in (black, ~black)]
+        assert sstats.chi2_contingency(table).pvalue > 1e-3
+
+    @pytest.mark.parametrize("n,a,b", [(3, 1, 4), (7, 50, 13)])
+    def test_rows_drawn_in_two_calls_equal_rows_drawn_in_one(self, n, a, b):
+        whole = rp._exp_draw(n, a + b, rp.batch_rng(47, n))
+        rng = rp.batch_rng(47, n)
+        parts = zip(rp._exp_draw(n, a, rng), rp._exp_draw(n, b, rng))
+        for array, (first, second) in zip(whole, parts):
+            assert np.array_equal(array, np.concatenate([first, second]))
 
     def test_config_has_interlacing_signature(self):
         rng = np.random.default_rng(6)
@@ -296,11 +327,15 @@ class TestBatchEngine:
                 lambda: rp.equidistribution_paths(4, np.linspace(0, 1, 21), 3 * rp.BATCH_SIZE, 40),
                 10 << 20,
             ),
+            # the exponential model draws chunk by chunk too: a whole batch was 770 MB
+            (lambda: rp.transfer_check(1000, rp.BATCH_SIZE, seed=53), 8 << 20),
+            # per-batch integer sums, not per-trial arrays: 20 MB when rounds grew with the trials
+            (lambda: sampler.lln_clt_experiment(10, 3 * rp.BATCH_SIZE, seed=54), 12 << 20),
         ],
-        ids=["region-stats", "paths-64x4096", "paths-3-batches"],
+        ids=["region-stats", "paths-64x4096", "paths-3-batches", "transfer-1000", "clt-3-batches"],
     )
     def test_full_batch_allocates_little(self, run, bound):
-        # the geometry holds one cache-sized chunk at a time, not the batch
+        # a batch holds one cache-sized chunk (or one CLT round) at a time, not all its rows
         tracemalloc.start()
         try:
             run()
@@ -342,7 +377,33 @@ class TestBatchEngine:
         stats = [n * (np.diff(p, axis=1).max(axis=1) / 2) / math.log(n) for p in rows]
         total = sum(float(s.sum()) for s in stats)
         total_sq = sum(float((s * s).sum()) for s in stats)
-        assert spacing == rp._make_result(total, total_sq, trials, seed, 0.5)
+        target = n * math.fsum(1 / k for k in range(1, n)) / (2 * (n + 1) * math.log(n))
+        assert spacing == rp._make_result(total, total_sq, trials, seed, target)
+
+    @pytest.mark.parametrize(
+        "name,run,seeds",
+        [
+            ("bracelet_prob:circle", lambda t, s: rp.estimate_bracelet_prob(4, RUN4, t, s), (0,)),
+            ("bracelet_prob:exp", lambda t, s: rp.estimate_bracelet_prob(4, RUN4, t, s, model="exp"), (0,)),
+            ("region_stats", lambda t, s: rp.estimate_region_stats(5, t, s), (0,)),
+            ("interlacing_failures", lambda t, s: rp.interlacing_failures(5, t, s), (0,)),
+            ("transfer_check", lambda t, s: rp.transfer_check(4, t, s), (1, 2)),
+            ("equidistribution_paths", lambda t, s: rp.equidistribution_paths(4, [0.5, 1.0], t, s), (0,)),
+            ("max_spacing_check", lambda t, s: rp.max_spacing_check(3, t, s), (0,)),
+            ("lln_clt_experiment", lambda t, s: sampler.lln_clt_experiment(7, t, (0.5, 1.0), s), (0,)),
+        ],
+    )
+    def test_every_monte_carlo_path_reads_batch_streams(self, monkeypatch, name, run, seeds):
+        # BATCH_SIZE + 3 trials are batches 0 and 1 of each stream seed, nothing else
+        seed, requested, real_rng = 52, [], rp.batch_rng
+
+        def recording_rng(seed, index):
+            requested.append((seed, index))
+            return real_rng(seed, index)
+
+        monkeypatch.setattr(rp, "batch_rng", recording_rng)
+        run(rp.BATCH_SIZE + 3, seed)
+        assert requested == [(seed + d, i) for d in seeds for i in (0, 1)]
 
     @pytest.mark.parametrize("n", [3, 31, 32])
     def test_pack_words_matches_word_to_int(self, n):
@@ -382,6 +443,11 @@ class TestBatchEngine:
 # Estimator payloads for seed 2024, each over two batches (one full, one
 # partial), recorded from the (rows, n, 2n) comparison kernel that the rank
 # kernel replaced.  The batched geometry must reproduce them bit for bit.
+# The exponential-model cases (bracelet_prob:exp, transfer_check:4 and
+# sample_exp_model) were re-recorded when the model began to draw 2n - 1
+# uniforms per row, spacings by inversion and colors by u < 1/2: the stream
+# changed, not the law.  max_spacing_check was re-recorded when its target
+# became the exact mean; only its target and z fields changed.
 PIN_SEED = 2024
 PINNED_PAYLOADS = {
     "region_stats:3": "bf6a1d4096bcc77ece03d1b00b91c1e1f84ec44ab8b37a80f27333ec138de029",
@@ -389,26 +455,26 @@ PINNED_PAYLOADS = {
     "region_stats:32": "fbf75b9cddccf66addf8c9ea77998ca54ae4139cb2787f22226a2fd03b8be457",
     "region_stats:128": "96629b7cc7cd5f56ef879aac793fface6571df4cba4cdf9b82b45b564a2cafb4",
     "bracelet_prob:circle": "21598a97acb56a695ceb50195c8f6b4bb839dfe7f37a87bb7fe93f6778c0f58c",
-    "bracelet_prob:exp": "c3ac3fd380aef7f588ce1599042fc410e643ebe5c31df5d0c007f923c96accde",
+    "bracelet_prob:exp": "0d2a6d216b87ca196438f871d17b75b13d0a412b24f6b4ac82e3567787cfbfac",
     "interlacing_failures:12": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
-    "transfer_check:4": "334c1f62afd85a48958e9f27c97958518b472b0ef26b7d79a5a69ebc77b4925f",
+    "transfer_check:4": "a5477df21ebfd1e83d067071a3a30c3b2c2e0f2db59dfddfd523e01037928edb",
     # paths and spacings run 2 to 50 trials: the first rows of the one batch
     # stream batch_rng(2024, 0), recorded from the batch engine
     "equidistribution_paths:64": "1cee0ba988b5471714dc11de3a15b7c1dd94488757e303031f419cbb74d40ec3",
     "equidistribution_paths:5000": "112d22dac8590e03b901cb11a952b9f829d411b20ef4bbbcb6a11b31379d81ce",
-    "max_spacing_check:1000": "e910a5f42329a712186ee4bfc7a85f714957b5baf5b89a480d84a067a66b708b",
-    "max_spacing_check:3": "530577d6f59004d05c666ad13596d74adfb7675affbb7cd753039bbb6db9356e",
-    # recorded from the scalar draw of sample_exp_model (five samples from one generator)
-    "sample_exp_model:3": "e6bfad923e277c57c5583f3de64ca5542ea2097ad472032a50c9cd72d8818937",
-    "sample_exp_model:4": "273d78db9ff758077ea722be5691343048c16af2a546b84c49b9939e3beb5507",
-    "sample_exp_model:5": "3b05c56c76849c226078164780b12632673973c1e44ef0f37b26cbae6bce2d48",
-    "sample_exp_model:6": "828c946052bdd91022d1466ce9d896fa05bd33504a08c4c5a6c900eeffb4433b",
-    "sample_exp_model:7": "6df6888c9825632d929363297b01e4f15a2b56032e5b4eb66b0b95ef27a29859",
-    "sample_exp_model:8": "f34438b0297281ec26b91a21ff427d7df09227ecb2e5ed76e7304a61111fb7e0",
-    "sample_exp_model:9": "025a77f3d39e55dd7e87ed7d4627719f27856ead629e9959bbca1be5cee0e0d8",
-    "sample_exp_model:10": "e5e42d7c229b2ede3a6cd23a6fe981570aeb814c0e51d50435efdbd2b224c2e6",
-    "sample_exp_model:11": "10fcc96e1c5473eab23d7cf013d1e6d66b79282b3010f5f391869e4b2e574ff9",
-    "sample_exp_model:12": "d053bc7e872df77d2699f1d28e226ea19926542389ff2ac85a8bf10de494ccd7",
+    "max_spacing_check:1000": "a3777af785dd24c0bed8c9c227e17a486c90609f2f27791b24417537f62a8290",
+    "max_spacing_check:3": "14d573e197b7054b29ec6bcbcce644b0dae8304ab68c6cf44a8633b423e4c7a5",
+    # five samples of sample_exp_model from one generator
+    "sample_exp_model:3": "157707e629154854a263f8137efb66371da2c107fa6df457d6e9d37e4941b21a",
+    "sample_exp_model:4": "cdab028db7a94ca2f5b233b824b1dcb84eddd4cc397184f744f12200b9c2f186",
+    "sample_exp_model:5": "f044ffb5241a24d054e5e95d72adfd91ac6c7e5aa012534758b9e10040ddd1a4",
+    "sample_exp_model:6": "2e3db8365b98a7fd74439693f002c24363e0702a532239f51a6e18ddb046646f",
+    "sample_exp_model:7": "1c99e415a10841d50c532abc14b1b2f03c9a6f707eaa095d9f226615d0330bdb",
+    "sample_exp_model:8": "fef3892905ceda49427df880517431e55a52696011f24692bfd72ea3328445d2",
+    "sample_exp_model:9": "80d2f9b9c7e775d17b0f639155309f58bd28e062f1f2a4a6bf73e56a4e3708c0",
+    "sample_exp_model:10": "6d023e3ad767f9c936a64a14fc52fff5dd866386c214e1bff7ec6d7cb82df14c",
+    "sample_exp_model:11": "5aa41343dff2ad66579341973d79721628f488c2cad8e6cad62a9402cae89eed",
+    "sample_exp_model:12": "e469590f73cad09fb677bbfcffaaf4eb6c824d005f3525b75581c0847af20bf5",
 }
 
 
@@ -660,6 +726,18 @@ class TestPaths:
 
 
 class TestMaxSpacing:
+    @pytest.mark.parametrize("n,trials,seed", [(3, 200_000, 48), (10, 200_000, 49), (1000, 20_000, 50)])
+    def test_z_against_the_exact_mean(self, n, trials, seed):
+        res = rp.max_spacing_check(n, trials, seed)
+        assert abs(res.z) <= 4, res
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 1000])
+    def test_target_is_the_mean_largest_interior_spacing(self, n):
+        # E[largest of the n - 1 interior spacings of n uniform points] = H_{n-1} / (n + 1)
+        mean_gap = sum(Fraction(1, k) for k in range(1, n)) / (n + 1)
+        target = rp.max_spacing_check(n, 2, 51).target
+        assert target == pytest.approx(float(n * mean_gap / 2) / math.log(n), rel=1e-14)
+
     def test_band_at_large_n(self):
         res = rp.max_spacing_check(1_000_000, trials=20, seed=26)
         assert 0.4 <= res.estimate <= 0.6

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from bisector_words import enumeration, sampler, words
+from bisector_words import enumeration, random_points, sampler, words
 from bisector_words.random_points import batch_rng
 from oracles import (
     bracelet_class_tuples,
@@ -563,13 +563,15 @@ PINNED_BRACELETS = {
     40: "2a386f4c2c313cf195455ea41b38294b4fc0e381351bd7376e6b3048dc0cbb58",
 }
 # (n, trials, grid, seed): a cut of 0 and a repeated cut at n = 7, an
-# unsorted grid with a repeat, and batches of 419 rows at n = 10^4.
-# Recorded when the CLT began to draw its letter counts in base-3 blocks:
-# the stream changed, not its law (see _letter_counts).
+# unsorted grid with a repeat, rounds of 419 rows at n = 10^4, and two
+# batches at n = 7.  Re-recorded when the CLT moved onto the batch engine:
+# later rounds of a batch draw from its one stream, and the moments come
+# from exact integer sums; the law of the kept rows is unchanged.
 PINNED_CLT = {
-    (7, 500, (0.1, 0.5, 0.5, 1.0), 3): "031739a2f554998c2a6ad46a065303f8e3e4a43e4fb086aec883845c4b32792f",
-    (101, 400, (0.77, 0.25, 1.0, 0.25, 0.5), 9): "a0dee49d3651b39dbe9ee71214049b5bd59e9505bdc4863fbdfdda13e76480f5",
-    (10_000, 1000, (0.3, 0.6, 1.0), 2): "ca31879654ae699b70b2e021663527a67e177632976aaac35658592b09bb14f7",
+    (7, 500, (0.1, 0.5, 0.5, 1.0), 3): "5582d54472c3fcd6f98086fdba6613bbcfb71f2c19e66108d72daf7744fb5ca3",
+    (101, 400, (0.77, 0.25, 1.0, 0.25, 0.5), 9): "b0c924ed13aa23344f2c1207e8925ffa3435903771552f00ef33ad67b109d6ef",
+    (10_000, 1000, (0.3, 0.6, 1.0), 2): "05ffd0f15cf3741ea057bcf3e4df95c122ec612b5094cbecd8cba7a7315e60f5",
+    (7, random_points.BATCH_SIZE + 500, (0.1, 0.5, 0.5, 1.0), 3): "6b4078891ae2510240cf2a6f57a724a044b391bf8331202e88bf3328ef718524",
 }
 
 
@@ -750,20 +752,89 @@ class TestCltExperiment:
         b = sampler.lln_clt_experiment(500, 300, (1.0,), seed=6)
         assert a == b
 
-    def test_draw_layout(self, monkeypatch):
-        # bounds 0, 12, 25: per segment its blocks, then its remainder,
-        # then the phase bits; one batch of 2 * trials + 64 rows.
+    @staticmethod
+    def counting_streams(monkeypatch) -> list:
+        """Record the stream of every batch as a ``CountingRng``, in request order."""
         rngs = []
 
         def counting(seed, index):
             rngs.append(CountingRng(batch_rng(seed, index)))
             return rngs[-1]
 
-        monkeypatch.setattr(sampler, "batch_rng", counting)
-        sampler.lln_clt_experiment(25, 2, (0.5, 1.0), seed=8)
-        assert len(rngs) == 1
-        assert rngs[0].highs == [3**10, 3**2, 3**10, 3**3, 2]
-        assert rngs[0].values[-1].shape == (68,)
+        monkeypatch.setattr(random_points, "batch_rng", counting)
+        return rngs
+
+    def test_draw_layout(self, monkeypatch):
+        # bounds 0, 12, 25: per segment its blocks, then its remainder, then
+        # the phase bits; one stream per batch of at most 2 trials, whose
+        # first round has 2 * size + 64 rows for a batch of size trials.
+        rngs = self.counting_streams(monkeypatch)
+        monkeypatch.setattr(random_points, "BATCH_SIZE", 2)
+        sampler.lln_clt_experiment(25, 3, (0.5, 1.0), seed=8)
+        assert len(rngs) == 2
+        for rng, size in zip(rngs, (2, 1)):
+            assert rng.highs == [3**10, 3**2, 3**10, 3**3, 2]
+            assert rng.values[-1].shape == (2 * size + 64,)
+
+    def test_rounds_draw_until_the_batch_has_kept_its_trials(self, monkeypatch):
+        # rounds of 2^22 // n = 41 rows at n = 10^5, so 100 trials take several
+        rngs = self.counting_streams(monkeypatch)
+        n, trials = 100_000, 100
+        sampler.lln_clt_experiment(n, trials, (0.5, 1.0), seed=9)
+        (rng,) = rngs
+        per_round = [3**10, 3**10, 2]  # two segments of 5000 blocks, then the phase bits
+        rounds = len(rng.highs) // len(per_round)
+        assert rng.highs == per_round * rounds and rounds >= 3
+        twos = sampler._block_counts() >> sampler._ONES_BITS
+        kept = []
+        for r in range(rounds):
+            first, second, phase = rng.values[3 * r : 3 * r + 3]
+            assert phase.shape == ((1 << 22) // n,)
+            s = twos[first].sum(axis=1) + twos[second].sum(axis=1)
+            kept.append(int(((s > 0) & (s % 2 == 0)).sum()))
+        assert sum(kept[:-1]) < trials <= sum(kept)
+
+    def test_trial_j_is_the_jth_kept_row_of_its_batch(self, monkeypatch):
+        # the moments from exact sums equal numpy's on per-trial arrays rebuilt
+        # from the batch streams: batches of 300, 300 and 100 kept rows
+        monkeypatch.setattr(random_points, "BATCH_SIZE", 300)
+        n, trials, grid, seed = 40, 700, (0.25, 1.0), 12
+        report = sampler.lln_clt_experiment(n, trials, grid, seed)
+        k, ones, phase = [], [], []
+        for b, size in enumerate((300, 300, 100)):
+            rng, kept = batch_rng(seed, b), 0
+            while kept < size:
+                rows = min((1 << 22) // n, 2 * (size - kept) + 64)
+                counts = [sampler._letter_counts(10, rows, rng), sampler._letter_counts(30, rows, rng)]
+                draw_phase = rng.integers(0, 2, size=rows)
+                k_rows = np.cumsum([c[0] for c in counts], axis=0).T
+                ones_rows = np.cumsum([c[1] for c in counts], axis=0).T
+                keep = np.flatnonzero((k_rows[:, -1] > 0) & (k_rows[:, -1] % 2 == 0))[: size - kept]
+                k += k_rows[keep].tolist()
+                ones += ones_rows[keep].tolist()
+                phase += draw_phase[keep].tolist()
+                kept += len(keep)
+        k, ones, phase = np.array(k), np.array(ones), np.array(phase)[:, None]
+        f2 = (k + phase) // 2
+        f0 = k - f2
+        f1 = np.array([10, 40]) - k
+        fluct = 2 / math.sqrt(n)
+        approx = lambda values: pytest.approx(tuple(values), rel=1e-12)
+        assert report.var_f0 == approx(np.var(fluct * f0, axis=0, ddof=1))
+        assert report.var_f2 == approx(np.var(fluct * f2, axis=0, ddof=1))
+        assert report.var_s10 == approx(np.var(fluct * ones, axis=0, ddof=1))
+        assert report.var_s01 == approx(np.var(fluct * (f1 - ones), axis=0, ddof=1))
+        corr = [np.corrcoef(f0[:, j], f1[:, j])[0, 1] for j in (0, 1)]
+        assert report.corr_f0_f1 == approx(corr)
+        assert report.letter_means == pytest.approx(
+            {
+                "s00": k[:, -1].mean() / (2 * n),
+                "s11": k[:, -1].mean() / (2 * n),
+                "s10": ones[:, -1].mean() / n,
+                "s01": (f1[:, -1] - ones[:, -1]).mean() / n,
+            },
+            rel=1e-12,
+        )
 
     def test_empty_prefix_correlation_is_nan_without_warning(self):
         # c = 0.1 at n = 7 is a cut of 0: F0 and F1 are 0 on every row.
@@ -784,7 +855,7 @@ class TestCltExperiment:
         def no_draws(*args):
             raise AssertionError("drew before checking trials")
 
-        monkeypatch.setattr(sampler, "batch_rng", no_draws)
+        monkeypatch.setattr(random_points, "batch_rng", no_draws)
         with pytest.raises(ValueError, match="trials >= 2"):
             sampler.lln_clt_experiment(100, trials)
 
@@ -793,6 +864,6 @@ class TestCltExperiment:
         def no_draws(*args):
             raise AssertionError("drew before checking n")
 
-        monkeypatch.setattr(sampler, "batch_rng", no_draws)
+        monkeypatch.setattr(random_points, "batch_rng", no_draws)
         with pytest.raises(ValueError, match="3 <= n <="):
             sampler.lln_clt_experiment(n, 10)
