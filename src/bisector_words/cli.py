@@ -172,7 +172,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("enumerate", help="list realizable words (or bracelets)")
     p.add_argument("--n", required=True, help="single value or range a..b")
-    p.add_argument("--bracelets", action="store_true", help="canonical class representatives only")
+    p.add_argument("--bracelets", action="store_true", help="only each class's canonical (least) word")
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("count", help="word and bracelet counts as a table")

@@ -5,9 +5,10 @@ Words stream as packed integers (first bit most significant, as in
 signatures in chunks of a few thousand words; :func:`enumerate_words`
 decodes them to tuples by joining two cached half-tuples per word in one
 object-array add.  Per-class results come from the same chunks: the
-least of a word's 4n shift/reversal images names its class, and the number
-of images equal to the word gives its orbit size, so no set of words is
-kept.  Bracelet counts come from Burnside's lemma and need no enumeration.
+least of a word's 4n shift/reversal images names its class and lists it,
+and the number of images equal to the word gives its orbit size, so no set
+of words is kept.  Bracelet counts come from Burnside's lemma and need no
+enumeration.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .words import Word
 
-MAX_ENUMERATION_N = 14  # desk scale; `enumerate --bracelets` keeps a 2^(2n)-bit bitmap, 32 MB at 14
+MAX_ENUMERATION_N = 14  # desk scale: 4.8 million words at 14, held one chunk at a time
 # The bracelet count has about 0.48 n decimal digits; this keeps it below
 # Python's default limit of 4300 digits for converting an int to text.
 MAX_COUNT_N = 5000
@@ -185,23 +186,18 @@ def _images(x: np.ndarray, n: int) -> Iterator[np.ndarray]:
 
 
 def _bracelet_chunks(n: int) -> Iterator[np.ndarray]:
-    """The least word of each class, in order of the class's first word in the stream, chunk by chunk.
+    """The least word of each class, in stream order, chunk by chunk.
 
-    Each word's least image names its class.  Within a chunk the classes
-    are ordered by their first word; bit x of a 2^(2n)-bit bitmap records
-    that the class with least word x was already reported.
+    A word is reported when it is its own least image.  Shifts and
+    reversal keep a signature interlacing, so the least image of every
+    realizable word is realizable and comes once in the stream: each class
+    is reported exactly once, and only one chunk is held at a time.
     """
-    reported = np.zeros(1 << (2 * n - 3), np.uint8)
     for chunk in _word_chunks(n):
         least = chunk.copy()
         for image in _images(chunk, n):
             np.minimum(least, image, out=least)
-        classes, first = np.unique(least, return_index=True)
-        classes = classes[np.argsort(first)]
-        byte, bit = classes >> np.uint64(3), np.left_shift(1, classes & 7).astype(np.uint8)
-        fresh = (reported[byte] & bit) == 0
-        np.bitwise_or.at(reported, byte, bit)
-        yield classes[fresh]
+        yield chunk[least == chunk]
 
 
 @lru_cache(maxsize=128)

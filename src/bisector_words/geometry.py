@@ -30,6 +30,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from . import words
@@ -461,25 +462,18 @@ def region_stats(config: PointConfig, t_grid: Sequence = ()) -> RegionStats:
     )
     empty_length = sum(lengths[j] for j in range(m) if word[j] == 0)
 
+    # Below t = 1 the regions in [0, t] are 1..i, i = bisect_right(bnd, t, 1) - 1,
+    # summed in index order; at t >= 1 the wrap region 0 joins: index m.
+    at = [bisect_right(bnd, t, 1) - 1 if t < 1 else m for t in grid]
     h_curves = []
     l_curves = []
     for k in (0, 1, 2):
-        hk = []
-        lk = []
-        for t in grid:
-            count = 0
-            total = 0
-            for j in range(m):
-                if types[j] != k:
-                    continue
-                contained = t >= 1 if j == 0 else bnd[j] <= t
-                if contained:
-                    count += 1
-                    total += lengths[j]
-            hk.append(count)
-            lk.append(total)
-        h_curves.append(tuple(hk))
-        l_curves.append(tuple(lk))
+        hits = [types[j] == k for j in range(1, m)]
+        kept = (x if hit else 0 for x, hit in zip(lengths[1:], hits))
+        counts = [*accumulate(hits, initial=0), region_counts[k]]
+        totals = [*accumulate(kept, initial=0), length_totals[k]]
+        h_curves.append(tuple(counts[i] for i in at))
+        l_curves.append(tuple(totals[i] for i in at))
 
     return RegionStats(
         types=types,

@@ -281,18 +281,19 @@ def _bracelet_table(n: int) -> tuple[Bracelet, ...]:
     """The bracelet of every value t of the sampler's draw, for n whose Burnside total is small.
 
     Each fixed word is decoded once and its block repeated mult times.  A
-    class is canonicalised once with :func:`words._bracelet` and its whole
-    orbit marked, so later words of the class are looked up.
+    class is canonicalised once with :func:`words.canonical_bracelet` and
+    its :func:`words.bracelet_orbit` marked, so later words of the class
+    are looked up.
     """
     classes: dict[int, Bracelet] = {}
     table: list[Bracelet] = []
     for kind, mult, fixed in enumeration._fixed_point_counts(n):
         block = []
         for q in range(fixed):
-            x = words.word_to_int(_fixed_word(n, kind, q, None))
+            w = _fixed_word(n, kind, q, None)
+            x = words.word_to_int(w)
             if x not in classes:
-                bracelet, orbit = words._bracelet(x, n)
-                classes.update(dict.fromkeys(orbit, bracelet))
+                classes.update(dict.fromkeys(words.bracelet_orbit(w), words.canonical_bracelet(w)))
             block.append(classes[x])
         table += block * mult
     return tuple(table)

@@ -30,6 +30,10 @@ FoldedWord = tuple[str, ...]
 
 FOLDED_ALPHABET = ("00", "01", "10", "11")
 _INT = frozenset({int})
+# The 4n images of a word of length 2n hold about n^2 bytes (25 MB at
+# n = 5000) and their time grows about 4x per doubling of n; 5000 is the
+# largest n that bracelet counts and the bracelet sampler accept.
+MAX_BRACELET_N = 5000
 
 
 def _as_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
@@ -160,36 +164,39 @@ class Bracelet:
         return word_to_string(self.word)
 
 
-def _orbit(x: int, n: int) -> set[int]:
-    """The class of the packed word x of length 2n under shifts and reversal.
+def _images(x: int, n: int) -> list[int]:
+    """The 4n images of the packed word x of length 2n under shifts and reversal, one per group element.
 
     Shifting a word left by k positions rotates its 2n-bit integer left by
-    k bits, so the class is the 2n rotations of the word and of its reverse;
-    each rotation is a 2n-bit window of the integer written twice.
+    k bits, so the images are the 2n rotations of the word and of its
+    reverse; each rotation is a 2n-bit window of the integer written twice.
     """
     size = 2 * n
     mask = (1 << size) - 1
     reverse = int(format(x, f"0{size}b")[::-1], 2)
     doubled = ((x << size) | x, (reverse << size) | reverse)
-    return {(d >> k) & mask for d in doubled for k in range(1, size + 1)}
+    return [(d >> k) & mask for d in doubled for k in range(1, size + 1)]
+
+
+def _packed(w: Iterable[int]) -> tuple[int, int]:
+    """The validated word w packed by :func:`word_to_int`, and its n, bounded by ``MAX_BRACELET_N``."""
+    word = check_word(w)
+    n = len(word) // 2
+    if n > MAX_BRACELET_N:
+        raise ValueError(f"bracelets are computed for n <= {MAX_BRACELET_N}, got {n}")
+    return word_to_int(word), n
 
 
 def bracelet_orbit(w: Iterable[int]) -> set[int]:
     """The class of w under cyclic shifts and reversal, packed by :func:`word_to_int`."""
-    word = check_word(w)
-    return _orbit(word_to_int(word), len(word) // 2)
-
-
-def _bracelet(x: int, n: int) -> tuple[Bracelet, set[int]]:
-    """The bracelet of the packed word x of length 2n (its least 2n-bit image) and its orbit."""
-    orbit = _orbit(x, n)
-    return Bracelet(n=n, word=int_to_word(min(orbit), n), orbit_size=len(orbit)), orbit
+    return set(_images(*_packed(w)))
 
 
 def canonical_bracelet(w: Iterable[int]) -> Bracelet:
-    """The bracelet of w."""
-    word = check_word(w)
-    return _bracelet(word_to_int(word), len(word) // 2)[0]
+    """The bracelet of w: its least image, and 4n over the number of images equal to w."""
+    x, n = _packed(w)
+    images = _images(x, n)
+    return Bracelet(n=n, word=int_to_word(min(images), n), orbit_size=4 * n // images.count(x))
 
 
 def fold(w: Iterable[int]) -> FoldedWord:

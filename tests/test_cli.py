@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from bisector_words import cli, enumeration, random_points, sampler
+from bisector_words import cli, enumeration, random_points, realization, sampler
 from bisector_words.geometry import PointConfig, occupancy_word
 from bisector_words import words
 
@@ -46,6 +46,15 @@ class TestRealize:
     def test_unrealizable_exits_1(self):
         code, _, err = run_cli("realize", "010101")
         assert code == 1 and "interlace" in err
+
+    def test_n_above_realize_limit_exits_1_before_construction(self, monkeypatch):
+        def no_construction(*args):
+            raise AssertionError("constructed before checking n")
+
+        monkeypatch.setattr(realization, "_construct", no_construction)
+        word = words.word_to_string(words.run_word(realization.MAX_REALIZE_N + 1))
+        code, out, err = run_cli("realize", word)
+        assert code == 1 and out == "" and f"n <= {realization.MAX_REALIZE_N}" in err
 
     def test_golden_words_output_unchanged(self):
         # sha256 of the concatenated output for all 844 words of n = 3..6,
@@ -103,14 +112,13 @@ class TestCountAndEnumerate:
         assert out == "".join((golden / f"words_n{n}.txt").read_text() for n in range(3, 7))
 
     def test_enumerate_bracelets_matches_per_word_canonical_form(self):
-        lines = []
-        for n in range(3, 8):
-            seen = set()
-            for w in enumeration.enumerate_words(n):
-                b = words.canonical_bracelet(w)
-                if b.word not in seen:
-                    seen.add(b.word)
-                    lines.append(words.word_to_string(b.word) + "\n")
+        # each class is listed at its canonical word, in stream order
+        lines = [
+            words.word_to_string(w) + "\n"
+            for n in range(3, 8)
+            for w in enumeration.enumerate_words(n)
+            if words.canonical_bracelet(w).word == w
+        ]
         code, out, _ = run_cli("enumerate", "--n", "3..7", "--bracelets")
         assert code == 0 and out == "".join(lines)
 
@@ -120,13 +128,16 @@ class TestCountAndEnumerate:
             (("enumerate", "--n", "11..12"), "914e84c7e82cd482800774550be0f4bede9c57eafd9a5ce43b8d4ae12b7cc670"),
             (
                 ("enumerate", "--n", "3..12", "--bracelets"),
-                "eee1daceddde9094ea0abdcf9c485dff9ebfa872087583b82d231ef9edd47794",
+                "f95409e612ebd0d4f3519315bd02704026537813337cb5ceb48843aa7276109e",
             ),
         ],
     )
     def test_enumerate_digest_beyond_the_oracles(self, argv, digest):
-        # sha256 of the output, recorded on the per-signature Python expansion
-        # and orbit sets; the product oracle stops at n = 10, the golden files at 6
+        # sha256 of the output; the word stream's was recorded on the
+        # per-signature Python expansion, the bracelets' when classes moved
+        # to their canonical word's place in the stream (the same set of
+        # lines as the first-member order before); the product oracle stops
+        # at n = 10, the golden files at 6
         code, out, _ = run_cli(*argv)
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -24,6 +24,14 @@ class TestRealize:
         with pytest.raises(NotRealizable):
             realize((0, 1, 0, 1, 0, 1))
 
+    @pytest.mark.parametrize("fn", [realize, plan_realization])
+    def test_n_above_limit_raises_before_construction(self, monkeypatch, fn):
+        built = []
+        monkeypatch.setattr(realization, "_construct", built.append)
+        with pytest.raises(ValueError, match=f"n <= {realization.MAX_REALIZE_N}"):
+            fn(words.run_word(realization.MAX_REALIZE_N + 1))
+        assert built == []
+
     def test_single_word_roundtrip(self):
         w = (1, 0, 1, 1, 0, 0)
         cfg = realize(w)

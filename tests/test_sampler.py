@@ -494,7 +494,7 @@ def test_tables_serve_n_up_to_6(n):
 def test_table_builds_at_n6_decode_each_word_once(monkeypatch):
     # The word table decodes each rank once; the bracelet table decodes
     # each fixed word once, not once per group element of its type, and
-    # computes one orbit per class, never canonicalising a word.
+    # canonicalises and marks one orbit per class.
     calls = Counter()
 
     def counting(module, name):
@@ -508,7 +508,7 @@ def test_table_builds_at_n6_decode_each_word_once(monkeypatch):
 
     counting(sampler, "_head_letters")
     counting(sampler, "_fixed_word")
-    counting(words, "_orbit")
+    counting(words, "bracelet_orbit")
     counting(words, "canonical_bracelet")
     sampler._word_table.cache_clear()
     sampler._bracelet_table.cache_clear()
@@ -518,8 +518,7 @@ def test_table_builds_at_n6_decode_each_word_once(monkeypatch):
     assert len(sampler._bracelet_table(6)) <= sampler._TABLE_SIZE
     terms = enumeration._fixed_point_counts(6)
     assert calls["_fixed_word"] == sum(fixed for _, _, fixed in terms)
-    assert calls["_orbit"] == enumeration.count_bracelets(6)
-    assert calls["canonical_bracelet"] == 0
+    assert calls["bracelet_orbit"] == calls["canonical_bracelet"] == enumeration.count_bracelets(6)
     sampler._word_table.cache_clear()
     sampler._bracelet_table.cache_clear()
 

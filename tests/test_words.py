@@ -222,6 +222,30 @@ class TestBracelet:
             assert words.canonical_bracelet(w) == words.Bracelet(n, min(cls), len(cls))
             assert {words.int_to_word(x, n) for x in words.bracelet_orbit(w)} == cls
 
+    def test_orbit_size_matches_tuple_oracle_at_n200(self):
+        # the orbit size is 4n over the images equal to the word; periodic
+        # and mirror-symmetric words have the largest stabilisers
+        n = 200
+        rng = np.random.default_rng(200)
+        samples = [tuple(int(b) for b in row) for row in rng.integers(0, 2, (20, 2 * n))]
+        samples += [(0, 1) * n, (0, 0, 1, 1) * (n // 2), words.run_word(n), (1,) * (2 * n)]
+        for w in samples:
+            cls = bracelet_class_tuples(w)
+            assert words.canonical_bracelet(w) == words.Bracelet(n, min(cls), len(cls))
+        assert [words.canonical_bracelet(w).orbit_size for w in samples[-4:]] == [2, 4, 4 * n, 1]
+
+    @pytest.mark.parametrize("fn", [words.canonical_bracelet, words.bracelet_orbit])
+    def test_n_above_bracelet_limit_raises_before_any_image(self, monkeypatch, fn):
+        def no_images(*args):
+            raise AssertionError("built the images before checking n")
+
+        monkeypatch.setattr(words, "_images", no_images)
+        with pytest.raises(ValueError, match=f"n <= {words.MAX_BRACELET_N}"):
+            fn((1, 0) * (words.MAX_BRACELET_N + 1))
+
+    def test_bracelet_limit_covers_the_bracelet_sampler(self):
+        assert words.MAX_BRACELET_N == enumeration.MAX_COUNT_N
+
 
 class TestFolding:
     def test_fold_example(self):
