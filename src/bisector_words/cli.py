@@ -73,7 +73,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_count(args) -> int:
     ns = _parse_range(args.n)
     for n in ns:
-        enumeration._check_count_range(n)
+        words._check_bracelet_n(n)
     rows = []
     for n in ns:
         rows.append(
@@ -95,7 +95,7 @@ def _cmd_count(args) -> int:
 # The check each ``sample --kind`` makes of n before anything is drawn.
 _SAMPLE_N_CHECKS = {
     "word": sampler._check_word_size,
-    "bracelet": enumeration._check_count_range,
+    "bracelet": words._check_bracelet_n,
     "points": random_points._check_config_size,
 }
 

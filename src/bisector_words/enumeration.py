@@ -22,12 +22,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .words import Word
+from .words import Word, _check_bracelet_n
 
 MAX_ENUMERATION_N = 14  # desk scale: 4.8 million words at 14, held one chunk at a time
-# The bracelet count has about 0.48 n decimal digits; this keeps it below
-# Python's default limit of 4300 digits for converting an int to text.
-MAX_COUNT_N = 5000
 # Words per chunk of the stream; a signature with more words is a chunk of
 # its own.  A chunk's uint64 arrays are then 64 KiB, below glibc's 128 KiB
 # mmap threshold, so the heap reuses them: chunks of 2^15 words were no
@@ -42,11 +39,6 @@ _LETTERS = np.arange(3)
 def _check_range(n: int) -> None:
     if not 3 <= n <= MAX_ENUMERATION_N:
         raise ValueError(f"enumeration supports 3 <= n <= {MAX_ENUMERATION_N}, got {n}")
-
-
-def _check_count_range(n: int) -> None:
-    if not 3 <= n <= MAX_COUNT_N:
-        raise ValueError(f"bracelet counts support 3 <= n <= {MAX_COUNT_N}, got {n}")
 
 
 def _word_count(m: int) -> int:
@@ -237,7 +229,7 @@ def _fixed_point_counts(n: int) -> tuple[tuple[int | None, int, int], ...]:
     Types with no fixed word are left out.  Rotation types come first, the
     identity (d = 2n) leading.
     """
-    _check_count_range(n)
+    _check_bracelet_n(n)
     m = 2 * n
     terms = []
     for d, mult in sorted(Counter(gcd(r, m) for r in range(m)).items(), reverse=True):

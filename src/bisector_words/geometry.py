@@ -95,9 +95,6 @@ class PointConfig:
     def to_strings(self) -> list[str]:
         return [str(p) for p in self.positions]
 
-    def rotated(self, delta) -> "PointConfig":
-        return PointConfig.from_points(p + delta for p in self.positions)
-
 
 class _Frame:
     """A configuration in circle units: positions x, circle length 2U.

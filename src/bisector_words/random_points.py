@@ -83,14 +83,12 @@ def batch_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def _check_size(n: int, trials: int = 1, least: int = 3, most: int | None = None) -> None:
-    """Reject n outside [``least``, ``most``] or trials < 1, before anything is drawn."""
+def _check_size(n: int, least: int = 3, most: int | None = None) -> None:
+    """Reject n outside [``least``, ``most``], before anything is drawn."""
     if n < least:
         raise ValueError(f"need n >= {least}, got {n}")
     if most is not None and n > most:
         raise ValueError(f"need n <= {most}, got {n}")
-    if trials < 1:
-        raise ValueError("need at least one trial")
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +229,9 @@ def _rotate_rows(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def _chunk_rows(n: int) -> int:
-    return max(1, _CHUNK_ELEMENTS // (2 * n))
+def _chunk_rows(width: int) -> int:
+    """Rows per chunk of at most ``_CHUNK_ELEMENTS`` values, ``width`` values per row."""
+    return max(1, _CHUNK_ELEMENTS // width)
 
 
 def _bisectors_rows(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,7 +308,7 @@ def _uniform_rows(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
 
 def _chunks(draw, n: int, size: int, rng: np.random.Generator):
     """``draw(n, rows, rng)`` for consecutive chunks of rows, ``size`` rows in all."""
-    step = _chunk_rows(n)
+    step = _chunk_rows(2 * n)
     for start in range(0, size, step):
         yield draw(n, min(step, size - start), rng)
 
@@ -432,10 +431,14 @@ def _path_sums(n: int, rng: np.random.Generator, size: int, grid: np.ndarray) ->
     A batch of per-row grids would not fit in the cache, so the rows of each
     chunk go into one sequential running sum, in place, instead of being
     gathered; only the last row is kept, so no chunk outlives its loop step.
+    A row holds 2n regions and 2 x 3 values per grid point, so chunks are
+    sized by the larger of the two widths, and memory follows one chunk
+    whatever the grid size.
     """
     acc = np.zeros((2, 3, grid.size))
-    for p in _uniform_chunks(n, size, rng):
-        rows = _path_rows(p, grid)
+    step = _chunk_rows(max(2 * n, 6 * grid.size))
+    for start in range(0, size, step):
+        rows = _path_rows(_uniform_rows(n, min(step, size - start), rng), grid)
         rows[0] += acc
         acc = np.cumsum(rows, axis=0, out=rows)[-1].copy()
         del rows  # free this chunk before the next one is built
@@ -483,29 +486,12 @@ class ExpSpacingSample:
     """Dots at partial sums of unit exponentials with fair-coin colors.
 
     ``dots[i]`` is Y_i for 0 <= i <= n (Y_0 = 0); ``colors[i]`` is 1 for
-    black, with colors[0] = 1 and colors[n] = 0 by convention.  ``dot_at``
-    extends both to -n <= i <= 2n-1 by (Y_{i+-n}, 1 - color_i).
+    black, with colors[0] = 1 and colors[n] = 0 by convention.
     """
 
     spacings: tuple[float, ...]
     dots: tuple[float, ...]
     colors: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.spacings)
-
-    def dot_at(self, i: int) -> tuple[float, int]:
-        n = self.n
-        if 0 <= i <= n - 1:
-            return self.dots[i], self.colors[i]
-        if n <= i <= 2 * n - 1:
-            y, c = self.dot_at(i - n)
-            return y + self.dots[n], 1 - c
-        if -n <= i < 0:
-            y, c = self.dot_at(i + n)
-            return y - self.dots[n], 1 - c
-        raise IndexError(f"dot index {i} outside [-{n}, {2 * n - 1}]")
 
 
 def sample_exp_model(n: int, rng: np.random.Generator) -> ExpSpacingSample:
@@ -548,11 +534,9 @@ def estimate_bracelet_prob(
         raise ValueError(f"target bracelet has n={target.n}, estimate is for n={n}")
     if model not in _MODEL_CHUNKS:
         raise ValueError(f"unknown model {model!r}; choose from {sorted(_MODEL_CHUNKS)}")
-    if target.word == words.canonical_bracelet(words.run_word(n)).word:
-        exact = closed_form("pbn", n)
-    else:
-        exact = float("nan")
-    cls = np.array(sorted(words.bracelet_orbit(target.word)), dtype=np.uint64)
+    orbit = words.bracelet_orbit(target.word)
+    exact = closed_form("pbn", n) if words.word_to_int(words.run_word(n)) in orbit else math.nan
+    cls = np.array(sorted(orbit), dtype=np.uint64)
     hits = sum(_run_batches(_class_hits, n, trials, seed, workers, _MODEL_CHUNKS[model], cls))
     return _make_result(hits, hits, trials, seed, exact)
 
@@ -561,7 +545,7 @@ def estimate_region_stats(
     n: int, trials: int, seed: int, workers: int = 1
 ) -> dict[str, EstimatorResult]:
     """Monte Carlo means of h2/l0/l1/l2/le against their closed forms."""
-    _check_size(n, trials, most=MAX_GEOMETRY_N)
+    _check_size(n, most=MAX_GEOMETRY_N)
     sums = sum(_run_batches(_region_sums, n, trials, seed, workers)).tolist()
     return {
         k: _make_result(s, sq, trials, seed, closed_form(k, n))
@@ -571,7 +555,7 @@ def estimate_region_stats(
 
 def interlacing_failures(n: int, trials: int, seed: int, workers: int = 1) -> int:
     """Number of sampled configurations whose signature fails to interlace."""
-    _check_size(n, trials, most=MAX_GEOMETRY_N)
+    _check_size(n, most=MAX_GEOMETRY_N)
     return sum(_run_batches(_interlacing_failures, n, trials, seed, workers))
 
 
@@ -601,7 +585,7 @@ def transfer_check(n: int, trials: int, seed: int, workers: int = 1) -> Transfer
     which the transfer identity equates with the unit-circle expectation.
     Internally uses seeds seed+1 (circle) and seed+2 (exponential).
     """
-    _check_size(n, trials, most=MAX_GEOMETRY_N)
+    _check_size(n, most=MAX_GEOMETRY_N)
     _check_seed(seed)
     _check_seed(seed + 2)
     circle = estimate_region_stats(n, trials, seed + 1, workers)
@@ -655,7 +639,7 @@ def equidistribution_paths(
     every estimator here (see the module docstring); each batch is summed
     row by row and the batch sums are added in batch order.
     """
-    _check_size(n, trials, most=MAX_GEOMETRY_N)
+    _check_size(n, most=MAX_GEOMETRY_N)
     grid = np.asarray(t_grid, dtype=np.float64)
     _check_t_grid(grid)
     h_acc, l_acc = sum(_run_batches(_path_sums, n, trials, seed, 1, grid)) / trials
@@ -681,7 +665,7 @@ def max_spacing_check(n: int, trials: int, seed: int) -> EstimatorResult:
     tends to 1/2 slowly.  Trial j is row j mod ``BATCH_SIZE`` of batch
     j // ``BATCH_SIZE``, as in every estimator here (see the module docstring).
     """
-    _check_size(n, trials, least=2, most=MAX_GEOMETRY_N)
+    _check_size(n, least=2, most=MAX_GEOMETRY_N)
     total, total_sq = sum(_run_batches(_max_gap_sums, n, trials, seed, 1))[0].tolist()
     harmonic = math.fsum(1 / k for k in range(1, n))
     return _make_result(total, total_sq, trials, seed, n * harmonic / (2 * (n + 1) * math.log(n)))

@@ -65,11 +65,8 @@ class RealizationPlan:
         q = math.lcm(*(x.denominator for x in self.perturbed))
         return q, [x.numerator * (q // x.denominator) for x in self.perturbed]
 
-    def point_positions(self) -> tuple[Fraction, ...]:
-        return _point_positions(*self._numerators(), self.rotated_word)
-
     def config(self) -> PointConfig:
-        return PointConfig(self.point_positions())
+        return PointConfig(_point_positions(*self._numerators(), self.rotated_word))
 
     def to_json_dict(self) -> dict:
         return {

@@ -336,10 +336,6 @@ class LatticeWalk:
     s: tuple[int, ...]
     k: tuple[int, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.steps)
-
 
 def walk_from_steps(steps: Sequence[int]) -> LatticeWalk:
     st = tuple(int(x) for x in steps)
@@ -446,17 +442,17 @@ class CltReport:
     corr_f0_f1: tuple[float, ...]
 
 
-def _clt_sums(n: int, rng: np.random.Generator, size: int, bounds: list[int], columns: list[int]):
+def _clt_sums(n: int, rng: np.random.Generator, size: int, bounds: list[int]):
     """Exact sums over the first ``size`` uniform realizable words kept from ``rng``.
 
     Each round draws min(2^22 // n, 2 * missing + 64) rows: the counts of
     every segment between consecutive ``bounds``, then the phase bits.  Rows
     whose S count is zero or odd are rejected, so kept rows are uniform
-    realizable words.  At the prefix ``bounds[c]`` of each c in ``columns``,
-    v is (S count, F2, S10); the result holds Σv and Σ v vᵀ as a
-    (4, 3, len(columns)) array of Python ints.
+    realizable words.  At the prefix ``bounds[c]`` of every c, v is (S count,
+    F2, S10); the result holds Σv and Σ v vᵀ as a (4, 3, len(bounds)) array
+    of Python ints.
     """
-    total = np.zeros((4, 3, len(columns)), dtype=np.int64)
+    total = np.zeros((4, 3, len(bounds)), dtype=np.int64)
     missing = size
     while missing:
         rows = min((1 << 22) // n, 2 * missing + 64)
@@ -467,8 +463,8 @@ def _clt_sums(n: int, rng: np.random.Generator, size: int, bounds: list[int], co
         phase = rng.integers(0, 2, size=rows)
         specials = counts[0, -1]
         kept = np.flatnonzero((specials > 0) & (specials % 2 == 0))[:missing]
-        v = np.empty((3, len(columns), len(kept)), dtype=np.int64)
-        v[0], v[2] = counts[:, columns][..., kept]
+        v = np.empty((3, len(bounds), len(kept)), dtype=np.int64)
+        v[0], v[2] = counts[..., kept]
         v[1] = (v[0] + phase[kept]) >> 1  # phase 1: the first balanced letter is 11
         total[0] += v.sum(axis=2)
         total[1:] += np.einsum("ick,jck->ijc", v, v)
@@ -505,8 +501,8 @@ def lln_clt_experiment(
         raise ValueError("grid values must lie in (0, 1]")
     cuts = [math.floor(c * n) for c in grid]
     bounds = sorted({0, n, *cuts})
-    columns = [bounds.index(m) for m in cuts] + [len(bounds) - 1]  # and n, for the means
-    sums = sum(_run_batches(_clt_sums, n, trials, seed, 1, bounds, columns))
+    sums = sum(_run_batches(_clt_sums, n, trials, seed, 1, bounds))
+    sums = sums[..., [bounds.index(m) for m in cuts] + [-1]]  # and n, for the means
     # F0, F2, S10, S01 and F1 are each a constant plus a·v, v = (S count, F2,
     # S10), for the rows a of coef; cov[j] is trials * (trials - 1) times
     # their sample covariance matrix at cut j.

@@ -30,10 +30,17 @@ FoldedWord = tuple[str, ...]
 
 FOLDED_ALPHABET = ("00", "01", "10", "11")
 _INT = frozenset({int})
-# The 4n images of a word of length 2n hold about n^2 bytes (25 MB at
-# n = 5000) and their time grows about 4x per doubling of n; 5000 is the
-# largest n that bracelet counts and the bracelet sampler accept.
+# Largest n of any bracelet computation: canonical forms, orbits, counts and
+# the bracelet sampler.  The 4n images of a word of length 2n hold about n^2
+# bytes (25 MB at n = 5000) and their time grows about 4x per doubling of n;
+# the bracelet count has about 0.48 n decimal digits, which this keeps below
+# Python's default limit of 4300 digits for converting an int to text.
 MAX_BRACELET_N = 5000
+
+
+def _check_bracelet_n(n: int) -> None:
+    if not 3 <= n <= MAX_BRACELET_N:
+        raise ValueError(f"bracelets are computed for 3 <= n <= {MAX_BRACELET_N}, got {n}")
 
 
 def _as_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
@@ -47,21 +54,16 @@ def _as_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
     t = tuple(values)
     if {*map(type, t)} <= _INT:
         return t
-    try:
-        ints = tuple(map(int, t))
-    except (TypeError, ValueError, OverflowError):
-        ints = None
-    if ints != t:
-        bad = next(x for x in t if not _is_integral(x))
-        raise ValueError(f"{what} must be integers, got {bad!r}")
-    return ints
-
-
-def _is_integral(x) -> bool:
-    try:
-        return int(x) == x
-    except (TypeError, ValueError, OverflowError):
-        return False
+    ints = []
+    for x in t:
+        try:
+            i = int(x)
+        except (TypeError, ValueError, OverflowError):
+            i = None
+        if i is None or i != x:
+            raise ValueError(f"{what} must be integers, got {x!r}")
+        ints.append(i)
+    return tuple(ints)
 
 
 def check_word(bits: Iterable[int]) -> Word:
@@ -182,8 +184,7 @@ def _packed(w: Iterable[int]) -> tuple[int, int]:
     """The validated word w packed by :func:`word_to_int`, and its n, bounded by ``MAX_BRACELET_N``."""
     word = check_word(w)
     n = len(word) // 2
-    if n > MAX_BRACELET_N:
-        raise ValueError(f"bracelets are computed for n <= {MAX_BRACELET_N}, got {n}")
+    _check_bracelet_n(n)
     return word_to_int(word), n
 
 

@@ -155,6 +155,29 @@ class TestCountAndEnumerate:
         assert code == 1 and out == "" and "3 <= n <=" in err
 
 
+    def test_count_above_bracelet_limit_names_the_bound(self):
+        code, out, err = run_cli("count", "--n", str(words.MAX_BRACELET_N + 1))
+        assert code == 1 and out == ""
+        assert f"bracelets are computed for 3 <= n <= {words.MAX_BRACELET_N}" in err
+
+
+class TestArgumentErrors:
+    # argparse exits with 2 on bad arguments; 2 is reserved for failed verification
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--n", "4", "--bogus"),
+            ("estimate", "--n", "4", "--stat", "xx"),
+            ("estimate", "--stat", "h2"),
+            ("enumerate", "--n", "5..3"),
+        ],
+        ids=["unknown-flag", "bad-choice", "missing-required", "empty-range"],
+    )
+    def test_exit_1_with_message_and_no_output(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 1 and out == "" and err.startswith("error:")
+
+
 class TestSample:
     def test_words_deterministic(self):
         a = run_cli("sample", "--n", "4", "--count", "5", "--kind", "word", "--seed", "9")
@@ -169,7 +192,7 @@ class TestSample:
         assert out.splitlines() == ["001011"] * 3
 
     def test_bracelet_n_above_count_range_exits_1(self):
-        code, out, err = run_cli("sample", "--kind", "bracelet", "--n", str(enumeration.MAX_COUNT_N + 1))
+        code, out, err = run_cli("sample", "--kind", "bracelet", "--n", str(words.MAX_BRACELET_N + 1))
         assert code == 1 and out == "" and "3 <= n <=" in err
 
     @pytest.mark.parametrize(

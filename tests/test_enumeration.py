@@ -113,7 +113,7 @@ class TestCountBracelets:
         assert enumeration.count_bracelets(n) == enumeration.enumeration_report(n).bracelet_count
 
     def test_range_bounds(self):
-        top = enumeration.MAX_COUNT_N
+        top = words.MAX_BRACELET_N
         wc, bc = enumeration.count_words(top), enumeration.count_bracelets(top)
         assert wc // (4 * top) <= bc <= wc
         for n in (2, top + 1):

@@ -1,6 +1,7 @@
 import bisect
 import hashlib
 import json
+import logging
 import math
 from fractions import Fraction
 
@@ -100,7 +101,8 @@ class TestOccupancyWord:
         for _ in range(50):
             cfg = random_config(rng, 5)
             base = words.canonical_bracelet(occupancy_word(cfg))
-            rotated = cfg.rotated(float(rng.random()))
+            delta = float(rng.random())
+            rotated = PointConfig.from_points(p + delta for p in cfg.positions)
             assert words.canonical_bracelet(occupancy_word(rotated)) == base
 
     def test_reflection_equivariance_at_bracelet_level(self):
@@ -152,8 +154,10 @@ class TestArrangement:
         rng = np.random.default_rng(11)
         for _ in range(30):
             cfg = random_config(rng, 6)
-            ls = sorted(geometry.bisector_positions(cfg.rotated(-cfg.positions[0])))
-            pos = cfg.rotated(-cfg.positions[0]).positions
+            delta = -cfg.positions[0]
+            rotated = PointConfig.from_points(p + delta for p in cfg.positions)
+            ls = sorted(geometry.bisector_positions(rotated))
+            pos = rotated.positions
             for a, b in zip(ls, ls[1:] + [ls[0] + 1]):
                 inside = sum(1 for p in list(pos) + [p + 1 for p in pos] if a < p < b)
                 assert inside == 1
@@ -251,6 +255,72 @@ class TestDirectionPatterns:
         assert geometry._arc_indices(bnd, a, b) == want
 
 
+def _flip_side(k):
+    def directions(dots, circle, original=geometry._dot_directions):
+        out = original(dots, circle)
+        side, nearest = out[k]
+        out[k] = ("L" if side == "R" else "R", nearest)
+        return out
+
+    return "_dot_directions", directions
+
+
+def _nearest_is_itself(k):
+    def directions(dots, circle, original=geometry._dot_directions):
+        out = original(dots, circle)
+        out[k] = (out[k][0], dots[k][0])
+        return out
+
+    return "_dot_directions", directions
+
+
+def _flip_color(k):
+    def colored(f, original=geometry._colored_dots):
+        out = original(f)
+        q, color = out[k]
+        out[k] = (q, 1 - color)
+        return out
+
+    return "_colored_dots", colored
+
+
+class TestDirectionPatternsDetectBrokenInput:
+    """Each broken input makes the check fail with its own logged reason.
+
+    On the realized nine-point word below, dots 0 and 17 share region 0,
+    dot 1 is the L of an LR pair and dot 3 the R of an RL pair that holds no
+    two-dot region.
+    """
+
+    WORD = (0, 0, 0, 0, 1, 0, 1, 0, 1, 1, 0, 1, 1, 1, 1, 0, 0, 1)
+
+    @pytest.mark.parametrize(
+        "patch, reason",
+        [
+            (_flip_side(0), "two-dot region 0 is not an RL pair"),
+            (_flip_side(1), "LR gap holds 1 boundaries"),
+            (_flip_side(3), "RL pattern count != number of two-dot regions"),
+            (_nearest_is_itself(0), "region 0 dots are not mutual nearest"),
+            (_flip_color(0), "two-dot region 0 has equal colors"),
+        ],
+        ids=["side-of-paired-dot", "side-of-lone-dot", "extra-rl-pair", "nearest", "color"],
+    )
+    def test_broken_dots_fail(self, monkeypatch, caplog, patch, reason):
+        cfg = realization.realize(self.WORD)
+        assert verify_direction_patterns(cfg)
+        monkeypatch.setattr(geometry, *patch)
+        with caplog.at_level(logging.WARNING, logger=geometry.logger.name):
+            assert verify_direction_patterns(cfg) is False
+        assert reason in caplog.text
+
+    def test_non_interlacing_signature_fails(self, monkeypatch, caplog):
+        cfg = realization.realize(self.WORD)
+        monkeypatch.setattr(words, "is_interlacing", lambda sig: False)
+        with caplog.at_level(logging.WARNING, logger=geometry.logger.name):
+            assert verify_direction_patterns(cfg) is False
+        assert "does not interlace" in caplog.text
+
+
 class TestRegionStats:
     def test_worked_example(self):
         rs = region_stats(EXAMPLE_EXACT, t_grid=[Fraction(1, 2), 1])
@@ -327,8 +397,10 @@ class TestTrianglePattern:
             word = occupancy_word(cfg)
             region_of = {}
             m = 6
-            bnd = geometry.region_boundaries(cfg.rotated(-cfg.positions[0]))
-            pos0 = cfg.rotated(-cfg.positions[0]).positions
+            delta = -cfg.positions[0]
+            rotated = PointConfig.from_points(p + delta for p in cfg.positions)
+            bnd = geometry.region_boundaries(rotated)
+            pos0 = rotated.positions
             for i, q in enumerate(pos0):
                 region_of[i] = geometry._region_index(bnd, q, m)
 
@@ -439,7 +511,8 @@ class TestExactAgainstFractionOracle:
         cfg = PointConfig(tuple(pos))
         assume(geometry.genericity_margin(cfg) > 0)
         base = words.canonical_bracelet(occupancy_word(cfg))
-        assert words.canonical_bracelet(occupancy_word(cfg.rotated(delta))) == base
+        rotated = PointConfig.from_points(p + delta for p in cfg.positions)
+        assert words.canonical_bracelet(occupancy_word(rotated)) == base
         reflected = PointConfig.from_points(-p for p in cfg.positions)
         assert words.canonical_bracelet(occupancy_word(reflected)) == base
 

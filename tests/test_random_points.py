@@ -162,19 +162,6 @@ class TestExpModel:
         assert s.dots[0] == 0
         assert all(a < b for a, b in zip(s.dots, s.dots[1:]))
 
-    def test_extension_identity(self):
-        rng = np.random.default_rng(4)
-        s = rp.sample_exp_model(5, rng)
-        n = 5
-        for i in range(0, n):
-            y, c = s.dot_at(i)
-            yp, cp = s.dot_at(i + n)
-            ym, cm = s.dot_at(i - n)
-            assert yp == pytest.approx(y + s.dots[n]) and cp == 1 - c
-            assert ym == pytest.approx(y - s.dots[n]) and cm == 1 - c
-        with pytest.raises(IndexError):
-            s.dot_at(2 * n)
-
     def test_n_bounded_before_any_draw(self):
         class NoDraws:
             def __getattr__(self, name):
@@ -327,12 +314,25 @@ class TestBatchEngine:
                 lambda: rp.equidistribution_paths(4, np.linspace(0, 1, 21), 3 * rp.BATCH_SIZE, 40),
                 10 << 20,
             ),
+            # chunks sized by the grid as well as by n: 152 MB when a chunk's
+            # rows were set by 2n alone
+            (lambda: rp.equidistribution_paths(3, np.linspace(0, 1, 400), 6000, 1), 16 << 20),
             # the exponential model draws chunk by chunk too: a whole batch was 770 MB
             (lambda: rp.transfer_check(1000, rp.BATCH_SIZE, seed=53), 8 << 20),
             # per-batch integer sums, not per-trial arrays: 20 MB when rounds grew with the trials
             (lambda: sampler.lln_clt_experiment(10, 3 * rp.BATCH_SIZE, seed=54), 12 << 20),
+            # one column per distinct cut, not per grid value: 69 MB with a column for each
+            (lambda: sampler.lln_clt_experiment(10, 2000, (0.5,) * 499 + (1.0,), 1), 5 << 20),
         ],
-        ids=["region-stats", "paths-64x4096", "paths-3-batches", "transfer-1000", "clt-3-batches"],
+        ids=[
+            "region-stats",
+            "paths-64x4096",
+            "paths-3-batches",
+            "paths-400-grid",
+            "transfer-1000",
+            "clt-3-batches",
+            "clt-500-grid",
+        ],
     )
     def test_full_batch_allocates_little(self, run, bound):
         # a batch holds one cache-sized chunk (or one CLT round) at a time, not all its rows
@@ -569,6 +569,15 @@ class TestEstimators:
         a = rp.estimate_bracelet_prob(4, target, 200_000, seed=19)
         b = rp.estimate_bracelet_prob(4, target, 200_000, seed=20)
         assert abs(rp.z_between(a, b)) <= 4
+
+    def test_z_between_results_without_spread(self):
+        # at n = 3 every configuration has the run word's bracelet, so the standard error is 0
+        target = words.canonical_bracelet(words.run_word(3))
+        a = rp.estimate_bracelet_prob(3, target, 100, seed=21)
+        b = rp.estimate_bracelet_prob(3, target, 200, seed=22)
+        assert a.std_error == b.std_error == 0.0
+        assert rp.z_between(a, b) == 0.0
+        assert rp.z_between(a, dataclasses.replace(b, estimate=0.5)) == math.inf
 
     def test_region_stats_within_bands_at_large_n(self):
         results = rp.estimate_region_stats(1000, 4000, seed=29)

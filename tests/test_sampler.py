@@ -464,7 +464,7 @@ class TestUniformBracelets:
         assert words.is_realizable(w)
         assert w[80:] + w[:80] == w
 
-    @pytest.mark.parametrize("n", [2, enumeration.MAX_COUNT_N + 1])
+    @pytest.mark.parametrize("n", [2, words.MAX_BRACELET_N + 1])
     def test_n_bounded_before_any_draw(self, draws_via_integers, n):
         rng = CountingRng(np.random.default_rng(0))
         with pytest.raises(ValueError, match="3 <= n <="):
@@ -689,6 +689,10 @@ class TestBinomialParity:
         even, odd = sampler.binomial_parity_check(n)
         assert even - odd == Fraction(1, 3**n)
         assert even + odd == 1
+
+    def test_n_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="need n >= 1, got 0"):
+            sampler.binomial_parity_check(0)
 
 
 class TestLetterCounts:

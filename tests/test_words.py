@@ -168,6 +168,19 @@ class TestValidation:
     def test_integral_values_of_mixed_types_are_accepted(self):
         assert words.check_word([True, np.int64(1), np.uint8(0), 1.0, 0, 0]) == (1, 1, 0, 1, 0, 0)
 
+    @pytest.mark.parametrize(
+        "fn, letters, message",
+        [
+            (words.check_signature, (0, 2), "signature length must be >= 3, got 2"),
+            (words.check_signature, (0, 3, 2), "signature letters must be 0, 1 or 2"),
+            (words.check_folded, ("01", "10"), "folded word length must be >= 3, got 2"),
+            (words.check_folded, ("01", "12", "00"), "folded letters must be one of"),
+        ],
+    )
+    def test_short_or_off_alphabet_letters_are_rejected(self, fn, letters, message):
+        with pytest.raises(ValueError, match=message):
+            fn(letters)
+
 
 class TestBracelet:
     def test_same_class_and_orbit(self):
@@ -242,9 +255,6 @@ class TestBracelet:
         monkeypatch.setattr(words, "_images", no_images)
         with pytest.raises(ValueError, match=f"n <= {words.MAX_BRACELET_N}"):
             fn((1, 0) * (words.MAX_BRACELET_N + 1))
-
-    def test_bracelet_limit_covers_the_bracelet_sampler(self):
-        assert words.MAX_BRACELET_N == enumeration.MAX_COUNT_N
 
 
 class TestFolding:
