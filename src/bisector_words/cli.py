@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import enumeration, random_points, realization, sampler, words
-from .geometry import NonGenericConfiguration, PointConfig, region_stats
+from .geometry import PointConfig, region_stats
 
 
 class _CliError(Exception):
@@ -213,10 +213,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, NonGenericConfiguration, realization.NotRealizable) as exc:
+    except (_CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

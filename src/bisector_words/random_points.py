@@ -355,16 +355,22 @@ _MODEL_CHUNKS = {"circle": _uniform_chunks, "exp": _exp_chunks}
 
 
 def _count_non_interlacing(signatures: np.ndarray) -> int:
-    """Rows whose 0s and 2s do not alternate cyclically, or that have neither."""
-    n = signatures.shape[1]
-    doubled = np.concatenate([signatures, signatures], axis=1)
-    special = doubled != 1
-    # index of the latest 0 or 2 at or before each position, -1 if none yet
-    last = np.maximum.accumulate(np.where(special, np.arange(2 * n), -1), axis=1)
-    # in the second copy, every special letter has its cyclic predecessor behind it
-    prev = np.take_along_axis(doubled, np.maximum(last[:, n - 1 : -1], 0), axis=1)
-    repeats = (special[:, n:] & (prev == doubled[:, n:])).any(axis=1)
-    return int((repeats | ~special[:, :n].any(axis=1)).sum())
+    """Rows whose 0s and 2s do not alternate cyclically, or that have neither.
+
+    This is the alternation test of :func:`words.is_interlacing` run as a
+    balance: +1 per 2, -1 per 0.  A row interlaces iff its balance ends at 0
+    and, counting the start value 0, takes exactly two values; its steps
+    are at most 1, so two values is a spread of 1.  If the special letters
+    alternate, the balance steps between 0 and the first one's sign and,
+    their number being even, ends on 0.  Conversely, two values force each
+    special letter to undo the one before it, and ending at 0 makes their
+    number even, so the last differs from the first.
+    """
+    # cast before subtracting: unsigned signatures would wrap below 0
+    balance = np.cumsum(signatures, axis=1, dtype=np.int32)
+    balance -= np.arange(1, signatures.shape[1] + 1, dtype=np.int32)
+    spread = np.maximum(balance.max(axis=1), 0) - np.minimum(balance.min(axis=1), 0)
+    return int(((balance[:, -1] != 0) | (spread != 1)).sum())
 
 
 def _path_rows(p: np.ndarray, grid: np.ndarray) -> np.ndarray:

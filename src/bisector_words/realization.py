@@ -65,9 +65,6 @@ class RealizationPlan:
         q = math.lcm(*(x.denominator for x in self.perturbed))
         return q, [x.numerator * (q // x.denominator) for x in self.perturbed]
 
-    def config(self) -> PointConfig:
-        return PointConfig(_point_positions(*self._numerators(), self.rotated_word))
-
     def to_json_dict(self) -> dict:
         return {
             "s": self.s,

@@ -123,6 +123,15 @@ def signature(w: Iterable[int]) -> Signature:
     return tuple(word[i] + word[i + n] for i in range(n))
 
 
+def _alternates(bits: list[int]) -> bool:
+    """Whether the 0/1 list is nonempty and strictly alternates around its cycle.
+
+    A cyclically alternating list has even length, so it is the two-letter
+    pattern starting from its first element, repeated.
+    """
+    return bool(bits) and bits == [bits[0], 1 - bits[0]] * (len(bits) // 2)
+
+
 def is_interlacing(letters: Iterable[int]) -> bool:
     """Test whether 0s and 2s strictly alternate around the cyclic signature.
 
@@ -130,10 +139,7 @@ def is_interlacing(letters: Iterable[int]) -> bool:
     cyclically consecutive pair of 0s, with both letters present); the
     equivalence is asserted against the literal definition in the test suite.
     """
-    s = check_signature(letters)
-    specials = [x for x in s if x != 1]
-    m = len(specials)
-    return m > 0 and all(specials[i] != specials[(i + 1) % m] for i in range(m))
+    return _alternates([x // 2 for x in check_signature(letters) if x != 1])
 
 
 def is_realizable(w: Iterable[int]) -> bool:
@@ -141,12 +147,10 @@ def is_realizable(w: Iterable[int]) -> bool:
 
     The signature's 0s and 2s are the pairs with w_i == w_{i+n}, letter 2
     where that bit is 1, so they are read off the word, which is validated
-    once, and tested for strict cyclic alternation as in
-    :func:`is_interlacing`: an alternating cycle has even length.
+    once, and tested by the alternation test of :func:`is_interlacing`.
     """
     word = check_word(w)
-    specials = [a for a, b in zip(word, word[len(word) // 2 :]) if a == b]
-    return bool(specials) and specials == [specials[0], 1 - specials[0]] * (len(specials) // 2)
+    return _alternates([a for a, b in zip(word, word[len(word) // 2 :]) if a == b])
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` (or ``bisector-words
 verify``) to see the per-criterion PASS/FAIL lines; the whole gate takes
-about 17 s on a 2-vCPU Xeon VM, about a quarter of it criterion 11.
+about 17 s on a 2-vCPU Xeon VM, about 4.8 s of it criterion 11.
 """
 
 import pytest

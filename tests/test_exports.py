@@ -58,7 +58,7 @@ PUBLIC_METHODS = {
     "NonGenericConfiguration": set(),
     "NotRealizable": set(),
     "PointConfig": {"from_points", "from_strings", "n", "to_strings"},
-    "RealizationPlan": {"config", "to_json_dict"},
+    "RealizationPlan": {"to_json_dict"},
     "RegionStats": {"to_json_dict"},
 }
 

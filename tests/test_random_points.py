@@ -431,13 +431,22 @@ class TestBatchEngine:
         assert rp.interlacing_failures(5, 20_000, seed=14) == 0
         assert rp._count_non_interlacing(np.array([[1, 1, 1], [0, 1, 2]])) == 1
 
-    @pytest.mark.parametrize("n", range(3, 13))
-    def test_non_interlacing_count_matches_loop(self, n):
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    @pytest.mark.parametrize("n", [*range(3, 13), 300])
+    def test_non_interlacing_count_matches_loop(self, n, dtype):
         rng = np.random.default_rng(100 + n)
         sig = rng.integers(0, 3, (2000, n))
         sig[::7] = 1  # all-1 rows
         sig[1::7] = rng.integers(0, 2, (len(sig[1::7]), n)) * 2  # only 0s and 2s
-        assert rp._count_non_interlacing(sig) == count_non_interlacing(sig)
+        # 2, 0, 2, ... at random places, an odd last one dropped: these interlace
+        special = rng.random((len(sig[2::7]), n)) < 0.5
+        rank = np.cumsum(special, axis=1)
+        special &= (rank < rank[:, -1:]) | (rank % 2 == 0)
+        sig[2::7] = np.where(special, rank % 2 * 2, 1)
+        sig = sig.astype(dtype)
+        expected = count_non_interlacing(sig)
+        assert 0 < expected < len(sig)
+        assert rp._count_non_interlacing(sig) == expected
 
 
 # Estimator payloads for seed 2024, each over two batches (one full, one
