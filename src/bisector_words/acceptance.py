@@ -68,7 +68,7 @@ def _criterion_bracelet_table():
 def _criterion_interlacing_necessity():
     per_n = 100_000
     for n in range(3, 13):
-        bad = random_points.interlacing_failures(n, per_n, _SEED + n, workers=1)
+        bad = random_points.interlacing_failures(n, per_n, _SEED + n)
         if bad:
             return False, f"n={n}: {bad} non-interlacing signatures in {per_n} draws"
     return True, f"0 failures over {per_n} configurations for each n in 3..12"

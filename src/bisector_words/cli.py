@@ -61,7 +61,7 @@ def _cmd_realize(args) -> int:
 def _cmd_enumerate(args) -> int:
     ns = _parse_range(args.n)
     for n in ns:
-        enumeration._check_range(n)
+        words._check_n(n, enumeration.MAX_ENUMERATION_N)
     for n in ns:
         spec = f"0{2 * n}b"
         chunks = enumeration._bracelet_chunks(n) if args.bracelets else enumeration._word_chunks(n)
@@ -73,7 +73,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_count(args) -> int:
     ns = _parse_range(args.n)
     for n in ns:
-        words._check_bracelet_n(n)
+        words._check_n(n, words.MAX_BRACELET_N)
     rows = []
     for n in ns:
         rows.append(
@@ -92,18 +92,18 @@ def _cmd_count(args) -> int:
     return 0
 
 
-# The check each ``sample --kind`` makes of n before anything is drawn.
-_SAMPLE_N_CHECKS = {
-    "word": sampler._check_word_size,
-    "bracelet": words._check_bracelet_n,
-    "points": random_points._check_config_size,
+# The largest n of each ``sample --kind``, checked before anything is drawn.
+_SAMPLE_MAX_N = {
+    "word": sampler.MAX_WORD_N,
+    "bracelet": words.MAX_BRACELET_N,
+    "points": random_points.MAX_CONFIG_N,
 }
 
 
 def _cmd_sample(args) -> int:
     if args.count < 0:
         raise _CliError(f"--count must be >= 0, got {args.count}")
-    _SAMPLE_N_CHECKS[args.kind](args.n)
+    words._check_n(args.n, _SAMPLE_MAX_N[args.kind])
     rng = random_points.batch_rng(args.seed, 0)
     for _ in range(args.count):
         if args.kind == "word":
@@ -119,7 +119,7 @@ def _cmd_sample(args) -> int:
 def _cmd_estimate(args) -> int:
     if args.stat == "pb":
         # the run word's bracelet costs O(n^2); reject n before building it
-        random_points._check_packed_size(args.n)
+        words._check_n(args.n, random_points.MAX_PACKED_N)
         target = words.canonical_bracelet(words.run_word(args.n))
         result = random_points.estimate_bracelet_prob(
             args.n, target, args.trials, args.seed, workers=args.workers

@@ -47,6 +47,12 @@ class NonGenericConfiguration(ValueError):
     """Configuration with coinciding critical values; words are ill-defined."""
 
 
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """The numerators of the Fractions over their least common denominator, and that denominator."""
+    unit = math.lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (unit // x.denominator) for x in values), unit
+
+
 @dataclass(frozen=True)
 class PointConfig:
     """n >= 3 strictly increasing positions in [0, 1) on the unit-length circle.
@@ -66,8 +72,7 @@ class PointConfig:
         exact = not any(isinstance(p, float) for p in pos)
         if exact:
             pos = tuple(p if isinstance(p, Fraction) else Fraction(p) for p in pos)
-            unit = math.lcm(*(p.denominator for p in pos))
-            xs = tuple(p.numerator * (unit // p.denominator) for p in pos)
+            xs, unit = _over_common_denominator(pos)
         else:
             unit, xs = 1, pos
         object.__setattr__(self, "positions", pos)

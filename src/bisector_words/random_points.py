@@ -55,7 +55,7 @@ import numpy as np
 
 from . import words
 from .geometry import NonGenericConfiguration, PointConfig, _check_t_grid, ensure_generic
-from .words import Bracelet
+from .words import Bracelet, _check_n
 
 BATCH_SIZE = 1 << 14
 # Most regions (rows * 2n) the batched geometry holds at once: 256 KiB per
@@ -83,14 +83,6 @@ def batch_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def _check_size(n: int, least: int = 3, most: int | None = None) -> None:
-    """Reject n outside [``least``, ``most``], before anything is drawn."""
-    if n < least:
-        raise ValueError(f"need n >= {least}, got {n}")
-    if most is not None and n > most:
-        raise ValueError(f"need n <= {most}, got {n}")
-
-
 # ---------------------------------------------------------------------------
 # closed forms (exact rationals)
 
@@ -103,7 +95,7 @@ def closed_form(name: str, n: int) -> Fraction:
     pbn: probability of the bracelet of :func:`bisector_words.words.run_word`;
     phi13: value at 1/3 of the weighted binomial double sum phi.
     """
-    _check_size(n)
+    _check_n(n)
     if name == "h2":
         return Fraction(n, 2) * (1 + Fraction(1, 3 ** (n - 2)))
     if name == "l0":
@@ -126,7 +118,7 @@ def phi(x, n: int) -> Fraction:
     x = Fraction(x)
     if not 0 < x < Fraction(1, 2):
         raise ValueError(f"need 0 < x < 1/2, got {x}")
-    _check_size(n)
+    _check_n(n)
     lead = (x / 2) * (1 - x ** (n - 2)) / (1 - x)
     tail = (x / 2 ** (n - 1)) * (1 - (2 * x) ** (n - 2)) / (1 - 2 * x)
     return lead - tail
@@ -137,7 +129,7 @@ def phi_series(x, n: int) -> Fraction:
     x = Fraction(x)
     if not 0 < x < Fraction(1, 2):
         raise ValueError(f"need 0 < x < 1/2, got {x}")
-    _check_size(n)
+    _check_n(n)
     total = Fraction(0)
     for k in range(1, n - 1):
         for l in range(1, n - k):
@@ -461,10 +453,6 @@ def _max_gap_sums(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
 # scalar sampling APIs
 
 
-def _check_config_size(n: int) -> None:
-    _check_size(n, most=MAX_CONFIG_N)
-
-
 def sample_uniform_config(n: int, rng: np.random.Generator) -> PointConfig:
     """n i.i.d. uniform positions on the circle, resampled if degenerate, 3 <= n <= 10^5.
 
@@ -474,7 +462,7 @@ def sample_uniform_config(n: int, rng: np.random.Generator) -> PointConfig:
     draw did at n = 10^6, where this loop would in effect never return.
     So n is bounded by ``MAX_CONFIG_N`` before anything is drawn.
     """
-    _check_config_size(n)
+    _check_n(n, MAX_CONFIG_N)
     while True:
         positions = tuple(sorted(float(x) for x in rng.random(n)))
         if any(a == b for a, b in zip(positions, positions[1:])):
@@ -502,7 +490,7 @@ class ExpSpacingSample:
 
 def sample_exp_model(n: int, rng: np.random.Generator) -> ExpSpacingSample:
     """One sample of the exponential spacing model, 3 <= n <= 10^6."""
-    _check_size(n, most=MAX_GEOMETRY_N)
+    _check_n(n, MAX_GEOMETRY_N)
     spac, y, colors = _exp_draw(n, 1, rng)
     return ExpSpacingSample(
         spacings=tuple(spac[0].tolist()), dots=tuple(y[0].tolist()), colors=(*colors[0].tolist(), 0)
@@ -511,11 +499,6 @@ def sample_exp_model(n: int, rng: np.random.Generator) -> ExpSpacingSample:
 
 # ---------------------------------------------------------------------------
 # estimators
-
-
-def _check_packed_size(n: int) -> None:
-    if n > MAX_PACKED_N:
-        raise ValueError(f"bracelet estimates pack 2n bits into 64; need n <= {MAX_PACKED_N}, got {n}")
 
 
 def estimate_bracelet_prob(
@@ -535,7 +518,7 @@ def estimate_bracelet_prob(
     worker count.  Words are packed into 64 bits, so n is at most
     ``MAX_PACKED_N``.
     """
-    _check_packed_size(n)
+    _check_n(n, MAX_PACKED_N)
     if target.n != n:
         raise ValueError(f"target bracelet has n={target.n}, estimate is for n={n}")
     if model not in _MODEL_CHUNKS:
@@ -551,7 +534,7 @@ def estimate_region_stats(
     n: int, trials: int, seed: int, workers: int = 1
 ) -> dict[str, EstimatorResult]:
     """Monte Carlo means of h2/l0/l1/l2/le against their closed forms."""
-    _check_size(n, most=MAX_GEOMETRY_N)
+    _check_n(n, MAX_GEOMETRY_N)
     sums = sum(_run_batches(_region_sums, n, trials, seed, workers)).tolist()
     return {
         k: _make_result(s, sq, trials, seed, closed_form(k, n))
@@ -559,10 +542,10 @@ def estimate_region_stats(
     }
 
 
-def interlacing_failures(n: int, trials: int, seed: int, workers: int = 1) -> int:
+def interlacing_failures(n: int, trials: int, seed: int) -> int:
     """Number of sampled configurations whose signature fails to interlace."""
-    _check_size(n, most=MAX_GEOMETRY_N)
-    return sum(_run_batches(_interlacing_failures, n, trials, seed, workers))
+    _check_n(n, MAX_GEOMETRY_N)
+    return sum(_run_batches(_interlacing_failures, n, trials, seed, 1))
 
 
 @dataclass(frozen=True)
@@ -584,18 +567,18 @@ class TransferReport:
     total_length_target: float
 
 
-def transfer_check(n: int, trials: int, seed: int, workers: int = 1) -> TransferReport:
+def transfer_check(n: int, trials: int, seed: int) -> TransferReport:
     """Compare expected type-k lengths across the two models and the closed form.
 
     The exponential-model estimator averages (unnormalized type-k length)/(2n),
     which the transfer identity equates with the unit-circle expectation.
     Internally uses seeds seed+1 (circle) and seed+2 (exponential).
     """
-    _check_size(n, most=MAX_GEOMETRY_N)
+    _check_n(n, MAX_GEOMETRY_N)
     _check_seed(seed)
     _check_seed(seed + 2)
-    circle = estimate_region_stats(n, trials, seed + 1, workers)
-    sums = sum(_run_batches(_exp_length_sums, n, trials, seed + 2, workers))
+    circle = estimate_region_stats(n, trials, seed + 1)
+    sums = sum(_run_batches(_exp_length_sums, n, trials, seed + 2, 1))
     *typed, (total, total_sq) = sums.tolist()
     comparisons = []
     for k, (s, sq) in enumerate(typed):
@@ -645,7 +628,7 @@ def equidistribution_paths(
     every estimator here (see the module docstring); each batch is summed
     row by row and the batch sums are added in batch order.
     """
-    _check_size(n, most=MAX_GEOMETRY_N)
+    _check_n(n, MAX_GEOMETRY_N)
     grid = np.asarray(t_grid, dtype=np.float64)
     _check_t_grid(grid)
     h_acc, l_acc = sum(_run_batches(_path_sums, n, trials, seed, 1, grid)) / trials
@@ -671,7 +654,7 @@ def max_spacing_check(n: int, trials: int, seed: int) -> EstimatorResult:
     tends to 1/2 slowly.  Trial j is row j mod ``BATCH_SIZE`` of batch
     j // ``BATCH_SIZE``, as in every estimator here (see the module docstring).
     """
-    _check_size(n, least=2, most=MAX_GEOMETRY_N)
+    _check_n(n, MAX_GEOMETRY_N, least=2)
     total, total_sq = sum(_run_batches(_max_gap_sums, n, trials, seed, 1))[0].tolist()
     harmonic = math.fsum(1 / k for k in range(1, n))
     return _make_result(total, total_sq, trials, seed, n * harmonic / (2 * (n + 1) * math.log(n)))

@@ -16,12 +16,11 @@ into a ``Fraction`` once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import words
-from .geometry import PointConfig, _arc_indices, _Frame, ensure_generic
+from .geometry import PointConfig, _arc_indices, _Frame, _over_common_denominator, ensure_generic
 from .words import Word
 
 
@@ -60,11 +59,6 @@ class RealizationPlan:
     perturbed: tuple[Fraction, ...]
     components: tuple[tuple, ...]
 
-    def _numerators(self) -> tuple[int, list[int]]:
-        """A common denominator q of ``perturbed`` and its numerators over q."""
-        q = math.lcm(*(x.denominator for x in self.perturbed))
-        return q, [x.numerator * (q // x.denominator) for x in self.perturbed]
-
     def to_json_dict(self) -> dict:
         return {
             "s": self.s,
@@ -83,8 +77,7 @@ class RealizationPlan:
 def _checked_word(w) -> Word:
     """The validated word w, rejected above ``MAX_REALIZE_N`` before anything is built."""
     word = words.check_word(w)
-    if len(word) > 2 * MAX_REALIZE_N:
-        raise ValueError(f"realize supports n <= {MAX_REALIZE_N}, got {len(word) // 2}")
+    words._check_n(len(word) // 2, MAX_REALIZE_N)
     return word
 
 
@@ -194,7 +187,7 @@ def verify_bisector_layout(plan: RealizationPlan) -> bool:
     ints: arc 1 is 8*s*q, q a common denominator of the positions, which the
     frame's unit divides.
     """
-    q, nums = plan._numerators()
+    nums, q = _over_common_denominator(plan.perturbed)
     s, m = plan.s, 2 * plan.n
     circle = 8 * s * q
     frame = _Frame(PointConfig(_point_positions(q, nums, plan.rotated_word)), rotate=False)

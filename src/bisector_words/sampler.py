@@ -78,7 +78,7 @@ import numpy as np
 
 from . import enumeration, words
 from .random_points import _run_batches
-from .words import Bracelet, FoldedWord, Word
+from .words import MAX_BRACELET_N, Bracelet, FoldedWord, Word, _check_n
 
 _STEP_OF_LETTER = {"00": 0, "11": 0, "10": 1, "01": -1}
 _LETTER_OF_STEP = {-1: 0, 1: 1, 0: 2}
@@ -204,11 +204,6 @@ def _word_letters(n: int, rng: np.random.Generator) -> tuple[int, list[int]]:
             return x & 1, _head_letters(x >> 1, head, requirement) + tail
 
 
-def _check_word_size(n: int) -> None:
-    if not 3 <= n <= MAX_WORD_N:
-        raise ValueError(f"words are sampled for 3 <= n <= {MAX_WORD_N}, got {n}")
-
-
 @lru_cache(maxsize=None)  # called only for the n <= 6 of a table
 def _word_table(n: int) -> tuple[Word, ...]:
     """Every realizable word of length 2n, at the index of the head draw that decodes to it."""
@@ -225,7 +220,7 @@ def sample_uniform_word(n: int, rng: np.random.Generator) -> Word:
     one backed by MT19937, whose raw words are 32-bit, is rejected with a
     ValueError before any draw.
     """
-    _check_word_size(n)
+    _check_n(n, MAX_WORD_N)
     _check_raw_words(rng)
     if n <= _BLOCK and 2 * _COUNTS[_EVEN_WITH_S][n] <= _TABLE_SIZE:
         table = _word_table(n)
@@ -316,6 +311,7 @@ def sample_uniform_bracelet(n: int, rng: np.random.Generator) -> Bracelet:
     one backed by MT19937, whose raw words are 32-bit, is rejected with a
     ValueError before any draw.
     """
+    _check_n(n, MAX_BRACELET_N)
     total = enumeration._burnside_total(n)
     _check_raw_words(rng)
     t = _uniform_below(total, rng)
@@ -374,8 +370,7 @@ def walk_to_word(walk: LatticeWalk, first_zero_is_11: bool = True) -> FoldedWord
 
 def binomial_parity_check(n: int) -> tuple[Fraction, Fraction]:
     """(P(even), P(odd)) for a Binomial(n, 1/3) count, by exact summation."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _check_n(n, least=1)
     even = Fraction(0)
     for k in range(0, n + 1, 2):
         even += Fraction(math.comb(n, k) * 2 ** (n - k), 3**n)
@@ -493,7 +488,7 @@ def lln_clt_experiment(
     correlation is undefined there.  Deterministic given (n, trials, seed);
     trials >= 2, since the moments are sample variances.
     """
-    _check_word_size(n)
+    _check_n(n, MAX_WORD_N)
     if trials < 2:
         raise ValueError(f"need trials >= 2, got {trials}")
     grid = tuple(float(c) for c in c_grid)

@@ -21,6 +21,7 @@ mod n or mod 2n throughout.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -38,9 +39,17 @@ _INT = frozenset({int})
 MAX_BRACELET_N = 5000
 
 
-def _check_bracelet_n(n: int) -> None:
-    if not 3 <= n <= MAX_BRACELET_N:
-        raise ValueError(f"bracelets are computed for 3 <= n <= {MAX_BRACELET_N}, got {n}")
+def _check_n(n: int, most: int | None = None, least: int = 3) -> None:
+    """Reject, before anything is built or drawn, an n that is not an integer in [least, most].
+
+    The exact ``int`` test comes first: the ABC check costs about as much
+    as a whole small sampler call.
+    """
+    if type(n) is not int and not isinstance(n, numbers.Integral):
+        raise ValueError(f"need an integer n, got {n!r}")
+    if n < least or most is not None and n > most:
+        bounds = f"n >= {least}" if most is None else f"{least} <= n <= {most}"
+        raise ValueError(f"need {bounds}, got {n}")
 
 
 def _as_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
@@ -188,7 +197,7 @@ def _packed(w: Iterable[int]) -> tuple[int, int]:
     """The validated word w packed by :func:`word_to_int`, and its n, bounded by ``MAX_BRACELET_N``."""
     word = check_word(w)
     n = len(word) // 2
-    _check_bracelet_n(n)
+    _check_n(n, MAX_BRACELET_N)
     return word_to_int(word), n
 
 
@@ -260,6 +269,5 @@ def run_word(n: int) -> Word:
     followed by a run of n-1 empty ones.  Its bracelet is the most likely
     one under uniform random points.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    _check_n(n)
     return (1, 0) + (1,) * (n - 1) + (0,) * (n - 1)

@@ -158,7 +158,7 @@ class TestCountAndEnumerate:
     def test_count_above_bracelet_limit_names_the_bound(self):
         code, out, err = run_cli("count", "--n", str(words.MAX_BRACELET_N + 1))
         assert code == 1 and out == ""
-        assert f"bracelets are computed for 3 <= n <= {words.MAX_BRACELET_N}" in err
+        assert f"3 <= n <= {words.MAX_BRACELET_N}" in err
 
 
 class TestArgumentErrors:
@@ -216,7 +216,7 @@ class TestSample:
         monkeypatch.setattr(random_points, "batch_rng", no_draws)
         n = random_points.MAX_CONFIG_N + 1
         code, out, err = run_cli("sample", "--kind", "points", "--n", str(n))
-        assert code == 1 and out == "" and f"need n <= {random_points.MAX_CONFIG_N}, got {n}" in err
+        assert code == 1 and out == "" and f"3 <= n <= {random_points.MAX_CONFIG_N}, got {n}" in err
 
     def test_negative_count_exits_1(self):
         code, out, err = run_cli("sample", "--n", "4", "--count", "-3")
@@ -256,7 +256,7 @@ class TestEstimate:
 
     def test_n_below_three_exits_1(self):
         code, out, err = run_cli("estimate", "--n", "2", "--stat", "h2")
-        assert code == 1 and out == "" and "n >= 3" in err
+        assert code == 1 and out == "" and "3 <= n" in err
 
     def test_n_above_geometry_limit_exits_1(self):
         n = str(random_points.MAX_GEOMETRY_N + 1)

@@ -145,7 +145,7 @@ class TestUniformConfig:
 
     def test_n_bounded_before_any_draw(self):
         rng = self._ScriptedDraws()
-        with pytest.raises(ValueError, match=f"need n <= {rp.MAX_CONFIG_N}"):
+        with pytest.raises(ValueError, match=f"n <= {rp.MAX_CONFIG_N}"):
             rp.sample_uniform_config(rp.MAX_CONFIG_N + 1, rng)
 
     def test_other_errors_propagate(self):
@@ -570,8 +570,6 @@ class TestEstimators:
         lone = rp.estimate_bracelet_prob(4, target, 40_000, seed=17, workers=1, model="exp")
         pooled = rp.estimate_bracelet_prob(4, target, 40_000, seed=17, workers=2, model="exp")
         assert lone == pooled
-        for estimator, args in ((rp.interlacing_failures, (5,)), (rp.transfer_check, (4,))):
-            assert estimator(*args, 40_000, 18, workers=1) == estimator(*args, 40_000, 18, workers=2)
 
     def test_disjoint_seeds_agree(self):
         target = words.canonical_bracelet(words.run_word(4))
