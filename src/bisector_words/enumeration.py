@@ -43,7 +43,7 @@ def _word_count(m: int) -> int:
 
 def count_words(n: int) -> int:
     """Number of realizable words of length 2n: 3^n - 2^(n+1) + 1."""
-    _check_n(n)
+    _check_n(n, MAX_BRACELET_N)
     return _word_count(n)
 
 

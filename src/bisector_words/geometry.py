@@ -7,8 +7,9 @@ plus their antipodes, so all computations happen on sorted positions mod 1.
 
 Positions may be exact rationals (``fractions.Fraction``) or floats, and
 both run through one code path in circle units.  A configuration keeps its
-positions as x = p * U, with U = 1 for floats and U the least common
-multiple of the denominators for exact input, so exact positions are ints.
+positions as x = p * U, with U = 1 for floats and U a common denominator
+for exact input (the least one for Fraction input), so exact positions are
+ints.
 A critical value v is handled as 2 * v * U on a circle of length 2U: a
 point is 2x, its antipode 2x + U, the bisector of two consecutive points
 a + b (the wrap pair U + a + b), an antipodal bisector that plus U, all mod
@@ -67,21 +68,36 @@ class PointConfig:
 
     def __post_init__(self):
         pos = tuple(self.positions)
-        if len(pos) < 3:
-            raise ValueError(f"need at least 3 points, got {len(pos)}")
         exact = not any(isinstance(p, float) for p in pos)
         if exact:
             pos = tuple(p if isinstance(p, Fraction) else Fraction(p) for p in pos)
             xs, unit = _over_common_denominator(pos)
         else:
             unit, xs = 1, pos
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "is_exact", exact)
-        object.__setattr__(self, "_units", (xs, unit))
+        self._settle(pos, exact, xs, unit)
+
+    @classmethod
+    def _from_units(cls, xs: Sequence[int], unit: int) -> "PointConfig":
+        """The exact configuration of the ints xs over one common unit: positions ``Fraction(x, unit)``.
+
+        The ints are kept as given, so no common denominator is taken back
+        from the reduced positions.
+        """
+        config = object.__new__(cls)
+        config._settle(tuple(Fraction(x, unit) for x in xs), True, tuple(xs), unit)
+        return config
+
+    def _settle(self, pos: tuple, exact: bool, xs: tuple, unit) -> None:
+        """Check the positions in units (at least 3, each in [0, unit), strictly increasing), then set them."""
+        if len(xs) < 3:
+            raise ValueError(f"need at least 3 points, got {len(xs)}")
         if any(not 0 <= x < unit for x in xs):
             raise ValueError("positions must lie in [0, 1)")
         if any(a >= b for a, b in zip(xs, xs[1:])):
             raise ValueError("positions must be strictly increasing")
+        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "is_exact", exact)
+        object.__setattr__(self, "_units", (xs, unit))
 
     @property
     def n(self) -> int:

@@ -66,7 +66,8 @@ _CHUNK_ELEMENTS = 1 << 15
 MAX_PACKED_N = 32
 # Largest n the batched geometry takes: one configuration is then a single
 # chunk whose 2n-wide temporaries hold about 100 MB.  It also bounds the rows
-# of n floats that max_spacing_check and sample_exp_model draw.
+# of n floats that max_spacing_check and sample_exp_model draw, and the n of
+# closed_form and phi, whose largest caller is an estimator.
 MAX_GEOMETRY_N = 10**6
 # Largest n of one scalar configuration (see :func:`sample_uniform_config`).
 MAX_CONFIG_N = 10**5
@@ -95,7 +96,7 @@ def closed_form(name: str, n: int) -> Fraction:
     pbn: probability of the bracelet of :func:`bisector_words.words.run_word`;
     phi13: value at 1/3 of the weighted binomial double sum phi.
     """
-    _check_n(n)
+    _check_n(n, MAX_GEOMETRY_N)
     if name == "h2":
         return Fraction(n, 2) * (1 + Fraction(1, 3 ** (n - 2)))
     if name == "l0":
@@ -118,7 +119,7 @@ def phi(x, n: int) -> Fraction:
     x = Fraction(x)
     if not 0 < x < Fraction(1, 2):
         raise ValueError(f"need 0 < x < 1/2, got {x}")
-    _check_n(n)
+    _check_n(n, MAX_GEOMETRY_N)
     lead = (x / 2) * (1 - x ** (n - 2)) / (1 - x)
     tail = (x / 2 ** (n - 1)) * (1 - (2 * x) ** (n - 2)) / (1 - 2 * x)
     return lead - tail

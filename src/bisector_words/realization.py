@@ -10,8 +10,9 @@ distinct sums, so no two chord midpoints can keep shifting in lockstep.
 (An arithmetic k*epsilon perturbation fails here: for index-sum-symmetric
 words such as the one with signature (0,2,0,2), two coinciding midpoints
 shift by the same amount for every epsilon.)  All arithmetic is exact: the
-positions are integer numerators over one common denominator, each turned
-into a ``Fraction`` once.
+positions are integer numerators over one common denominator q, and the
+configuration is built from them over q, each turned into a ``Fraction``
+once.
 """
 
 from __future__ import annotations
@@ -145,12 +146,6 @@ def _construct(word: Word) -> tuple[dict, int, list[int], list[int]]:
     return fields, q, base, perturbed
 
 
-def _point_positions(q: int, perturbed, rotated_word: Word) -> tuple[Fraction, ...]:
-    """Sorted positions mod 1 of the indices holding a point, from numerators over q."""
-    nums = sorted(x % q for x, bit in zip(perturbed, rotated_word) if bit)
-    return tuple(Fraction(v, q) for v in nums)
-
-
 def plan_realization(w) -> RealizationPlan:
     fields, q, base, perturbed = _construct(_checked_word(w))
     n, s = fields["n"], fields["s"]
@@ -172,7 +167,8 @@ def realize(w) -> PointConfig:
     and ValueError when n exceeds ``MAX_REALIZE_N``.
     """
     fields, q, _, perturbed = _construct(_checked_word(w))
-    config = PointConfig(_point_positions(q, perturbed, fields["rotated_word"]))
+    xs = sorted(x % q for x, bit in zip(perturbed, fields["rotated_word"]) if bit)
+    config = PointConfig._from_units(xs, q)
     ensure_generic(config)
     return config
 
@@ -184,14 +180,15 @@ def verify_bisector_layout(plan: RealizationPlan) -> bool:
     its position, each index of an ascending run exactly one just above, and
     each window of width 1/(4s) around a zero anchor exactly two; together
     these must account for all 2n boundaries, each exactly once.  It runs on
-    ints: arc 1 is 8*s*q, q a common denominator of the positions, which the
-    frame's unit divides.
+    ints: arc 1 is 8*s*q, q the least common denominator of the perturbed
+    positions and the frame's unit, whose circle is 2q.
     """
     nums, q = _over_common_denominator(plan.perturbed)
     s, m = plan.s, 2 * plan.n
     circle = 8 * s * q
-    frame = _Frame(PointConfig(_point_positions(q, nums, plan.rotated_word)), rotate=False)
-    boundaries = [b * (circle // frame.circle) for b in frame.boundaries()]
+    xs = sorted(x % q for x, bit in zip(nums, plan.rotated_word) if bit)
+    frame = _Frame(PointConfig._from_units(xs, q), rotate=False)
+    boundaries = [4 * s * b for b in frame.boundaries()]
     pos = [8 * s * x % circle for x in nums]
     # (start, end, boundaries expected) of each open counterclockwise arc
     arcs = [

@@ -21,7 +21,6 @@ mod n or mod 2n throughout.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -32,20 +31,22 @@ FoldedWord = tuple[str, ...]
 FOLDED_ALPHABET = ("00", "01", "10", "11")
 _INT = frozenset({int})
 # Largest n of any bracelet computation: canonical forms, orbits, counts and
-# the bracelet sampler.  The 4n images of a word of length 2n hold about n^2
-# bytes (25 MB at n = 5000) and their time grows about 4x per doubling of n;
-# the bracelet count has about 0.48 n decimal digits, which this keeps below
-# Python's default limit of 4300 digits for converting an int to text.
+# the bracelet sampler; it also bounds count_words and run_word.  The 4n
+# images of a word of length 2n hold about n^2 bytes (25 MB at n = 5000) and
+# their time grows about 4x per doubling of n; the bracelet count has about
+# 0.48 n decimal digits, which this keeps below Python's default limit of
+# 4300 digits for converting an int to text.
 MAX_BRACELET_N = 5000
 
 
 def _check_n(n: int, most: int | None = None, least: int = 3) -> None:
     """Reject, before anything is built or drawn, an n that is not an integer in [least, most].
 
-    The exact ``int`` test comes first: the ABC check costs about as much
-    as a whole small sampler call.
+    n must be exactly an ``int``: a numpy integer would carry fixed-width
+    arithmetic into the exact counts and closed forms, which then overflow
+    silently.
     """
-    if type(n) is not int and not isinstance(n, numbers.Integral):
+    if type(n) is not int:
         raise ValueError(f"need an integer n, got {n!r}")
     if n < least or most is not None and n > most:
         bounds = f"n >= {least}" if most is None else f"{least} <= n <= {most}"
@@ -269,5 +270,5 @@ def run_word(n: int) -> Word:
     followed by a run of n-1 empty ones.  Its bracelet is the most likely
     one under uniform random points.
     """
-    _check_n(n)
+    _check_n(n, MAX_BRACELET_N)
     return (1, 0) + (1,) * (n - 1) + (0,) * (n - 1)

@@ -1,6 +1,7 @@
 import inspect
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import bisector_words
@@ -113,11 +114,11 @@ class NoDraws:
 # Every public entry point that takes n, as (call of n, least n, most n or
 # None).
 N_ENTRY_POINTS = {
-    "count_words": (enumeration.count_words, 3, None),
+    "count_words": (enumeration.count_words, 3, words.MAX_BRACELET_N),
     "count_bracelets": (enumeration.count_bracelets, 3, words.MAX_BRACELET_N),
     "enumerate_words": (enumeration.enumerate_words, 3, enumeration.MAX_ENUMERATION_N),
     "enumeration_report": (enumeration.enumeration_report, 3, enumeration.MAX_ENUMERATION_N),
-    "run_word": (words.run_word, 3, None),
+    "run_word": (words.run_word, 3, words.MAX_BRACELET_N),
     "canonical_bracelet": (lambda n: words.canonical_bracelet((0, 1) * n), 3, words.MAX_BRACELET_N),
     "realize": (lambda n: realization.realize((0, 1) * n), 3, realization.MAX_REALIZE_N),
     "sample_uniform_word": (lambda n: sampler.sample_uniform_word(n, NoDraws()), 3, sampler.MAX_WORD_N),
@@ -128,8 +129,8 @@ N_ENTRY_POINTS = {
     ),
     "lln_clt_experiment": (lambda n: sampler.lln_clt_experiment(n, 10), 3, sampler.MAX_WORD_N),
     "binomial_parity_check": (sampler.binomial_parity_check, 1, None),
-    "closed_form": (lambda n: random_points.closed_form("h2", n), 3, None),
-    "phi": (lambda n: random_points.phi(Fraction(1, 3), n), 3, None),
+    "closed_form": (lambda n: random_points.closed_form("h2", n), 3, random_points.MAX_GEOMETRY_N),
+    "phi": (lambda n: random_points.phi(Fraction(1, 3), n), 3, random_points.MAX_GEOMETRY_N),
     "phi_series": (lambda n: random_points.phi_series(Fraction(1, 3), n), 3, None),
     "estimate_bracelet_prob": (
         lambda n: random_points.estimate_bracelet_prob(n, words.canonical_bracelet(words.run_word(4)), 10, 0),
@@ -171,24 +172,25 @@ N_ENTRY_POINTS = {
 # These take a word, whose length sets n: a word too short fails the word
 # check, and n is always an integer, so only the upper bound applies.
 N_FROM_WORD_LENGTH = {"canonical_bracelet", "realize"}
-# 4.0 equals 4, so it would find the cached results of n = 4.
+# 4.0 equals 4, so it would find the cached results of n = 4; a numpy
+# integer would compute the exact counts in int64 and overflow silently.
 N_CASES = [
     (name, case)
     for name, (_, _, most) in N_ENTRY_POINTS.items()
-    for case in ("below", "above", 3.5, 4.0)
+    for case in ("below", "above", 3.5, 4.0, np.int64(4))
     if (case == "above" and most is not None) or (case != "above" and name not in N_FROM_WORD_LENGTH)
 ]
 
 
-@pytest.mark.parametrize("name, case", N_CASES)
+@pytest.mark.parametrize("name, case", N_CASES, ids=lambda v: repr(v) if isinstance(v, np.integer) else None)
 def test_n_is_an_integer_in_range_before_any_draw(monkeypatch, name, case):
     def no_draws(*args):
         raise AssertionError("drew before checking n")
 
     monkeypatch.setattr(random_points, "batch_rng", no_draws)
     call, least, most = N_ENTRY_POINTS[name]
-    if isinstance(case, float):
-        n, message = case, f"need an integer n, got {case}"
+    if not isinstance(case, str):
+        n, message = case, f"need an integer n, got {case!r}"
     else:
         n = least - 1 if case == "below" else most + 1
         bounds = f"n >= {least}" if most is None else f"{least} <= n <= {most}"

@@ -60,6 +60,23 @@ class TestPointConfig:
         with pytest.raises(ValueError):
             PointConfig((0.0, 0.5, 1.2))
 
+    @pytest.mark.parametrize(
+        "xs, message",
+        [
+            ((0, 1), "need at least 3 points, got 2"),
+            ((-1, 1, 2), "positions must lie in [0, 1)"),
+            ((0, 1, 10), "positions must lie in [0, 1)"),
+            ((0, 2, 2), "positions must be strictly increasing"),
+            ((0, 3, 2), "positions must be strictly increasing"),
+        ],
+    )
+    def test_from_units_rejects_like_the_public_constructor(self, xs, message):
+        with pytest.raises(ValueError) as from_units:
+            PointConfig._from_units(xs, 10)
+        with pytest.raises(ValueError) as public:
+            PointConfig(tuple(Fraction(x, 10) for x in xs))
+        assert str(from_units.value) == str(public.value) == message
+
     def test_exactness_detection(self):
         assert EXAMPLE_EXACT.is_exact
         assert not EXAMPLE.is_exact

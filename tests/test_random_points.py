@@ -73,7 +73,7 @@ class TestPhi:
         with pytest.raises(ValueError):
             rp.phi_series(Fraction(3, 5), 5)
         for n in (2, -5):
-            with pytest.raises(ValueError, match="need n >= 3"):
+            with pytest.raises(ValueError, match="need 3 <= n"):
                 rp.phi(Fraction(1, 3), n)
             with pytest.raises(ValueError, match="need n >= 3"):
                 rp.phi_series(Fraction(1, 3), n)

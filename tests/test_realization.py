@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from bisector_words import enumeration, realization, words
+from bisector_words import enumeration, geometry, realization, words
 from bisector_words.geometry import genericity_margin, occupancy_word, region_boundaries
 from bisector_words.realization import (
     NotRealizable,
@@ -53,6 +53,37 @@ class TestRealize:
         for w in list(enumeration.enumerate_words(4))[:20]:
             pos = realize(w).positions
             assert all(a < b for a, b in zip(pos, pos[1:]))
+
+
+# Every public reading of a configuration, the four test seams included.
+GEOMETRY_READINGS = (
+    geometry.occupancy_word,
+    geometry.arrangement,
+    geometry.ocdc,
+    lambda config: geometry.region_stats(config, (0, Fraction(1, 4), 0.5, 1)),
+    geometry.verify_direction_patterns,
+    geometry.bisector_positions,
+    geometry.critical_values,
+    geometry.genericity_margin,
+    geometry.region_boundaries,
+)
+
+
+class TestFromUnits:
+    """``realize`` builds over the construction's denominator q, not the least one."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 300])
+    def test_realize_equals_the_fraction_built_configuration(self, n):
+        for w in [words.run_word(n)] if n == 300 else enumeration.enumerate_words(n):
+            got = realize(w)
+            ref = geometry.PointConfig(got.positions)
+            assert got.positions == ref.positions and got.n == ref.n == n
+            assert got.is_exact and ref.is_exact
+            assert got.to_strings() == ref.to_strings()
+            assert got == ref and hash(got) == hash(ref) and repr(got) == repr(ref)
+            assert got._units[1] % ref._units[1] == 0
+            for read in GEOMETRY_READINGS:
+                assert read(got) == read(ref), words.word_to_string(w)
 
 
 # Four realizable words at each n, packed as hex (:func:`words.word_to_int`):
