@@ -29,12 +29,13 @@ non-negative and below 2, where the bit patterns of float64 values are
 ordered like the values and stay below 2**62; so each value becomes the
 uint64 key (bits << 1) with low bit 1 for an antipodal bisector, one
 in-place sort per row orders the keys with points first on ties, and the
-word is the complement of the sorted keys' low bits.  Region lengths come
-from the sorted boundaries (bisectors and their antipodes), computed once
-per chunk with the word.  A batch is processed in cache-sized row chunks of
-at most ``_CHUNK_ELEMENTS`` regions, and per-row values are gathered before
-summing or added in one running sum across chunks, so chunking never changes
-a result.
+word is the complement of the sorted keys' low bits.  One region kernel,
+:func:`_region_rows`, turns rows into words, types, sorted boundaries
+(bisectors and their antipodes) and region lengths, each computed once per
+chunk.  Every worker draws a batch through one chunk loop, :func:`_chunks`,
+in cache-sized row chunks of at most ``_CHUNK_ELEMENTS`` values, and per-row
+values are gathered before summing or added in one running sum across
+chunks, so chunking never changes a result.
 
 The batched kernel assumes genericity instead of checking it: no point ties
 with a bisector or its antipode, and no two points coincide.  Sampled
@@ -71,6 +72,10 @@ MAX_PACKED_N = 32
 MAX_GEOMETRY_N = 10**6
 # Largest n of one scalar configuration (see :func:`sample_uniform_config`).
 MAX_CONFIG_N = 10**5
+# Largest n of the literal sum phi_series: it has about n^4 / 24 exact
+# Fraction terms, so its time grows about as n^4.5 (about 1 s at n = 40 on a
+# 2-vCPU VM).  It cross-checks phi, which criterion 8 does for n <= 8.
+_MAX_SERIES_N = 40
 
 
 def _check_seed(seed: int) -> None:
@@ -130,7 +135,7 @@ def phi_series(x, n: int) -> Fraction:
     x = Fraction(x)
     if not 0 < x < Fraction(1, 2):
         raise ValueError(f"need 0 < x < 1/2, got {x}")
-    _check_n(n)
+    _check_n(n, _MAX_SERIES_N)
     total = Fraction(0)
     for k in range(1, n - 1):
         for l in range(1, n - k):
@@ -216,17 +221,6 @@ def _run_batches(fn, n: int, trials: int, seed: int, workers: int, *args) -> lis
 # vectorized circle geometry on batches of configurations
 
 
-def _rotate_rows(p: np.ndarray) -> np.ndarray:
-    """Rotate each row, in place, so that its first entry is 0."""
-    p -= p[:, :1].copy()
-    return p
-
-
-def _chunk_rows(width: int) -> int:
-    """Rows per chunk of at most ``_CHUNK_ELEMENTS`` values, ``width`` values per row."""
-    return max(1, _CHUNK_ELEMENTS // width)
-
-
 def _bisectors_rows(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bisectors (increasing) and their antipodes per row; rows sorted, first entry 0."""
     mid = np.empty_like(p)
@@ -253,31 +247,29 @@ def _words_rows(p: np.ndarray, anti: np.ndarray | None = None) -> np.ndarray:
     return ((keys & 1) == 0).view(np.uint8)
 
 
-def _words_boundaries_rows(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Occupancy words and sorted region boundaries per row, from one bisector computation."""
+def _region_rows(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Occupancy words, region types, sorted region boundaries and region lengths per row.
+
+    Region j > 0 runs from boundary j - 1 to boundary j, and region 0 is the
+    arc that wraps through position 0.
+    """
     mid, anti = _bisectors_rows(p)
     bnd = np.concatenate([mid, anti], axis=1)
     bnd.sort(axis=1)
-    return _words_rows(p, anti), bnd
-
-
-def _lengths_rows(bnd: np.ndarray) -> np.ndarray:
-    """Region lengths; region 0 is the arc that wraps through position 0."""
+    w = _words_rows(p, anti)
+    # freed before the types and lengths are built, so that a chunk holds
+    # fewer arrays at once (mc-small-n read ~3% slower with them held)
+    del mid, anti
+    types = w + np.roll(w, -p.shape[1], axis=1)
     lengths = np.empty_like(bnd)
     lengths[:, 1:] = np.diff(bnd, axis=1)
     lengths[:, 0] = 1 - bnd[:, -1] + bnd[:, 0]
-    return lengths
-
-
-def _region_rows(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Occupancy words, region types and region lengths for each row."""
-    w, bnd = _words_boundaries_rows(p)
-    return w, w + np.roll(w, -p.shape[1], axis=1), _lengths_rows(bnd)
+    return w, types, bnd, lengths
 
 
 def _region_values(p: np.ndarray) -> np.ndarray:
     """Per-row h2, l0, l1, l2 and le as a (5, rows) array."""
-    w, types, lengths = _region_rows(p)
+    w, types, _, lengths = _region_rows(p)
     return np.stack(
         [
             (types == 2).sum(axis=1),
@@ -296,18 +288,23 @@ def _pack_words(w: np.ndarray) -> np.ndarray:
 def _uniform_rows(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
     p = rng.random((size, n))
     p.sort(axis=1)
-    return _rotate_rows(p)
+    p -= p[:, :1].copy()
+    return p
 
 
-def _chunks(draw, n: int, size: int, rng: np.random.Generator):
-    """``draw(n, rows, rng)`` for consecutive chunks of rows, ``size`` rows in all."""
-    step = _chunk_rows(2 * n)
+def _chunks(draw, n: int, size: int, rng: np.random.Generator, width: int):
+    """``draw(n, rows, rng)`` for consecutive chunks of rows, ``size`` rows in all.
+
+    A chunk holds at most ``_CHUNK_ELEMENTS`` values at ``width`` values per
+    row, and at least one row.
+    """
+    step = max(1, _CHUNK_ELEMENTS // width)
     for start in range(0, size, step):
         yield draw(n, min(step, size - start), rng)
 
 
 def _uniform_chunks(n: int, size: int, rng: np.random.Generator):
-    return _chunks(_uniform_rows, n, size, rng)
+    return _chunks(_uniform_rows, n, size, rng, 2 * n)
 
 
 def _exp_draw(n: int, size: int, rng: np.random.Generator):
@@ -334,14 +331,18 @@ def _exp_positions(y: np.ndarray, colors: np.ndarray) -> np.ndarray:
 
 
 def _exp_model_rows(n: int, size: int, rng: np.random.Generator):
-    """Unit-circle positions and circumferences 2*Y_n from the exponential model."""
+    """Unit-circle positions, sorted, and circumferences 2*Y_n from the exponential model.
+
+    Dot 0 is black at +0.0, the row minimum, so each sorted row already
+    starts at 0 and needs no rotation.
+    """
     _, y, colors = _exp_draw(n, size, rng)
-    return _rotate_rows(np.sort(_exp_positions(y, colors), axis=1)), 2 * y[:, -1]
+    return np.sort(_exp_positions(y, colors), axis=1), 2 * y[:, -1]
 
 
 def _exp_chunks(n: int, size: int, rng: np.random.Generator):
     """The positions of :func:`_exp_model_rows`, drawn chunk by chunk from the same stream."""
-    return (pos for pos, _ in _chunks(_exp_model_rows, n, size, rng))
+    return (pos for pos, _ in _chunks(_exp_model_rows, n, size, rng, 2 * n))
 
 
 _MODEL_CHUNKS = {"circle": _uniform_chunks, "exp": _exp_chunks}
@@ -371,24 +372,28 @@ def _path_rows(p: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
     The result has shape (rows, 2, 3, grid size): fractions first, lengths second.
     """
-    m = 2 * p.shape[1]
-    w, bnd = _words_boundaries_rows(p)
+    rows, m = p.shape[0], 2 * p.shape[1]
+    _, types, ends, lengths = _region_rows(p)
     # The region through position 0 is only contained at t = 1, so it goes
     # last; the right ends are then increasing along each row.
-    types = np.roll(w + np.roll(w, -p.shape[1], axis=1), -1, axis=1)
-    lengths = np.roll(_lengths_rows(bnd), -1, axis=1)
-    ends = np.roll(bnd, -1, axis=1)
+    types, ends, lengths = (np.roll(a, -1, axis=1) for a in (types, ends, lengths))
     ends[:, -1] = 1.0
-    ended = np.empty((p.shape[0], grid.size), dtype=np.int64)
-    for j, t in enumerate(grid):
-        ended[:, j] = (ends <= t).sum(axis=1)
-    out = np.empty((p.shape[0], 2, 3, grid.size))
+    # A region ends by every grid value from the first sorted one >= its end
+    # on, so per row, the running sum of a bincount of those first places
+    # counts the regions ended by each distinct grid value.
+    values, where = np.unique(grid, return_inverse=True)
+    slots = values.size + 1
+    first = np.searchsorted(values, ends)
+    first += np.arange(0, rows * slots, slots)[:, None]
+    ended = np.bincount(first.ravel(), minlength=rows * slots).reshape(rows, slots)
+    ended = np.cumsum(ended, axis=1)[:, where]
+    out = np.empty((rows, 2, 3, grid.size))
     for k in (0, 1, 2):
         mask = types == k
         # cumulative sums with a leading 0 column, indexed by the number of ended regions
-        cnt = np.zeros((p.shape[0], m + 1), dtype=np.int64)
+        cnt = np.zeros((rows, m + 1), dtype=np.int64)
         np.cumsum(mask, axis=1, out=cnt[:, 1:])
-        cum = np.zeros((p.shape[0], m + 1))
+        cum = np.zeros((rows, m + 1))
         np.cumsum(lengths * mask, axis=1, out=cum[:, 1:])
         out[:, 0, k] = np.take_along_axis(cnt, ended, axis=1) / m
         out[:, 1, k] = np.take_along_axis(cum, ended, axis=1)
@@ -414,7 +419,7 @@ def _region_sums(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
 
 def _exp_length_sums(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """:func:`_moments` of the type-k lengths over 2n and the circumference, exp model."""
-    chunks = _chunks(_exp_model_rows, n, size, rng)
+    chunks = _chunks(_exp_model_rows, n, size, rng, 2 * n)
     rows = [np.vstack([_region_values(p)[1:4] * c / (2 * n), c]) for p, c in chunks]
     return _moments(np.concatenate(rows, axis=1))
 
@@ -430,14 +435,13 @@ def _path_sums(n: int, rng: np.random.Generator, size: int, grid: np.ndarray) ->
     A batch of per-row grids would not fit in the cache, so the rows of each
     chunk go into one sequential running sum, in place, instead of being
     gathered; only the last row is kept, so no chunk outlives its loop step.
-    A row holds 2n regions and 2 x 3 values per grid point, so chunks are
-    sized by the larger of the two widths, and memory follows one chunk
-    whatever the grid size.
+    A row holds 2n regions and 2 x 3 values per grid point, so the one chunk
+    loop, :func:`_chunks`, sizes chunks by the larger of the two widths, and
+    memory follows one chunk whatever the grid size.
     """
     acc = np.zeros((2, 3, grid.size))
-    step = _chunk_rows(max(2 * n, 6 * grid.size))
-    for start in range(0, size, step):
-        rows = _path_rows(_uniform_rows(n, min(step, size - start), rng), grid)
+    for p in _chunks(_uniform_rows, n, size, rng, max(2 * n, 6 * grid.size)):
+        rows = _path_rows(p, grid)
         rows[0] += acc
         acc = np.cumsum(rows, axis=0, out=rows)[-1].copy()
         del rows  # free this chunk before the next one is built

@@ -101,6 +101,10 @@ _TABLE_SIZE = 1 << 10
 # Largest word length n sampled: a word of n letters takes about 0.5 s and
 # 30 MB at this bound, growing linearly.
 MAX_WORD_N = 10**6
+# Largest n of binomial_parity_check: its exact sum holds n / 2 terms of up
+# to 1.6 n bits, so its time grows about as n^2 (0.1 s at n = 2000 on a
+# 2-vCPU VM).  Criterion 13 checks n <= 40.
+_MAX_PARITY_N = 2000
 # Letters per draw of the CLT experiment's letter counts: 3^10 < 2^16, so a
 # block is one uint16 draw and its counts one lookup in a 3^10-entry table.
 _COUNT_BLOCK = 10
@@ -370,10 +374,8 @@ def walk_to_word(walk: LatticeWalk, first_zero_is_11: bool = True) -> FoldedWord
 
 def binomial_parity_check(n: int) -> tuple[Fraction, Fraction]:
     """(P(even), P(odd)) for a Binomial(n, 1/3) count, by exact summation."""
-    _check_n(n, least=1)
-    even = Fraction(0)
-    for k in range(0, n + 1, 2):
-        even += Fraction(math.comb(n, k) * 2 ** (n - k), 3**n)
+    _check_n(n, _MAX_PARITY_N, least=1)
+    even = Fraction(sum(math.comb(n, k) * 2 ** (n - k) for k in range(0, n + 1, 2)), 3**n)
     return even, 1 - even
 
 

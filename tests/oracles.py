@@ -238,3 +238,34 @@ def words_by_stable_argsort(p):
     anti[anti >= 1] -= 1
     order = np.argsort(np.concatenate([p, anti], axis=1), axis=1, kind="stable")
     return (order < p.shape[1]).view(np.uint8)
+
+
+def path_rows_by_grid_loop(p, grid):
+    """Per row of ``p`` (sorted, first entry 0), type k and grid value t: the
+    fraction of the 2n regions of type k that end by t, and their total length,
+    as a (rows, 2, 3, grid size) array.  One pass over the regions per grid value.
+
+    Region j > 0 runs from boundary j - 1 to boundary j; region 0 wraps through
+    position 0, so it ends by t only at t = 1 and is taken last.  A region's type
+    is the occupancy of its own slot plus that of the slot n further on.
+    """
+    n = p.shape[1]
+    m = 2 * n
+    mid = np.empty_like(p)
+    mid[:, :-1] = (p[:, :-1] + p[:, 1:]) / 2
+    mid[:, -1] = (1 + p[:, -1]) / 2
+    anti = mid + 0.5
+    anti[anti >= 1] -= 1
+    occupied = words_by_stable_argsort(p)
+    out = np.zeros((len(p), 2, 3, len(grid)))
+    for r, row in enumerate(np.sort(np.concatenate([mid, anti], axis=1), axis=1).tolist()):
+        ends = [1.0, *row[1:]]
+        lengths = [1 - row[-1] + row[0], *(row[j] - row[j - 1] for j in range(1, m))]
+        types = [int(occupied[r, j]) + int(occupied[r, (j + n) % m]) for j in range(m)]
+        for g, t in enumerate(grid):
+            for j in [*range(1, m), 0]:
+                if ends[j] <= t:
+                    out[r, 0, types[j], g] += 1
+                    out[r, 1, types[j], g] += lengths[j]
+    out[:, 0] /= m
+    return out

@@ -128,10 +128,10 @@ N_ENTRY_POINTS = {
         words.MAX_BRACELET_N,
     ),
     "lln_clt_experiment": (lambda n: sampler.lln_clt_experiment(n, 10), 3, sampler.MAX_WORD_N),
-    "binomial_parity_check": (sampler.binomial_parity_check, 1, None),
+    "binomial_parity_check": (sampler.binomial_parity_check, 1, sampler._MAX_PARITY_N),
     "closed_form": (lambda n: random_points.closed_form("h2", n), 3, random_points.MAX_GEOMETRY_N),
     "phi": (lambda n: random_points.phi(Fraction(1, 3), n), 3, random_points.MAX_GEOMETRY_N),
-    "phi_series": (lambda n: random_points.phi_series(Fraction(1, 3), n), 3, None),
+    "phi_series": (lambda n: random_points.phi_series(Fraction(1, 3), n), 3, random_points._MAX_SERIES_N),
     "estimate_bracelet_prob": (
         lambda n: random_points.estimate_bracelet_prob(n, words.canonical_bracelet(words.run_word(4)), 10, 0),
         3,

@@ -14,7 +14,12 @@ from scipy import stats as sstats
 from bisector_words import geometry, random_points as rp, sampler, words
 from bisector_words.geometry import PointConfig, occupancy_word, region_stats
 
-from oracles import count_non_interlacing, exp_below_erlangs_prob, words_by_stable_argsort
+from oracles import (
+    count_non_interlacing,
+    exp_below_erlangs_prob,
+    path_rows_by_grid_loop,
+    words_by_stable_argsort,
+)
 
 
 RUN4 = words.canonical_bracelet(words.run_word(4))
@@ -75,7 +80,7 @@ class TestPhi:
         for n in (2, -5):
             with pytest.raises(ValueError, match="need 3 <= n"):
                 rp.phi(Fraction(1, 3), n)
-            with pytest.raises(ValueError, match="need n >= 3"):
+            with pytest.raises(ValueError, match="need 3 <= n"):
                 rp.phi_series(Fraction(1, 3), n)
 
 
@@ -254,7 +259,7 @@ class TestBatchEngine:
             pos = rp._uniform_rows(n, rows, rng)
         else:
             pos, _ = rp._exp_model_rows(n, rows, rng)
-        wmat, types, lengths = rp._region_rows(pos)
+        wmat, types, _, lengths = rp._region_rows(pos)
         assert (rp._words_rows(pos) == wmat).all()
         for row, w, t, ln in zip(pos, wmat, types, lengths):
             cfg = PointConfig(tuple(float(x) for x in row))
@@ -424,7 +429,7 @@ class TestBatchEngine:
 
     def test_type_counts_balanced_per_trial(self):
         rng = rp.batch_rng(13, 0)
-        _, types, _ = rp._region_rows(rp._uniform_rows(6, 256, rng))
+        _, types, _, _ = rp._region_rows(rp._uniform_rows(6, 256, rng))
         assert ((types == 0).sum(axis=1) == (types == 2).sum(axis=1)).all()
 
     def test_interlacing_failure_counter(self):
@@ -716,13 +721,48 @@ class TestTransfer:
     def test_exp_lengths_sum_to_circumference(self):
         rng = rp.batch_rng(23, 0)
         pos, circumference = rp._exp_model_rows(4, 128, rng)
-        _, types, lengths = rp._region_rows(pos)
+        assert (pos[:, 0].view(np.uint64) == 0).all()  # dot 0 at +0.0 starts every sorted row
+        _, types, _, lengths = rp._region_rows(pos)
         total = sum((lengths * (types == k)).sum(axis=1) for k in (0, 1, 2))
         assert np.allclose(total, 1.0)
         assert (circumference > 0).all()
 
 
+PATH_GRIDS = ["unsorted-repeats", "region-ends", "zero-and-one", "empty"]
+
+
+def _path_grid(case: str, p: np.ndarray) -> np.ndarray:
+    """A t-grid of the named kind for the rows ``p``."""
+    if case == "unsorted-repeats":
+        return np.array([0.7, 0.2, 0.7, 0.45, 0.2, 0.9, 0.45])
+    if case == "region-ends":
+        # values equal to region ends of the first rows, in no order and repeated
+        bnd = rp._region_rows(p[:2])[2]
+        return np.concatenate([bnd[0, ::-1], bnd[1, ::2], bnd[0, 1:3]])
+    if case == "zero-and-one":
+        return np.array([1.0, 0.0, 0.5, 0.0, 1.0])
+    return np.array([])
+
+
 class TestPaths:
+    @pytest.mark.parametrize("case", PATH_GRIDS)
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_path_rows_match_the_grid_loop(self, n, case):
+        p = rp._uniform_rows(n, 40, rp.batch_rng(56, n))
+        grid = _path_grid(case, p)
+        assert rp._path_rows(p, grid).tobytes() == path_rows_by_grid_loop(p, grid).tobytes()
+
+    @pytest.mark.parametrize("case", PATH_GRIDS)
+    def test_paths_match_the_grid_loop(self, case):
+        n, trials, seed = 4, 300, 57
+        p = rp._uniform_rows(n, trials, rp.batch_rng(seed, 0))
+        grid = _path_grid(case, p)
+        report = rp.equidistribution_paths(n, grid.tolist(), trials, seed)
+        # rows summed in row order, as the running sum of each batch adds them
+        h, l = sum(path_rows_by_grid_loop(p, grid)) / trials
+        assert report.region_fraction == tuple(map(tuple, h.tolist()))
+        assert report.length_fraction == tuple(map(tuple, l.tolist()))
+
     def test_endpoint_matches_length_expectations(self):
         report = rp.equidistribution_paths(50, [0.5, 1.0], trials=2000, seed=24)
         for k in (0, 1, 2):

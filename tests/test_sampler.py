@@ -691,7 +691,7 @@ class TestBinomialParity:
         assert even + odd == 1
 
     def test_n_below_one_is_rejected(self):
-        with pytest.raises(ValueError, match="need n >= 1, got 0"):
+        with pytest.raises(ValueError, match="need 1 <= n <= 2000, got 0"):
             sampler.binomial_parity_check(0)
 
 
