@@ -7,6 +7,8 @@ the words of that size divided by it.  The orbit histogram shows that
 almost every class has the full 4n members once n grows.
 """
 
+import math
+
 from bisector_words import count_words, enumeration_report
 
 print(f"{'n':>3} {'words':>8} {'bracelets':>10}  orbit sizes (size: classes)")
@@ -19,6 +21,4 @@ for n in range(3, 11):
 print()
 print("growth rate of the word count in base 3:")
 for n in (6, 10, 14, 20, 30):
-    import math
-
     print(f"  n={n:>3}: log3(count)/n = {math.log(count_words(n), 3) / n:.5f}")

@@ -113,9 +113,9 @@ __all__ = [
     "transfer_check",
     "unfold",
     "verify_bisector_layout",
-    "walk_to_word",
-    "word_to_walk",
     "verify_direction_patterns",
+    "walk_to_word",
     "word_from_string",
     "word_to_string",
+    "word_to_walk",
 ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -117,9 +118,13 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    if args.stat == "pb":
-        # the run word's bracelet costs O(n^2); reject n before building it
-        words._check_n(args.n, random_points.MAX_PACKED_N)
+    # n first, before anything is built or drawn: pb's run-word bracelet costs O(n^2)
+    pb = args.stat == "pb"
+    words._check_n(args.n, random_points.MAX_PACKED_N if pb else random_points.MAX_GEOMETRY_N)
+    if args.trials < 2:
+        # one trial has no standard error, and its z would print as Infinity
+        raise _CliError(f"--trials must be >= 2, got {args.trials}")
+    if pb:
         target = words.canonical_bracelet(words.run_word(args.n))
         result = random_points.estimate_bracelet_prob(
             args.n, target, args.trials, args.seed, workers=args.workers
@@ -130,6 +135,9 @@ def _cmd_estimate(args) -> int:
         )[args.stat]
     payload = {"stat": args.stat, "n": args.n, **result.to_json_dict()}
     if args.format == "json":
+        # every trial agreeing and missing the target makes z infinite, which standard JSON lacks
+        if not math.isfinite(payload["z"]):
+            payload["z"] = None
         print(json.dumps(payload))
     else:
         keys = list(payload)

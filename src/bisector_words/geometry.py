@@ -106,7 +106,8 @@ class PointConfig:
     @classmethod
     def from_points(cls, pts: Iterable) -> "PointConfig":
         """Build from arbitrary positions: reduced mod 1 and sorted."""
-        return cls(tuple(sorted(p % 1 for p in pts)))
+        # twice: a float just below 0 reduces to 1.0 once, and 1.0 to 0.0
+        return cls(tuple(sorted(p % 1 % 1 for p in pts)))
 
     @classmethod
     def from_strings(cls, items: Iterable[str]) -> "PointConfig":
@@ -279,13 +280,12 @@ class Arrangement:
 
 def arrangement(config: PointConfig) -> Arrangement:
     f = _generic_frame(config)
-    pts = f.points()
     return Arrangement(
         n=f.n,
         bisectors=tuple(f.arc(v) for v in f.lines),
         antipodal_bisectors=tuple(f.arc(v) for v in f.antilines),
         boundaries=tuple(f.arc(v) for v in f.boundaries()),
-        dots=tuple(f.arc(v) for v in sorted(pts + f.antipodes(pts))),
+        dots=tuple(f.arc(q) for q, _ in _colored_dots(f)),
     )
 
 
@@ -340,79 +340,72 @@ def ocdc(config: PointConfig) -> tuple[str, ...]:
 def verify_direction_patterns(config: PointConfig) -> bool:
     """Check the dot-pattern characterization of region types on one configuration.
 
-    Verifies that regions holding two dots are exactly the mutual
-    nearest-pairs showing look directions R then L, that empty antipodal
-    pairs correspond exactly to L-then-R direction patterns with two
-    boundaries in between, that a two-dot region exists, and that the
-    signature interlaces.  Returns False (with a logged diagnostic) on any
-    violation.
+    Every check reads one list, the region of each sorted dot.  The region
+    types are its counts.  The two dots of a region are cyclically
+    consecutive, so two-dot regions are the consecutive pairs in one region;
+    each must be a mutual nearest pair of opposite colours looking R then L,
+    and there are as many RL patterns as two-dot regions.  The gap between
+    consecutive dots a and b holds (region[b] - region[a]) mod 2n
+    boundaries, so each L-then-R pattern must span two boundaries with the
+    empty region region[a] + 1 between them, and there are as many LR
+    patterns as empty regions.  A two-dot region must exist and the
+    signature must interlace.  Returns False (with a logged diagnostic) on
+    any violation.
     """
     f = _generic_frame(config)
-    n, m, circle = f.n, 2 * f.n, f.circle
+    n, m = f.n, 2 * f.n
     bnd = f.boundaries()
     dots = _colored_dots(f)
-    dirs, nearest = zip(*_dot_directions(dots, circle))
-
-    regions: list[list[int]] = [[] for _ in range(m)]
-    for idx, (q, _) in enumerate(dots):
-        regions[_region_index(bnd, q, m)].append(idx)
-    # wrap region: dots above the last boundary precede those below the first
-    if regions[0]:
-        upper = [i for i in regions[0] if dots[i][0] >= bnd[-1]]
-        lower = [i for i in regions[0] if dots[i][0] < bnd[0]]
-        regions[0] = upper + lower
-
-    types = [len(r) for r in regions]
+    dirs, nearest = zip(*_dot_directions(dots, f.circle))
+    region = [_region_index(bnd, q, m) for q, _ in dots]
+    types = [0] * m
+    for j in region:
+        types[j] += 1
     sig = tuple(types[:n])
 
     if types[:n] != types[n:]:
         logger.warning("pattern check: antipodal regions have different types")
         return False
 
+    # cyclically consecutive dots (a, a + 1) from a = -1: the wrap pair first
+    pairs = [(a, a + 1) for a in range(-1, m - 1)]
+    looks = [dirs[a] + dirs[b] for a, b in pairs]
+
     # two-dot regions <-> mutual nearest pairs looking R then L
-    rl_pairs = {
-        (i, (i + 1) % m)
-        for i in range(m)
-        if dirs[i] == "R" and dirs[(i + 1) % m] == "L"
-    }
-    for j in range(m):
-        if types[j] != 2:
+    for (a, b), look in zip(pairs, looks):
+        j = region[b]
+        if region[a] != j:
             continue
-        a, b = regions[j]
         if dots[a][1] == dots[b][1]:
             logger.warning("pattern check: two-dot region %d has equal colors", j)
             return False
-        if (a, b) not in rl_pairs:
+        if look != "RL":
             logger.warning("pattern check: two-dot region %d is not an RL pair", j)
             return False
         if nearest[a] != dots[b][0] or nearest[b] != dots[a][0]:
             logger.warning("pattern check: region %d dots are not mutual nearest", j)
             return False
-    if len(rl_pairs) != sum(1 for t in types if t == 2):
+    if looks.count("RL") != types.count(2):
         logger.warning("pattern check: RL pattern count != number of two-dot regions")
         return False
 
     # empty regions <-> L then R direction patterns
-    lr_pairs = [
-        (i, (i + 1) % m)
-        for i in range(m)
-        if dirs[i] == "L" and dirs[(i + 1) % m] == "R"
-    ]
-    empty = sum(1 for t in types if t == 0)
-    if len(lr_pairs) != empty:
+    if looks.count("LR") != types.count(0):
         logger.warning("pattern check: LR pattern count != number of empty regions")
         return False
-    for i, k in lr_pairs:
-        inside = _arc_indices(bnd, dots[i][0], dots[k][0])
-        if len(inside) != 2:
-            logger.warning("pattern check: LR gap holds %d boundaries", len(inside))
+    for (a, b), look in zip(pairs, looks):
+        if look != "LR":
+            continue
+        inside = (region[b] - region[a]) % m
+        if inside != 2:
+            logger.warning("pattern check: LR gap holds %d boundaries", inside)
             return False
-        j = inside[1]  # region j lies between boundaries j - 1 and j
+        j = (region[a] + 1) % m  # region j lies between the gap's two boundaries
         if types[j] != 0:
             logger.warning("pattern check: region %d between LR pair is not empty", j)
             return False
 
-    if not any(t == 2 for t in types):
+    if 2 not in types:
         logger.warning("pattern check: no two-dot region")
         return False
     if not words.is_interlacing(sig):

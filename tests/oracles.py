@@ -1,13 +1,18 @@
 """Independent oracles: literal definitions implemented from scratch.
 
-Nothing here imports the library's decision logic; these exist to check it.
+Nothing here imports the library's decision logic, except the reference
+direction-pattern check, which keeps the earlier version of a library
+function on top of the same geometry helpers; these exist to check it.
 """
 
+import logging
 import math
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
+
+from bisector_words import geometry, words
 
 
 def cyclic_interval(N: int, i: int, j: int) -> set[int]:
@@ -269,3 +274,90 @@ def path_rows_by_grid_loop(p, grid):
                     out[r, 1, types[j], g] += lengths[j]
     out[:, 0] /= m
     return out
+
+
+pattern_logger = logging.getLogger("oracles.patterns")
+
+
+def direction_patterns_by_region_lists(config) -> bool:
+    """The direction-pattern check as first written: a dot list per region, the
+    wrap region reordered by hand, RL and LR pairs found by their own scans and
+    each LR gap's boundaries listed one by one.
+
+    The reference for ``geometry.verify_direction_patterns``: it returns the
+    same result and logs the same reasons (to ``pattern_logger``).  It calls
+    the library's frame, dot and direction helpers through their module, so a
+    test that patches one of them patches both checks.
+    """
+    f = geometry._generic_frame(config)
+    n, m, circle = f.n, 2 * f.n, f.circle
+    bnd = f.boundaries()
+    dots = geometry._colored_dots(f)
+    dirs, nearest = zip(*geometry._dot_directions(dots, circle))
+
+    regions: list[list[int]] = [[] for _ in range(m)]
+    for idx, (q, _) in enumerate(dots):
+        regions[geometry._region_index(bnd, q, m)].append(idx)
+    # wrap region: dots above the last boundary precede those below the first
+    if regions[0]:
+        upper = [i for i in regions[0] if dots[i][0] >= bnd[-1]]
+        lower = [i for i in regions[0] if dots[i][0] < bnd[0]]
+        regions[0] = upper + lower
+
+    types = [len(r) for r in regions]
+    sig = tuple(types[:n])
+
+    if types[:n] != types[n:]:
+        pattern_logger.warning("pattern check: antipodal regions have different types")
+        return False
+
+    # two-dot regions <-> mutual nearest pairs looking R then L
+    rl_pairs = {
+        (i, (i + 1) % m)
+        for i in range(m)
+        if dirs[i] == "R" and dirs[(i + 1) % m] == "L"
+    }
+    for j in range(m):
+        if types[j] != 2:
+            continue
+        a, b = regions[j]
+        if dots[a][1] == dots[b][1]:
+            pattern_logger.warning("pattern check: two-dot region %d has equal colors", j)
+            return False
+        if (a, b) not in rl_pairs:
+            pattern_logger.warning("pattern check: two-dot region %d is not an RL pair", j)
+            return False
+        if nearest[a] != dots[b][0] or nearest[b] != dots[a][0]:
+            pattern_logger.warning("pattern check: region %d dots are not mutual nearest", j)
+            return False
+    if len(rl_pairs) != sum(1 for t in types if t == 2):
+        pattern_logger.warning("pattern check: RL pattern count != number of two-dot regions")
+        return False
+
+    # empty regions <-> L then R direction patterns
+    lr_pairs = [
+        (i, (i + 1) % m)
+        for i in range(m)
+        if dirs[i] == "L" and dirs[(i + 1) % m] == "R"
+    ]
+    empty = sum(1 for t in types if t == 0)
+    if len(lr_pairs) != empty:
+        pattern_logger.warning("pattern check: LR pattern count != number of empty regions")
+        return False
+    for i, k in lr_pairs:
+        inside = geometry._arc_indices(bnd, dots[i][0], dots[k][0])
+        if len(inside) != 2:
+            pattern_logger.warning("pattern check: LR gap holds %d boundaries", len(inside))
+            return False
+        j = inside[1]  # region j lies between boundaries j - 1 and j
+        if types[j] != 0:
+            pattern_logger.warning("pattern check: region %d between LR pair is not empty", j)
+            return False
+
+    if not any(t == 2 for t in types):
+        pattern_logger.warning("pattern check: no two-dot region")
+        return False
+    if not words.is_interlacing(sig):
+        pattern_logger.warning("pattern check: signature %s does not interlace", sig)
+        return False
+    return True

@@ -286,6 +286,47 @@ class TestEstimate:
         b = run_cli(*args, "--workers", "4")
         assert a == b
 
+    @pytest.mark.parametrize("stat", ["h2", "pb"])
+    @pytest.mark.parametrize("trials", ["1", "0", "-5"])
+    def test_trials_below_two_exit_1_before_anything_is_built(self, monkeypatch, stat, trials):
+        def not_yet(*args):
+            raise AssertionError("built or drew before checking trials")
+
+        monkeypatch.setattr(random_points, "batch_rng", not_yet)
+        monkeypatch.setattr(words, "canonical_bracelet", not_yet)
+        code, out, err = run_cli("estimate", "--n", "4", "--stat", stat, "--trials", trials)
+        assert code == 1 and out == "" and f"--trials must be >= 2, got {trials}" in err
+
+    def test_infinite_z_prints_as_null(self):
+        # both trials have two two-dot regions, and the target is 20/9
+        code, out, _ = run_cli("estimate", "--n", "4", "--stat", "h2", "--trials", "2")
+        payload = json.loads(out)
+        assert code == 0 and payload["std_error"] == 0.0 and payload["z"] is None
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--n", "3..5", "--format", "json"),
+        ("realize", "101100"),
+        ("sample", "--n", "5", "--kind", "points", "--count", "3", "--seed", "2"),
+        ("estimate", "--n", "4", "--stat", "h2", "--trials", "2"),
+        ("estimate", "--n", "4", "--stat", "pb", "--trials", "2"),
+        ("estimate", "--n", "5", "--stat", "le", "--trials", "1000"),
+        ("stats", "--positions", "0,1/10,3/10", "--t-grid", "1/2,1"),
+    ],
+    ids=" ".join,
+)
+def test_every_json_line_is_standard_json(argv):
+    code, out, _ = run_cli(*argv)
+    assert code == 0 and out
+    for line in out.splitlines():
+        json.loads(line, parse_constant=_reject_constant)
+
 
 class TestStats:
     def test_worked_example(self):

@@ -69,6 +69,7 @@ PUBLIC_METHODS = {
 
 def test_every_export_resolves():
     assert len(set(bisector_words.__all__)) == len(bisector_words.__all__)
+    assert bisector_words.__all__ == sorted(bisector_words.__all__)
     for name in bisector_words.__all__:
         assert hasattr(bisector_words, name), name
 

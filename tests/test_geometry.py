@@ -23,9 +23,11 @@ from bisector_words.geometry import (
 
 from oracles import (
     bisector_positions_by_fractions,
+    direction_patterns_by_region_lists,
     genericity_margin_by_fractions,
     is_interlacing_literal,
     occupancy_word_by_fractions,
+    pattern_logger,
     region_boundaries_by_fractions,
 )
 
@@ -99,6 +101,17 @@ class TestPointConfig:
     def test_from_points_wraps_and_sorts(self):
         cfg = PointConfig.from_points([1.2, 0.9, 0.5])
         assert cfg.positions == (pytest.approx(0.2), 0.5, 0.9)
+
+    def test_from_points_takes_a_float_just_below_0_to_0(self):
+        # -1e-17 % 1 is 1.0 in floats, outside [0, 1)
+        assert PointConfig.from_points([-1e-17, 0.3, 0.6]).positions == (0.0, 0.3, 0.6)
+        reflected = PointConfig.from_points(-p for p in (1e-17, 0.3, 0.6))
+        assert reflected.positions == (0.0, pytest.approx(0.4), pytest.approx(0.7))
+
+    def test_from_points_keeps_fractions_exact(self):
+        cfg = PointConfig.from_points([Fraction(-1, 3), Fraction(1, 2), 2])
+        assert cfg.positions == (Fraction(0), Fraction(1, 2), Fraction(2, 3))
+        assert all(type(p) is Fraction for p in cfg.positions)
 
 
 class TestOccupancyWord:
@@ -272,6 +285,54 @@ class TestDirectionPatterns:
         assert geometry._arc_indices(bnd, a, b) == want
 
 
+def _check_gap_rule(cfg):
+    """Each cyclically consecutive dot pair (a, b) has (region[b] - region[a])
+    mod 2n boundaries strictly between its dots."""
+    f = geometry._generic_frame(cfg)
+    m = 2 * f.n
+    bnd = f.boundaries()
+    qs = [q for q, _ in geometry._colored_dots(f)]
+    region = [geometry._region_index(bnd, q, m) for q in qs]
+    for a in range(m):
+        b = (a + 1) % m
+        assert len(geometry._arc_indices(bnd, qs[a], qs[b])) == (region[b] - region[a]) % m
+
+
+class TestGapRule:
+    def test_random_float_configurations(self):
+        rng = np.random.default_rng(25)
+        for n in range(3, 13):
+            for _ in range(30):
+                _check_gap_rule(random_config(rng, n))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.deferred(lambda: exact_positions(max_n=24)))
+    def test_exact_configurations(self, pos):
+        cfg = PointConfig(tuple(pos))
+        assume(geometry.genericity_margin(cfg) > 0)
+        _check_gap_rule(cfg)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.deferred(lambda: realizable_words()))
+    def test_realized_words(self, w):
+        _check_gap_rule(realization.realize(w))
+
+
+class TestDirectionPatternsMatchOracle:
+    def test_random_float_configurations(self):
+        rng = np.random.default_rng(26)
+        for n in range(3, 13):
+            for _ in range(30):
+                cfg = random_config(rng, n)
+                assert verify_direction_patterns(cfg) is direction_patterns_by_region_lists(cfg)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.deferred(lambda: realizable_words()))
+    def test_realized_words(self, w):
+        cfg = realization.realize(w)
+        assert verify_direction_patterns(cfg) is direction_patterns_by_region_lists(cfg)
+
+
 def _flip_side(k):
     def directions(dots, circle, original=geometry._dot_directions):
         out = original(dots, circle)
@@ -329,6 +390,31 @@ class TestDirectionPatternsDetectBrokenInput:
         with caplog.at_level(logging.WARNING, logger=geometry.logger.name):
             assert verify_direction_patterns(cfg) is False
         assert reason in caplog.text
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            _flip_side(0),
+            _flip_side(1),
+            _flip_side(3),
+            _nearest_is_itself(0),
+            _flip_color(0),
+        ],
+        ids=["side-of-paired-dot", "side-of-lone-dot", "extra-rl-pair", "nearest", "color"],
+    )
+    def test_broken_dots_log_the_oracle_reason(self, monkeypatch, caplog, patch):
+        cfg = realization.realize(self.WORD)
+        monkeypatch.setattr(geometry, *patch)
+        with caplog.at_level(logging.WARNING):
+            got = verify_direction_patterns(cfg)
+            want = direction_patterns_by_region_lists(cfg)
+        assert got is want is False
+        reasons = {
+            name: [r.getMessage() for r in caplog.records if r.name == name]
+            for name in (geometry.logger.name, pattern_logger.name)
+        }
+        assert len(reasons[geometry.logger.name]) == 1
+        assert reasons[geometry.logger.name] == reasons[pattern_logger.name]
 
     def test_non_interlacing_signature_fails(self, monkeypatch, caplog):
         cfg = realization.realize(self.WORD)
