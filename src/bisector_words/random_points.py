@@ -19,28 +19,46 @@ words in row order (n uniforms, or 2n - 1 in the exponential model), so no row
 depends on the chunk size.  In the CLT experiment of :mod:`sampler`, trial j is
 the (j mod ``BATCH_SIZE``)-th row that its batch keeps after rejection.
 
-The batched geometry is a rank kernel, O(n log n) per configuration.  Rows
-are sorted and rotated so that p_0 = +0.0; bisector i then lies between p_i
-and p_{i+1}, so the region of p_j is j plus the number of antipodal
-bisectors below p_j, its rank among the 2n values [p, antipodal bisectors]
-when a point comes before an antipodal bisector equal to it.  The occupancy
-word is therefore the indicator of points in that order.  All 2n values are
-non-negative and below 2, where the bit patterns of float64 values are
-ordered like the values and stay below 2**62; so each value becomes the
-uint64 key (bits << 1) with low bit 1 for an antipodal bisector, one
-in-place sort per row orders the keys with points first on ties, and the
-word is the complement of the sorted keys' low bits.  One region kernel,
-:func:`_region_rows`, turns rows into words, types, sorted boundaries
-(bisectors and their antipodes) and region lengths, each computed once per
-chunk.  Every worker draws a batch through one chunk loop, :func:`_chunks`,
-in cache-sized row chunks of at most ``_CHUNK_ELEMENTS`` values, and per-row
-values are gathered before summing or added in one running sum across
-chunks, so chunking never changes a result.
+The batched geometry is exact: it runs on int64 values in units of 2^-54 of
+the circle, as :mod:`geometry` runs on 2U units with U = 2^53.  A row of the
+circle model is n raw words shifted right by 11 bits, k, the words that
+``rng.random()`` turns into k * 2^-53, sorted and rotated so that k_0 = 0.
+Point j is then 2k_j, bisector i is k_i + k_{i+1} (the wrap bisector
+k_{n-1} + 2^53), and an antipodal bisector is that plus 2^53, mod 2^54.
+The region of p_j is j plus the number of antipodal bisectors below p_j, its
+rank among the 2n values [points, antipodal bisectors], where a point goes
+before an antipodal bisector equal to it.  Each value v becomes the key
+2v + 1 for an antipodal bisector and 2v for a point, one sort per row orders
+the keys, and the occupancy word is the complement of their low bits.
+Values are exact, so a tie is a true tie and takes this rule.
 
-The batched kernel assumes genericity instead of checking it: no point ties
-with a bisector or its antipode, and no two points coincide.  Sampled
-configurations are generic with probability one; the scalar APIs stay
-strict and reject near-degenerate input.
+Regions come from half the circle.  A bisector is a line through the
+center, so it meets the circle at a position b and at b + 1/2: the 2n region
+boundaries are symmetric under x -> x + 1/2, and each bisector has exactly
+one boundary in [0, 1/2), h_i = bisector i mod 2^53.  With h sorted, the
+sorted boundaries are therefore h followed by h + 2^53.  Region j > 0 runs
+from boundary j - 1 to boundary j and region 0 wraps through 0, so region
+j + n is region j turned by 1/2: both have length L_j = h_j - h_{j-1}, and
+L_0 = 2^53 + h_0 - h_{n-1}.  The type of region j is w_j + w_{j+n}, the
+signature letter sig_j, and so is the type of region j + n.  Hence h2 =
+2 #{j : sig_j = 2}, the type-k length is l_k = 2^-53 sum of L_j over
+sig_j = k (twice the n half-circle regions, in units of 2^-54), and the
+unoccupied length is le = l0 + l1 / 2, since one region of a type-1 pair is
+empty.  So one sort of n values gives every length and type.  The L_j are
+integers summing to 2^53, so l0, l1 and l2 = 1 - l0 - l1 are exact floats.
+
+The exponential model enters the same kernel through k = floor(x * 2^53) of
+its unit-circle positions x.  This moves each position down by less than
+2^-53, onto the grid that the circle model's points lie on, so a word can
+change only where a point lies within 2^-53 of a boundary.
+
+One region kernel, :func:`_region_rows`, turns rows into words, signatures,
+half-circle boundaries and lengths, each computed once per chunk.  Every
+worker draws a batch through one chunk loop, :func:`_chunks`, in cache-sized
+row chunks of at most ``_CHUNK_ELEMENTS`` regions, and per-row values are
+gathered before summing or added in one running sum across chunks, so
+chunking never changes a result.  The scalar APIs stay strict and reject
+near-degenerate input.
 """
 
 from __future__ import annotations
@@ -59,15 +77,21 @@ from .geometry import NonGenericConfiguration, PointConfig, _check_t_grid, ensur
 from .words import Bracelet, _check_n
 
 BATCH_SIZE = 1 << 14
-# Most regions (rows * 2n) the batched geometry holds at once: 256 KiB per
-# float64 array, so a chunk's temporaries stay in the L2 cache.  Chosen by
-# measurement over 2**15..2**17; the larger sizes were slower at n <= 12.
+# Most regions (rows * 2n) the batched geometry holds at once: the 2n-wide
+# int64 keys take 256 KiB and each n-wide int64 array (rows, bisectors,
+# lengths) 128 KiB, so a chunk's temporaries stay in the L2 cache.  Chosen by
+# measurement over 2**15..2**17 for an earlier float kernel, which held
+# 2n-wide float64 boundaries and lengths; the larger sizes were slower at n <= 12.
 _CHUNK_ELEMENTS = 1 << 15
+# The circle in the units 2**-53 of drawn rows, and half the circle in the
+# batched geometry's units of 2**-54.
+_HALF = 1 << 53
 # Largest n whose words of 2n bits pack into one uint64.
 MAX_PACKED_N = 32
 # Largest n the batched geometry takes: one configuration is then a single
-# chunk whose 2n-wide temporaries hold about 100 MB.  It also bounds the rows
-# of n floats that max_spacing_check and sample_exp_model draw, and the n of
+# chunk whose temporaries peak at about 100 MB in equidistribution_paths and
+# 50 MB in estimate_region_stats (tracemalloc).  It also bounds the rows
+# of n values that max_spacing_check and sample_exp_model draw, and the n of
 # closed_form and phi, whose largest caller is an estimator.
 MAX_GEOMETRY_N = 10**6
 # Largest n of one scalar configuration (see :func:`sample_uniform_config`).
@@ -119,6 +143,38 @@ def closed_form(name: str, n: int) -> Fraction:
     raise ValueError(f"unknown closed form {name!r}")
 
 
+# For each region statistic: an n from which float(closed_form(name, n)) is
+# its limit, and that limit (see _float_target for the proof).
+_FLOAT_LIMITS = {
+    "h2": (37, lambda n: n / 2),
+    "l0": (39, lambda n: 1 / 8),
+    "l1": (39, lambda n: 1 / 2),
+    "l2": (38, lambda n: 3 / 8),
+    "le": (36, lambda n: 3 / 8),
+}
+
+
+def _float_target(name: str, n: int) -> float:
+    """``float(closed_form(name, n))`` for h2, l0, l1, l2 and le, without big integers for large n.
+
+    Each value is a float limit c plus a correction d:
+    h2 = n/2 + n / (2 * 3^(n-2)), l0 = 1/8 + (2n - 7) / (8 * 3^(n-1)),
+    l1 = 1/2 - (n + 1) / (2 * 3^(n-1)), l2 = 3/8 + (2n + 11) / (8 * 3^(n-1))
+    and le = 3/8 - 1 / (8 * 3^(n-3)).  The float nearest to c + d is c when
+    |d| is below half the gap from c to the next float on the side of d:
+    2^-56 above 1/8, 2^-55 below 1/2 and on either side of 3/8, and more than
+    n * 2^-55 above n/2 (the float n/2 lies in some [2^e, 2^(e+1)) with
+    2^e > n/4, where floats are 2^(e-52) apart).  So it suffices that
+    3^(n-2) > 2^54 (h2), 3^(n-1) > (2n - 7) * 2^53 (l0),
+    3^(n-1) > (n + 1) * 2^54 (l1), 3^(n-1) > (2n + 11) * 2^52 (l2) and
+    3^(n-3) > 2^52 (le).  Each holds at the bound in ``_FLOAT_LIMITS``, and
+    from n to n + 1 its left side grows threefold, its right side less, so it
+    holds above the bound too.  Below the bound the exact value is rounded.
+    """
+    bound, limit = _FLOAT_LIMITS[name]
+    return limit(n) if n >= bound else float(closed_form(name, n))
+
+
 def phi(x, n: int) -> Fraction:
     """Closed form of the double sum :func:`phi_series` for 0 < x < 1/2."""
     x = Fraction(x)
@@ -163,11 +219,15 @@ class EstimatorResult:
         return asdict(self)
 
 
+def _check_trials(trials: int) -> None:
+    """Reject fewer than two trials: one trial has no sample variance, so no z."""
+    if trials < 2:
+        raise ValueError(f"need trials >= 2, got {trials}")
+
+
 def _make_result(total: float, total_sq: float, trials: int, seed: int, target) -> EstimatorResult:
     mean = total / trials
-    var = 0.0
-    if trials > 1:
-        var = max((total_sq - trials * mean * mean) / (trials - 1), 0.0)
+    var = max((total_sq - trials * mean * mean) / (trials - 1), 0.0)
     se = math.sqrt(var / trials)
     target = float(target)
     if se == 0.0:
@@ -218,65 +278,59 @@ def _run_batches(fn, n: int, trials: int, seed: int, workers: int, *args) -> lis
 
 
 # ---------------------------------------------------------------------------
-# vectorized circle geometry on batches of configurations
+# vectorized circle geometry on batches of configurations, in units of 2**-54
+# (see the module docstring)
 
 
-def _bisectors_rows(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bisectors (increasing) and their antipodes per row; rows sorted, first entry 0."""
-    mid = np.empty_like(p)
-    np.add(p[:, :-1], p[:, 1:], out=mid[:, :-1])
-    np.add(p[:, -1], 1, out=mid[:, -1])
-    mid /= 2
-    anti = mid + 0.5
-    anti -= anti >= 1
-    return mid, anti
+def _mid_rows(k: np.ndarray) -> np.ndarray:
+    """Bisector i of each row, k_i + k_{i+1}; rows sorted, first entry 0."""
+    mid = np.empty_like(k)
+    np.add(k[:, :-1], k[:, 1:], out=mid[:, :-1])
+    np.add(k[:, -1], _HALF, out=mid[:, -1])
+    return mid
 
 
-def _words_rows(p: np.ndarray, anti: np.ndarray | None = None) -> np.ndarray:
+def _words_rows(k: np.ndarray, mid: np.ndarray | None = None) -> np.ndarray:
     """Occupancy words per row by the rank kernel (see the module docstring).
 
-    ``anti`` holds the antipodal bisectors of ``p`` if the caller has them.
+    ``mid`` holds the bisectors of ``k`` if the caller has them.
     """
-    if anti is None:
-        anti = _bisectors_rows(p)[1]
-    n = p.shape[1]
-    keys = np.empty((p.shape[0], 2 * n), dtype=np.uint64)
-    np.left_shift(p.view(np.uint64), 1, out=keys[:, :n])
-    np.bitwise_or(anti.view(np.uint64) << 1, 1, out=keys[:, n:])
+    if mid is None:
+        mid = _mid_rows(k)
+    n = k.shape[1]
+    keys = np.empty((k.shape[0], 2 * n), dtype=np.int64)
+    np.left_shift(k, 2, out=keys[:, :n])
+    # 2 * (mid + 2**53) + 1 mod 2**55 is the key of the antipodal bisector
+    np.left_shift(mid, 1, out=keys[:, n:])
+    keys[:, n:] += 2 * _HALF + 1
+    keys &= 4 * _HALF - 1
     keys.sort(axis=1)
     return ((keys & 1) == 0).view(np.uint8)
 
 
-def _region_rows(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Occupancy words, region types, sorted region boundaries and region lengths per row.
+def _region_rows(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Occupancy words, signatures, sorted half-circle boundaries h and lengths L per row.
 
-    Region j > 0 runs from boundary j - 1 to boundary j, and region 0 is the
-    arc that wraps through position 0.
+    The 2n sorted boundaries are h followed by h + 2**53; regions j and
+    j + n both have type sig_j and length L_j (see the module docstring).
     """
-    mid, anti = _bisectors_rows(p)
-    bnd = np.concatenate([mid, anti], axis=1)
-    bnd.sort(axis=1)
-    w = _words_rows(p, anti)
-    # freed before the types and lengths are built, so that a chunk holds
-    # fewer arrays at once (mc-small-n read ~3% slower with them held)
-    del mid, anti
-    types = w + np.roll(w, -p.shape[1], axis=1)
-    lengths = np.empty_like(bnd)
-    lengths[:, 1:] = np.diff(bnd, axis=1)
-    lengths[:, 0] = 1 - bnd[:, -1] + bnd[:, 0]
-    return w, types, bnd, lengths
+    n = k.shape[1]
+    mid = _mid_rows(k)
+    w = _words_rows(k, mid)
+    h = np.bitwise_and(mid, _HALF - 1, out=mid)
+    h.sort(axis=1)
+    lengths = np.empty_like(h)
+    np.subtract(h[:, 1:], h[:, :-1], out=lengths[:, 1:])
+    np.subtract(h[:, 0] + _HALF, h[:, -1], out=lengths[:, 0])
+    return w, w[:, :n] + w[:, n:], h, lengths
 
 
-def _region_values(p: np.ndarray) -> np.ndarray:
+def _region_values(k: np.ndarray) -> np.ndarray:
     """Per-row h2, l0, l1, l2 and le as a (5, rows) array."""
-    w, types, _, lengths = _region_rows(p)
-    return np.stack(
-        [
-            (types == 2).sum(axis=1),
-            *((lengths * (types == k)).sum(axis=1) for k in (0, 1, 2)),
-            (lengths * (w == 0)).sum(axis=1),
-        ]
-    )
+    _, sig, _, lengths = _region_rows(k)
+    # integer sums of at most 2**53, so l0 and l1 are exact and so is 1 - l0 - l1
+    l0, l1 = ((lengths * (sig == t)).sum(axis=1) * 2.0**-53 for t in (0, 1))
+    return np.stack([2 * (sig == 2).sum(axis=1), l0, l1, 1 - l0 - l1, l0 + l1 / 2])
 
 
 def _pack_words(w: np.ndarray) -> np.ndarray:
@@ -286,10 +340,16 @@ def _pack_words(w: np.ndarray) -> np.ndarray:
 
 
 def _uniform_rows(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    p = rng.random((size, n))
-    p.sort(axis=1)
-    p -= p[:, :1].copy()
-    return p
+    """``size`` rows of n uniform positions in units of 2**-53, sorted, rotated to k_0 = 0.
+
+    These are the raw words ``rng.random`` reads, so k * 2**-53 are its
+    values bit for bit, and the stream advances as it would.
+    """
+    raw = rng.bit_generator.random_raw((size, n))
+    k = np.right_shift(raw, 11, out=raw).view(np.int64)
+    k.sort(axis=1)
+    k -= k[:, :1].copy()
+    return k
 
 
 def _chunks(draw, n: int, size: int, rng: np.random.Generator, width: int):
@@ -331,18 +391,23 @@ def _exp_positions(y: np.ndarray, colors: np.ndarray) -> np.ndarray:
 
 
 def _exp_model_rows(n: int, size: int, rng: np.random.Generator):
-    """Unit-circle positions, sorted, and circumferences 2*Y_n from the exponential model.
+    """Rows of the exponential model in units of 2**-53, sorted, and circumferences 2*Y_n.
 
-    Dot 0 is black at +0.0, the row minimum, so each sorted row already
-    starts at 0 and needs no rotation.
+    Each position x becomes floor(x * 2**53), mod 2**53 so that a white dot
+    whose x rounds up to 1.0 lands on 0, the same point of the circle.  Dot
+    0 is black at 0, the row minimum, so each sorted row already starts at 0
+    and needs no rotation.
     """
     _, y, colors = _exp_draw(n, size, rng)
-    return np.sort(_exp_positions(y, colors), axis=1), 2 * y[:, -1]
+    x = _exp_positions(y, colors)
+    k = np.floor(x * 2.0**53).astype(np.int64) & (_HALF - 1)
+    k.sort(axis=1)
+    return k, 2 * y[:, -1]
 
 
 def _exp_chunks(n: int, size: int, rng: np.random.Generator):
-    """The positions of :func:`_exp_model_rows`, drawn chunk by chunk from the same stream."""
-    return (pos for pos, _ in _chunks(_exp_model_rows, n, size, rng, 2 * n))
+    """The rows of :func:`_exp_model_rows`, drawn chunk by chunk from the same stream."""
+    return (k for k, _ in _chunks(_exp_model_rows, n, size, rng, 2 * n))
 
 
 _MODEL_CHUNKS = {"circle": _uniform_chunks, "exp": _exp_chunks}
@@ -367,36 +432,43 @@ def _count_non_interlacing(signatures: np.ndarray) -> int:
     return int(((balance[:, -1] != 0) | (spread != 1)).sum())
 
 
-def _path_rows(p: np.ndarray, grid: np.ndarray) -> np.ndarray:
+def _path_rows(k: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Per row, type k and t: fraction of the 2n regions, and their length, ending by t.
 
     The result has shape (rows, 2, 3, grid size): fractions first, lengths second.
     """
-    rows, m = p.shape[0], 2 * p.shape[1]
-    _, types, ends, lengths = _region_rows(p)
-    # The region through position 0 is only contained at t = 1, so it goes
-    # last; the right ends are then increasing along each row.
-    types, ends, lengths = (np.roll(a, -1, axis=1) for a in (types, ends, lengths))
-    ends[:, -1] = 1.0
-    # A region ends by every grid value from the first sorted one >= its end
-    # on, so per row, the running sum of a bincount of those first places
+    (rows, n), m = k.shape, 2 * k.shape[1]
+    _, sig, h, lengths = _region_rows(k)
+    # Regions in the order 1, ..., 2n - 1, 0: region j ends at boundary j of
+    # h followed by h + 2**53, and region j + n has region j's type and
+    # length.  The region through position 0 is only contained at t = 1, so
+    # it goes last; the right ends are then increasing along each row.
+    turned = (np.concatenate([a[:, 1:], a, a[:, :1]], axis=1) for a in (sig, lengths, h))
+    types, lengths, ends = turned
+    ends[:, n - 1 :] += _HALF
+    ends[:, -1] = 2 * _HALF
+    # A region ends by t iff its end is at most floor(t * 2**54), so it ends
+    # by every grid value from the first sorted one whose floor is >= its end
+    # on, and per row, the running sum of a bincount of those first places
     # counts the regions ended by each distinct grid value.
     values, where = np.unique(grid, return_inverse=True)
     slots = values.size + 1
-    first = np.searchsorted(values, ends)
+    first = np.searchsorted(np.floor(values * 2.0**54).astype(np.int64), ends)
+    del ends  # freed before the 2n-wide running sums are built
     first += np.arange(0, rows * slots, slots)[:, None]
     ended = np.bincount(first.ravel(), minlength=rows * slots).reshape(rows, slots)
     ended = np.cumsum(ended, axis=1)[:, where]
     out = np.empty((rows, 2, 3, grid.size))
-    for k in (0, 1, 2):
-        mask = types == k
-        # cumulative sums with a leading 0 column, indexed by the number of ended regions
+    for t in (0, 1, 2):
+        mask = types == t
+        # cumulative sums with a leading 0 column, indexed by the number of
+        # ended regions; the lengths add up exactly, in units of 2**-54
         cnt = np.zeros((rows, m + 1), dtype=np.int64)
         np.cumsum(mask, axis=1, out=cnt[:, 1:])
-        cum = np.zeros((rows, m + 1))
+        cum = np.zeros((rows, m + 1), dtype=np.int64)
         np.cumsum(lengths * mask, axis=1, out=cum[:, 1:])
-        out[:, 0, k] = np.take_along_axis(cnt, ended, axis=1) / m
-        out[:, 1, k] = np.take_along_axis(cum, ended, axis=1)
+        out[:, 0, t] = np.take_along_axis(cnt, ended, axis=1) / m
+        out[:, 1, t] = np.take_along_axis(cum, ended, axis=1) * 2.0**-54
     return out
 
 
@@ -408,19 +480,19 @@ def _path_rows(p: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 def _class_hits(n: int, rng: np.random.Generator, size: int, chunks, cls: np.ndarray) -> int:
     """Configurations, drawn by ``chunks``, whose packed word lies in ``cls``."""
-    return sum(int(np.isin(_pack_words(_words_rows(p)), cls).sum()) for p in chunks(n, size, rng))
+    return sum(int(np.isin(_pack_words(_words_rows(k)), cls).sum()) for k in chunks(n, size, rng))
 
 
 def _region_sums(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """:func:`_moments` of h2, l0, l1, l2 and le over uniform configurations."""
     chunks = _uniform_chunks(n, size, rng)
-    return _moments(np.concatenate([_region_values(p) for p in chunks], axis=1))
+    return _moments(np.concatenate([_region_values(k) for k in chunks], axis=1))
 
 
 def _exp_length_sums(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """:func:`_moments` of the type-k lengths over 2n and the circumference, exp model."""
     chunks = _chunks(_exp_model_rows, n, size, rng, 2 * n)
-    rows = [np.vstack([_region_values(p)[1:4] * c / (2 * n), c]) for p, c in chunks]
+    rows = [np.vstack([_region_values(k)[1:4] * c / (2 * n), c]) for k, c in chunks]
     return _moments(np.concatenate(rows, axis=1))
 
 
@@ -440,8 +512,8 @@ def _path_sums(n: int, rng: np.random.Generator, size: int, grid: np.ndarray) ->
     memory follows one chunk whatever the grid size.
     """
     acc = np.zeros((2, 3, grid.size))
-    for p in _chunks(_uniform_rows, n, size, rng, max(2 * n, 6 * grid.size)):
-        rows = _path_rows(p, grid)
+    for k in _chunks(_uniform_rows, n, size, rng, max(2 * n, 6 * grid.size)):
+        rows = _path_rows(k, grid)
         rows[0] += acc
         acc = np.cumsum(rows, axis=0, out=rows)[-1].copy()
         del rows  # free this chunk before the next one is built
@@ -449,8 +521,13 @@ def _path_sums(n: int, rng: np.random.Generator, size: int, grid: np.ndarray) ->
 
 
 def _max_gap_sums(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """:func:`_moments` of n * (largest gap) / log n, the points scaled to [0, 1/2]."""
-    gaps = np.concatenate([np.diff(p, axis=1).max(axis=1) for p in _uniform_chunks(n, size, rng)])
+    """:func:`_moments` of n * (largest gap) / log n, the points scaled to [0, 1/2].
+
+    Integer gaps times 2**-53 are exactly the differences of the floats
+    ``rng.random`` would give.
+    """
+    chunks = _uniform_chunks(n, size, rng)
+    gaps = np.concatenate([np.diff(k, axis=1).max(axis=1) for k in chunks]) * 2.0**-53
     return _moments((n * (gaps / 2) / math.log(n))[None])
 
 
@@ -524,6 +601,7 @@ def estimate_bracelet_prob(
     ``MAX_PACKED_N``.
     """
     _check_n(n, MAX_PACKED_N)
+    _check_trials(trials)
     if target.n != n:
         raise ValueError(f"target bracelet has n={target.n}, estimate is for n={n}")
     if model not in _MODEL_CHUNKS:
@@ -540,9 +618,10 @@ def estimate_region_stats(
 ) -> dict[str, EstimatorResult]:
     """Monte Carlo means of h2/l0/l1/l2/le against their closed forms."""
     _check_n(n, MAX_GEOMETRY_N)
+    _check_trials(trials)
     sums = sum(_run_batches(_region_sums, n, trials, seed, workers)).tolist()
     return {
-        k: _make_result(s, sq, trials, seed, closed_form(k, n))
+        k: _make_result(s, sq, trials, seed, _float_target(k, n))
         for k, (s, sq) in zip(("h2", "l0", "l1", "l2", "le"), sums)
     }
 
@@ -580,6 +659,7 @@ def transfer_check(n: int, trials: int, seed: int) -> TransferReport:
     Internally uses seeds seed+1 (circle) and seed+2 (exponential).
     """
     _check_n(n, MAX_GEOMETRY_N)
+    _check_trials(trials)
     _check_seed(seed)
     _check_seed(seed + 2)
     circle = estimate_region_stats(n, trials, seed + 1)
@@ -587,7 +667,7 @@ def transfer_check(n: int, trials: int, seed: int) -> TransferReport:
     *typed, (total, total_sq) = sums.tolist()
     comparisons = []
     for k, (s, sq) in enumerate(typed):
-        exp_res = _make_result(s, sq, trials, seed + 2, closed_form(f"l{k}", n))
+        exp_res = _make_result(s, sq, trials, seed + 2, _float_target(f"l{k}", n))
         circ_res = circle[f"l{k}"]
         comparisons.append(
             TransferComparison(
@@ -660,6 +740,7 @@ def max_spacing_check(n: int, trials: int, seed: int) -> EstimatorResult:
     j // ``BATCH_SIZE``, as in every estimator here (see the module docstring).
     """
     _check_n(n, MAX_GEOMETRY_N, least=2)
+    _check_trials(trials)
     total, total_sq = sum(_run_batches(_max_gap_sums, n, trials, seed, 1))[0].tolist()
     harmonic = math.fsum(1 / k for k in range(1, n))
     return _make_result(total, total_sq, trials, seed, n * harmonic / (2 * (n + 1) * math.log(n)))

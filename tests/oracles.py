@@ -3,6 +3,8 @@
 Nothing here imports the library's decision logic, except the reference
 direction-pattern check, which keeps the earlier version of a library
 function on top of the same geometry helpers; these exist to check it.
+The float region kernel is likewise the earlier version of the batched
+geometry, which the exact integer kernel replaced.
 """
 
 import logging
@@ -231,47 +233,103 @@ def bisector_layout_by_fractions(plan) -> bool:
     return len(claimed) == m and len(set(claimed)) == m
 
 
-def words_by_stable_argsort(p):
-    """Occupancy words of float rows, each sorted with first entry 0, by one stable
-    argsort per row of [p, antipodal bisectors]: the word is the indicator of the
-    points in that order, so a point goes before an antipodal bisector equal to it.
+def region_rows_by_floats(p):
+    """Words, region types, sorted boundaries and region lengths of float rows.
+
+    The float64 rank kernel that the exact integer kernel replaced, kept as a
+    reference: rows sorted with first entry 0; bisectors (p_i + p_{i+1}) / 2
+    and their antipodes mid + 1/2 (less 1 at or above 1) are rounded floats,
+    so a row with a point within rounding of an antipodal bisector may get a
+    wrong word.  Keys are the float64 bit patterns, ordered like the values
+    below 2, shifted left with low bit 1 for an antipodal bisector, so one
+    sort puts points first on ties.  Region j > 0 runs from boundary j - 1 to
+    boundary j, and region 0 is the arc that wraps through position 0.
     """
+    n = p.shape[1]
     mid = np.empty_like(p)
-    mid[:, :-1] = (p[:, :-1] + p[:, 1:]) / 2
-    mid[:, -1] = (1 + p[:, -1]) / 2
+    np.add(p[:, :-1], p[:, 1:], out=mid[:, :-1])
+    np.add(p[:, -1], 1, out=mid[:, -1])
+    mid /= 2
     anti = mid + 0.5
-    anti[anti >= 1] -= 1
-    order = np.argsort(np.concatenate([p, anti], axis=1), axis=1, kind="stable")
-    return (order < p.shape[1]).view(np.uint8)
+    anti -= anti >= 1
+    bnd = np.concatenate([mid, anti], axis=1)
+    bnd.sort(axis=1)
+    keys = np.empty((p.shape[0], 2 * n), dtype=np.uint64)
+    np.left_shift(p.view(np.uint64), 1, out=keys[:, :n])
+    np.bitwise_or(anti.view(np.uint64) << 1, 1, out=keys[:, n:])
+    keys.sort(axis=1)
+    w = ((keys & 1) == 0).view(np.uint8)
+    types = w + np.roll(w, -n, axis=1)
+    lengths = np.empty_like(bnd)
+    lengths[:, 1:] = np.diff(bnd, axis=1)
+    lengths[:, 0] = 1 - bnd[:, -1] + bnd[:, 0]
+    return w, types, bnd, lengths
 
 
-def path_rows_by_grid_loop(p, grid):
-    """Per row of ``p`` (sorted, first entry 0), type k and grid value t: the
-    fraction of the 2n regions of type k that end by t, and their total length,
-    as a (rows, 2, 3, grid size) array.  One pass over the regions per grid value.
+def region_values_by_floats(p):
+    """Per-row h2, l0, l1, l2 and le of float rows as a (5, rows) array, by
+    :func:`region_rows_by_floats`: 2n-wide masked sums of rounded lengths."""
+    w, types, _, lengths = region_rows_by_floats(p)
+    return np.stack(
+        [
+            (types == 2).sum(axis=1),
+            *((lengths * (types == k)).sum(axis=1) for k in (0, 1, 2)),
+            (lengths * (w == 0)).sum(axis=1),
+        ]
+    )
+
+
+def _boundary_values(k):
+    """Bisectors and their antipodes of integer rows (units of 2**-53, sorted,
+    first entry 0) as Python ints in units of 2**-54: a point k is 2k there."""
+    half = 1 << 53
+    out = []
+    for row in k.tolist():
+        mids = [a + b for a, b in zip(row, row[1:])] + [row[-1] + half]
+        out.append((mids, [(x + half) % (2 * half) for x in mids]))
+    return out
+
+
+def words_by_stable_argsort(k):
+    """Occupancy words of integer rows (units of 2**-53, sorted, first entry 0),
+    by one stable argsort per row of [points, antipodal bisectors] in exact
+    units of 2**-54: the word is the indicator of the points in that order, so
+    a point goes before an antipodal bisector equal to it.
+    """
+    anti = np.array([a for _, a in _boundary_values(k)], dtype=np.int64).reshape(k.shape)
+    order = np.argsort(np.concatenate([2 * k, anti], axis=1), axis=1, kind="stable")
+    return (order < k.shape[1]).view(np.uint8)
+
+
+def path_rows_by_grid_loop(k, grid):
+    """Per integer row of ``k`` (units of 2**-53, sorted, first entry 0), type t and
+    grid value: the fraction of the 2n regions of type t that end by it, and their
+    total length, as a (rows, 2, 3, grid size) array.  One pass over the regions per
+    grid value, with all 2n boundaries sorted, each end compared as a Fraction and
+    the lengths summed as integers in units of 2**-54, rounded once.
 
     Region j > 0 runs from boundary j - 1 to boundary j; region 0 wraps through
     position 0, so it ends by t only at t = 1 and is taken last.  A region's type
     is the occupancy of its own slot plus that of the slot n further on.
     """
-    n = p.shape[1]
+    n = k.shape[1]
     m = 2 * n
-    mid = np.empty_like(p)
-    mid[:, :-1] = (p[:, :-1] + p[:, 1:]) / 2
-    mid[:, -1] = (1 + p[:, -1]) / 2
-    anti = mid + 0.5
-    anti[anti >= 1] -= 1
-    occupied = words_by_stable_argsort(p)
-    out = np.zeros((len(p), 2, 3, len(grid)))
-    for r, row in enumerate(np.sort(np.concatenate([mid, anti], axis=1), axis=1).tolist()):
-        ends = [1.0, *row[1:]]
-        lengths = [1 - row[-1] + row[0], *(row[j] - row[j - 1] for j in range(1, m))]
+    circle = 1 << 54
+    occupied = words_by_stable_argsort(k)
+    limits = [Fraction(float(t)) * circle for t in grid]
+    out = np.zeros((len(k), 2, 3, len(grid)))
+    for r, (mids, anti) in enumerate(_boundary_values(k)):
+        bnd = sorted(mids + anti)
+        ends = [circle, *bnd[1:]]
+        lengths = [circle - bnd[-1] + bnd[0], *(bnd[j] - bnd[j - 1] for j in range(1, m))]
         types = [int(occupied[r, j]) + int(occupied[r, (j + n) % m]) for j in range(m)]
-        for g, t in enumerate(grid):
+        for g, limit in enumerate(limits):
+            total = [0, 0, 0]
             for j in [*range(1, m), 0]:
-                if ends[j] <= t:
+                if ends[j] <= limit:
                     out[r, 0, types[j], g] += 1
-                    out[r, 1, types[j], g] += lengths[j]
+                    total[types[j]] += lengths[j]
+            out[r, 1, :, g] = [float(x) * 2.0**-54 for x in total]
     out[:, 0] /= m
     return out
 

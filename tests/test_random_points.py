@@ -17,7 +17,10 @@ from bisector_words.geometry import PointConfig, occupancy_word, region_stats
 from oracles import (
     count_non_interlacing,
     exp_below_erlangs_prob,
+    occupancy_word_by_fractions,
     path_rows_by_grid_loop,
+    region_rows_by_floats,
+    region_values_by_floats,
     words_by_stable_argsort,
 )
 
@@ -55,6 +58,15 @@ class TestClosedForms:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             rp.closed_form("h1", 4)
+
+    @pytest.mark.parametrize("name", ["h2", "l0", "l1", "l2", "le"])
+    def test_float_targets_are_the_rounded_exact_values(self, name):
+        for n in [*range(3, 2001), 10**6]:
+            assert rp._float_target(name, n) == float(rp.closed_form(name, n)), n
+
+    def test_one_trial_is_rejected_with_its_reason(self):
+        with pytest.raises(ValueError, match="trials >= 2, got 1"):
+            rp.estimate_region_stats(4, 1, 0)
 
 
 class TestPhi:
@@ -235,13 +247,24 @@ class TestExpModel:
         assert abs(p - 2 ** -(n - 1)) <= 4 * se
 
 
+def floats(k: np.ndarray) -> np.ndarray:
+    """Integer rows of the batched geometry (units of 2**-53) as positions in [0, 1)."""
+    return k * 2.0**-53
+
+
+def model_rows(model: str, n: int, rows: int, rng) -> np.ndarray:
+    if model == "uniform":
+        return rp._uniform_rows(n, rows, rng)
+    return rp._exp_model_rows(n, rows, rng)[0]
+
+
 class TestBatchEngine:
     def test_words_match_scalar_geometry(self):
         rng = rp.batch_rng(11, 0)
-        pos = rp._uniform_rows(5, 64, rng)
-        wmat = rp._words_rows(pos)
-        for row, w in zip(pos, wmat):
-            cfg = PointConfig(tuple(float(x) for x in row))
+        k = rp._uniform_rows(5, 64, rng)
+        wmat = rp._words_rows(k)
+        for row, w in zip(floats(k), wmat):
+            cfg = PointConfig(tuple(row.tolist()))
             assert tuple(int(b) for b in w) == occupancy_word(cfg)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -254,19 +277,23 @@ class TestBatchEngine:
     @example(n=5, rows=64, seed=11, model="uniform")
     @example(n=4, rows=32, seed=12, model="uniform")
     def test_region_data_matches_scalar_stats(self, n, rows, seed, model):
-        rng = rp.batch_rng(seed, 0)
-        if model == "uniform":
-            pos = rp._uniform_rows(n, rows, rng)
-        else:
-            pos, _ = rp._exp_model_rows(n, rows, rng)
-        wmat, types, _, lengths = rp._region_rows(pos)
-        assert (rp._words_rows(pos) == wmat).all()
-        for row, w, t, ln in zip(pos, wmat, types, lengths):
-            cfg = PointConfig(tuple(float(x) for x in row))
+        k = model_rows(model, n, rows, rp.batch_rng(seed, 0))
+        wmat, sig, h, half_lengths = rp._region_rows(k)
+        assert (rp._words_rows(k) == wmat).all()
+        values = rp._region_values(k)
+        for r, (row, w, s, ln) in enumerate(zip(floats(k), wmat, sig, half_lengths)):
+            cfg = PointConfig(tuple(row.tolist()))
             rs = region_stats(cfg)
             assert tuple(int(b) for b in w) == occupancy_word(cfg) == rs.occupied
-            assert tuple(int(x) for x in t) == rs.types
-            assert np.allclose(ln, rs.lengths)
+            # regions j and j + n share the type sig_j and the length L_j
+            assert tuple(int(x) for x in np.tile(s, 2)) == rs.types
+            assert np.allclose(np.tile(ln, 2) * 2.0**-54, rs.lengths)
+            assert values[0, r] == rs.region_counts[2]
+            assert np.allclose(values[1:, r], [*rs.length_totals, rs.empty_length])
+        # the sorted boundaries are h followed by h + 2**53
+        mid = rp._mid_rows(k)
+        bnd = np.sort(np.concatenate([mid, (mid + rp._HALF) % (2 * rp._HALF)], axis=1), axis=1)
+        assert (np.concatenate([h, h + rp._HALF], axis=1) == bnd).all()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -276,37 +303,89 @@ class TestBatchEngine:
         model=st.sampled_from(["uniform", "exp"]),
     )
     def test_words_match_stable_argsort(self, n, rows, seed, model):
-        rng = rp.batch_rng(seed, 0)
-        if model == "uniform":
-            pos = rp._uniform_rows(n, rows, rng)
-        else:
-            pos, _ = rp._exp_model_rows(n, rows, rng)
-        assert (rp._words_rows(pos) == words_by_stable_argsort(pos)).all()
+        k = model_rows(model, n, rows, rp.batch_rng(seed, 0))
+        assert (rp._words_rows(k) == words_by_stable_argsort(k)).all()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.lists(st.sets(st.integers(1, 63), min_size=2, max_size=40), min_size=1, max_size=8))
     def test_words_match_stable_argsort_on_dyadic_ties(self, rows):
-        # points on the grid of 1/64 make bisectors and their antipodes exact,
-        # so many of them tie with points
+        # points on the grid of 1/64 make many bisectors and their antipodes
+        # tie with points
         n = min(len(r) for r in rows) + 1
-        pos = np.array([[0.0] + sorted(r)[: n - 1] for r in rows]) / 64
-        assert (rp._words_rows(pos) == words_by_stable_argsort(pos)).all()
+        k = np.array([[0] + sorted(r)[: n - 1] for r in rows], dtype=np.int64) << 47
+        assert (rp._words_rows(k) == words_by_stable_argsort(k)).all()
 
     @pytest.mark.parametrize(
         "row,tie,word",
         [
             # the last antipodal bisector equals p_1
             ((0, 1 / 4, 1 / 2), (2, 1 / 4), (1, 1, 0, 1, 0, 0)),
-            # an antipodal bisector is exactly 0.0, the value of p_0
+            # an antipodal bisector is exactly 0, the value of p_0
             ((0, 3 / 8, 5 / 8), (1, 0.0), (1, 0, 0, 1, 1, 0)),
         ],
     )
     def test_point_goes_before_an_equal_antipodal_bisector(self, row, tie, word):
-        pos = np.array([row])
-        _, anti = rp._bisectors_rows(pos)
-        assert anti[0, tie[0]] == tie[1]
-        assert tuple(rp._words_rows(pos)[0].tolist()) == word
-        assert (rp._words_rows(pos) == words_by_stable_argsort(pos)).all()
+        k = (np.array([row]) * 2**53).astype(np.int64)
+        anti = (rp._mid_rows(k) + rp._HALF) % (2 * rp._HALF)
+        assert anti[0, tie[0]] == tie[1] * 2**54
+        assert tuple(rp._words_rows(k)[0].tolist()) == word
+        assert (rp._words_rows(k) == words_by_stable_argsort(k)).all()
+
+    @pytest.mark.parametrize("model", ["uniform", "exp"])
+    def test_exact_kernel_matches_the_float_kernel(self, model):
+        # 13 sizes of 8192 rows each; the exponential model's float positions
+        # are drawn again from the same streams, as the float kernel read them
+        worst = 0.0
+        for n in [*range(3, 13), 32, 64, 128]:
+            for chunk in range(4):
+                k = model_rows(model, n, 2048, rp.batch_rng(58, 4 * n + chunk))
+                if model == "uniform":
+                    p = floats(k)
+                else:
+                    _, y, colors = rp._exp_draw(n, 2048, rp.batch_rng(58, 4 * n + chunk))
+                    p = np.sort(rp._exp_positions(y, colors), axis=1)
+                w, types, _, lengths = region_rows_by_floats(p)
+                wk, sig, _, half_lengths = rp._region_rows(k)
+                assert (wk == w).all() and (np.tile(sig, 2) == types).all()
+                worst = max(worst, np.abs(np.tile(half_lengths, 2) * 2.0**-54 - lengths).max())
+                values, expected = rp._region_values(k), region_values_by_floats(p)
+                assert (values[0] == expected[0]).all()
+                worst = max(worst, np.abs(values[1:] - expected[1:]).max())
+        assert worst < 1e-14
+
+    @pytest.mark.parametrize(
+        "make", [lambda: rp.batch_rng(59, 3), lambda: np.random.default_rng(59)], ids=["philox", "pcg64"]
+    )
+    def test_raw_words_are_the_uniforms_of_the_stream(self, make):
+        raw, uniform = make(), make()
+        k = raw.bit_generator.random_raw((300, 7)) >> 11
+        u = uniform.random((300, 7))
+        assert (k * 2.0**-53).tobytes() == u.tobytes()
+
+        def state(rng):
+            return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist)
+
+        assert state(raw) == state(uniform)
+        # _uniform_rows reads the same words: the rows of rng.random, sorted and rotated
+        rows, again = make(), make()
+        p = np.sort(again.random((300, 7)), axis=1)
+        assert floats(rp._uniform_rows(7, 300, rows)).tobytes() == (p - p[:, :1]).tobytes()
+        assert state(rows) == state(again)
+
+    @pytest.mark.parametrize("inner", [(), ((3 << 50) + 12345,), ((3 << 50) + 12345, (1 << 52) + 6789)])
+    def test_near_ties_that_the_float_kernel_misorders(self, inner):
+        # Consecutive points a, b with s = a + b >= 2**53 and s = 3 mod 4:
+        # the float sum (a + b) * 2**-53 rounds up by 2**-53, and the
+        # antipodal bisector with it by 2**-54, onto the point one 2**-54
+        # step above it, which the float kernel then puts first.
+        a, b = (5 << 50) + 1, (13 << 49) + 2
+        close = (a + b - 2**53 + 1) // 2
+        row = [0, close, *inner, a, b]
+        k = np.array([row], dtype=np.int64)
+        exact = occupancy_word_by_fractions([Fraction(x, 2**53) for x in row])
+        assert exact is not None
+        assert tuple(rp._words_rows(k)[0].tolist()) == exact
+        assert tuple(region_rows_by_floats(floats(k))[0][0].tolist()) != exact
 
     @pytest.mark.parametrize(
         "run,bound",
@@ -376,10 +455,10 @@ class TestBatchEngine:
         assert requested == [0, 1]
 
         # each batch summed row by row, the batch sums added in batch order
-        h, l = sum(sum(rp._path_rows(p, grid)) for p in rows) / trials
+        h, l = sum(sum(rp._path_rows(k, grid)) for k in rows) / trials
         assert paths.region_fraction == tuple(map(tuple, h.tolist()))
         assert paths.length_fraction == tuple(map(tuple, l.tolist()))
-        stats = [n * (np.diff(p, axis=1).max(axis=1) / 2) / math.log(n) for p in rows]
+        stats = [n * (np.diff(floats(k), axis=1).max(axis=1) / 2) / math.log(n) for k in rows]
         total = sum(float(s.sum()) for s in stats)
         total_sq = sum(float((s * s).sum()) for s in stats)
         target = n * math.fsum(1 / k for k in range(1, n)) / (2 * (n + 1) * math.log(n))
@@ -429,8 +508,8 @@ class TestBatchEngine:
 
     def test_type_counts_balanced_per_trial(self):
         rng = rp.batch_rng(13, 0)
-        _, types, _, _ = rp._region_rows(rp._uniform_rows(6, 256, rng))
-        assert ((types == 0).sum(axis=1) == (types == 2).sum(axis=1)).all()
+        _, sig, _, _ = rp._region_rows(rp._uniform_rows(6, 256, rng))
+        assert ((sig == 0).sum(axis=1) == (sig == 2).sum(axis=1)).all()
 
     def test_interlacing_failure_counter(self):
         assert rp.interlacing_failures(5, 20_000, seed=14) == 0
@@ -461,21 +540,25 @@ class TestBatchEngine:
 # sample_exp_model) were re-recorded when the model began to draw 2n - 1
 # uniforms per row, spacings by inversion and colors by u < 1/2: the stream
 # changed, not the law.  max_spacing_check was re-recorded when its target
-# became the exact mean; only its target and z fields changed.
+# became the exact mean; only its target and z fields changed.  region_stats,
+# transfer_check:4 and equidistribution_paths were re-recorded when the batched
+# geometry became exact integers: every word, h2 and region fraction stayed
+# bit-identical, and lengths moved in their last bits (estimates by at most
+# 3e-16 relative, standard errors 4e-14 relative, z scores 2e-13).
 PIN_SEED = 2024
 PINNED_PAYLOADS = {
-    "region_stats:3": "bf6a1d4096bcc77ece03d1b00b91c1e1f84ec44ab8b37a80f27333ec138de029",
-    "region_stats:8": "9b62e619a36f61e5af7356dde90068ae18d9cc7561d166b75187a069d449dc54",
-    "region_stats:32": "fbf75b9cddccf66addf8c9ea77998ca54ae4139cb2787f22226a2fd03b8be457",
-    "region_stats:128": "96629b7cc7cd5f56ef879aac793fface6571df4cba4cdf9b82b45b564a2cafb4",
+    "region_stats:3": "14b7d0bca8c137711709eb289c8300a28519a76cd6887ce2de648fe231f7aed7",
+    "region_stats:8": "3cc733ecfb12ab4fa03e199ea2bda58a1a48fe67e3e4174961cce0a0d5c0cf53",
+    "region_stats:32": "929af463250d2fc07c61ad981f438f90af6ca8faa762c612fea7c01fa925993d",
+    "region_stats:128": "65066dd0bd897800de921fc2a2a57167429eedb3f1dc793e664c48a866205b21",
     "bracelet_prob:circle": "21598a97acb56a695ceb50195c8f6b4bb839dfe7f37a87bb7fe93f6778c0f58c",
     "bracelet_prob:exp": "0d2a6d216b87ca196438f871d17b75b13d0a412b24f6b4ac82e3567787cfbfac",
     "interlacing_failures:12": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
-    "transfer_check:4": "a5477df21ebfd1e83d067071a3a30c3b2c2e0f2db59dfddfd523e01037928edb",
+    "transfer_check:4": "a6d7f34943142994cff91eaef0bc6be8aae92f34bf86988690eac7294fdf10d9",
     # paths and spacings run 2 to 50 trials: the first rows of the one batch
     # stream batch_rng(2024, 0), recorded from the batch engine
-    "equidistribution_paths:64": "1cee0ba988b5471714dc11de3a15b7c1dd94488757e303031f419cbb74d40ec3",
-    "equidistribution_paths:5000": "112d22dac8590e03b901cb11a952b9f829d411b20ef4bbbcb6a11b31379d81ce",
+    "equidistribution_paths:64": "0b4309a46094bfe8d4a0be304e4afb9e27247fee14958cf17512640ab6191a28",
+    "equidistribution_paths:5000": "92ecefcead5f669e9319834ef60c66b7d7e743ca842a95d06465e8cce05fa595",
     "max_spacing_check:1000": "a3777af785dd24c0bed8c9c227e17a486c90609f2f27791b24417537f62a8290",
     "max_spacing_check:3": "14d573e197b7054b29ec6bcbcce644b0dae8304ab68c6cf44a8633b423e4c7a5",
     # five samples of sample_exp_model from one generator
@@ -687,6 +770,11 @@ class TestEstimators:
             ("transfer_check", (rp.MAX_GEOMETRY_N + 1, 1000, 35)),
             ("equidistribution_paths", (rp.MAX_GEOMETRY_N + 1, [0.5, 1.0], 1, 35)),
             ("max_spacing_check", (rp.MAX_GEOMETRY_N + 1, 1, 35)),
+            # one trial has no standard error, so no z
+            ("estimate_region_stats", (4, 1, 35)),
+            ("estimate_bracelet_prob", (4, words.canonical_bracelet(words.run_word(4)), 1, 35)),
+            ("transfer_check", (4, 1, 35)),
+            ("max_spacing_check", (1000, 1, 35)),
         ],
     )
     def test_inputs_bounded_before_any_draw(self, monkeypatch, name, args):
@@ -720,24 +808,28 @@ class TestTransfer:
 
     def test_exp_lengths_sum_to_circumference(self):
         rng = rp.batch_rng(23, 0)
-        pos, circumference = rp._exp_model_rows(4, 128, rng)
-        assert (pos[:, 0].view(np.uint64) == 0).all()  # dot 0 at +0.0 starts every sorted row
-        _, types, _, lengths = rp._region_rows(pos)
-        total = sum((lengths * (types == k)).sum(axis=1) for k in (0, 1, 2))
-        assert np.allclose(total, 1.0)
+        k, circumference = rp._exp_model_rows(4, 128, rng)
+        assert (k[:, 0] == 0).all()  # dot 0 at 0 starts every sorted row
+        _, sig, _, half_lengths = rp._region_rows(k)
+        total = sum((half_lengths * (sig == t)).sum(axis=1) for t in (0, 1, 2))
+        assert (total == 2**53).all()  # half the circle, exactly
+        values = rp._region_values(k)
+        assert np.allclose(values[1:4].sum(axis=0), 1.0)
         assert (circumference > 0).all()
 
 
 PATH_GRIDS = ["unsorted-repeats", "region-ends", "zero-and-one", "empty"]
 
 
-def _path_grid(case: str, p: np.ndarray) -> np.ndarray:
-    """A t-grid of the named kind for the rows ``p``."""
+def _path_grid(case: str, k: np.ndarray) -> np.ndarray:
+    """A t-grid of the named kind for the rows ``k``."""
     if case == "unsorted-repeats":
         return np.array([0.7, 0.2, 0.7, 0.45, 0.2, 0.9, 0.45])
     if case == "region-ends":
-        # values equal to region ends of the first rows, in no order and repeated
-        bnd = rp._region_rows(p[:2])[2]
+        # values at region ends of the first rows (the floats nearest to
+        # them above 1/2), in no order and repeated
+        h = rp._region_rows(k[:2])[2]
+        bnd = np.concatenate([h, h + rp._HALF], axis=1) * 2.0**-54
         return np.concatenate([bnd[0, ::-1], bnd[1, ::2], bnd[0, 1:3]])
     if case == "zero-and-one":
         return np.array([1.0, 0.0, 0.5, 0.0, 1.0])
@@ -748,18 +840,18 @@ class TestPaths:
     @pytest.mark.parametrize("case", PATH_GRIDS)
     @pytest.mark.parametrize("n", [3, 8])
     def test_path_rows_match_the_grid_loop(self, n, case):
-        p = rp._uniform_rows(n, 40, rp.batch_rng(56, n))
-        grid = _path_grid(case, p)
-        assert rp._path_rows(p, grid).tobytes() == path_rows_by_grid_loop(p, grid).tobytes()
+        k = rp._uniform_rows(n, 40, rp.batch_rng(56, n))
+        grid = _path_grid(case, k)
+        assert rp._path_rows(k, grid).tobytes() == path_rows_by_grid_loop(k, grid).tobytes()
 
     @pytest.mark.parametrize("case", PATH_GRIDS)
     def test_paths_match_the_grid_loop(self, case):
         n, trials, seed = 4, 300, 57
-        p = rp._uniform_rows(n, trials, rp.batch_rng(seed, 0))
-        grid = _path_grid(case, p)
+        k = rp._uniform_rows(n, trials, rp.batch_rng(seed, 0))
+        grid = _path_grid(case, k)
         report = rp.equidistribution_paths(n, grid.tolist(), trials, seed)
         # rows summed in row order, as the running sum of each batch adds them
-        h, l = sum(path_rows_by_grid_loop(p, grid)) / trials
+        h, l = sum(path_rows_by_grid_loop(k, grid)) / trials
         assert report.region_fraction == tuple(map(tuple, h.tolist()))
         assert report.length_fraction == tuple(map(tuple, l.tolist()))
 
