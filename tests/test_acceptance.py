@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` (or ``bisector-words
 verify``) to see the per-criterion PASS/FAIL lines; the whole gate takes
-13-18 s on a 2-vCPU Xeon VM, 3.5-5 s of it criterion 11.
+7-8 s on a 2-vCPU Xeon VM, 1.6-1.9 s of it criterion 11.
 """
 
 import pytest

@@ -775,6 +775,14 @@ class TestEstimators:
             ("estimate_bracelet_prob", (4, words.canonical_bracelet(words.run_word(4)), 1, 35)),
             ("transfer_check", (4, 1, 35)),
             ("max_spacing_check", (1000, 1, 35)),
+            # trials must be exactly an int, as n must
+            ("estimate_region_stats", (4, 100.0, 35)),
+            ("estimate_bracelet_prob", (4, words.canonical_bracelet(words.run_word(4)), 10.5, 35)),
+            ("transfer_check", (4, True, 35)),
+            ("max_spacing_check", (1000, np.int64(100), 35)),
+            ("interlacing_failures", (4, 100.0, 35)),
+            ("equidistribution_paths", (64, [0.5, 1.0], 2.0, 35)),
+            ("lln_clt_experiment", (100, 10.5)),
         ],
     )
     def test_inputs_bounded_before_any_draw(self, monkeypatch, name, args):
@@ -786,7 +794,7 @@ class TestEstimators:
 
         monkeypatch.setattr(rp, "batch_rng", recording_rng)
         with pytest.raises(ValueError, match="need"):
-            getattr(rp, name)(*args)
+            getattr(sampler if name == "lln_clt_experiment" else rp, name)(*args)
         assert drawn == []
 
     def test_estimator_result_fields(self):

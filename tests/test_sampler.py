@@ -220,8 +220,10 @@ class TestUniformWords:
     def test_every_draw_sequence_with_small_blocks(self, monkeypatch, draws_via_integers, n, block):
         # With blocks of 2 or 3 letters, n <= 7 has tails, all three head
         # requirements and rejections; every valid word must come from
-        # exactly one draw sequence, all equally likely.
+        # exactly one draw sequence, all equally likely.  With no table
+        # built yet, every n reaches the decoding path.
         monkeypatch.setattr(sampler, "_BLOCK", block)
+        monkeypatch.setattr(sampler, "_WORD_TABLES", {})
         outcomes = attempt_outcomes(n, block)
         assert sum(p for p, _ in outcomes) == 1
         accepted = [(p, w) for p, w in outcomes if w is not None]
@@ -447,6 +449,7 @@ class TestUniformBracelets:
         table = sampler._bracelet_table(n)
         assert len(table) == 4 * n * enumeration.count_bracelets(n)
         monkeypatch.setattr(sampler, "_TABLE_SIZE", 0)
+        monkeypatch.setattr(sampler, "_BRACELET_TABLES", {})
         for t, bracelet in enumerate(table):
             assert sampler.sample_uniform_bracelet(n, ScriptedRng([t])) == bracelet
 
@@ -510,8 +513,6 @@ def test_table_builds_at_n6_decode_each_word_once(monkeypatch):
     counting(sampler, "_fixed_word")
     counting(words, "bracelet_orbit")
     counting(words, "canonical_bracelet")
-    sampler._word_table.cache_clear()
-    sampler._bracelet_table.cache_clear()
     assert len(sampler._word_table(6)) == enumeration.count_words(6)
     assert calls == {"_head_letters": enumeration.count_words(6)}
     calls.clear()
@@ -519,8 +520,66 @@ def test_table_builds_at_n6_decode_each_word_once(monkeypatch):
     terms = enumeration._fixed_point_counts(6)
     assert calls["_fixed_word"] == sum(fixed for _, _, fixed in terms)
     assert calls["bracelet_orbit"] == calls["canonical_bracelet"] == enumeration.count_bracelets(6)
-    sampler._word_table.cache_clear()
-    sampler._bracelet_table.cache_clear()
+
+
+SAMPLERS = [
+    (sampler.sample_uniform_word, sampler.MAX_WORD_N),
+    (sampler.sample_uniform_bracelet, words.MAX_BRACELET_N),
+]
+
+
+class TestTablePath:
+    """A cached table is found by one lookup of an exact int n; every other input takes the checks."""
+
+    @staticmethod
+    def tables(monkeypatch, cached: bool) -> None:
+        """Start with no table built, then build those of n = 3..6 if ``cached``."""
+        monkeypatch.setattr(sampler, "_WORD_TABLES", {})
+        monkeypatch.setattr(sampler, "_BRACELET_TABLES", {})
+        if cached:
+            for n in range(3, 7):
+                sampler.sample_uniform_word(n, np.random.default_rng(n))
+                sampler.sample_uniform_bracelet(n, np.random.default_rng(n))
+            assert sorted(sampler._WORD_TABLES) == sorted(sampler._BRACELET_TABLES) == [3, 4, 5, 6]
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (3.0, "need an integer n, got 3.0"),
+            (True, "need an integer n, got True"),
+            (np.int64(3), "need an integer n, got"),
+            (2, "need 3 <= n <= {most}, got 2"),
+            ("most + 1", "need 3 <= n <= {most}, got {most_1}"),
+        ],
+        ids=["float", "bool", "int64", "below", "above"],
+    )
+    @pytest.mark.parametrize("sample, most", SAMPLERS)
+    def test_n_rejected_before_any_draw(self, monkeypatch, sample, most, n, message, cached):
+        self.tables(monkeypatch, cached)
+        n = most + 1 if n == "most + 1" else n
+        rng = RawWords([])
+        with pytest.raises(ValueError, match=message.format(most=most, most_1=most + 1)):
+            sample(n, rng)
+        assert rng.drawn == 0
+
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("sample, most", SAMPLERS)
+    def test_mt19937_is_rejected_on_a_cached_table(self, monkeypatch, sample, most, n):
+        self.tables(monkeypatch, cached=True)
+        bits = np.random.MT19937(5)
+        with pytest.raises(ValueError, match="MT19937"):
+            sample(n, np.random.Generator(bits))
+        assert bits.random_raw() == np.random.MT19937(5).random_raw()
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    @pytest.mark.parametrize("sample, most", SAMPLERS)
+    def test_cached_table_reads_the_raw_words_of_the_first_call(self, monkeypatch, sample, most, n):
+        # The call that builds the table and the calls that find it draw alike.
+        self.tables(monkeypatch, cached=False)
+        first, later = batch_rng(n, 2), batch_rng(n, 2)
+        assert [sample(n, first) for _ in range(50)] == [sample(n, later) for _ in range(50)]
+        assert first.bit_generator.random_raw() == later.bit_generator.random_raw()
 
 
 def _sha256(text: str) -> str:
@@ -565,12 +624,16 @@ PINNED_BRACELETS = {
 # unsorted grid with a repeat, rounds of 419 rows at n = 10^4, and two
 # batches at n = 7.  Re-recorded when the CLT moved onto the batch engine:
 # later rounds of a batch draw from its one stream, and the moments come
-# from exact integer sums; the law of the kept rows is unchanged.
+# from exact integer sums; the law of the kept rows is unchanged.  The
+# cases at n = 7 and n = 101 were re-recorded when rounds were sized from
+# the keep rate: their rounds draw other numbers of rows (more at n = 7,
+# whose keep rate is 0.44), so later draws moved, not their law.  At
+# n = 10^4 every round is capped at 419 rows under both rules.
 PINNED_CLT = {
-    (7, 500, (0.1, 0.5, 0.5, 1.0), 3): "5582d54472c3fcd6f98086fdba6613bbcfb71f2c19e66108d72daf7744fb5ca3",
-    (101, 400, (0.77, 0.25, 1.0, 0.25, 0.5), 9): "b0c924ed13aa23344f2c1207e8925ffa3435903771552f00ef33ad67b109d6ef",
+    (7, 500, (0.1, 0.5, 0.5, 1.0), 3): "6679381834f2c5aa8ced9c5444ae0e25c2f210ba86c98294e4848c690e0db1c1",
+    (101, 400, (0.77, 0.25, 1.0, 0.25, 0.5), 9): "4a74108e8c6c3f68d94cf9b541abc97eb1a7ea87887d330e084b1409cb1d7f54",
     (10_000, 1000, (0.3, 0.6, 1.0), 2): "05ffd0f15cf3741ea057bcf3e4df95c122ec612b5094cbecd8cba7a7315e60f5",
-    (7, random_points.BATCH_SIZE + 500, (0.1, 0.5, 0.5, 1.0), 3): "6b4078891ae2510240cf2a6f57a724a044b391bf8331202e88bf3328ef718524",
+    (7, random_points.BATCH_SIZE + 500, (0.1, 0.5, 0.5, 1.0), 3): "7cc3694aede595bec9a437b80857b38693d52e5ca4054b064f2b35748e64099b",
 }
 
 
@@ -737,6 +800,12 @@ class TestLetterCounts:
         assert sstats.chi2.sf(stat, df=len(cells) - 1) > 1e-3
 
 
+def round_rows(n: int, missing: int) -> int:
+    """Rows of a CLT round with ``missing`` trials to keep, from the exact keep rate, rounded."""
+    p = float(Fraction((3**n + 1) // 2 - 2**n, 3**n))
+    return min((1 << 22) // n, math.ceil((missing + 2 * math.sqrt(missing * (1 - p))) / p) + 8)
+
+
 class TestCltExperiment:
     def test_moments_and_correlation(self):
         report = sampler.lln_clt_experiment(2000, 2000, (0.5, 1.0), seed=5)
@@ -770,17 +839,44 @@ class TestCltExperiment:
     def test_draw_layout(self, monkeypatch):
         # bounds 0, 12, 25: per segment its blocks, then its remainder, then
         # the phase bits; one stream per batch of at most 2 trials, whose
-        # first round has 2 * size + 64 rows for a batch of size trials.
+        # first round has round_rows(25, size) rows for a batch of size trials.
         rngs = self.counting_streams(monkeypatch)
         monkeypatch.setattr(random_points, "BATCH_SIZE", 2)
         sampler.lln_clt_experiment(25, 3, (0.5, 1.0), seed=8)
         assert len(rngs) == 2
         for rng, size in zip(rngs, (2, 1)):
             assert rng.highs == [3**10, 3**2, 3**10, 3**3, 2]
-            assert rng.values[-1].shape == (2 * size + 64,)
+            assert rng.values[-1].shape == (round_rows(25, size),)
+
+    @staticmethod
+    def counting_rounds(monkeypatch) -> list:
+        """Record the rows of every ``_letter_counts`` call."""
+        rows = []
+        original = sampler._letter_counts
+
+        def counting(length, size, rng):
+            rows.append(size)
+            return original(length, size, rng)
+
+        monkeypatch.setattr(sampler, "_letter_counts", counting)
+        return rows
+
+    def test_one_round_per_batch_at_small_n(self, monkeypatch):
+        # 13 batches of n = 10 letters in 4 segments (bounds 0, 2, 5, 7, 10):
+        # rounds sized from the keep rate keep every batch's trials at once.
+        rows = self.counting_rounds(monkeypatch)
+        sampler.lln_clt_experiment(10, 200_000)
+        assert len(rows) == 13 * 4
+
+    def test_first_round_of_100_trials_at_n_10000(self, monkeypatch):
+        # The keep rate is 1/2 to float precision here: 100 trials need 229 + 8 rows.
+        rows = self.counting_rounds(monkeypatch)
+        sampler.lln_clt_experiment(10_000, 100)
+        assert rows[0] == round_rows(10_000, 100) == 237 < 2 * 100 + 64
 
     def test_rounds_draw_until_the_batch_has_kept_its_trials(self, monkeypatch):
-        # rounds of 2^22 // n = 41 rows at n = 10^5, so 100 trials take several
+        # rounds of at most 2^22 // n = 41 rows at n = 10^5, so 100 trials
+        # take several; a round with few trials missing draws fewer rows
         rngs = self.counting_streams(monkeypatch)
         n, trials = 100_000, 100
         sampler.lln_clt_experiment(n, trials, (0.5, 1.0), seed=9)
@@ -792,10 +888,11 @@ class TestCltExperiment:
         kept = []
         for r in range(rounds):
             first, second, phase = rng.values[3 * r : 3 * r + 3]
-            assert phase.shape == ((1 << 22) // n,)
+            assert phase.shape == (round_rows(n, trials - sum(kept)),)
             s = twos[first].sum(axis=1) + twos[second].sum(axis=1)
             kept.append(int(((s > 0) & (s % 2 == 0)).sum()))
         assert sum(kept[:-1]) < trials <= sum(kept)
+        assert len(rng.values[-1]) < (1 << 22) // n  # the last round was sized from the keep rate
 
     def test_trial_j_is_the_jth_kept_row_of_its_batch(self, monkeypatch):
         # the moments from exact sums equal numpy's on per-trial arrays rebuilt
@@ -807,7 +904,7 @@ class TestCltExperiment:
         for b, size in enumerate((300, 300, 100)):
             rng, kept = batch_rng(seed, b), 0
             while kept < size:
-                rows = min((1 << 22) // n, 2 * (size - kept) + 64)
+                rows = round_rows(n, size - kept)
                 counts = [sampler._letter_counts(10, rows, rng), sampler._letter_counts(30, rows, rng)]
                 draw_phase = rng.integers(0, 2, size=rows)
                 k_rows = np.cumsum([c[0] for c in counts], axis=0).T
@@ -860,6 +957,15 @@ class TestCltExperiment:
 
         monkeypatch.setattr(random_points, "batch_rng", no_draws)
         with pytest.raises(ValueError, match="trials >= 2"):
+            sampler.lln_clt_experiment(100, trials)
+
+    @pytest.mark.parametrize("trials", [10.5, 100.0, True, np.int64(100)])
+    def test_non_integer_trials_rejected_before_any_draw(self, monkeypatch, trials):
+        def no_draws(*args):
+            raise AssertionError("drew before checking trials")
+
+        monkeypatch.setattr(random_points, "batch_rng", no_draws)
+        with pytest.raises(ValueError, match="need an integer number of trials"):
             sampler.lln_clt_experiment(100, trials)
 
     @pytest.mark.parametrize("n", [-1, 2, sampler.MAX_WORD_N + 1])
