@@ -14,11 +14,14 @@ A critical value v is handled as 2 * v * U on a circle of length 2U: a
 point is 2x, its antipode 2x + U, the bisector of two consecutive points
 a + b (the wrap pair U + a + b), an antipodal bisector that plus U, all mod
 2U.  Nothing is ever halved, so exact values stay integral (sorting,
-bisecting and gap minima run on ints), and each float value is exactly
-twice what the unit-circle formulas give, so float results are
-bit-identical to them.  Values go back to arc length, ``Fraction(v, 2U)``
-or ``v / 2``, only where a public function returns them.  Only the
-genericity tolerance differs between exact and float input.
+bisecting, gap minima, region lengths and their sums run on ints), and each
+float value is exactly twice what the unit-circle formulas give, so float
+results are bit-identical to them: halving a float commutes with rounding,
+so a sum halved once equals the sum of the halves.  Values go back to arc
+length, ``Fraction(v, 2U)`` or ``v / 2``, only where a public function
+returns them, and where a caller's grid value t in arc length is compared
+with a boundary.  Only the genericity tolerance differs between exact and
+float input.
 
 Words are read with the first point rotated to 0: region 0 is the arc
 containing positions just above 0, regions follow counterclockwise.
@@ -457,42 +460,41 @@ def region_stats(config: PointConfig, t_grid: Sequence = ()) -> RegionStats:
     _check_t_grid(grid)
     f = _generic_frame(config)
     m = 2 * f.n
-    bnd_units = f.boundaries()
-    word = _occupancy(f, bnd_units)
+    bnd = f.boundaries()
+    word = _occupancy(f, bnd)
     sig = words.signature(word)
     types = tuple(sig[i % f.n] for i in range(m))
 
-    bnd = [f.arc(b) for b in bnd_units]
-    lengths_units = [bnd_units[0] + f.circle - bnd_units[-1]] + [
-        bnd_units[j] - bnd_units[j - 1] for j in range(1, m)
-    ]
-    lengths = [f.arc(x) for x in lengths_units]
-    region_counts = tuple(sum(1 for t in types if t == k) for k in (0, 1, 2))
-    length_totals = tuple(
-        sum(lengths[j] for j in range(m) if types[j] == k) for k in (0, 1, 2)
-    )
-    empty_length = sum(lengths[j] for j in range(m) if word[j] == 0)
+    # Lengths and their sums stay in circle units (ints for exact input);
+    # each returned value goes to arc length once, by f.arc.
+    lengths = [bnd[0] + f.circle - bnd[-1]] + [bnd[j] - bnd[j - 1] for j in range(1, m)]
+    region_counts = tuple(types.count(k) for k in (0, 1, 2))
+    totals = [sum(x for x, t in zip(lengths, types) if t == k) for k in (0, 1, 2)]
+    empty_length = sum(x for x, b in zip(lengths, word) if b == 0)
 
-    # Below t = 1 the regions in [0, t] are 1..i, i = bisect_right(bnd, t, 1) - 1,
-    # summed in index order; at t >= 1 the wrap region 0 joins: index m.
-    at = [bisect_right(bnd, t, 1) - 1 if t < 1 else m for t in grid]
+    # Below t = 1 the regions in [0, t] are 1..i, i = bisect_right(arcs, t, 1) - 1,
+    # summed in index order; at t >= 1 the wrap region 0 joins: index m.  The
+    # boundaries are compared as arc lengths, so a float t against an exact
+    # configuration compares exactly.
+    arcs = [f.arc(b) for b in bnd]
+    at = [bisect_right(arcs, t, 1) - 1 if t < 1 else m for t in grid]
     h_curves = []
     l_curves = []
     for k in (0, 1, 2):
         hits = [types[j] == k for j in range(1, m)]
         kept = (x if hit else 0 for x, hit in zip(lengths[1:], hits))
         counts = [*accumulate(hits, initial=0), region_counts[k]]
-        totals = [*accumulate(kept, initial=0), length_totals[k]]
+        sums = [*accumulate(kept, initial=0), totals[k]]
         h_curves.append(tuple(counts[i] for i in at))
-        l_curves.append(tuple(totals[i] for i in at))
+        l_curves.append(tuple(f.arc(sums[i]) for i in at))
 
     return RegionStats(
         types=types,
-        lengths=tuple(lengths),
+        lengths=tuple(map(f.arc, lengths)),
         occupied=word,
         region_counts=region_counts,
-        length_totals=length_totals,
-        empty_length=empty_length,
+        length_totals=tuple(map(f.arc, totals)),
+        empty_length=f.arc(empty_length),
         t_grid=grid,
         h_curves=tuple(h_curves),
         l_curves=tuple(l_curves),

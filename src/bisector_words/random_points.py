@@ -103,8 +103,9 @@ _MAX_SERIES_N = 40
 
 
 def _check_seed(seed: int) -> None:
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"need 0 <= seed < 2**64, got {seed}")
+    """Reject a seed that is not exactly an ``int`` in [0, 2**64), as n and trials are checked."""
+    if type(seed) is not int or not 0 <= seed < 1 << 64:
+        raise ValueError(f"need an integer seed with 0 <= seed < 2**64, got {seed!r}")
 
 
 def batch_rng(seed: int, index: int) -> np.random.Generator:
@@ -208,6 +209,14 @@ def phi_series(x, n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class EstimatorResult:
+    """A Monte Carlo mean, its standard error, and its z score against ``target``.
+
+    z is (estimate - target) / std_error.  A sample without spread
+    (std_error 0) has z = 0 when the estimate equals the target and z = inf
+    otherwise; the CLI's JSON prints such an inf as ``null``.  :func:`z_between`
+    follows the same rule.
+    """
+
     estimate: float
     std_error: float
     trials: int
@@ -236,20 +245,20 @@ def _make_result(total: float, total_sq: float, trials: int, seed: int, target) 
     var = max((total_sq - trials * mean * mean) / (trials - 1), 0.0)
     se = math.sqrt(var / trials)
     target = float(target)
-    if se == 0.0:
-        z = 0.0 if mean == target else math.inf
-    else:
-        z = (mean - target) / se
     return EstimatorResult(
-        estimate=mean, std_error=se, trials=trials, seed=seed, target=target, z=z
+        estimate=mean, std_error=se, trials=trials, seed=seed, target=target, z=_z(mean, target, se)
     )
 
 
-def z_between(a: EstimatorResult, b: EstimatorResult) -> float:
-    se = math.hypot(a.std_error, b.std_error)
+def _z(estimate: float, target: float, se: float) -> float:
+    """The z score of ``estimate`` against ``target`` (see :class:`EstimatorResult`)."""
     if se == 0.0:
-        return 0.0 if a.estimate == b.estimate else math.inf
-    return (a.estimate - b.estimate) / se
+        return 0.0 if estimate == target else math.inf
+    return (estimate - target) / se
+
+
+def z_between(a: EstimatorResult, b: EstimatorResult) -> float:
+    return _z(a.estimate, b.estimate, math.hypot(a.std_error, b.std_error))
 
 
 def _moments(values: np.ndarray) -> np.ndarray:
@@ -262,24 +271,27 @@ def _call_batch(task: tuple):
     return fn(n, rng, size, *args)
 
 
-def _run_batches(fn, n: int, trials: int, seed: int, workers: int, *args) -> list:
-    """``fn(n, batch_rng(seed, i), size, *args)`` for each batch i, in batch order.
+def _run_batches(fn, n: int, trials: int, seed: int, workers: int, *args):
+    """The sum of ``fn(n, batch_rng(seed, i), size, *args)`` over the batches i, added in batch order.
 
-    ``fn`` is a top-level function, so that it pickles into worker processes.
+    The batch results are added left to right whatever the worker count, so
+    the sum is bit-identical for any number of workers.  ``fn`` is a
+    top-level function, so that it pickles into worker processes, and its
+    results add with ``+`` (ints or numpy arrays).
     """
     _check_trials(trials, least=1)
-    if workers < 1:
-        raise ValueError(f"need workers >= 1, got {workers}")
+    if type(workers) is not int or workers < 1:
+        raise ValueError(f"need workers to be an integer >= 1, got {workers!r}")
     starts = range(0, trials, BATCH_SIZE)
     tasks = (
         (fn, n, batch_rng(seed, i), min(BATCH_SIZE, trials - s), args) for i, s in enumerate(starts)
     )
     workers = min(workers, os.cpu_count() or 1)
     if workers == 1 or len(starts) == 1:
-        return list(map(_call_batch, tasks))
+        return sum(map(_call_batch, tasks))
     chunk = max(1, len(starts) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_call_batch, tasks, chunksize=chunk))
+        return sum(pool.map(_call_batch, tasks, chunksize=chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +626,7 @@ def estimate_bracelet_prob(
     orbit = words.bracelet_orbit(target.word)
     exact = closed_form("pbn", n) if words.word_to_int(words.run_word(n)) in orbit else math.nan
     cls = np.array(sorted(orbit), dtype=np.uint64)
-    hits = sum(_run_batches(_class_hits, n, trials, seed, workers, _MODEL_CHUNKS[model], cls))
+    hits = _run_batches(_class_hits, n, trials, seed, workers, _MODEL_CHUNKS[model], cls)
     return _make_result(hits, hits, trials, seed, exact)
 
 
@@ -624,7 +636,7 @@ def estimate_region_stats(
     """Monte Carlo means of h2/l0/l1/l2/le against their closed forms."""
     _check_n(n, MAX_GEOMETRY_N)
     _check_trials(trials)
-    sums = sum(_run_batches(_region_sums, n, trials, seed, workers)).tolist()
+    sums = _run_batches(_region_sums, n, trials, seed, workers).tolist()
     return {
         k: _make_result(s, sq, trials, seed, _float_target(k, n))
         for k, (s, sq) in zip(("h2", "l0", "l1", "l2", "le"), sums)
@@ -634,7 +646,7 @@ def estimate_region_stats(
 def interlacing_failures(n: int, trials: int, seed: int) -> int:
     """Number of sampled configurations whose signature fails to interlace."""
     _check_n(n, MAX_GEOMETRY_N)
-    return sum(_run_batches(_interlacing_failures, n, trials, seed, 1))
+    return _run_batches(_interlacing_failures, n, trials, seed, 1)
 
 
 @dataclass(frozen=True)
@@ -668,8 +680,7 @@ def transfer_check(n: int, trials: int, seed: int) -> TransferReport:
     _check_seed(seed)
     _check_seed(seed + 2)
     circle = estimate_region_stats(n, trials, seed + 1)
-    sums = sum(_run_batches(_exp_length_sums, n, trials, seed + 2, 1))
-    *typed, (total, total_sq) = sums.tolist()
+    *typed, (total, total_sq) = _run_batches(_exp_length_sums, n, trials, seed + 2, 1).tolist()
     comparisons = []
     for k, (s, sq) in enumerate(typed):
         exp_res = _make_result(s, sq, trials, seed + 2, _float_target(f"l{k}", n))
@@ -721,7 +732,7 @@ def equidistribution_paths(
     _check_n(n, MAX_GEOMETRY_N)
     grid = np.asarray(t_grid, dtype=np.float64)
     _check_t_grid(grid)
-    h_acc, l_acc = sum(_run_batches(_path_sums, n, trials, seed, 1, grid)) / trials
+    h_acc, l_acc = _run_batches(_path_sums, n, trials, seed, 1, grid) / trials
     return PathReport(
         n=n,
         trials=trials,
@@ -746,6 +757,6 @@ def max_spacing_check(n: int, trials: int, seed: int) -> EstimatorResult:
     """
     _check_n(n, MAX_GEOMETRY_N, least=2)
     _check_trials(trials)
-    total, total_sq = sum(_run_batches(_max_gap_sums, n, trials, seed, 1))[0].tolist()
+    total, total_sq = _run_batches(_max_gap_sums, n, trials, seed, 1)[0].tolist()
     harmonic = math.fsum(1 / k for k in range(1, n))
     return _make_result(total, total_sq, trials, seed, n * harmonic / (2 * (n + 1) * math.log(n)))

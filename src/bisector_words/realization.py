@@ -97,7 +97,8 @@ def _construct(word: Word) -> tuple[dict, int, list[int], list[int]]:
 
     rotation = sig.index(0)
     rotated = word[rotation:] + word[:rotation]
-    doubled = words.signature(rotated) * 2
+    # rotating the word by r rotates its signature by r
+    doubled = (sig[rotation:] + sig[:rotation]) * 2
 
     two_pos = tuple(i for i in range(m) if doubled[i] == 2)
     zero_pos = tuple(i for i in range(m) if doubled[i] == 0)

@@ -516,7 +516,7 @@ def lln_clt_experiment(
         raise ValueError("grid values must lie in (0, 1]")
     cuts = [math.floor(c * n) for c in grid]
     bounds = sorted({0, n, *cuts})
-    sums = sum(_run_batches(_clt_sums, n, trials, seed, 1, bounds))
+    sums = _run_batches(_clt_sums, n, trials, seed, 1, bounds)
     sums = sums[..., [bounds.index(m) for m in cuts] + [-1]]  # and n, for the means
     # F0, F2, S10, S01 and F1 are each a constant plus a·v, v = (S count, F2,
     # S10), for the rows a of coef; cov[j] is trials * (trials - 1) times

@@ -1,16 +1,18 @@
 """Independent oracles: literal definitions implemented from scratch.
 
 Nothing here imports the library's decision logic, except the reference
-direction-pattern check, which keeps the earlier version of a library
-function on top of the same geometry helpers; these exist to check it.
+direction-pattern check and the arc-first region statistics, which keep the
+earlier versions of library functions on top of the same geometry helpers;
+these exist to check them.
 The float region kernel is likewise the earlier version of the batched
 geometry, which the exact integer kernel replaced.
 """
 
 import logging
 import math
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -419,3 +421,57 @@ def direction_patterns_by_region_lists(config) -> bool:
         pattern_logger.warning("pattern check: signature %s does not interlace", sig)
         return False
     return True
+
+
+def region_stats_by_fractions(config, t_grid=()):
+    """``geometry.region_stats`` as first written: every boundary and length
+    goes to arc length first, and the totals and curves are sums of arc
+    lengths (Fractions for exact input).
+
+    The reference for ``geometry.region_stats``, which sums in circle units
+    and converts only the values it returns.
+    """
+    grid = tuple(t_grid)
+    geometry._check_t_grid(grid)
+    f = geometry._generic_frame(config)
+    m = 2 * f.n
+    bnd_units = f.boundaries()
+    word = geometry._occupancy(f, bnd_units)
+    sig = words.signature(word)
+    types = tuple(sig[i % f.n] for i in range(m))
+
+    bnd = [f.arc(b) for b in bnd_units]
+    lengths_units = [bnd_units[0] + f.circle - bnd_units[-1]] + [
+        bnd_units[j] - bnd_units[j - 1] for j in range(1, m)
+    ]
+    lengths = [f.arc(x) for x in lengths_units]
+    region_counts = tuple(sum(1 for t in types if t == k) for k in (0, 1, 2))
+    length_totals = tuple(
+        sum(lengths[j] for j in range(m) if types[j] == k) for k in (0, 1, 2)
+    )
+    empty_length = sum(lengths[j] for j in range(m) if word[j] == 0)
+
+    # Below t = 1 the regions in [0, t] are 1..i, i = bisect_right(bnd, t, 1) - 1,
+    # summed in index order; at t >= 1 the wrap region 0 joins: index m.
+    at = [bisect_right(bnd, t, 1) - 1 if t < 1 else m for t in grid]
+    h_curves = []
+    l_curves = []
+    for k in (0, 1, 2):
+        hits = [types[j] == k for j in range(1, m)]
+        kept = (x if hit else 0 for x, hit in zip(lengths[1:], hits))
+        counts = [*accumulate(hits, initial=0), region_counts[k]]
+        totals = [*accumulate(kept, initial=0), length_totals[k]]
+        h_curves.append(tuple(counts[i] for i in at))
+        l_curves.append(tuple(totals[i] for i in at))
+
+    return geometry.RegionStats(
+        types=types,
+        lengths=tuple(lengths),
+        occupied=word,
+        region_counts=region_counts,
+        length_totals=length_totals,
+        empty_length=empty_length,
+        t_grid=grid,
+        h_curves=tuple(h_curves),
+        l_curves=tuple(l_curves),
+    )

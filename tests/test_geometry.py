@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bisector_words import geometry, realization, words
+from bisector_words import enumeration, geometry, realization, words
 from bisector_words.geometry import (
     NonGenericConfiguration,
     PointConfig,
@@ -29,6 +29,7 @@ from oracles import (
     occupancy_word_by_fractions,
     pattern_logger,
     region_boundaries_by_fractions,
+    region_stats_by_fractions,
 )
 
 EXAMPLE = PointConfig((0.0, 0.1, 0.3))
@@ -468,6 +469,39 @@ class TestRegionStats:
         d = rs.to_json_dict()
         assert set(d) == {"types", "lengths", "H", "L", "Le", "h_grid", "l_grid"}
         assert d["Le"] == 0.2
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_realized_configurations_match_the_arc_first_oracle(self, n):
+        # every word up to n = 6, then every 11th; the grid holds 0, 1/2, 1 and a float
+        grid = (0, Fraction(1, 2), 1, 0.3)
+        ws = list(enumeration.enumerate_words(n))
+        for w in ws if n <= 6 else ws[::11]:
+            cfg = realization.realize(w)
+            rs = region_stats(cfg, grid)
+            assert rs == region_stats_by_fractions(cfg, grid), words.word_to_string(w)
+            returned = (*rs.lengths, *rs.length_totals, rs.empty_length, *sum(rs.l_curves, ()))
+            assert all(type(x) is Fraction for x in returned)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.deferred(lambda: exact_positions(max_n=24)), st.floats(0, 1))
+    def test_exact_configurations_match_the_arc_first_oracle(self, pos, t):
+        cfg = PointConfig(tuple(pos))
+        assume(geometry.genericity_margin(cfg) > 0)
+        # two grid values fall exactly on boundaries
+        grid = (0, Fraction(1, 2), 1, t, *arrangement(cfg).boundaries[:2])
+        assert region_stats(cfg, grid) == region_stats_by_fractions(cfg, grid)
+
+    def test_a_type_without_regions_totals_zero_of_the_input_kind(self):
+        # signature 2020: no type-1 region, so its total and its curve are zero
+        exact = realization.realize((1, 0, 1, 0, 1, 0, 1, 0))
+        floats = PointConfig(tuple(float(p) for p in exact.positions))
+        grid = (0, 0.5, 1)
+        for cfg, zero in ((exact, Fraction(0)), (floats, 0.0)):
+            rs = region_stats(cfg, grid)
+            assert rs.region_counts[1] == 0
+            for x in (rs.length_totals[1], *rs.l_curves[1]):
+                assert type(x) is type(zero) and x == zero
+            assert type(rs.l_curves[0][0]) is type(zero)
 
 
 def chord(a, b):

@@ -28,6 +28,33 @@ from oracles import (
 RUN4 = words.canonical_bracelet(words.run_word(4))
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """``ProcessPoolExecutor`` replaced by an in-process map; the list of each pool's max_workers."""
+    started = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(rp, "ProcessPoolExecutor", InlineExecutor)
+    return started
+
+
+def order_sensitive_payload(n, rng, size):
+    """Floats of magnitudes 1e-12 to 1e12, whose float sum depends on the order of addition."""
+    return rng.random(4) * 10.0 ** rng.integers(-12, 13, 4)
+
+
 def exp_config(sample):
     """The positions of an exponential-model sample on the unit circle, as a configuration."""
     pos = rp._exp_positions(np.array([sample.dots]), np.array([sample.colors[:-1]]))
@@ -683,27 +710,55 @@ class TestEstimators:
         with pytest.raises(ValueError, match="workers"):
             rp.estimate_region_stats(4, 1000, seed=30, workers=0)
 
-    def test_workers_capped_at_cpu_count(self, monkeypatch):
-        seen = []
-
-        class RecordingExecutor:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(rp, "ProcessPoolExecutor", RecordingExecutor)
+    def test_workers_capped_at_cpu_count(self, monkeypatch, inline_pool):
         monkeypatch.setattr(rp.os, "cpu_count", lambda: 3)
         monkeypatch.setattr(rp, "BATCH_SIZE", 100)
         rp.estimate_region_stats(4, 1000, seed=31, workers=64)
-        assert seen == [3]
+        assert inline_pool == [3]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_batch_results_add_left_to_right_in_batch_order(self, monkeypatch, inline_pool, workers):
+        monkeypatch.setattr(rp.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(rp, "BATCH_SIZE", 100)
+        seed, sizes = 40, [100] * 9 + [7]
+        parts = [order_sensitive_payload(3, rp.batch_rng(seed, i), size) for i, size in enumerate(sizes)]
+        left, right = parts[0], parts[-1]
+        for a, b in zip(parts[1:], parts[-2::-1]):
+            left, right = left + a, b + right
+        assert left.tolist() != right.tolist()  # the payload does see the order
+        got = rp._run_batches(order_sensitive_payload, 3, sum(sizes), seed, workers)
+        assert got.tolist() == left.tolist()
+        assert inline_pool == ([] if workers == 1 else [3])
+
+    def test_workers_must_be_an_int(self, monkeypatch, inline_pool):
+        monkeypatch.setattr(rp, "BATCH_SIZE", 100)
+        for workers in (2.0, np.int64(2), True):
+            with pytest.raises(ValueError, match="workers"):
+                rp.estimate_region_stats(4, 1000, seed=38, workers=workers)
+            with pytest.raises(ValueError, match="workers"):
+                rp.estimate_bracelet_prob(4, RUN4, 1000, seed=38, workers=workers)
+        assert inline_pool == []
+
+    @pytest.mark.parametrize("seed", [1.5, True, "3", np.float64(1)])
+    def test_seed_must_be_an_int(self, monkeypatch, seed):
+        # rejected before a stream is built, so nothing is drawn
+        real_rng, made = rp.batch_rng, []
+
+        def recording_rng(seed, index):
+            rng = real_rng(seed, index)
+            made.append(index)
+            return rng
+
+        monkeypatch.setattr(rp, "batch_rng", recording_rng)
+        runs = (
+            lambda: rp.estimate_region_stats(3, 1000, seed),
+            lambda: rp.transfer_check(4, 1000, seed),
+            lambda: rp.batch_rng(seed, 0),
+        )
+        for run in runs:
+            with pytest.raises(ValueError, match="integer seed"):
+                run()
+        assert made == []
 
     def test_unknown_model_names_the_choices(self):
         target = words.canonical_bracelet(words.run_word(4))
