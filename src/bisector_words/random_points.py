@@ -63,6 +63,7 @@ near-degenerate input.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -211,10 +212,11 @@ def phi_series(x, n: int) -> Fraction:
 class EstimatorResult:
     """A Monte Carlo mean, its standard error, and its z score against ``target``.
 
-    z is (estimate - target) / std_error.  A sample without spread
-    (std_error 0) has z = 0 when the estimate equals the target and z = inf
-    otherwise; the CLI's JSON prints such an inf as ``null``.  :func:`z_between`
-    follows the same rule.
+    z is (estimate - target) / std_error, and NaN when the estimate or the
+    target is NaN.  A sample without spread (std_error 0) has z = 0 when the
+    estimate equals the target and z = +inf or -inf, by the sign of
+    estimate - target, otherwise; the CLI's JSON prints every non-finite z
+    as ``null``.  :func:`z_between` follows the same rule.
     """
 
     estimate: float
@@ -252,9 +254,10 @@ def _make_result(total: float, total_sq: float, trials: int, seed: int, target) 
 
 def _z(estimate: float, target: float, se: float) -> float:
     """The z score of ``estimate`` against ``target`` (see :class:`EstimatorResult`)."""
-    if se == 0.0:
-        return 0.0 if estimate == target else math.inf
-    return (estimate - target) / se
+    diff = estimate - target
+    if se != 0.0:
+        return diff / se
+    return diff if diff == 0.0 or math.isnan(diff) else math.copysign(math.inf, diff)
 
 
 def z_between(a: EstimatorResult, b: EstimatorResult) -> float:
@@ -275,7 +278,9 @@ def _run_batches(fn, n: int, trials: int, seed: int, workers: int, *args):
     """The sum of ``fn(n, batch_rng(seed, i), size, *args)`` over the batches i, added in batch order.
 
     The batch results are added left to right whatever the worker count, so
-    the sum is bit-identical for any number of workers.  ``fn`` is a
+    the sum is bit-identical for any number of workers.  A pool is fed
+    rounds of 4 * workers tasks, so it holds a bounded number of batches
+    (each with its generator) however many trials there are.  ``fn`` is a
     top-level function, so that it pickles into worker processes, and its
     results add with ``+`` (ints or numpy arrays).
     """
@@ -289,9 +294,11 @@ def _run_batches(fn, n: int, trials: int, seed: int, workers: int, *args):
     workers = min(workers, os.cpu_count() or 1)
     if workers == 1 or len(starts) == 1:
         return sum(map(_call_batch, tasks))
-    chunk = max(1, len(starts) // (4 * workers))
+    total, per_round = 0, 4 * workers
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_call_batch, tasks, chunksize=chunk))
+        for _ in range(0, len(starts), per_round):
+            total = sum(pool.map(_call_batch, itertools.islice(tasks, per_round)), total)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -673,10 +680,9 @@ def transfer_check(n: int, trials: int, seed: int) -> TransferReport:
 
     The exponential-model estimator averages (unnormalized type-k length)/(2n),
     which the transfer identity equates with the unit-circle expectation.
-    Internally uses seeds seed+1 (circle) and seed+2 (exponential).
+    Internally uses seeds seed+1 (circle) and seed+2 (exponential); n and
+    trials are checked by :func:`estimate_region_stats` before any draw.
     """
-    _check_n(n, MAX_GEOMETRY_N)
-    _check_trials(trials)
     _check_seed(seed)
     _check_seed(seed + 2)
     circle = estimate_region_stats(n, trials, seed + 1)

@@ -48,12 +48,15 @@ so it is hit with probability 4n / Σ|Fix| = 1/#classes.  The terms come
 from :func:`enumeration._fixed_point_counts` and Σ mult·|Fix| from
 :func:`enumeration._burnside_total`, as the count does.  One exactly
 uniform t on [0, Σ mult·|Fix|) picks the type and, as remainder, the fixed
-word; the decoders are described at :func:`_fixed_word`.
+word (:func:`_bracelet_of_draw`; the fixed-word decoders are described at
+:func:`_fixed_word`).
 
-At small n both samplers read their result from a lookup table: when the
-one draw has at most 2^10 values (n <= 6 for words and for bracelets), the
-draw indexes a table built on first use, once per n, by the same decoders,
-so the draws and the outputs are those of the decoding path.  Once the
+Each sampler draw has one decoder: :func:`_word_of_draw` for the head draw
+of a word and :func:`_bracelet_of_draw` for the bracelet draw.  At small n
+both samplers read their result from a lookup table: when the one draw has
+at most 2^10 values (n <= 6 for words and for bracelets), the table is the
+decoder applied to every value of the draw, built on first use, once per
+n, so a draw's output is the decoder's by construction.  Once the
 table of n is built, a call finds it with one dict lookup, which also
 proves n valid, checks the generator and draws: about 600 ns per call on a
 2-vCPU Xeon VM (2.1 GHz), of which the raw word is about 250 ns.  Above
@@ -88,10 +91,11 @@ _LETTER_OF_STEP = {-1: 0, 1: 1, 0: 2}
 # range is <= 2^64, so every head and tail draw reads one raw word.
 _BLOCK = 39
 # Head requirements on the S count, and _COUNTS[requirement][L], the number
-# of length-L letter strings that meet it.
+# of length-L letter strings that meet it: for _EVEN_WITH_S, half the
+# realizable words of length 2L, whose other half differ in the phase bit.
 _EVEN_WITH_S, _EVEN, _ODD = 0, 1, 2
 _COUNTS = (
-    tuple((3**L + 1) // 2 - 2**L for L in range(40)),
+    tuple(enumeration._word_count(L) // 2 for L in range(40)),
     tuple((3**L + 1) // 2 for L in range(40)),
     tuple((3**L - 1) // 2 for L in range(40)),
 )
@@ -217,12 +221,9 @@ def _word_letters(n: int, rng: np.random.Generator) -> tuple[int, list[int]]:
             return x & 1, _head_letters(x >> 1, head, requirement) + tail
 
 
-def _word_table(n: int) -> tuple[Word, ...]:
-    """Every realizable word of length 2n, at the index of the head draw that decodes to it."""
-    return tuple(
-        words.letters_to_word(x & 1, _head_letters(x >> 1, n, _EVEN_WITH_S))
-        for x in range(2 * _COUNTS[_EVEN_WITH_S][n])
-    )
+def _word_of_draw(size: int, x: int) -> Word:
+    """The realizable word of length 2·size <= 78 of head draw x: phase bit x & 1, head rank x >> 1."""
+    return words.letters_to_word(x & 1, _head_letters(x >> 1, size, _EVEN_WITH_S))
 
 
 def sample_uniform_word(n: int, rng: np.random.Generator) -> Word:
@@ -236,9 +237,9 @@ def sample_uniform_word(n: int, rng: np.random.Generator) -> Word:
     if table is None or isinstance(rng.bit_generator, _MT19937):
         _check_n(n, MAX_WORD_N)
         _check_raw_words(rng)
-        if n > _BLOCK or 2 * _COUNTS[_EVEN_WITH_S][n] > _TABLE_SIZE:
+        if n > _BLOCK or enumeration._word_count(n) > _TABLE_SIZE:
             return words.letters_to_word(*_word_letters(n, rng))
-        table = _WORD_TABLES[n] = _word_table(n)
+        table = _WORD_TABLES[n] = tuple(_word_of_draw(n, x) for x in range(enumeration._word_count(n)))
     return table[_uniform_below(len(table), rng)]
 
 
@@ -268,43 +269,31 @@ def _fixed_word(n: int, kind: int | None, q: int, rng: np.random.Generator) -> W
     - Rotation with d = ``kind`` dividing n: the alternation word 0101...
       (q = 0) or 1010... (q = 1).
     - Rotation with d not dividing n: a realizable word of size d/2,
-      repeated 2n/d times.  Up to size 39, q is its draw: the phase bit
-      and the head rank of the word sampler.  Above, q would need a big
-      rank, so the word is drawn afresh; those draws are independent of
-      the type, so the word is still uniform on the fixed set.
+      repeated 2n/d times.  Up to size 39, q is its head draw, decoded
+      by :func:`_word_of_draw` as in the word sampler.  Above, q would
+      need a big rank, so the word is drawn afresh; those draws are
+      independent of the type, so the word is still uniform on the fixed
+      set.
     """
     if kind is None:
         return _mirror_word(n, q)
     if n % kind == 0:
         return (q, 1 - q) * n
     size = kind // 2
-    if size <= _BLOCK:
-        phase, letters = q & 1, _head_letters(q >> 1, size, _EVEN_WITH_S)
-    else:
-        phase, letters = _word_letters(size, rng)
-    return words.letters_to_word(phase, letters) * (n // size)
+    w = _word_of_draw(size, q) if size <= _BLOCK else words.letters_to_word(*_word_letters(size, rng))
+    return w * (n // size)
 
 
-def _bracelet_table(n: int) -> tuple[Bracelet, ...]:
-    """The bracelet of every value t of the sampler's draw, for n whose Burnside total is small.
+def _bracelet_of_draw(n: int, t: int, rng: np.random.Generator | None) -> Bracelet:
+    """The bracelet of the sampler's draw t on [0, Σ mult·|Fix|) (see :func:`sample_uniform_bracelet`).
 
-    Each fixed word is decoded once and its block repeated mult times.  A
-    class is canonicalised once with :func:`words.canonical_bracelet` and
-    its :func:`words.bracelet_orbit` marked, so later words of the class
-    are looked up.
+    t falls in the block of mult·|Fix| values of one Burnside type, and its
+    remainder mod |Fix| is the fixed word, which is canonicalised.
     """
-    classes: dict[int, Bracelet] = {}
-    table: list[Bracelet] = []
     for kind, mult, fixed in enumeration._fixed_point_counts(n):
-        block = []
-        for q in range(fixed):
-            w = _fixed_word(n, kind, q, None)
-            x = words.word_to_int(w)
-            if x not in classes:
-                classes.update(dict.fromkeys(words.bracelet_orbit(w), words.canonical_bracelet(w)))
-            block.append(classes[x])
-        table += block * mult
-    return tuple(table)
+        if t < mult * fixed:
+            return words.canonical_bracelet(_fixed_word(n, kind, t % fixed, rng))
+        t -= mult * fixed
 
 
 def sample_uniform_bracelet(n: int, rng: np.random.Generator) -> Bracelet:
@@ -318,7 +307,8 @@ def sample_uniform_bracelet(n: int, rng: np.random.Generator) -> Bracelet:
     Σ_g |Fix(g) ∩ C| / Σ = |C| · (4n/|C|) / Σ = 1/#classes; grouping
     rotations by gcd and reflections by conjugacy does not change these
     sums.  The word is canonicalised once; there is no rejection loop.
-    Up to n = 6, Σ <= 2^10 and t indexes :func:`_bracelet_table` instead.
+    Up to n = 6, Σ <= 2^10 and t indexes the table of
+    :func:`_bracelet_of_draw` over every t instead.
 
     ``rng`` must yield 64-bit raw words (PCG64, PCG64DXSM, Philox, SFC64);
     one backed by MT19937, whose raw words are 32-bit, is rejected with a
@@ -330,13 +320,8 @@ def sample_uniform_bracelet(n: int, rng: np.random.Generator) -> Bracelet:
         total = enumeration._burnside_total(n)
         _check_raw_words(rng)
         if total > _TABLE_SIZE:
-            t = _uniform_below(total, rng)
-            for kind, mult, fixed in enumeration._fixed_point_counts(n):
-                if t < mult * fixed:
-                    break
-                t -= mult * fixed
-            return words.canonical_bracelet(_fixed_word(n, kind, t % fixed, rng))
-        table = _BRACELET_TABLES[n] = _bracelet_table(n)
+            return _bracelet_of_draw(n, _uniform_below(total, rng), rng)
+        table = _BRACELET_TABLES[n] = tuple(_bracelet_of_draw(n, t, None) for t in range(total))
     return table[_uniform_below(len(table), rng)]
 
 
@@ -467,7 +452,7 @@ def _clt_sums(n: int, rng: np.random.Generator, size: int, bounds: list[int]):
     """
     # p correctly rounded, from exact integers; above 100 letters it rounds to 1/2
     k = min(n, 100)
-    p = ((3**k + 1) // 2 - 2**k) / 3**k
+    p = enumeration._word_count(k) / (2 * 3**k)
     total = np.zeros((4, 3, len(bounds)), dtype=np.int64)
     missing = size
     while missing:

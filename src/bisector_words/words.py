@@ -39,7 +39,7 @@ _INT = frozenset({int})
 MAX_BRACELET_N = 5000
 
 
-def _check_n(n: int, most: int | None = None, least: int = 3) -> None:
+def _check_n(n: int, most: int, least: int = 3) -> None:
     """Reject, before anything is built or drawn, an n that is not an integer in [least, most].
 
     n must be exactly an ``int``: a numpy integer would carry fixed-width
@@ -48,9 +48,8 @@ def _check_n(n: int, most: int | None = None, least: int = 3) -> None:
     """
     if type(n) is not int:
         raise ValueError(f"need an integer n, got {n!r}")
-    if n < least or most is not None and n > most:
-        bounds = f"n >= {least}" if most is None else f"{least} <= n <= {most}"
-        raise ValueError(f"need {bounds}, got {n}")
+    if not least <= n <= most:
+        raise ValueError(f"need {least} <= n <= {most}, got {n}")
 
 
 def _as_ints(values: Iterable[int], what: str) -> tuple[int, ...]:

@@ -363,6 +363,28 @@ def _flip_color(k):
     return "_colored_dots", colored
 
 
+def _move_dots(regions):
+    """Move dot k to the start of region ``regions[k]``, keeping its place in the list and its color."""
+
+    def colored(f, original=geometry._colored_dots):
+        out = original(f)
+        bnd = f.boundaries()  # region j starts at boundary j - 1
+        for k, j in regions.items():
+            out[k] = (bnd[j - 1] + 1, out[k][1])
+        return out
+
+    return "_colored_dots", colored
+
+
+def _set_sides(sides):
+    """Set the look side of every dot, keeping its nearest opposite-color dot."""
+
+    def directions(dots, circle, original=geometry._dot_directions):
+        return [(side, nearest) for side, (_, nearest) in zip(sides, original(dots, circle))]
+
+    return "_dot_directions", directions
+
+
 class TestDirectionPatternsDetectBrokenInput:
     """Each broken input makes the check fail with its own logged reason.
 
@@ -416,6 +438,45 @@ class TestDirectionPatternsDetectBrokenInput:
         }
         assert len(reasons[geometry.logger.name]) == 1
         assert reasons[geometry.logger.name] == reasons[pattern_logger.name]
+
+    @pytest.mark.parametrize(
+        "patches, reason",
+        [
+            ([_move_dots({1: 2})], "antipodal regions have different types"),
+            (
+                # dots 5 and 7 join dot 2 in region 3, and dots 14 and 16 join
+                # dot 11 in region 12, each away from its neighbours in the
+                # list: two three-dot regions, so six empty ones but two LR pairs
+                [_move_dots({5: 3, 7: 3, 14: 12, 16: 12}), _set_sides("LLLLLLLLRLLLLLLLLR")],
+                "LR pattern count != number of empty regions",
+            ),
+            (
+                # dots 9 and 17 move into the empty regions 8 and 17; dot 9
+                # keeps its place in the list, between the LR pair (7, 8)
+                [_move_dots({9: 8, 17: 17}), _set_sides("LLRRRLLLRRRRRRLLLL")],
+                "region 8 between LR pair is not empty",
+            ),
+            (
+                # dot k alone in region k: no empty and no two-dot region
+                [_move_dots({k: k for k in range(1, 18)}), _set_sides("L" * 18)],
+                "no two-dot region",
+            ),
+        ],
+        ids=["antipodal-types", "lr-count", "lr-gap-not-empty", "no-two-dot-region"],
+    )
+    def test_moved_dots_fail_with_the_oracle_reason(self, monkeypatch, caplog, patches, reason):
+        cfg = realization.realize(self.WORD)
+        for patch in patches:
+            monkeypatch.setattr(geometry, *patch)
+        with caplog.at_level(logging.WARNING):
+            got = verify_direction_patterns(cfg)
+            want = direction_patterns_by_region_lists(cfg)
+        assert got is want is False
+        reasons = {
+            name: [r.getMessage() for r in caplog.records if r.name == name]
+            for name in (geometry.logger.name, pattern_logger.name)
+        }
+        assert reasons[geometry.logger.name] == reasons[pattern_logger.name] == [f"pattern check: {reason}"]
 
     def test_non_interlacing_signature_fails(self, monkeypatch, caplog):
         cfg = realization.realize(self.WORD)

@@ -700,6 +700,23 @@ class TestEstimators:
         assert a.std_error == b.std_error == 0.0
         assert rp.z_between(a, b) == 0.0
         assert rp.z_between(a, dataclasses.replace(b, estimate=0.5)) == math.inf
+        assert rp.z_between(dataclasses.replace(b, estimate=0.5), a) == -math.inf
+
+    def test_z_without_spread_keeps_its_sign(self):
+        # two trials at n = 4 both hold 2 two-dot regions, below the target 20/9
+        h2 = rp.estimate_region_stats(4, 2, 0)["h2"]
+        assert (h2.estimate, h2.std_error) == (2.0, 0.0)
+        assert h2.estimate < h2.target
+        assert h2.z == -math.inf
+
+    def test_nan_target_gives_nan_z(self):
+        # a bracelet other than the run word's has no closed form: its target is NaN
+        other = words.canonical_bracelet((1, 1, 0, 1, 0, 0, 1, 0))
+        res = rp.estimate_bracelet_prob(4, other, 2000, seed=1)
+        assert (res.estimate, res.std_error) == (0.0, 0.0)
+        assert math.isnan(res.target)
+        assert math.isnan(res.z)
+        assert math.isnan(rp.z_between(res, dataclasses.replace(res, estimate=math.nan)))
 
     def test_region_stats_within_bands_at_large_n(self):
         results = rp.estimate_region_stats(1000, 4000, seed=29)
@@ -729,6 +746,26 @@ class TestEstimators:
         got = rp._run_batches(order_sensitive_payload, 3, sum(sizes), seed, workers)
         assert got.tolist() == left.tolist()
         assert inline_pool == ([] if workers == 1 else [3])
+
+    def test_pool_is_fed_rounds_of_four_tasks_per_worker(self, monkeypatch, inline_pool):
+        # The pool holds at most 4 * workers batches, and so generators, at
+        # a time; the rounds keep the batch order, so the sum is the serial one.
+        monkeypatch.setattr(rp.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(rp, "BATCH_SIZE", 10)
+        rounds = []
+
+        class RecordingExecutor(rp.ProcessPoolExecutor):
+            def map(self, fn, items, chunksize=1):
+                items = list(items)
+                rounds.append(len(items))
+                return super().map(fn, items)
+
+        monkeypatch.setattr(rp, "ProcessPoolExecutor", RecordingExecutor)
+        serial = rp._run_batches(order_sensitive_payload, 3, 1003, 41, 1)
+        pooled = rp._run_batches(order_sensitive_payload, 3, 1003, 41, 2)
+        assert pooled.tolist() == serial.tolist()
+        assert sum(rounds) == 101
+        assert max(rounds) <= 4 * 2
 
     def test_workers_must_be_an_int(self, monkeypatch, inline_pool):
         monkeypatch.setattr(rp, "BATCH_SIZE", 100)

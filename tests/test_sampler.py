@@ -206,7 +206,7 @@ class TestUniformWords:
             assert sampler.sample_uniform_word(n, rng) == decoded[x]
             assert rng.highs == [total]
         if n <= 6:
-            assert sampler._word_table(n) == tuple(decoded)
+            assert sampler._WORD_TABLES[n] == tuple(decoded)
 
     @pytest.mark.parametrize("n", [2, sampler.MAX_WORD_N + 1])
     def test_n_bounded_before_any_draw(self, draws_via_integers, n):
@@ -446,7 +446,9 @@ class TestUniformBracelets:
     def test_table_is_the_decoding_path(self, monkeypatch, draws_via_integers, n):
         # Up to n = 6 every draw t reads the table; with the table turned
         # off, the same t decodes and canonicalises the same bracelet.
-        table = sampler._bracelet_table(n)
+        monkeypatch.setattr(sampler, "_BRACELET_TABLES", {})
+        sampler.sample_uniform_bracelet(n, ScriptedRng([0]))
+        table = sampler._BRACELET_TABLES[n]
         assert len(table) == 4 * n * enumeration.count_bracelets(n)
         monkeypatch.setattr(sampler, "_TABLE_SIZE", 0)
         monkeypatch.setattr(sampler, "_BRACELET_TABLES", {})
@@ -494,32 +496,30 @@ def test_tables_serve_n_up_to_6(n):
     assert (words_total <= sampler._TABLE_SIZE) == (bracelets_total <= sampler._TABLE_SIZE) == (n <= 6)
 
 
-def test_table_builds_at_n6_decode_each_word_once(monkeypatch):
-    # The word table decodes each rank once; the bracelet table decodes
-    # each fixed word once, not once per group element of its type, and
-    # canonicalises and marks one orbit per class.
-    calls = Counter()
+@pytest.mark.parametrize("n", range(3, 7))
+def test_each_table_entry_is_one_decoder_call_without_a_generator(monkeypatch, n):
+    # A table is its decoder applied to every value of the draw, with no
+    # generator, so the call that builds it reads one raw word: the index.
+    seen = {"_word_of_draw": [], "_bracelet_of_draw": []}
+    for name, log in seen.items():
 
-    def counting(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args):
-            calls[name] += 1
+        def recording(*args, original=getattr(sampler, name), log=log):
+            log.append(args)
             return original(*args)
 
-        monkeypatch.setattr(module, name, wrapper)
-
-    counting(sampler, "_head_letters")
-    counting(sampler, "_fixed_word")
-    counting(words, "bracelet_orbit")
-    counting(words, "canonical_bracelet")
-    assert len(sampler._word_table(6)) == enumeration.count_words(6)
-    assert calls == {"_head_letters": enumeration.count_words(6)}
-    calls.clear()
-    assert len(sampler._bracelet_table(6)) <= sampler._TABLE_SIZE
-    terms = enumeration._fixed_point_counts(6)
-    assert calls["_fixed_word"] == sum(fixed for _, _, fixed in terms)
-    assert calls["bracelet_orbit"] == calls["canonical_bracelet"] == enumeration.count_bracelets(6)
+        monkeypatch.setattr(sampler, name, recording)
+    monkeypatch.setattr(sampler, "_WORD_TABLES", {})
+    monkeypatch.setattr(sampler, "_BRACELET_TABLES", {})
+    rng = RawWords([2**64 - 1] * 2)  # accepted on any range below 2^63: the last value
+    word = sampler.sample_uniform_word(n, rng)
+    assert rng.drawn == 1
+    assert seen["_word_of_draw"] == [(n, x) for x in range(enumeration.count_words(n))]
+    assert word == sampler._WORD_TABLES[n][-1]
+    bracelet = sampler.sample_uniform_bracelet(n, rng)
+    assert rng.drawn == 2
+    total = 4 * n * enumeration.count_bracelets(n)
+    assert seen["_bracelet_of_draw"] == [(n, t, None) for t in range(total)]
+    assert bracelet == sampler._BRACELET_TABLES[n][-1]
 
 
 SAMPLERS = [
@@ -636,6 +636,21 @@ PINNED_CLT = {
     (7, random_points.BATCH_SIZE + 500, (0.1, 0.5, 0.5, 1.0), 3): "7cc3694aede595bec9a437b80857b38693d52e5ca4054b064f2b35748e64099b",
 }
 
+# sha256 of the tables of n = 3..6, recorded while the tables still had
+# their own builders beside the decoding path; the tables that apply the
+# decoder to every draw must equal them.  PINNED_WORDS and PINNED_BRACELETS
+# pin the decoding path above n = 6.
+PINNED_TABLES = {
+    ("words", 3): "9d5c419a8181d0b8754456f81a64f9c7c8fae6b8324dee7612c29a1da88ec5e3",
+    ("bracelets", 3): "db04359ee6c188373ec8601dc94d7526ad28b1aac9ebac119cfa9ec418da9837",
+    ("words", 4): "cd572e38496d1dd88487482a4a8e25c4dd61cb48af68e685b2fd72ac1b72bcb7",
+    ("bracelets", 4): "21f30b6e70bf76c5c302637ea52ab16e3f38cde53696f8903fbc0ec1d07473af",
+    ("words", 5): "30a96a44c0db48e2cfc2007ed911118cc215af6a0ba564708f40965690da4b63",
+    ("bracelets", 5): "82ec88ffcdece442aeadd42ba2cd74c919811143c4dd827200e1176cd168eaf1",
+    ("words", 6): "ff8dd7a303903ddf1d6b7e6277e0ed83e704012652df84db4afde370b24f44ea",
+    ("bracelets", 6): "07c5a142cb71c04619fe1385f9fec1a8036c4a3c79112b6d67e771adf18a46ce",
+}
+
 
 class TestPinnedStreams:
     @pytest.mark.parametrize("n", sorted(PINNED_WORDS))
@@ -649,6 +664,18 @@ class TestPinnedStreams:
         rng = batch_rng(n, 1)
         out = (str(sampler.sample_uniform_bracelet(n, rng)) for _ in range(2000))
         assert _sha256("\n".join(out)) == PINNED_BRACELETS[n]
+
+    @pytest.mark.parametrize("kind, n", sorted(PINNED_TABLES))
+    def test_tables(self, monkeypatch, kind, n):
+        monkeypatch.setattr(sampler, "_WORD_TABLES", {})
+        monkeypatch.setattr(sampler, "_BRACELET_TABLES", {})
+        if kind == "words":
+            sampler.sample_uniform_word(n, batch_rng(n, 7))
+            out = map(words.word_to_string, sampler._WORD_TABLES[n])
+        else:
+            sampler.sample_uniform_bracelet(n, batch_rng(n, 7))
+            out = map(str, sampler._BRACELET_TABLES[n])
+        assert _sha256("\n".join(out)) == PINNED_TABLES[kind, n]
 
     @pytest.mark.parametrize("case", sorted(PINNED_CLT))
     def test_clt_report(self, case):
