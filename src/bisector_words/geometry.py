@@ -25,12 +25,16 @@ float input.
 
 Words are read with the first point rotated to 0: region 0 is the arc
 containing positions just above 0, regions follow counterclockwise.
+Genericity is decided in one place, ``_generic_frame``, on that rotated
+frame, with ``FLOAT_TIE_TOLERANCE`` for float frames; every reader and
+:func:`ensure_generic` take that decision.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -62,7 +66,11 @@ class PointConfig:
     """n >= 3 strictly increasing positions in [0, 1) on the unit-length circle.
 
     ``is_exact`` (no position is a float) is settled at construction, as are
-    the positions in circle units (see the module docstring).
+    the positions in circle units (see the module docstring).  A float
+    configuration computes in floats only: every position, a Fraction or
+    int among floats included, enters the circle units as its float, while
+    ``positions`` keeps the values as given.  So mixed input whose exact
+    values round to equal floats, or to 1.0, is rejected here.
     """
 
     positions: tuple
@@ -76,7 +84,7 @@ class PointConfig:
             pos = tuple(p if isinstance(p, Fraction) else Fraction(p) for p in pos)
             xs, unit = _over_common_denominator(pos)
         else:
-            unit, xs = 1, pos
+            unit, xs = 1, tuple(map(float, pos))
         self._settle(pos, exact, xs, unit)
 
     @classmethod
@@ -168,22 +176,32 @@ class _Frame:
         gaps.append(vals[0] + self.circle - vals[-1])
         return min(gaps)
 
-    def ensure_generic(self) -> None:
-        margin = self.margin()
-        if self.exact:
-            if margin <= 0:
-                raise NonGenericConfiguration("coinciding critical values")
-        elif self.arc(margin) < FLOAT_TIE_TOLERANCE:
-            raise NonGenericConfiguration(
-                f"critical values within {FLOAT_TIE_TOLERANCE} of each other"
-                f" (margin {self.arc(margin)!r})"
-            )
-
 
 def _generic_frame(config: PointConfig) -> _Frame:
-    """The frame of ``config`` with p_0 rotated to 0, checked for genericity."""
+    """The frame of ``config`` with p_0 rotated to 0, checked for genericity.
+
+    This is the one genericity decision, made on the frame that every
+    reader reads: its 4n critical values must be pairwise distinct, and in
+    a float frame at least ``FLOAT_TIE_TOLERANCE`` apart in arc length.
+    :func:`ensure_generic` makes it too, so a configuration it accepts is
+    accepted by every reader.  The readers rely on what it proves and check
+    none of it again: bisector j lies strictly between points j and j + 1,
+    so no two points share a region; no dot is equidistant from its two
+    opposite-colour neighbours, which come from consecutive points, since
+    that would put it on their bisector or its antipode; and no point sits
+    on p_0's antipode, so each point or its antipode, not both, lies in
+    [0, 1/2).
+    """
     f = _Frame(config, rotate=True)
-    f.ensure_generic()
+    margin = f.margin()
+    if f.exact:
+        if margin <= 0:
+            raise NonGenericConfiguration("coinciding critical values")
+    elif f.arc(margin) < FLOAT_TIE_TOLERANCE:
+        raise NonGenericConfiguration(
+            f"critical values within {FLOAT_TIE_TOLERANCE} of each other"
+            f" (margin {f.arc(margin)!r})"
+        )
     return f
 
 
@@ -210,6 +228,13 @@ def critical_values(config: PointConfig) -> list:
 def genericity_margin(config: PointConfig):
     """Smallest cyclic gap between two critical values; 0 means degenerate.
 
+    It reads the unrotated frame, so for float input it can differ from the
+    decision of :func:`ensure_generic`, made on the rotated frame, by
+    rounding: for the positions (0.14530105942205312, 0.4041498492826533,
+    0.7747254543533533) it is 1.00009e-12, just above
+    ``FLOAT_TIE_TOLERANCE``, while the rotated frame's margin is 9.99978e-13
+    and the configuration is rejected.  Exact margins do not depend on the
+    frame.
     Test seam: read by the Fraction-oracle test and the float-path and plan digests.
     """
     f = _Frame(config, rotate=False)
@@ -217,7 +242,8 @@ def genericity_margin(config: PointConfig):
 
 
 def ensure_generic(config: PointConfig) -> None:
-    _Frame(config, rotate=False).ensure_generic()
+    """Raise :class:`NonGenericConfiguration` exactly when the readers would (see :func:`_generic_frame`)."""
+    _generic_frame(config)
 
 
 def region_boundaries(config: PointConfig) -> tuple:
@@ -251,8 +277,6 @@ def _occupancy(f: _Frame, bnd: Sequence) -> Word:
     v = [0] * m
     for p in f.points():
         v[_region_index(bnd, p, m)] += 1
-    if any(b > 1 for b in v):
-        raise NonGenericConfiguration("two points share a region")
     return tuple(v)
 
 
@@ -309,8 +333,6 @@ def _look_direction(q, opposite: Sequence, circle) -> tuple[str, object]:
     near = (opposite[i - 1], opposite[i % len(opposite)])
     deltas = [(x - q) % circle for x in near]
     dists = [min(d, circle - d) for d in deltas]
-    if dists[0] == dists[1]:
-        raise NonGenericConfiguration("equidistant opposite-color dots")
     j = dists.index(min(dists))
     return ("R" if 2 * deltas[j] < circle else "L"), near[j]
 
@@ -335,8 +357,6 @@ def ocdc(config: PointConfig) -> tuple[str, ...]:
     for (q, color), (d, _) in zip(dots, _dot_directions(dots, f.circle)):
         if 2 * q < f.circle:
             entries.append(("B" if color else "W") + d)
-    if len(entries) != f.n:
-        raise NonGenericConfiguration("half circle does not hold exactly n dots")
     return tuple(entries)
 
 
@@ -449,15 +469,21 @@ class RegionStats:
         }
 
 
-def _check_t_grid(t_grid: Sequence) -> None:
-    """Reject a grid value outside [0, 1], NaN included."""
-    if not all(0 <= t <= 1 for t in t_grid):
-        raise ValueError(f"need 0 <= t <= 1 for every grid value, got {[float(t) for t in t_grid]}")
+def _check_t_grid(t_grid: Iterable) -> tuple:
+    """The grid as a tuple; rejected unless it is a flat sequence of real numbers in [0, 1] (NaN is not)."""
+    try:
+        grid = tuple(t_grid)
+    except TypeError:
+        grid = None
+    if grid is None or not all(isinstance(t, numbers.Real) for t in grid):
+        raise ValueError(f"need a flat sequence of real numbers as the t-grid, got {t_grid!r}")
+    if not all(0 <= t <= 1 for t in grid):
+        raise ValueError(f"need 0 <= t <= 1 for every grid value, got {[float(t) for t in grid]}")
+    return grid
 
 
 def region_stats(config: PointConfig, t_grid: Sequence = ()) -> RegionStats:
-    grid = tuple(t_grid)
-    _check_t_grid(grid)
+    grid = _check_t_grid(t_grid)
     f = _generic_frame(config)
     m = 2 * f.n
     bnd = f.boundaries()

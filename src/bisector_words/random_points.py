@@ -562,8 +562,10 @@ def _max_gap_sums(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
 def sample_uniform_config(n: int, rng: np.random.Generator) -> PointConfig:
     """n i.i.d. uniform positions on the circle, resampled if degenerate, 3 <= n <= 10^5.
 
-    A draw is degenerate when two critical values lie within
-    ``geometry.FLOAT_TIE_TOLERANCE`` of each other, and that share grows
+    A draw is degenerate when :func:`geometry.ensure_generic` rejects it:
+    two critical values of the frame that every reader reads, p_0 rotated to
+    0, lie within ``geometry.FLOAT_TIE_TOLERANCE`` of each other.  So every
+    reader accepts the returned configuration.  The degenerate share grows
     with n: about 1 draw in 40 had such a near-tie at n = 10^5, and every
     draw did at n = 10^6, where this loop would in effect never return.
     So n is bounded by ``MAX_CONFIG_N`` before anything is drawn.
@@ -736,8 +738,7 @@ def equidistribution_paths(
     row by row and the batch sums are added in batch order.
     """
     _check_n(n, MAX_GEOMETRY_N)
-    grid = np.asarray(t_grid, dtype=np.float64)
-    _check_t_grid(grid)
+    grid = np.asarray(_check_t_grid(t_grid), dtype=np.float64)
     h_acc, l_acc = _run_batches(_path_sums, n, trials, seed, 1, grid) / trials
     return PathReport(
         n=n,

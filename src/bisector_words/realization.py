@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import words
-from .geometry import PointConfig, _arc_indices, _Frame, _over_common_denominator, ensure_generic
+from .geometry import PointConfig, _arc_indices, _Frame, _over_common_denominator
 from .words import Word
 
 
@@ -164,14 +164,14 @@ def realize(w) -> PointConfig:
 
     The reading convention fixes a rotation, so the word computed from the
     returned configuration is a cyclic shift of w; bracelets agree exactly.
-    Raises :class:`NotRealizable` when the signature does not interlace,
-    and ValueError when n exceeds ``MAX_REALIZE_N``.
+    The output is generic by construction (see the module docstring), so
+    nothing is checked here; genericity is decided again whenever the
+    configuration is read.  Raises :class:`NotRealizable` when the signature
+    does not interlace, and ValueError when n exceeds ``MAX_REALIZE_N``.
     """
     fields, q, _, perturbed = _construct(_checked_word(w))
     xs = sorted(x % q for x, bit in zip(perturbed, fields["rotated_word"]) if bit)
-    config = PointConfig._from_units(xs, q)
-    ensure_generic(config)
-    return config
+    return PointConfig._from_units(xs, q)
 
 
 def verify_bisector_layout(plan: RealizationPlan) -> bool:

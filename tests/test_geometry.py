@@ -20,6 +20,7 @@ from bisector_words.geometry import (
     region_stats,
     verify_direction_patterns,
 )
+from bisector_words.random_points import equidistribution_paths, sample_uniform_config
 
 from oracles import (
     bisector_positions_by_fractions,
@@ -34,16 +35,6 @@ from oracles import (
 
 EXAMPLE = PointConfig((0.0, 0.1, 0.3))
 EXAMPLE_EXACT = PointConfig((Fraction(0), Fraction(1, 10), Fraction(3, 10)))
-
-
-def random_config(rng, n):
-    while True:
-        try:
-            cfg = PointConfig(tuple(sorted(float(x) for x in rng.random(n))))
-            geometry.ensure_generic(cfg)
-            return cfg
-        except (ValueError, NonGenericConfiguration):
-            continue
 
 
 def random_exact_config(rng, n, denominator=997):
@@ -93,6 +84,31 @@ class TestPointConfig:
         same = PointConfig(EXAMPLE_EXACT.positions)
         assert same == EXAMPLE_EXACT and hash(same) == hash(EXAMPLE_EXACT)
 
+    def test_float_configuration_computes_in_floats_only(self):
+        mixed = PointConfig((0, Fraction(1, 10), 0.3))
+        assert mixed.positions == (0, Fraction(1, 10), 0.3) and not mixed.is_exact
+        floats = PointConfig((0.0, 0.1, 0.3))
+        for read in (
+            geometry.bisector_positions,
+            geometry.critical_values,
+            geometry.region_boundaries,
+            lambda cfg: geometry.arrangement(cfg).bisectors,
+            lambda cfg: region_stats(cfg, (0.5, 1)).lengths,
+            lambda cfg: (geometry.genericity_margin(cfg),),
+        ):
+            got = read(mixed)
+            assert all(type(x) is float for x in got) and _hexes(got) == _hexes(read(floats))
+        assert occupancy_word(mixed) == occupancy_word(floats) and ocdc(mixed) == ocdc(floats)
+
+    def test_mixed_input_that_rounds_together_is_rejected_at_construction(self):
+        tiny = Fraction(1, 10**30)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PointConfig((0.0, Fraction(1, 3), Fraction(1, 3) + tiny))
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            PointConfig((0.0, 0.5, 1 - tiny))
+        # exact input keeps such values apart
+        assert PointConfig((0, Fraction(1, 3), Fraction(1, 3) + tiny, 1 - tiny)).is_exact
+
     def test_string_roundtrip(self):
         cfg = PointConfig.from_strings(["0", "1/10", "0.3"])
         assert cfg.is_exact
@@ -124,13 +140,13 @@ class TestOccupancyWord:
         rng = np.random.default_rng(7)
         for n in range(3, 9):
             for _ in range(200):
-                w = occupancy_word(random_config(rng, n))
+                w = occupancy_word(sample_uniform_config(n, rng))
                 assert words.is_interlacing(words.signature(w))
 
     def test_rotation_equivariance_at_bracelet_level(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            cfg = random_config(rng, 5)
+            cfg = sample_uniform_config(5, rng)
             base = words.canonical_bracelet(occupancy_word(cfg))
             delta = float(rng.random())
             rotated = PointConfig.from_points(p + delta for p in cfg.positions)
@@ -139,7 +155,7 @@ class TestOccupancyWord:
     def test_reflection_equivariance_at_bracelet_level(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
-            cfg = random_config(rng, 6)
+            cfg = sample_uniform_config(6, rng)
             base = words.canonical_bracelet(occupancy_word(cfg))
             reflected = PointConfig.from_points(-p for p in cfg.positions)
             assert words.canonical_bracelet(occupancy_word(reflected)) == base
@@ -184,7 +200,7 @@ class TestArrangement:
     def test_one_point_between_consecutive_bisectors(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
-            cfg = random_config(rng, 6)
+            cfg = sample_uniform_config(6, rng)
             delta = -cfg.positions[0]
             rotated = PointConfig.from_points(p + delta for p in cfg.positions)
             ls = sorted(geometry.bisector_positions(rotated))
@@ -197,7 +213,7 @@ class TestArrangement:
         rng = np.random.default_rng(12)
         for n in (3, 5, 7):
             for _ in range(30):
-                cfg = random_config(rng, n)
+                cfg = sample_uniform_config(n, rng)
                 arr = arrangement(cfg)
                 counts = [0] * (2 * n)
                 for q in arr.dots:
@@ -215,12 +231,12 @@ class TestOcdc:
     def test_first_entry_always_black(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
-            assert ocdc(random_config(rng, 5))[0][0] == "B"
+            assert ocdc(sample_uniform_config(5, rng))[0][0] == "B"
 
     def test_length_is_n(self):
         rng = np.random.default_rng(14)
         for n in (3, 4, 6):
-            assert len(ocdc(random_config(rng, n))) == n
+            assert len(ocdc(sample_uniform_config(n, rng))) == n
 
     def test_antipodal_pair_rejected(self):
         cfg = PointConfig((Fraction(0), Fraction(1, 5), Fraction(1, 2)))
@@ -237,7 +253,7 @@ class TestDirectionPatterns:
         rng = np.random.default_rng(15)
         for n in range(3, 9):
             for _ in range(50):
-                assert verify_direction_patterns(random_config(rng, n))
+                assert verify_direction_patterns(sample_uniform_config(n, rng))
 
     def test_on_realized_nine_point_word(self):
         w = (0, 0, 0, 0, 1, 0, 1, 0, 1, 1, 0, 1, 1, 1, 1, 0, 0, 1)
@@ -304,7 +320,7 @@ class TestGapRule:
         rng = np.random.default_rng(25)
         for n in range(3, 13):
             for _ in range(30):
-                _check_gap_rule(random_config(rng, n))
+                _check_gap_rule(sample_uniform_config(n, rng))
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.deferred(lambda: exact_positions(max_n=24)))
@@ -324,7 +340,7 @@ class TestDirectionPatternsMatchOracle:
         rng = np.random.default_rng(26)
         for n in range(3, 13):
             for _ in range(30):
-                cfg = random_config(rng, n)
+                cfg = sample_uniform_config(n, rng)
                 assert verify_direction_patterns(cfg) is direction_patterns_by_region_lists(cfg)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -499,13 +515,13 @@ class TestRegionStats:
     def test_h2_is_two_for_triangles(self):
         rng = np.random.default_rng(16)
         for _ in range(50):
-            assert region_stats(random_config(rng, 3)).region_counts[2] == 2
+            assert region_stats(sample_uniform_config(3, rng)).region_counts[2] == 2
 
     def test_aggregate_identities(self):
         rng = np.random.default_rng(17)
         for n in (3, 5, 8):
             for _ in range(30):
-                rs = region_stats(random_config(rng, n))
+                rs = region_stats(sample_uniform_config(n, rng))
                 h0, h1, h2 = rs.region_counts
                 assert h0 == h2
                 assert h1 == 2 * n - 2 * h2
@@ -516,7 +532,7 @@ class TestRegionStats:
 
     def test_partial_curves(self):
         rng = np.random.default_rng(18)
-        cfg = random_config(rng, 6)
+        cfg = sample_uniform_config(6, rng)
         rs = region_stats(cfg, t_grid=[0.0, 0.4, 1.0])
         for k in (0, 1, 2):
             assert rs.h_curves[k][0] == 0
@@ -564,6 +580,28 @@ class TestRegionStats:
                 assert type(x) is type(zero) and x == zero
             assert type(rs.l_curves[0][0]) is type(zero)
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ([[0.5, 0.6]], "need a flat sequence of real numbers as the t-grid, got [[0.5, 0.6]]"),
+            (0.5, "need a flat sequence of real numbers as the t-grid, got 0.5"),
+            ([[0.5]], "need a flat sequence of real numbers as the t-grid, got [[0.5]]"),
+            (["0.5"], "need a flat sequence of real numbers as the t-grid, got ['0.5']"),
+            ("0.5", "need a flat sequence of real numbers as the t-grid, got '0.5'"),
+            ((0.5, Fraction(5, 4), np.float64(-1)), "need 0 <= t <= 1 for every grid value, got [0.5, 1.25, -1.0]"),
+        ],
+        ids=["nested", "scalar", "nested-one", "string-item", "string", "out-of-range"],
+    )
+    @pytest.mark.parametrize(
+        "read",
+        [lambda grid: region_stats(EXAMPLE, grid), lambda grid: equidistribution_paths(4, grid, 10, 0)],
+        ids=["region_stats", "equidistribution_paths"],
+    )
+    def test_t_grid_must_be_a_flat_list_of_numbers_in_range(self, read, grid, message):
+        with pytest.raises(ValueError) as err:
+            read(grid)
+        assert str(err.value) == message
+
 
 def chord(a, b):
     d = abs(b - a)
@@ -577,7 +615,7 @@ class TestTrianglePattern:
         rng = np.random.default_rng(19)
         done = 0
         while done < 40:
-            cfg = random_config(rng, 3)
+            cfg = sample_uniform_config(3, rng)
             p = cfg.positions
             pairs = sorted(
                 [(chord(p[0], p[1]), (0, 1)), (chord(p[1], p[2]), (1, 2)), (chord(p[0], p[2]), (0, 2))]
@@ -725,6 +763,38 @@ class TestExactAgainstFractionOracle:
         assert got == occupancy_word_by_fractions(cfg.positions)
 
 
+def _rejects(read, cfg) -> bool:
+    try:
+        read(cfg)
+    except NonGenericConfiguration:
+        return True
+    return False
+
+
+class TestOneGenericityDecision:
+    """Float triples (a, b, c) with c within about 1e-12 of the antipodal
+    bisector of a and b, so that rounding decides which side of
+    ``FLOAT_TIE_TOLERANCE`` the margin falls on."""
+
+    READERS = (occupancy_word, arrangement, ocdc, region_stats, verify_direction_patterns)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(0, 0.45), st.floats(0, 0.45), st.sampled_from((-1, 1)), st.floats(-3e-16, 3e-16))
+    # the unrotated margin is 1.00009e-12 and the rotated one 9.99978e-13
+    @example(0.14530105942205312, 0.4041498492826533, 1, 1e-16)
+    def test_ensure_generic_rejects_exactly_what_the_readers_reject(self, a, b, sign, delta):
+        a, b = sorted((a, b))
+        c = (a + b + 1) / 2 + sign * (1e-12 + delta)
+        assume(a < b < c < 1)
+        cfg = PointConfig((a, b, c))
+        rejected = _rejects(geometry.ensure_generic, cfg)
+        assert [_rejects(read, cfg) for read in self.READERS] == [rejected] * len(self.READERS)
+        if not rejected:
+            assert max(occupancy_word(cfg)) == 1
+            assert len(ocdc(cfg)) == 3
+            assert verify_direction_patterns(cfg)
+
+
 def _hexes(xs):
     return [float(x).hex() for x in xs]
 
@@ -733,7 +803,7 @@ def _float_path_payload(n):
     rng = np.random.default_rng(3000 + n)
     rows = []
     for _ in range(200 if n < 64 else 20):
-        cfg = random_config(rng, n)
+        cfg = sample_uniform_config(n, rng)
         rs = region_stats(cfg, t_grid=[0.0, 0.25, 0.5, 1.0])
         arr = arrangement(cfg)
         rows.append(

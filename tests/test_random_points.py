@@ -183,9 +183,14 @@ class TestUniformConfig:
             return np.array(self.draws.pop(0))
 
     def test_redraws_on_duplicate_and_on_tie(self):
-        rng = self._ScriptedDraws([0.3, 0.1, 0.3], [0.0, 1 / 3, 2 / 3], [0.75, 0.1, 0.3])
+        # the third draw's margin is 1.00009e-12 in the unrotated frame, just
+        # above the tolerance, and 9.99978e-13 in the rotated frame that
+        # every reader reads, so a reader would reject it
+        straddling = [0.14530105942205312, 0.4041498492826533, 0.7747254543533533]
+        rng = self._ScriptedDraws([0.3, 0.1, 0.3], [0.0, 1 / 3, 2 / 3], straddling, [0.75, 0.1, 0.3])
         config = rp.sample_uniform_config(3, rng)
         assert config.positions == (0.1, 0.3, 0.75) and not rng.draws
+        assert occupancy_word(config) == (1, 1, 0, 0, 1, 0)
 
     def test_n_bounded_before_any_draw(self):
         rng = self._ScriptedDraws()

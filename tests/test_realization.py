@@ -3,10 +3,11 @@ import hashlib
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from bisector_words import enumeration, geometry, realization, words
+from bisector_words import enumeration, geometry, realization, sampler, words
 from bisector_words.geometry import genericity_margin, occupancy_word, region_boundaries
 from bisector_words.realization import (
     NotRealizable,
@@ -46,8 +47,14 @@ class TestRealize:
             assert got in shifts, words.word_to_string(w)
 
     def test_output_is_generic_exactly(self):
-        for w in enumeration.enumerate_words(4):
-            assert genericity_margin(realize(w)) > 0
+        # realize checks nothing at run time, so this test carries its postcondition
+        rng = np.random.default_rng(30)
+        ws = [w for n in range(3, 7) for w in enumeration.enumerate_words(n)]
+        ws += [sampler.sample_uniform_word(int(rng.integers(8, 65)), rng) for _ in range(50)]
+        for w in ws:
+            cfg = realize(w)
+            assert genericity_margin(cfg) > 0, words.word_to_string(w)
+            geometry.ensure_generic(cfg)
 
     def test_positions_strictly_increasing(self):
         for w in list(enumeration.enumerate_words(4))[:20]:
