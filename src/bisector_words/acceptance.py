@@ -9,15 +9,13 @@ false alarms negligible.
 from __future__ import annotations
 
 import io
+import math
 import time
 from collections import Counter
 from contextlib import redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
-
-import numpy as np
-from scipy import stats as sstats
 
 from . import enumeration, random_points, realization, sampler, words
 from .geometry import occupancy_word
@@ -162,11 +160,28 @@ def _criterion_equidistribution():
     return worst < 0.02, f"n={n}: sup grid deviation {worst:.4f} (bound 0.02)"
 
 
+def _chi_square_tail(x: float, df: int) -> float:
+    """P(X >= x) for X chi-square with integer df >= 1 (Abramowitz & Stegun 26.4.4-5).
+
+    With h = x/2 the tail is e^-h Σ_{k < df/2} h^k / k! for even df, and
+    erfc(√h) + e^-h Σ h^k / Γ(k+1) over k = 1/2, 3/2, ..., (df-2)/2 for odd
+    df.  The terms are summed in log space, shifted by the largest, so none
+    underflows at large df.
+    """
+    h = x / 2
+    if h == 0:
+        return 1.0
+    logs = [k * math.log(h) - math.lgamma(k + 1) - h for k in (j + df % 2 / 2 for j in range(df // 2))]
+    top = max(logs, default=0.0)
+    series = math.exp(top) * math.fsum(math.exp(v - top) for v in logs)
+    return series + (math.erfc(math.sqrt(h)) if df % 2 else 0.0)
+
+
 def _chi_square_pvalue(counts: dict, expected_cells: int) -> float:
-    observed = np.array(list(counts.values()), dtype=np.float64)
-    if len(counts) < expected_cells:
-        observed = np.concatenate([observed, np.zeros(expected_cells - len(counts))])
-    return float(sstats.chisquare(observed).pvalue)
+    """Pearson's test of equal cell frequencies; cells missing from ``counts`` count 0."""
+    e = sum(counts.values()) / expected_cells
+    observed = [*counts.values(), *[0] * (expected_cells - len(counts))]
+    return _chi_square_tail(math.fsum((o - e) ** 2 for o in observed) / e, expected_cells - 1)
 
 
 def _criterion_sampler_uniformity():

@@ -49,6 +49,12 @@ logger = logging.getLogger(__name__)
 # Two of the 4n critical values (points, antipodes, bisectors, antipodal
 # bisectors) closer than this mod 1 make a float configuration degenerate.
 FLOAT_TIE_TOLERANCE = 1e-12
+# Longest t-grid of region_stats and equidistribution_paths.  Their results
+# hold about 6 floats per grid value: equidistribution_paths(3, G-point grid,
+# 2 trials) peaked at 2.7 / 26.8 / 267.6 MiB for G = 10^4 / 10^5 / 10^6
+# (tracemalloc), of which the returned PathReport was 2.1 / 21.4 / 213.6 MiB,
+# so no chunking of the computation bounds a longer grid.
+MAX_T_GRID = 10**5
 
 
 class NonGenericConfiguration(ValueError):
@@ -470,13 +476,18 @@ class RegionStats:
 
 
 def _check_t_grid(t_grid: Iterable) -> tuple:
-    """The grid as a tuple; rejected unless it is a flat sequence of real numbers in [0, 1] (NaN is not)."""
+    """The grid as a tuple; rejected unless it is a flat sequence of at most ``MAX_T_GRID`` reals in [0, 1].
+
+    NaN is not in [0, 1].
+    """
     try:
         grid = tuple(t_grid)
     except TypeError:
         grid = None
     if grid is None or not all(isinstance(t, numbers.Real) for t in grid):
         raise ValueError(f"need a flat sequence of real numbers as the t-grid, got {t_grid!r}")
+    if len(grid) > MAX_T_GRID:
+        raise ValueError(f"need at most {MAX_T_GRID} t-grid values, got {len(grid)}")
     if not all(0 <= t <= 1 for t in grid):
         raise ValueError(f"need 0 <= t <= 1 for every grid value, got {[float(t) for t in grid]}")
     return grid

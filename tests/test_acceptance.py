@@ -3,11 +3,27 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` (or ``bisector-words
 verify``) to see the per-criterion PASS/FAIL lines; the whole gate takes
 7-8 s on a 2-vCPU Xeon VM, 1.6-1.9 s of it criterion 11.
+
+Criterion 11's chi-square tail is written with ``math``; scipy, a test
+dependency only, is its oracle here.
 """
 
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
 import pytest
+from scipy import stats
 
 from bisector_words import acceptance
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Criterion 11's detail line at its fixed seeds.
+CRITERION_11_DETAIL = "words n=3: p=0.068; words n=4: p=0.895; bracelets n=4: p=0.959"
 
 
 @pytest.mark.acceptance
@@ -20,3 +36,46 @@ def test_criterion(number, name):
     result = acceptance.run_criterion(number)
     print(result.line(), flush=True)
     assert result.passed, result.line()
+
+
+@pytest.mark.parametrize("df", [*range(1, 61), 100, 203, 519, 1000, 1465])
+def test_chi_square_tail_matches_scipy_down_to_1e_minus_200(df):
+    assert acceptance._chi_square_tail(0.0, df) == 1.0
+    xs = np.linspace(0, stats.chi2.isf(1e-200, df), 301)[1:]
+    want = stats.chi2.sf(xs, df)
+    assert want.min() < 1e-199
+    got = np.array([acceptance._chi_square_tail(float(x), df) for x in xs])
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize(
+    "cells, total, missing",
+    [(12, 10**6, 0), (50, 10**6, 0), (5, 10**5, 0), (12, 120, 1), (50, 500, 2), (5, 40, 1)],
+)
+def test_chi_square_pvalue_is_pearsons_test_with_missing_cells_as_zero(cells, total, missing):
+    drawn = np.random.default_rng(cells + total).multinomial(total, [1 / cells] * cells)
+    drawn[:missing] = 0
+    counts = Counter({cell: int(k) for cell, k in enumerate(drawn) if k})
+    assert len(counts) == cells - missing
+    want = stats.chisquare(drawn)
+    got = acceptance._chi_square_pvalue(counts, cells)
+    assert got == pytest.approx(acceptance._chi_square_tail(float(want.statistic), cells - 1), rel=1e-12)
+    assert got == pytest.approx(want.pvalue, rel=1e-10)
+
+
+def test_criterion_11_runs_without_scipy():
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import bisector_words, bisector_words.cli\n"
+        "from bisector_words import acceptance\n"
+        "result = acceptance.run_criterion(11)\n"
+        "print(result.passed)\n"
+        "print(result.detail)\n"
+    )
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == f"True\n{CRITERION_11_DETAIL}\n"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bisector_words import enumeration, geometry, realization, words
+from bisector_words import enumeration, geometry, random_points, realization, words
 from bisector_words.geometry import (
     NonGenericConfiguration,
     PointConfig,
@@ -589,15 +589,23 @@ class TestRegionStats:
             (["0.5"], "need a flat sequence of real numbers as the t-grid, got ['0.5']"),
             ("0.5", "need a flat sequence of real numbers as the t-grid, got '0.5'"),
             ((0.5, Fraction(5, 4), np.float64(-1)), "need 0 <= t <= 1 for every grid value, got [0.5, 1.25, -1.0]"),
+            (
+                [2.0] * (geometry.MAX_T_GRID + 1),
+                f"need at most {geometry.MAX_T_GRID} t-grid values, got {geometry.MAX_T_GRID + 1}",
+            ),
         ],
-        ids=["nested", "scalar", "nested-one", "string-item", "string", "out-of-range"],
+        ids=["nested", "scalar", "nested-one", "string-item", "string", "out-of-range", "too-long"],
     )
     @pytest.mark.parametrize(
         "read",
         [lambda grid: region_stats(EXAMPLE, grid), lambda grid: equidistribution_paths(4, grid, 10, 0)],
         ids=["region_stats", "equidistribution_paths"],
     )
-    def test_t_grid_must_be_a_flat_list_of_numbers_in_range(self, read, grid, message):
+    def test_t_grid_must_be_a_flat_list_of_numbers_in_range(self, monkeypatch, read, grid, message):
+        def no_draws(*args):
+            raise AssertionError("drew before checking the t-grid")
+
+        monkeypatch.setattr(random_points, "batch_rng", no_draws)
         with pytest.raises(ValueError) as err:
             read(grid)
         assert str(err.value) == message
