@@ -475,19 +475,25 @@ class RegionStats:
         }
 
 
+def _check_grid(values: Iterable, what: str) -> tuple:
+    """The values as a tuple; rejected unless they are a flat sequence of at most ``MAX_T_GRID`` reals."""
+    try:
+        grid = tuple(values)
+    except TypeError:
+        grid = None
+    if grid is None or not all(isinstance(t, numbers.Real) for t in grid):
+        raise ValueError(f"need a flat sequence of real numbers as the {what}, got {values!r}")
+    if len(grid) > MAX_T_GRID:
+        raise ValueError(f"need at most {MAX_T_GRID} {what} values, got {len(grid)}")
+    return grid
+
+
 def _check_t_grid(t_grid: Iterable) -> tuple:
     """The grid as a tuple; rejected unless it is a flat sequence of at most ``MAX_T_GRID`` reals in [0, 1].
 
     NaN is not in [0, 1].
     """
-    try:
-        grid = tuple(t_grid)
-    except TypeError:
-        grid = None
-    if grid is None or not all(isinstance(t, numbers.Real) for t in grid):
-        raise ValueError(f"need a flat sequence of real numbers as the t-grid, got {t_grid!r}")
-    if len(grid) > MAX_T_GRID:
-        raise ValueError(f"need at most {MAX_T_GRID} t-grid values, got {len(grid)}")
+    grid = _check_grid(t_grid, "t-grid")
     if not all(0 <= t <= 1 for t in grid):
         raise ValueError(f"need 0 <= t <= 1 for every grid value, got {[float(t) for t in grid]}")
     return grid

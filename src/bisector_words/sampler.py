@@ -13,8 +13,11 @@ per-call argument handling costs several times the raw word.  Above 2^32,
 ``integers`` draws this way from the same words, so there the draws equal
 its draws.  The CLT experiment draws arrays of letter counts with
 ``integers`` on the batch engine of :mod:`random_points`: batch i draws rounds
-of rows from stream (seed, i) and rejects rows until it has kept its trials,
-so trial j is the (j mod ``BATCH_SIZE``)-th kept row of batch j // ``BATCH_SIZE``.
+of rows from stream (seed, i) until it has kept its trials, so trial j is
+the (j mod ``BATCH_SIZE``)-th kept row of batch j // ``BATCH_SIZE``.  A row
+splits into head and tail as a word does below, with a head of at most 10
+letters whose counts a table gives: with a head of 10 letters and a tail
+of more than 100, a row is rejected with probability below 1.7e-5.
 
 Words are drawn without rejection up to n = 39.  The last n - k letters,
 k = min(n, 39), form the tail: one draw on [0, 3^m) per block of m <= 39
@@ -82,6 +85,7 @@ from typing import Sequence
 import numpy as np
 
 from . import enumeration, words
+from .geometry import _check_grid
 from .random_points import _check_trials, _run_batches
 from .words import MAX_BRACELET_N, Bracelet, FoldedWord, Word, _check_n
 
@@ -202,13 +206,20 @@ def _head_letters(rank: int, size: int, requirement: int) -> list[int]:
     return letters
 
 
+def _head_count(head: int, tail: int) -> int:
+    """H: the most length-``head`` strings that meet a requirement ``tail`` letters can leave.
+
+    ``tail`` letters can hold no S, an odd number (tail >= 1) or an even
+    nonzero number (tail >= 2) of them.  For head >= 1 the head counts of
+    the three requirements grow in this order, so the last reachable one is H.
+    """
+    return _COUNTS[(_EVEN_WITH_S, _ODD, _EVEN)[min(tail, 2)]][head]
+
+
 def _word_letters(n: int, rng: np.random.Generator) -> tuple[int, list[int]]:
     """Phase bit and letter string of a uniform realizable word, n >= 2."""
     head = min(n, _BLOCK)
-    # t tail letters can hold no S, an odd number (t >= 1) or an even nonzero
-    # number (t >= 2) of them.  For L >= 1 the head counts of the three
-    # requirements grow in this order, so the last reachable one is H.
-    high = 2 * _COUNTS[(_EVEN_WITH_S, _ODD, _EVEN)[min(n - head, 2)]][head]
+    high = 2 * _head_count(head, n - head)
     while True:
         tail = []
         for start in range(head, n, _BLOCK):
@@ -335,7 +346,7 @@ class LatticeWalk:
 
 
 def walk_from_steps(steps: Sequence[int]) -> LatticeWalk:
-    st = tuple(int(x) for x in steps)
+    st = words._as_ints(steps, "walk steps")
     if any(x not in (-1, 0, 1) for x in st):
         raise ValueError("walk steps must be -1, 0 or +1")
     s = [0]
@@ -436,40 +447,91 @@ class CltReport:
     corr_f0_f1: tuple[float, ...]
 
 
+@lru_cache(maxsize=None)
+def _head_table(size: int) -> np.ndarray:
+    """Packed (2s, 1s) counts of the strings of ``size`` <= ``_COUNT_BLOCK`` letters meeting each requirement, by rank.
+
+    Row r holds, in increasing base-3 value, the :func:`_block_counts`
+    entries x < 3^size whose S count meets requirement r (one mask per
+    requirement): _COUNTS[r][size] of them, padded with zeros to the longest
+    row, _COUNTS[_EVEN][size].
+    """
+    counts = _block_counts()[: 3**size]
+    twos = counts >> _ONES_BITS
+    even = twos % 2 == 0
+    table = np.zeros((3, _COUNTS[_EVEN][size]), dtype=np.uint32)
+    for requirement, mask in ((_EVEN_WITH_S, even & (twos > 0)), (_EVEN, even), (_ODD, ~even)):
+        table[requirement, : _COUNTS[requirement][size]] = counts[mask]
+    table.setflags(write=False)  # cached: every caller gets this array
+    return table
+
+
+def _clt_rows(rng: np.random.Generator, rows: int, lengths: list[int], segment: int, head: int) -> np.ndarray:
+    """v = (S count, F2, S10) at every bound for the kept ones of ``rows`` rows, a (3, len(lengths) + 1, kept) array.
+
+    A row draws the counts of its tail, ``lengths[i]`` letters in segment i,
+    segment by segment with :func:`_letter_counts`.  Then one draw x on
+    [0, 2H), H = :func:`_head_count` of the ``head`` letters of the head
+    block in segment ``segment``, gives the phase bit x & 1 and the rank
+    x >> 1 of the head among the strings meeting the requirement that the
+    tail's S count leaves.  As in the word sampler, the row is rejected when
+    the rank is at or above that requirement's count; a kept row reads its
+    head counts from :func:`_head_table`.
+    """
+    counts = np.zeros((2, len(lengths) + 1, rows), dtype=np.int64)  # 2s and 1s before each bound
+    for i, length in enumerate(lengths, 1):
+        counts[:, i] = counts[:, i - 1] + _letter_counts(length, rows, rng)
+    x = rng.integers(0, 2 * _head_count(head, sum(lengths)), size=rows)
+    specials = counts[0, -1]
+    requirement = np.where(specials % 2, _ODD, np.where(specials, _EVEN, _EVEN_WITH_S))
+    rank = x >> 1
+    kept = np.flatnonzero(rank < np.array([c[head] for c in _COUNTS])[requirement])
+    packed = _head_table(head)[requirement[kept], rank[kept]]
+    v = np.empty((3, len(lengths) + 1, len(kept)), dtype=np.int64)
+    v[0], v[2] = counts[..., kept]
+    v[0, segment + 1 :] += packed >> _ONES_BITS
+    v[2, segment + 1 :] += packed & ((1 << _ONES_BITS) - 1)
+    v[1] = (v[0] + (x[kept] & 1)) >> 1  # phase 1: the first balanced letter is 11
+    return v
+
+
 def _clt_sums(n: int, rng: np.random.Generator, size: int, bounds: list[int]):
     """Exact sums over the first ``size`` uniform realizable words kept from ``rng``.
 
-    Rows whose S count is zero or odd are rejected, so kept rows are
-    uniform realizable words; a row is kept with probability
-    p = (1 + 3^-n)/2 - (2/3)^n.  Each round draws the counts of every
-    segment between consecutive ``bounds``, then the phase bits, for
+    The head block is the first h = min(10, L) letters of the first longest
+    segment between consecutive ``bounds``, of L letters; every other letter
+    is tail.  Rounds of :func:`_clt_rows` draw rows until ``size`` are kept.
+    Each valid (tail, phase, head) is drawn with probability
+    3^-(n-h) · 1/(2H), so kept rows are uniform realizable words.  A row
+    is kept with probability p, the share of the 2H · 3^(n-h) draws that are
+    valid; with h = 10, p is 1 - 6.2e-4 at n = 20 and, to float precision,
+    1 - 1/(2H) = 1 - 1.7e-5 from n = 110.  A round draws
     min(2^22 // n, ceil((m + 2 sqrt(m (1 - p))) / p) + 8) rows, m the trials
     still missing: about two standard deviations of the kept count above m,
     so a round below the cap keeps them all with probability above 0.977
-    (binomial law, checked for n = 3..40 and m <= ``BATCH_SIZE``).  At the
-    prefix ``bounds[c]`` of every c, v is (S count, F2, S10); the result
-    holds Σv and Σ v vᵀ as a (4, 3, len(bounds)) array of Python ints.
+    (binomial law, checked for h = 1..10, n - h <= 100 and m <= ``BATCH_SIZE``).
+    At the prefix ``bounds[c]`` of every c, v is (S count, F2, S10); the
+    result holds Σv and Σ v vᵀ as a (4, 3, len(bounds)) array of Python ints.
     """
-    # p correctly rounded, from exact integers; above 100 letters it rounds to 1/2
-    k = min(n, 100)
-    p = enumeration._word_count(k) / (2 * 3**k)
+    lengths = np.diff(bounds).tolist()
+    segment = lengths.index(max(lengths))
+    head = min(_COUNT_BLOCK, lengths[segment])
+    lengths[segment] -= head
+    # p correctly rounded, from exact integers: tails with no S, an odd and
+    # an even nonzero number of them, each times its head count.  Above 100
+    # tail letters p moves by less than 2^-58, a 32nd of its last bit.
+    t = min(n - head, 100)
+    valid = 2**t * _COUNTS[_EVEN_WITH_S][head] + (3**t - 1) // 2 * _COUNTS[_ODD][head]
+    valid += ((3**t + 1) // 2 - 2**t) * _COUNTS[_EVEN][head]
+    p = valid / (3**t * _head_count(head, t))
     total = np.zeros((4, 3, len(bounds)), dtype=np.int64)
     missing = size
     while missing:
         rows = min((1 << 22) // n, math.ceil((missing + 2 * math.sqrt(missing * (1 - p))) / p) + 8)
-        # counts[0, i] and counts[1, i]: the 2s and the 1s before bounds[i]
-        counts = np.zeros((2, len(bounds), rows), dtype=np.int64)
-        for i in range(1, len(bounds)):
-            counts[:, i] = counts[:, i - 1] + _letter_counts(bounds[i] - bounds[i - 1], rows, rng)
-        phase = rng.integers(0, 2, size=rows)
-        specials = counts[0, -1]
-        kept = np.flatnonzero((specials > 0) & (specials % 2 == 0))[:missing]
-        v = np.empty((3, len(bounds), len(kept)), dtype=np.int64)
-        v[0], v[2] = counts[..., kept]
-        v[1] = (v[0] + phase[kept]) >> 1  # phase 1: the first balanced letter is 11
+        v = _clt_rows(rng, rows, lengths, segment, head)[..., :missing]
         total[0] += v.sum(axis=2)
         total[1:] += np.einsum("ick,jck->ijc", v, v)
-        missing -= len(kept)
+        missing -= v.shape[2]
     return total.astype(object)
 
 
@@ -486,19 +548,27 @@ def lln_clt_experiment(
     10^4 with 10^4 trials stays cheap.  Each batch draws, for every segment
     between the sorted distinct cuts (and 0 and n), its counts by
     :func:`_letter_counts`: one draw per block of 10 letters, whose counts a
-    table gives.  Batches return exact integer sums (:func:`_clt_sums`), so
-    memory does not grow with the trials, and the moments are exact.
+    table gives.  A head block of up to 10 letters is left out of the
+    longest segment and drawn last, in one draw under the parity the rest
+    leaves, so a row is rejected with probability about 1/(2H) = 1.7e-5
+    when the head has 10 letters and the rest 100 or more (see
+    :func:`_clt_sums`).  Batches return exact integer sums, so memory does
+    not grow with the trials, and the moments are exact.
 
     The correlation of F0 and F1 is NaN at a cut where either is constant
     over the trials, as both are at an empty prefix (a cut c·n < 1): a
     correlation is undefined there.  Deterministic given (n, trials, seed);
-    trials >= 2, since the moments are sample variances.
+    trials >= 2, since the moments are sample variances.  ``c_grid`` must be
+    a flat sequence of at most ``geometry.MAX_T_GRID`` reals in (0, 1], as
+    a t-grid is: each value costs a segment of draws per round.  n, trials
+    and the grid are checked before any draw.
     """
     _check_n(n, MAX_WORD_N)
     _check_trials(trials)
-    grid = tuple(float(c) for c in c_grid)
-    if any(not 0 < c <= 1 for c in grid):
-        raise ValueError("grid values must lie in (0, 1]")
+    grid = _check_grid(c_grid, "c-grid")
+    if not all(0 < c <= 1 for c in grid):
+        raise ValueError(f"need 0 < c <= 1 for every grid value, got [{', '.join(map(str, grid))}]")
+    grid = tuple(map(float, grid))
     cuts = [math.floor(c * n) for c in grid]
     bounds = sorted({0, n, *cuts})
     sums = _run_batches(_clt_sums, n, trials, seed, 1, bounds)

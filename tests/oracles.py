@@ -11,6 +11,7 @@ geometry, which the exact integer kernel replaced.
 import logging
 import math
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, product
 
@@ -64,6 +65,58 @@ def letter_count_law(length: int) -> dict[tuple[int, int], Fraction]:
         for twos in range(length + 1)
         for ones in range(length + 1 - twos)
     }
+
+
+def realizable_profiles(n: int, bounds) -> Counter:
+    """How many realizable (letter string, phase) pairs of n letters have each prefix profile.
+
+    The strings run over {0, 1, 2}^n (2 is S) with an even nonzero number
+    of S, each with phase 0 and 1.  Folded, letter 1 is 10, letter 0 is 01,
+    and the S alternate 11 and 00, the first being 11 when the phase is 1.
+    The profile lists, for each bound b in turn, the numbers of S, of 11 and
+    of 10 letters among the first b.
+    """
+    profiles = Counter()
+    for letters in product(range(3), repeat=n):
+        specials = letters.count(2)
+        if specials == 0 or specials % 2:
+            continue
+        for phase in (0, 1):
+            folded, next_is_11 = [], phase
+            for u in letters:
+                if u == 2:
+                    folded.append("11" if next_is_11 else "00")
+                    next_is_11 = not next_is_11
+                else:
+                    folded.append("10" if u == 1 else "01")
+            profile = []
+            for b in bounds:
+                prefix = folded[:b]
+                profile += [prefix.count("00") + prefix.count("11"), prefix.count("11"), prefix.count("10")]
+            profiles[tuple(profile)] += 1
+    return profiles
+
+
+class EveryDraw:
+    """A generator of ``rows`` rows whose ``integers`` calls run through every combination of values once.
+
+    ``calls`` gives each call's (high, width) in order: the call draws
+    ``width`` values on [0, high) per row, with ``size`` either ``rows`` or
+    (rows, width).  Row r takes the mixed-radix digits of r, the first
+    call's lowest, so the rows = Π high^width hold each combination once.
+    """
+
+    def __init__(self, calls):
+        self.calls = list(calls)
+        self.rows = math.prod(high**width for high, width in self.calls)
+        self.place = 1
+
+    def integers(self, low, high, size, dtype=np.int64):
+        expected, width = self.calls.pop(0)
+        assert (low, high) == (0, expected) and np.prod(size) == self.rows * width
+        digits = np.arange(self.rows)[:, None] // (self.place * high ** np.arange(width)) % high
+        self.place *= high**width
+        return digits.astype(dtype).reshape(size)
 
 
 def enumerate_walks_plus(n: int) -> set[tuple[int, ...]]:

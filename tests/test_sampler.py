@@ -11,15 +11,17 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from bisector_words import enumeration, random_points, sampler, words
+from bisector_words import enumeration, geometry, random_points, sampler, words
 from bisector_words.random_points import batch_rng
 from oracles import (
+    EveryDraw,
     bracelet_class_tuples,
     count_bracelets_by_canonical,
     enumerate_walks_plus,
     fixed_words,
     is_interlacing_literal,
     letter_count_law,
+    realizable_profiles,
 )
 
 
@@ -627,13 +629,17 @@ PINNED_BRACELETS = {
 # from exact integer sums; the law of the kept rows is unchanged.  The
 # cases at n = 7 and n = 101 were re-recorded when rounds were sized from
 # the keep rate: their rounds draw other numbers of rows (more at n = 7,
-# whose keep rate is 0.44), so later draws moved, not their law.  At
-# n = 10^4 every round is capped at 419 rows under both rules.
+# whose keep rate is 0.44), so later draws moved, not their law.  All four
+# were re-recorded when a row began to draw a head block last, under the
+# parity its tail leaves, in place of a phase bit after an unconditioned
+# string: each row draws other values and far fewer rows are rejected,
+# while the law of the kept rows is the same (checked exactly against
+# every draw at small n).
 PINNED_CLT = {
-    (7, 500, (0.1, 0.5, 0.5, 1.0), 3): "6679381834f2c5aa8ced9c5444ae0e25c2f210ba86c98294e4848c690e0db1c1",
-    (101, 400, (0.77, 0.25, 1.0, 0.25, 0.5), 9): "4a74108e8c6c3f68d94cf9b541abc97eb1a7ea87887d330e084b1409cb1d7f54",
-    (10_000, 1000, (0.3, 0.6, 1.0), 2): "05ffd0f15cf3741ea057bcf3e4df95c122ec612b5094cbecd8cba7a7315e60f5",
-    (7, random_points.BATCH_SIZE + 500, (0.1, 0.5, 0.5, 1.0), 3): "7cc3694aede595bec9a437b80857b38693d52e5ca4054b064f2b35748e64099b",
+    (7, 500, (0.1, 0.5, 0.5, 1.0), 3): "be8f10c44e726064e676cf4b16bde07df787deb90bd1fb189e370bea16f117e4",
+    (101, 400, (0.77, 0.25, 1.0, 0.25, 0.5), 9): "754d53e13cc12b6b2acb0854d58c6cc3933c3a973714f42c7dace454cdd49aad",
+    (10_000, 1000, (0.3, 0.6, 1.0), 2): "9577ecc1d28f50d8f26a9b04f51e5b18365cfc2299644a5910a1b54e86421e08",
+    (7, random_points.BATCH_SIZE + 500, (0.1, 0.5, 0.5, 1.0), 3): "043e194b21c77c2cb53f796c7c3d2c0d908e72149ef3266557646cd339a7ea0a",
 }
 
 # sha256 of the tables of n = 3..6, recorded while the tables still had
@@ -721,6 +727,23 @@ class TestWalkBijection:
     def test_step_validation(self):
         with pytest.raises(ValueError):
             sampler.walk_from_steps((0, 2, 1))
+
+    @pytest.mark.parametrize("steps", [(0.5, 1.9, -1.2), (0, math.inf, 0), (0, math.nan, 1), (0, "1", -1)])
+    def test_steps_must_be_integers(self, steps):
+        # int() used to truncate (0.5, 1.9, -1.2) to the walk (0, 1, -1)
+        # and raise OverflowError on inf.
+        with pytest.raises(ValueError, match="walk steps must be integers"):
+            sampler.walk_from_steps(steps)
+
+    def test_float_walk_is_not_decoded(self):
+        # decoded after truncation, these steps gave a folded word
+        walk = sampler.LatticeWalk(steps=(0.4, 0.7, 1, -1), s=(0, 0, 0, 1, 0), k=(0, 1, 2, 2, 2))
+        with pytest.raises(ValueError, match="walk steps must be integers, got 0.4"):
+            sampler.walk_to_word(walk)
+
+    def test_integral_steps_of_other_types_are_ints(self):
+        walk = sampler.walk_from_steps((np.int64(1), True, 0.0, -1))
+        assert walk.steps == (1, 1, 0, -1) and all(type(x) is int for x in walk.steps)
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_bijection_with_walks_plus(self, n):
@@ -827,10 +850,37 @@ class TestLetterCounts:
         assert sstats.chi2.sf(stat, df=len(cells) - 1) > 1e-3
 
 
-def round_rows(n: int, missing: int) -> int:
-    """Rows of a CLT round with ``missing`` trials to keep, from the exact keep rate, rounded."""
-    p = float(Fraction((3**n + 1) // 2 - 2**n, 3**n))
+def round_rows(n: int, missing: int, head: int = 10) -> int:
+    """Rows of a CLT round with ``missing`` trials to keep, from the exact keep rate, rounded.
+
+    A row draws its tail of n - ``head`` letters, then x uniform on [0, 2H)
+    with rank x >> 1, and is kept when the rank is below the number of head
+    strings that make the S count even and nonzero.  H is the largest of
+    those numbers over the tails that can occur.
+    """
+    tail = n - head
+    odd_tail = Fraction((3**tail - 1) // 2, 3**tail)
+    no_s_tail = Fraction(2**tail, 3**tail)
+    law = {"even with S": no_s_tail, "odd": odd_tail, "even": 1 - odd_tail - no_s_tail}
+    strings = {"even with S": (3**head + 1) // 2 - 2**head, "odd": (3**head - 1) // 2, "even": (3**head + 1) // 2}
+    high = max(strings[r] for r, q in law.items() if q)
+    p = float(sum(q * Fraction(strings[r], high) for r, q in law.items()))
     return min((1 << 22) // n, math.ceil((missing + 2 * math.sqrt(missing * (1 - p))) / p) + 8)
+
+
+def head_strings(size: int) -> dict[str, list[str]]:
+    """The strings of ``size`` letters over {0, 1, 2} that meet each head requirement, in increasing base-3 value."""
+    strings = [np.base_repr(x, 3).zfill(size) for x in range(3**size)]
+    return {
+        "even with S": [a for a in strings if a.count("2") % 2 == 0 and "2" in a],
+        "even": [a for a in strings if a.count("2") % 2 == 0],
+        "odd": [a for a in strings if a.count("2") % 2],
+    }
+
+
+def requirements(specials: np.ndarray) -> list[str]:
+    """The requirement that each tail's S count leaves the head."""
+    return ["odd" if s % 2 else "even" if s else "even with S" for s in specials.tolist()]
 
 
 class TestCltExperiment:
@@ -864,42 +914,76 @@ class TestCltExperiment:
         return rngs
 
     def test_draw_layout(self, monkeypatch):
-        # bounds 0, 12, 25: per segment its blocks, then its remainder, then
-        # the phase bits; one stream per batch of at most 2 trials, whose
-        # first round has round_rows(25, size) rows for a batch of size trials.
+        # bounds 0, 12, 25: the head block is the first 10 letters of the
+        # longer segment, so the tail is 12 and 3 letters.  Per tail segment
+        # its blocks, then its remainder; then the head draw on [0, 2H), H
+        # the count of 10-letter strings with an even number of S.  One
+        # stream per batch of at most 2 trials, whose first round has
+        # round_rows(25, size) rows for a batch of size trials.
         rngs = self.counting_streams(monkeypatch)
         monkeypatch.setattr(random_points, "BATCH_SIZE", 2)
         sampler.lln_clt_experiment(25, 3, (0.5, 1.0), seed=8)
         assert len(rngs) == 2
         for rng, size in zip(rngs, (2, 1)):
-            assert rng.highs == [3**10, 3**2, 3**10, 3**3, 2]
-            assert rng.values[-1].shape == (round_rows(25, size),)
+            rows = round_rows(25, size)
+            assert rng.highs == [3**10, 3**2, 3**3, 3**10 + 1]
+            assert [v.shape for v in rng.values] == [(rows, 1), (rows,), (rows,), (rows,)]
+
+    @pytest.mark.parametrize(
+        "n, grid",
+        [(5, (1.0,)), (5, (0.1, 0.4, 1.0)), (6, (0.5, 0.5, 1.0)), (7, (0.3, 0.6, 1.0)), (9, (0.34, 0.67, 1.0))],
+    )
+    def test_every_draw_gives_each_realizable_profile_once(self, n, grid):
+        # Every tail draw with every head draw, for every head block that
+        # fits a segment (not only the one _clt_sums takes): the kept rows
+        # are the realizable (string, phase) pairs, each exactly once, as
+        # their prefix counts at the bounds show.
+        bounds = sorted({0, n, *(math.floor(c * n) for c in grid)})
+        law = realizable_profiles(n, bounds)
+        for segment, length in enumerate(np.diff(bounds).tolist()):
+            for head in range(1, min(length, sampler._COUNT_BLOCK) + 1):
+                lengths = np.diff(bounds).tolist()
+                lengths[segment] -= head
+                probe = CountingRng(np.random.default_rng(0))
+                sampler._clt_rows(probe, 1, lengths, segment, head)
+                rng = EveryDraw(zip(probe.highs, (v.size for v in probe.values)))
+                v = sampler._clt_rows(rng, rng.rows, lengths, segment, head)
+                assert not rng.calls
+                profiles = v.transpose(2, 1, 0).reshape(v.shape[2], -1).tolist()
+                assert Counter(map(tuple, profiles)) == law
 
     @staticmethod
     def counting_rounds(monkeypatch) -> list:
-        """Record the rows of every ``_letter_counts`` call."""
-        rows = []
+        """Record the (length, rows) of every ``_letter_counts`` call."""
+        calls = []
         original = sampler._letter_counts
 
         def counting(length, size, rng):
-            rows.append(size)
+            calls.append((length, size))
             return original(length, size, rng)
 
         monkeypatch.setattr(sampler, "_letter_counts", counting)
-        return rows
+        return calls
 
     def test_one_round_per_batch_at_small_n(self, monkeypatch):
         # 13 batches of n = 10 letters in 4 segments (bounds 0, 2, 5, 7, 10):
-        # rounds sized from the keep rate keep every batch's trials at once.
-        rows = self.counting_rounds(monkeypatch)
+        # the head block is the 3 letters of the second segment, which leaves
+        # it no tail, and rounds sized from the keep rate keep every batch's
+        # trials at once.
+        calls = self.counting_rounds(monkeypatch)
         sampler.lln_clt_experiment(10, 200_000)
-        assert len(rows) == 13 * 4
+        sizes = [random_points.BATCH_SIZE] * 12 + [200_000 % random_points.BATCH_SIZE]
+        assert calls == [(length, round_rows(10, size, head=3)) for size in sizes for length in (2, 0, 2, 3)]
 
     def test_first_round_of_100_trials_at_n_10000(self, monkeypatch):
-        # The keep rate is 1/2 to float precision here: 100 trials need 229 + 8 rows.
-        rows = self.counting_rounds(monkeypatch)
+        # A row is rejected with probability 1.7e-5 here: 100 trials need
+        # 101 + 8 rows, against 229 + 8 when every row with an odd or zero
+        # S count was rejected.  Bounds 0, 2500, 5000, 7500, 10^4; the
+        # head block is in the first segment.
+        calls = self.counting_rounds(monkeypatch)
         sampler.lln_clt_experiment(10_000, 100)
-        assert rows[0] == round_rows(10_000, 100) == 237 < 2 * 100 + 64
+        assert round_rows(10_000, 100) == 109
+        assert calls == [(2490, 109), (2500, 109), (2500, 109), (2500, 109)]
 
     def test_rounds_draw_until_the_batch_has_kept_its_trials(self, monkeypatch):
         # rounds of at most 2^22 // n = 41 rows at n = 10^5, so 100 trials
@@ -908,39 +992,46 @@ class TestCltExperiment:
         n, trials = 100_000, 100
         sampler.lln_clt_experiment(n, trials, (0.5, 1.0), seed=9)
         (rng,) = rngs
-        per_round = [3**10, 3**10, 2]  # two segments of 5000 blocks, then the phase bits
+        # tail segments of 4999 and 5000 blocks (the head block takes the
+        # first 10 letters), then the head draw
+        per_round = [3**10, 3**10, 3**10 + 1]
         rounds = len(rng.highs) // len(per_round)
         assert rng.highs == per_round * rounds and rounds >= 3
         twos = sampler._block_counts() >> sampler._ONES_BITS
+        strings = {r: len(a) for r, a in head_strings(10).items()}
         kept = []
         for r in range(rounds):
-            first, second, phase = rng.values[3 * r : 3 * r + 3]
-            assert phase.shape == (round_rows(n, trials - sum(kept)),)
+            first, second, x = rng.values[3 * r : 3 * r + 3]
+            rows = round_rows(n, trials - sum(kept))
+            assert (first.shape, second.shape, x.shape) == ((rows, 4999), (rows, 5000), (rows,))
             s = twos[first].sum(axis=1) + twos[second].sum(axis=1)
-            kept.append(int(((s > 0) & (s % 2 == 0)).sum()))
+            kept.append(sum(rank < strings[need] for rank, need in zip((x >> 1).tolist(), requirements(s))))
         assert sum(kept[:-1]) < trials <= sum(kept)
         assert len(rng.values[-1]) < (1 << 22) // n  # the last round was sized from the keep rate
 
     def test_trial_j_is_the_jth_kept_row_of_its_batch(self, monkeypatch):
         # the moments from exact sums equal numpy's on per-trial arrays rebuilt
         # from the batch streams: batches of 300, 300 and 100 kept rows
+        # The head block is the first 10 letters of the segment 10..40.
         monkeypatch.setattr(random_points, "BATCH_SIZE", 300)
         n, trials, grid, seed = 40, 700, (0.25, 1.0), 12
         report = sampler.lln_clt_experiment(n, trials, grid, seed)
+        heads = head_strings(10)
         k, ones, phase = [], [], []
         for b, size in enumerate((300, 300, 100)):
             rng, kept = batch_rng(seed, b), 0
             while kept < size:
                 rows = round_rows(n, size - kept)
-                counts = [sampler._letter_counts(10, rows, rng), sampler._letter_counts(30, rows, rng)]
-                draw_phase = rng.integers(0, 2, size=rows)
-                k_rows = np.cumsum([c[0] for c in counts], axis=0).T
-                ones_rows = np.cumsum([c[1] for c in counts], axis=0).T
-                keep = np.flatnonzero((k_rows[:, -1] > 0) & (k_rows[:, -1] % 2 == 0))[: size - kept]
-                k += k_rows[keep].tolist()
-                ones += ones_rows[keep].tolist()
-                phase += draw_phase[keep].tolist()
-                kept += len(keep)
+                first, rest = sampler._letter_counts(10, rows, rng), sampler._letter_counts(20, rows, rng)
+                x = rng.integers(0, 2 * len(heads["even"]), size=rows).tolist()
+                for i, need in enumerate(requirements(first[0] + rest[0])):
+                    if kept == size or x[i] >> 1 >= len(heads[need]):
+                        continue
+                    letters = heads[need][x[i] >> 1]
+                    k.append([first[0][i], first[0][i] + rest[0][i] + letters.count("2")])
+                    ones.append([first[1][i], first[1][i] + rest[1][i] + letters.count("1")])
+                    phase.append(x[i] & 1)
+                    kept += 1
         k, ones, phase = np.array(k), np.array(ones), np.array(phase)[:, None]
         f2 = (k + phase) // 2
         f0 = k - f2
@@ -972,9 +1063,37 @@ class TestCltExperiment:
         assert report.var_f0[0] == report.var_s10[0] == 0
         assert report.corr_f0_f1[1] < -0.999
 
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            sampler.lln_clt_experiment(100, 10, (0.0, 1.0), seed=7)
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ((0.0, 1.0), "need 0 < c <= 1 for every grid value, got [0.0, 1.0]"),
+            ((0.5, Fraction(5, 4), math.nan), "need 0 < c <= 1 for every grid value, got [0.5, 5/4, nan]"),
+            ((10**400,), f"need 0 < c <= 1 for every grid value, got [{10**400}]"),
+            (("0.5",), "need a flat sequence of real numbers as the c-grid, got ('0.5',)"),
+            ([[0.5]], "need a flat sequence of real numbers as the c-grid, got [[0.5]]"),
+            (0.5, "need a flat sequence of real numbers as the c-grid, got 0.5"),
+            (
+                [0.5] * (geometry.MAX_T_GRID + 1),
+                f"need at most {geometry.MAX_T_GRID} c-grid values, got {geometry.MAX_T_GRID + 1}",
+            ),
+        ],
+        ids=["zero", "out-of-range", "huge-int", "string-item", "nested", "scalar", "too-long"],
+    )
+    def test_grid_validation(self, monkeypatch, grid, message):
+        # Checked before any draw, by the rule of a t-grid but on (0, 1]:
+        # "0.5" was read as 0.5, [[0.5]] raised TypeError, and each grid
+        # value costs a segment of draws per round.
+        def no_draws(*args):
+            raise AssertionError("drew before checking the grid")
+
+        monkeypatch.setattr(random_points, "batch_rng", no_draws)
+        with pytest.raises(ValueError) as err:
+            sampler.lln_clt_experiment(100, 10, grid, seed=7)
+        assert str(err.value) == message
+
+    def test_grid_of_any_reals_is_read_as_floats(self):
+        report = sampler.lln_clt_experiment(100, 10, (Fraction(1, 2), np.float64(1.0), True), seed=7)
+        assert report.c_grid == (0.5, 1.0, 1.0) and all(type(c) is float for c in report.c_grid)
 
     @pytest.mark.parametrize("trials", [-1, 0, 1])
     def test_trials_bounded_before_any_draw(self, monkeypatch, trials):
