@@ -13,10 +13,9 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import enumeration, random_points, realization, sampler, words
-from .geometry import PointConfig, region_stats
+from .geometry import PointConfig, _fraction_of_string, region_stats
 
 
 class _CliError(Exception):
@@ -148,7 +147,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_stats(args) -> int:
     config = PointConfig.from_strings(args.positions.split(","))
-    grid = [Fraction(t) for t in args.t_grid.split(",")] if args.t_grid else []
+    grid = [_fraction_of_string(t) for t in args.t_grid.split(",")] if args.t_grid else []
     print(json.dumps(region_stats(config, grid).to_json_dict()))
     return 0
 

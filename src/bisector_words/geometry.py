@@ -23,11 +23,13 @@ returns them, and where a caller's grid value t in arc length is compared
 with a boundary.  Only the genericity tolerance differs between exact and
 float input.
 
-Words are read with the first point rotated to 0: region 0 is the arc
-containing positions just above 0, regions follow counterclockwise.
-Genericity is decided in one place, ``_generic_frame``, on that rotated
-frame, with ``FLOAT_TIE_TOLERANCE`` for float frames; every reader and
-:func:`ensure_generic` take that decision.
+Every value is read on one frame, the configuration with its first point
+rotated to 0: region 0 is the arc containing positions just above 0,
+regions follow counterclockwise, and returned positions, boundaries and
+the genericity margin are those of the rotated frame.  Genericity is
+decided in one place, ``_generic_frame``, on that frame, with
+``FLOAT_TIE_TOLERANCE`` for float frames; every reader,
+:func:`ensure_generic` and :func:`genericity_margin` agree with it.
 """
 
 from __future__ import annotations
@@ -59,6 +61,14 @@ MAX_T_GRID = 10**5
 
 class NonGenericConfiguration(ValueError):
     """Configuration with coinciding critical values; words are ill-defined."""
+
+
+def _fraction_of_string(text: str) -> Fraction:
+    """A decimal or 'p/q' string as an exact Fraction; a zero denominator is a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _over_common_denominator(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
@@ -129,14 +139,14 @@ class PointConfig:
     @classmethod
     def from_strings(cls, items: Iterable[str]) -> "PointConfig":
         """Parse decimal or 'p/q' position strings; both parse exactly."""
-        return cls.from_points(Fraction(s) for s in items)
+        return cls.from_points(map(_fraction_of_string, items))
 
     def to_strings(self) -> list[str]:
         return [str(p) for p in self.positions]
 
 
 class _Frame:
-    """A configuration in circle units: positions x, circle length 2U.
+    """A configuration in circle units with p_0 rotated to 0: positions x, x_0 = 0, circle length 2U.
 
     ``lines`` are the doubled bisectors in pair order (entry i separates
     points i and i+1), ``antilines`` their antipodes.
@@ -144,11 +154,10 @@ class _Frame:
 
     __slots__ = ("n", "xs", "unit", "circle", "exact", "lines", "antilines")
 
-    def __init__(self, config: PointConfig, rotate: bool):
+    def __init__(self, config: PointConfig):
         xs, unit = config._units
-        if rotate:
-            x0 = xs[0]
-            xs = [x - x0 for x in xs]
+        x0 = xs[0]
+        xs = [x - x0 for x in xs]
         self.n = len(xs)
         self.xs = xs
         self.unit = unit
@@ -172,33 +181,30 @@ class _Frame:
     def boundaries(self) -> list:
         return sorted(self.lines + self.antilines)
 
-    def critical_values(self) -> list:
-        pts = self.points()
-        return sorted(pts + self.antipodes(pts) + self.lines + self.antilines)
-
     def margin(self):
-        vals = self.critical_values()
-        gaps = [b - a for a, b in zip(vals, vals[1:])]
-        gaps.append(vals[0] + self.circle - vals[-1])
-        return min(gaps)
+        """The least cyclic gap, in circle units, between the 4n critical values: points, antipodes, lines, antilines."""
+        pts = self.points()
+        vals = sorted(pts + self.antipodes(pts) + self.lines + self.antilines)
+        return min(b - a for a, b in zip(vals, vals[1:] + [vals[0] + self.circle]))
 
 
 def _generic_frame(config: PointConfig) -> _Frame:
-    """The frame of ``config`` with p_0 rotated to 0, checked for genericity.
+    """The frame of ``config``, checked for genericity.
 
     This is the one genericity decision, made on the frame that every
     reader reads: its 4n critical values must be pairwise distinct, and in
-    a float frame at least ``FLOAT_TIE_TOLERANCE`` apart in arc length.
-    :func:`ensure_generic` makes it too, so a configuration it accepts is
-    accepted by every reader.  The readers rely on what it proves and check
-    none of it again: bisector j lies strictly between points j and j + 1,
-    so no two points share a region; no dot is equidistant from its two
+    a float frame at least ``FLOAT_TIE_TOLERANCE`` apart in arc length;
+    :func:`genericity_margin` is their least gap.  :func:`ensure_generic`
+    makes it too, so a configuration it accepts is accepted by every
+    reader.  The readers rely on what it proves and check none of it
+    again: bisector j lies strictly between points j and j + 1, so no two
+    points share a region; no dot is equidistant from its two
     opposite-colour neighbours, which come from consecutive points, since
     that would put it on their bisector or its antipode; and no point sits
     on p_0's antipode, so each point or its antipode, not both, lies in
     [0, 1/2).
     """
-    f = _Frame(config, rotate=True)
+    f = _Frame(config)
     margin = f.margin()
     if f.exact:
         if margin <= 0:
@@ -211,54 +217,20 @@ def _generic_frame(config: PointConfig) -> _Frame:
     return f
 
 
-def bisector_positions(config: PointConfig) -> tuple:
-    """Midpoint of each pair of cyclically consecutive points, in pair order.
-
-    The wrap-around pair uses the branch (1 + p_last + p_first)/2 mod 1 so the
-    midpoint lands on the short arc between the two points.
-    Test seam: read by the Fraction-oracle test and the float-path digest.
-    """
-    f = _Frame(config, rotate=False)
-    return tuple(f.arc(v) for v in f.lines)
-
-
-def critical_values(config: PointConfig) -> list:
-    """Points, antipodes, bisectors and antipodal bisectors: 4n values mod 1.
-
-    Test seam: read by the float-path digest of the geometry tests.
-    """
-    f = _Frame(config, rotate=False)
-    return [f.arc(v) for v in f.critical_values()]
-
-
 def genericity_margin(config: PointConfig):
-    """Smallest cyclic gap between two critical values; 0 means degenerate.
+    """Smallest cyclic gap between two critical values of the frame with p_0 at 0, in arc length.
 
-    It reads the unrotated frame, so for float input it can differ from the
-    decision of :func:`ensure_generic`, made on the rotated frame, by
-    rounding: for the positions (0.14530105942205312, 0.4041498492826533,
-    0.7747254543533533) it is 1.00009e-12, just above
-    ``FLOAT_TIE_TOLERANCE``, while the rotated frame's margin is 9.99978e-13
-    and the configuration is rejected.  Exact margins do not depend on the
-    frame.
-    Test seam: read by the Fraction-oracle test and the float-path and plan digests.
+    It is read on the frame of the genericity decision, so
+    :func:`ensure_generic` rejects ``config`` exactly when it is 0 (exact
+    input) or below ``FLOAT_TIE_TOLERANCE`` (float input).
     """
-    f = _Frame(config, rotate=False)
+    f = _Frame(config)
     return f.arc(f.margin())
 
 
 def ensure_generic(config: PointConfig) -> None:
     """Raise :class:`NonGenericConfiguration` exactly when the readers would (see :func:`_generic_frame`)."""
     _generic_frame(config)
-
-
-def region_boundaries(config: PointConfig) -> tuple:
-    """The 2n sorted region boundaries: bisectors and their antipodes.
-
-    Test seam: read by the Fraction-oracle test and the float-path and plan digests.
-    """
-    f = _Frame(config, rotate=False)
-    return tuple(f.arc(v) for v in f.boundaries())
 
 
 def _region_index(boundaries: Sequence, x, m: int) -> int:
@@ -495,7 +467,7 @@ def _check_t_grid(t_grid: Iterable) -> tuple:
     """
     grid = _check_grid(t_grid, "t-grid")
     if not all(0 <= t <= 1 for t in grid):
-        raise ValueError(f"need 0 <= t <= 1 for every grid value, got {[float(t) for t in grid]}")
+        raise ValueError(f"need 0 <= t <= 1 for every grid value, got [{', '.join(map(str, grid))}]")
     return grid
 
 

@@ -182,15 +182,17 @@ def verify_bisector_layout(plan: RealizationPlan) -> bool:
     each window of width 1/(4s) around a zero anchor exactly two; together
     these must account for all 2n boundaries, each exactly once.  It runs on
     ints: arc 1 is 8*s*q, q the least common denominator of the perturbed
-    positions and the frame's unit, whose circle is 2q.
+    positions and the frame's unit, whose circle is 2q.  The frame puts the
+    first point at 0, so the positions and windows turn by that point too.
     """
     nums, q = _over_common_denominator(plan.perturbed)
     s, m = plan.s, 2 * plan.n
     circle = 8 * s * q
     xs = sorted(x % q for x, bit in zip(nums, plan.rotated_word) if bit)
-    frame = _Frame(PointConfig._from_units(xs, q), rotate=False)
+    frame = _Frame(PointConfig._from_units(xs, q))
     boundaries = [4 * s * b for b in frame.boundaries()]
-    pos = [8 * s * x % circle for x in nums]
+    shift = 8 * s * xs[0]
+    pos = [(8 * s * x - shift) % circle for x in nums]
     # (start, end, boundaries expected) of each open counterclockwise arc
     arcs = [
         (pos[h - 1], pos[h], 1) if kind == "descending" else (pos[h], pos[(h + 1) % m], 1)
@@ -198,7 +200,7 @@ def verify_bisector_layout(plan: RealizationPlan) -> bool:
         for h in indices
     ]
     # windows around the zero anchors (2k - 1)/(2s), k = 1..s
-    arcs += [(c - q, c + q, 2) for c in range(4 * q, circle, 8 * q)]
+    arcs += [((c - shift - q) % circle, (c - shift + q) % circle, 2) for c in range(4 * q, circle, 8 * q)]
     claimed = []
     for a, b, expected in arcs:
         hits = _arc_indices(boundaries, a, b)

@@ -95,11 +95,11 @@ def check_signature(letters: Iterable[int]) -> Signature:
 
 
 def check_folded(letters: Iterable[str]) -> FoldedWord:
-    f = tuple(str(a) for a in letters)
+    f = tuple(letters)
     if len(f) < 3:
         raise ValueError(f"folded word length must be >= 3, got {len(f)}")
     if any(a not in FOLDED_ALPHABET for a in f):
-        raise ValueError("folded letters must be one of 00, 01, 10, 11")
+        raise ValueError("folded letters must be one of the strings '00', '01', '10', '11'")
     return f
 
 

@@ -345,6 +345,18 @@ class TestStats:
         code, out, err = run_cli("stats", "--positions", "0,1/10,3/10", "--t-grid", "2,-1")
         assert code == 1 and out == "" and "0 <= t <= 1" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--positions", "0,1/0,1/2"), "zero denominator in '1/0'"),
+            (("--positions", "0,1/10,3/10", "--t-grid", "1/2,1/0"), "zero denominator in '1/0'"),
+            (("--positions", "0,1/10,3/10", "--t-grid", "1e400"), f"need 0 <= t <= 1 for every grid value, got [{10**400}]"),
+        ],
+        ids=["positions-zero-denominator", "t-grid-zero-denominator", "t-grid-beyond-floats"],
+    )
+    def test_unreadable_values_exit_1_with_no_output(self, argv, message):
+        assert run_cli("stats", *argv) == (1, "", f"error: {message}\n")
+
 
 class TestVerify:
     def test_single_fast_criterion(self):

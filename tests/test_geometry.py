@@ -89,10 +89,9 @@ class TestPointConfig:
         assert mixed.positions == (0, Fraction(1, 10), 0.3) and not mixed.is_exact
         floats = PointConfig((0.0, 0.1, 0.3))
         for read in (
-            geometry.bisector_positions,
-            geometry.critical_values,
-            geometry.region_boundaries,
             lambda cfg: geometry.arrangement(cfg).bisectors,
+            lambda cfg: geometry.arrangement(cfg).boundaries,
+            lambda cfg: geometry.arrangement(cfg).dots,
             lambda cfg: region_stats(cfg, (0.5, 1)).lengths,
             lambda cfg: (geometry.genericity_margin(cfg),),
         ):
@@ -108,6 +107,10 @@ class TestPointConfig:
             PointConfig((0.0, 0.5, 1 - tiny))
         # exact input keeps such values apart
         assert PointConfig((0, Fraction(1, 3), Fraction(1, 3) + tiny, 1 - tiny)).is_exact
+
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+            PointConfig.from_strings(["0", "1/0", "1/2"])
 
     def test_string_roundtrip(self):
         cfg = PointConfig.from_strings(["0", "1/10", "0.3"])
@@ -201,10 +204,9 @@ class TestArrangement:
         rng = np.random.default_rng(11)
         for _ in range(30):
             cfg = sample_uniform_config(6, rng)
-            delta = -cfg.positions[0]
-            rotated = PointConfig.from_points(p + delta for p in cfg.positions)
-            ls = sorted(geometry.bisector_positions(rotated))
-            pos = rotated.positions
+            # the arrangement reads the frame with p_0 at 0
+            pos = [p - cfg.positions[0] for p in cfg.positions]
+            ls = sorted(arrangement(cfg).bisectors)
             for a, b in zip(ls, ls[1:] + [ls[0] + 1]):
                 inside = sum(1 for p in list(pos) + [p + 1 for p in pos] if a < p < b)
                 assert inside == 1
@@ -588,13 +590,14 @@ class TestRegionStats:
             ([[0.5]], "need a flat sequence of real numbers as the t-grid, got [[0.5]]"),
             (["0.5"], "need a flat sequence of real numbers as the t-grid, got ['0.5']"),
             ("0.5", "need a flat sequence of real numbers as the t-grid, got '0.5'"),
-            ((0.5, Fraction(5, 4), np.float64(-1)), "need 0 <= t <= 1 for every grid value, got [0.5, 1.25, -1.0]"),
+            ((0.5, Fraction(5, 4), np.float64(-1)), "need 0 <= t <= 1 for every grid value, got [0.5, 5/4, -1.0]"),
+            ((10**400,), f"need 0 <= t <= 1 for every grid value, got [{10**400}]"),
             (
                 [2.0] * (geometry.MAX_T_GRID + 1),
                 f"need at most {geometry.MAX_T_GRID} t-grid values, got {geometry.MAX_T_GRID + 1}",
             ),
         ],
-        ids=["nested", "scalar", "nested-one", "string-item", "string", "out-of-range", "too-long"],
+        ids=["nested", "scalar", "nested-one", "string-item", "string", "out-of-range", "beyond-floats", "too-long"],
     )
     @pytest.mark.parametrize(
         "read",
@@ -641,11 +644,8 @@ class TestTrianglePattern:
             word = occupancy_word(cfg)
             region_of = {}
             m = 6
-            delta = -cfg.positions[0]
-            rotated = PointConfig.from_points(p + delta for p in cfg.positions)
-            bnd = geometry.region_boundaries(rotated)
-            pos0 = rotated.positions
-            for i, q in enumerate(pos0):
+            bnd = arrangement(cfg).boundaries
+            for i, q in enumerate(p - cfg.positions[0] for p in cfg.positions):
                 region_of[i] = geometry._region_index(bnd, q, m)
 
             def gap(i, j):
@@ -700,18 +700,22 @@ class TestExactAgainstFractionOracle:
     @given(exact_positions())
     def test_words_margins_and_boundaries(self, pos):
         cfg = PointConfig(tuple(pos))
-        assert geometry.bisector_positions(cfg) == tuple(bisector_positions_by_fractions(pos))
-        bnd = geometry.region_boundaries(cfg)
-        assert bnd == tuple(region_boundaries_by_fractions(pos))
-        assert all(type(b) is Fraction for b in bnd)
+        # exact margins do not depend on the frame
         margin = geometry.genericity_margin(cfg)
         assert type(margin) is Fraction and margin == genericity_margin_by_fractions(pos)
         want = occupancy_word_by_fractions(pos)
         if want is None:
             with pytest.raises(NonGenericConfiguration):
                 occupancy_word(cfg)
+            with pytest.raises(NonGenericConfiguration):
+                arrangement(cfg)
         else:
             assert occupancy_word(cfg) == want
+            rotated = [p - pos[0] for p in pos]
+            arr = arrangement(cfg)
+            assert arr.bisectors == tuple(bisector_positions_by_fractions(rotated))
+            assert arr.boundaries == tuple(region_boundaries_by_fractions(rotated))
+            assert all(type(b) is Fraction for b in arr.bisectors + arr.boundaries)
         if margin == 0:
             with pytest.raises(NonGenericConfiguration):
                 geometry.ensure_generic(cfg)
@@ -788,7 +792,7 @@ class TestOneGenericityDecision:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.floats(0, 0.45), st.floats(0, 0.45), st.sampled_from((-1, 1)), st.floats(-3e-16, 3e-16))
-    # the unrotated margin is 1.00009e-12 and the rotated one 9.99978e-13
+    # the margin is 9.99978e-13 with p_0 at 0, and 1.00009e-12 read unrotated
     @example(0.14530105942205312, 0.4041498492826533, 1, 1e-16)
     def test_ensure_generic_rejects_exactly_what_the_readers_reject(self, a, b, sign, delta):
         a, b = sorted((a, b))
@@ -797,6 +801,7 @@ class TestOneGenericityDecision:
         cfg = PointConfig((a, b, c))
         rejected = _rejects(geometry.ensure_generic, cfg)
         assert [_rejects(read, cfg) for read in self.READERS] == [rejected] * len(self.READERS)
+        assert (geometry.genericity_margin(cfg) < geometry.FLOAT_TIE_TOLERANCE) == rejected
         if not rejected:
             assert max(occupancy_word(cfg)) == 1
             assert len(ocdc(cfg)) == 3
@@ -817,10 +822,7 @@ def _float_path_payload(n):
         rows.append(
             {
                 "margin": geometry.genericity_margin(cfg).hex(),
-                "boundaries": _hexes(geometry.region_boundaries(cfg)),
                 "word": list(occupancy_word(cfg)),
-                "critical": _hexes(geometry.critical_values(cfg)),
-                "bisectors": _hexes(geometry.bisector_positions(cfg)),
                 "arrangement": [
                     _hexes(arr.bisectors),
                     _hexes(arr.antipodal_bisectors),
@@ -836,12 +838,13 @@ def _float_path_payload(n):
     return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
 
 
-# sha256 of every float result above, bit for bit (float.hex), recorded on
-# the Fraction-based implementation that the circle-unit code replaced
+# sha256 of every float result above, bit for bit (float.hex).  The fields
+# other than the margin hash as recorded on the Fraction-based implementation
+# that the circle-unit code replaced; the margin is read with p_0 at 0.
 PINNED_FLOAT_PATH = {
-    3: "b549e0e378372b8532c3c43dbc4549344f2bd2dd7d780928c19cfeebe52452a7",
-    8: "d46e48b8baee72331532dbec698282582240eb4a3514b03be544a8f7b859e369",
-    64: "ed651d36c044aa08b0a4860bf5edcf159a6bb36d6570baa15a45f0c4f69414f1",
+    3: "2f8908467752e16f3ea99dbd7eb629c1f5b3717f25666bc3bbf85dcc905f22eb",
+    8: "a66b6e1acee24a6cdb0bfa7d6167ce9d673a79551c22d1b30c9f4d97c903a82f",
+    64: "7432f83a008c9621c0deafcb8b3eb06f5dd525a5455836b05dfcd4ec9da33ff6",
 }
 
 

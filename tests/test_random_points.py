@@ -183,9 +183,9 @@ class TestUniformConfig:
             return np.array(self.draws.pop(0))
 
     def test_redraws_on_duplicate_and_on_tie(self):
-        # the third draw's margin is 1.00009e-12 in the unrotated frame, just
-        # above the tolerance, and 9.99978e-13 in the rotated frame that
-        # every reader reads, so a reader would reject it
+        # the third draw's margin is 9.99978e-13 with p_0 at 0, the frame
+        # that every reader reads, so a reader would reject it (read
+        # unrotated it would be 1.00009e-12, just above the tolerance)
         straddling = [0.14530105942205312, 0.4041498492826533, 0.7747254543533533]
         rng = self._ScriptedDraws([0.3, 0.1, 0.3], [0.0, 1 / 3, 2 / 3], straddling, [0.75, 0.1, 0.3])
         config = rp.sample_uniform_config(3, rng)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from bisector_words import enumeration, geometry, realization, sampler, words
-from bisector_words.geometry import genericity_margin, occupancy_word, region_boundaries
+from bisector_words.geometry import arrangement, genericity_margin, occupancy_word
 from bisector_words.realization import (
     NotRealizable,
     plan_realization,
@@ -16,7 +16,7 @@ from bisector_words.realization import (
     verify_bisector_layout,
 )
 
-from oracles import bisector_layout_by_fractions
+from oracles import bisector_layout_by_fractions, region_boundaries_by_fractions
 from test_geometry import realizable_words
 
 
@@ -62,17 +62,14 @@ class TestRealize:
             assert all(a < b for a, b in zip(pos, pos[1:]))
 
 
-# Every public reading of a configuration, the four test seams included.
+# Every public reading of a configuration.
 GEOMETRY_READINGS = (
     geometry.occupancy_word,
     geometry.arrangement,
     geometry.ocdc,
     lambda config: geometry.region_stats(config, (0, Fraction(1, 4), 0.5, 1)),
     geometry.verify_direction_patterns,
-    geometry.bisector_positions,
-    geometry.critical_values,
     geometry.genericity_margin,
-    geometry.region_boundaries,
 )
 
 
@@ -156,7 +153,7 @@ class TestPlan:
                     {
                         "plan": d,
                         "margin": str(genericity_margin(cfg)),
-                        "boundaries": [str(b) for b in region_boundaries(cfg)],
+                        "boundaries": [str(b) for b in region_boundaries_by_fractions(cfg.positions)],
                         "word": list(occupancy_word(cfg)),
                     }
                 )
@@ -207,6 +204,18 @@ class TestBisectorLayout:
         assert not verify_bisector_layout(plan)
         assert not bisector_layout_by_fractions(plan)
 
+    @pytest.mark.parametrize(
+        "w", [(1, 0, 1, 1, 0, 0), (0, 1, 0, 1, 1, 0, 0, 1, 1, 0), (1, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0)]
+    )
+    @pytest.mark.parametrize("d", [32, 9])
+    def test_plans_turned_within_the_windows_still_verify(self, w, d):
+        # every boundary moves by 1/(ds), which keeps it inside its window;
+        # the first point moves off 0, so the frame's turn is that far too
+        plan = plan_realization(w)
+        shift = Fraction(1, d * plan.s)
+        plan = dataclasses.replace(plan, perturbed=tuple(x + shift for x in plan.perturbed))
+        assert verify_bisector_layout(plan) and bisector_layout_by_fractions(plan)
+
     def test_empty_components_still_verify(self):
         # all signature letters special: every component is empty
         w = (0, 1, 0, 1, 0, 1, 0, 1)
@@ -214,7 +223,5 @@ class TestBisectorLayout:
         assert verify_bisector_layout(plan_realization(w))
 
     def test_boundary_count_is_2n(self):
-        from bisector_words.geometry import region_boundaries
-
         for w in enumeration.enumerate_words(4):
-            assert len(set(region_boundaries(realize(w)))) == 8
+            assert len(set(arrangement(realize(w)).boundaries)) == 8

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bisector_words import enumeration, words
+from bisector_words import enumeration, sampler, words
 from oracles import bracelet_class_tuples, is_interlacing_literal
 
 EXAMPLE_18 = (0, 0, 0, 0, 1, 0, 1, 0, 1, 1, 0, 1, 1, 1, 1, 0, 0, 1)
@@ -179,6 +179,13 @@ class TestValidation:
     )
     def test_short_or_off_alphabet_letters_are_rejected(self, fn, letters, message):
         with pytest.raises(ValueError, match=message):
+            fn(letters)
+
+    # ints whose decimal strings are folded letters are not letters
+    @pytest.mark.parametrize("letters", [(11, 10, 11, 10), (11, 10, 11), ("11", 10, "00"), (11, 1, 11)])
+    @pytest.mark.parametrize("fn", [words.check_folded, words.unfold, sampler.word_to_walk])
+    def test_folded_letters_must_be_strings(self, fn, letters):
+        with pytest.raises(ValueError, match="folded letters must be one of the strings '00', '01', '10', '11'"):
             fn(letters)
 
 
