@@ -61,7 +61,7 @@ def _cmd_realize(args) -> int:
 def _cmd_enumerate(args) -> int:
     ns = _parse_range(args.n)
     for n in ns:
-        words._check_n(n, enumeration.MAX_ENUMERATION_N)
+        words._check_int(n, "n", 3, enumeration.MAX_ENUMERATION_N)
     for n in ns:
         spec = f"0{2 * n}b"
         chunks = enumeration._bracelet_chunks(n) if args.bracelets else enumeration._word_chunks(n)
@@ -73,7 +73,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_count(args) -> int:
     ns = _parse_range(args.n)
     for n in ns:
-        words._check_n(n, words.MAX_BRACELET_N)
+        words._check_int(n, "n", 3, words.MAX_BRACELET_N)
     rows = []
     for n in ns:
         rows.append(
@@ -101,9 +101,8 @@ _SAMPLE_MAX_N = {
 
 
 def _cmd_sample(args) -> int:
-    if args.count < 0:
-        raise _CliError(f"--count must be >= 0, got {args.count}")
-    words._check_n(args.n, _SAMPLE_MAX_N[args.kind])
+    words._check_int(args.count, "--count", 0)
+    words._check_int(args.n, "n", 3, _SAMPLE_MAX_N[args.kind])
     rng = random_points.batch_rng(args.seed, 0)
     for _ in range(args.count):
         if args.kind == "word":
@@ -117,12 +116,10 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    # n first, before anything is built or drawn: pb's run-word bracelet costs O(n^2)
+    # n and trials first, before anything is built or drawn: pb's run-word bracelet costs O(n^2)
     pb = args.stat == "pb"
-    words._check_n(args.n, random_points.MAX_PACKED_N if pb else random_points.MAX_GEOMETRY_N)
-    if args.trials < 2:
-        # one trial has no standard error, and its z would print as Infinity
-        raise _CliError(f"--trials must be >= 2, got {args.trials}")
+    words._check_int(args.n, "n", 3, random_points.MAX_PACKED_N if pb else random_points.MAX_GEOMETRY_N)
+    words._check_int(args.trials, "--trials", 2, random_points.MAX_TRIALS)
     if pb:
         target = words.canonical_bracelet(words.run_word(args.n))
         result = random_points.estimate_bracelet_prob(

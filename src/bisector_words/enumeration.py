@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .words import MAX_BRACELET_N, Word, _check_n
+from .words import MAX_BRACELET_N, Word, _check_int
 
 MAX_ENUMERATION_N = 14  # desk scale: 4.8 million words at 14, held one chunk at a time
 # Words per chunk of the stream; a signature with more words is a chunk of
@@ -43,7 +43,7 @@ def _word_count(m: int) -> int:
 
 def count_words(n: int) -> int:
     """Number of realizable words of length 2n: 3^n - 2^(n+1) + 1."""
-    _check_n(n, MAX_BRACELET_N)
+    _check_int(n, "n", 3, MAX_BRACELET_N)
     return _word_count(n)
 
 
@@ -58,7 +58,7 @@ def _signature_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     and a complete signature needs a special letter whose first and last
     differ, which closes the alternation around the cycle.
     """
-    _check_n(n, MAX_ENUMERATION_N)
+    _check_int(n, "n", 3, MAX_ENUMERATION_N)
     twos = ones = np.zeros(1, np.uint64)
     first = last = np.ones(1, np.intp)
     for i in range(n):
@@ -118,7 +118,7 @@ def enumerate_words(n: int) -> Iterator[Word]:
     letter 1 expand into the two bit choices in the fixed order (1,0) then
     (0,1), so the stream is reproducible.
     """
-    _check_n(n, MAX_ENUMERATION_N)
+    _check_int(n, "n", 3, MAX_ENUMERATION_N)
     halves = _half_tuples(n)
     shift, low = np.uint64(n), np.uint64((1 << n) - 1)
     parts = (c[s : s + _TUPLE_SLICE] for c in _word_chunks(n) for s in range(0, len(c), _TUPLE_SLICE))
@@ -252,7 +252,7 @@ def count_bracelets(n: int) -> int:
     by an element of the dihedral group of order 4n, :func:`_burnside_total`
     over 4n; the same total weighs the bracelet sampler.
     """
-    _check_n(n, MAX_BRACELET_N)
+    _check_int(n, "n", 3, MAX_BRACELET_N)
     return _burnside_total(n) // (4 * n)
 
 
@@ -272,7 +272,7 @@ def enumeration_report(n: int) -> EnumerationReport:
     it, so the classes of orbit size o are the words of that orbit size
     divided by o.
     """
-    _check_n(n, MAX_ENUMERATION_N)
+    _check_int(n, "n", 3, MAX_ENUMERATION_N)
     group = 4 * n
     by_stabiliser = np.zeros(group + 1, np.int64)
     for chunk in _word_chunks(n):

@@ -447,32 +447,30 @@ class RegionStats:
         }
 
 
-def _check_grid(values: Iterable, what: str) -> tuple:
-    """The values as a tuple; rejected unless they are a flat sequence of at most ``MAX_T_GRID`` reals."""
+def _check_grid(values: Iterable, what: str, interval: str) -> tuple:
+    """The values as a tuple; rejected unless they are a flat sequence of at most ``MAX_T_GRID`` reals in ``interval``.
+
+    ``interval`` is "[0, 1]" (the t-grid) or "(0, 1]" (the c-grid); NaN is
+    in neither.  The message names the rule and one offence: the input that
+    is no sequence, the length, or the first value out of rule and its
+    position, each shown by :func:`words._shown`, never the whole grid.
+    """
+    rule = f"need the {what} to be a flat sequence of at most {MAX_T_GRID} reals in {interval}"
     try:
         grid = tuple(values)
     except TypeError:
-        grid = None
-    if grid is None or not all(isinstance(t, numbers.Real) for t in grid):
-        raise ValueError(f"need a flat sequence of real numbers as the {what}, got {values!r}")
+        raise ValueError(f"{rule}, got {words._shown(values)}") from None
     if len(grid) > MAX_T_GRID:
-        raise ValueError(f"need at most {MAX_T_GRID} {what} values, got {len(grid)}")
-    return grid
-
-
-def _check_t_grid(t_grid: Iterable) -> tuple:
-    """The grid as a tuple; rejected unless it is a flat sequence of at most ``MAX_T_GRID`` reals in [0, 1].
-
-    NaN is not in [0, 1].
-    """
-    grid = _check_grid(t_grid, "t-grid")
-    if not all(0 <= t <= 1 for t in grid):
-        raise ValueError(f"need 0 <= t <= 1 for every grid value, got [{', '.join(map(str, grid))}]")
+        raise ValueError(f"{rule}, got {len(grid)} values")
+    closed = interval[0] == "["
+    for i, t in enumerate(grid):
+        if not (isinstance(t, numbers.Real) and 0 <= t <= 1 and (closed or t != 0)):
+            raise ValueError(f"{rule}, got {words._shown(t)} at position {i}")
     return grid
 
 
 def region_stats(config: PointConfig, t_grid: Sequence = ()) -> RegionStats:
-    grid = _check_t_grid(t_grid)
+    grid = _check_grid(t_grid, "t-grid", "[0, 1]")
     f = _generic_frame(config)
     m = 2 * f.n
     bnd = f.boundaries()

@@ -74,8 +74,8 @@ from typing import Sequence
 import numpy as np
 
 from . import words
-from .geometry import NonGenericConfiguration, PointConfig, _check_t_grid, ensure_generic
-from .words import Bracelet, _check_n
+from .geometry import NonGenericConfiguration, PointConfig, _check_grid, ensure_generic
+from .words import Bracelet, _check_int
 
 BATCH_SIZE = 1 << 14
 # Most regions (rows * 2n) the batched geometry holds at once: the 2n-wide
@@ -101,17 +101,15 @@ MAX_CONFIG_N = 10**5
 # Fraction terms, so its time grows about as n^4.5 (about 1 s at n = 40 on a
 # 2-vCPU VM).  It cross-checks phi, which criterion 8 does for n <= 8.
 _MAX_SERIES_N = 40
-
-
-def _check_seed(seed: int) -> None:
-    """Reject a seed that is not exactly an ``int`` in [0, 2**64), as n and trials are checked."""
-    if type(seed) is not int or not 0 <= seed < 1 << 64:
-        raise ValueError(f"need an integer seed with 0 <= seed < 2**64, got {seed!r}")
+# Most trials of one call: results multiply trials as a float, which holds
+# every int only up to 2**53.  An estimator needs at least two, since one
+# has no sample variance, so no z.
+MAX_TRIALS = 2**53
 
 
 def batch_rng(seed: int, index: int) -> np.random.Generator:
     """Generator for batch ``index``: a pure function of (seed, index), 0 <= seed < 2**64."""
-    _check_seed(seed)
+    _check_int(seed, "seed", 0, 2**64 - 1)
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
@@ -127,7 +125,7 @@ def closed_form(name: str, n: int) -> Fraction:
     pbn: probability of the bracelet of :func:`bisector_words.words.run_word`;
     phi13: value at 1/3 of the weighted binomial double sum phi.
     """
-    _check_n(n, MAX_GEOMETRY_N)
+    _check_int(n, "n", 3, MAX_GEOMETRY_N)
     if name == "h2":
         return Fraction(n, 2) * (1 + Fraction(1, 3 ** (n - 2)))
     if name == "l0":
@@ -181,8 +179,8 @@ def phi(x, n: int) -> Fraction:
     """Closed form of the double sum :func:`phi_series` for 0 < x < 1/2."""
     x = Fraction(x)
     if not 0 < x < Fraction(1, 2):
-        raise ValueError(f"need 0 < x < 1/2, got {x}")
-    _check_n(n, MAX_GEOMETRY_N)
+        raise ValueError(f"need 0 < x < 1/2, got {words._shown(x)}")
+    _check_int(n, "n", 3, MAX_GEOMETRY_N)
     lead = (x / 2) * (1 - x ** (n - 2)) / (1 - x)
     tail = (x / 2 ** (n - 1)) * (1 - (2 * x) ** (n - 2)) / (1 - 2 * x)
     return lead - tail
@@ -192,8 +190,8 @@ def phi_series(x, n: int) -> Fraction:
     """Literal quadruple sum defining phi; exact, for cross-checking :func:`phi`."""
     x = Fraction(x)
     if not 0 < x < Fraction(1, 2):
-        raise ValueError(f"need 0 < x < 1/2, got {x}")
-    _check_n(n, _MAX_SERIES_N)
+        raise ValueError(f"need 0 < x < 1/2, got {words._shown(x)}")
+    _check_int(n, "n", 3, _MAX_SERIES_N)
     total = Fraction(0)
     for k in range(1, n - 1):
         for l in range(1, n - k):
@@ -228,18 +226,6 @@ class EstimatorResult:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-
-def _check_trials(trials: int, least: int = 2) -> None:
-    """Reject, before any draw, trials that are not an integer of at least ``least``.
-
-    Estimators need two trials: one has no sample variance, so no z.  Like n
-    (:func:`words._check_n`), trials must be exactly an ``int``.
-    """
-    if type(trials) is not int:
-        raise ValueError(f"need an integer number of trials, got {trials!r}")
-    if trials < least:
-        raise ValueError(f"need trials >= {least}, got {trials}")
 
 
 def _make_result(total: float, total_sq: float, trials: int, seed: int, target) -> EstimatorResult:
@@ -284,9 +270,8 @@ def _run_batches(fn, n: int, trials: int, seed: int, workers: int, *args):
     top-level function, so that it pickles into worker processes, and its
     results add with ``+`` (ints or numpy arrays).
     """
-    _check_trials(trials, least=1)
-    if type(workers) is not int or workers < 1:
-        raise ValueError(f"need workers to be an integer >= 1, got {workers!r}")
+    _check_int(trials, "trials", 1, MAX_TRIALS)
+    _check_int(workers, "workers", 1)
     starts = range(0, trials, BATCH_SIZE)
     tasks = (
         (fn, n, batch_rng(seed, i), min(BATCH_SIZE, trials - s), args) for i, s in enumerate(starts)
@@ -570,7 +555,7 @@ def sample_uniform_config(n: int, rng: np.random.Generator) -> PointConfig:
     draw did at n = 10^6, where this loop would in effect never return.
     So n is bounded by ``MAX_CONFIG_N`` before anything is drawn.
     """
-    _check_n(n, MAX_CONFIG_N)
+    _check_int(n, "n", 3, MAX_CONFIG_N)
     while True:
         positions = tuple(sorted(float(x) for x in rng.random(n)))
         if any(a == b for a, b in zip(positions, positions[1:])):
@@ -598,7 +583,7 @@ class ExpSpacingSample:
 
 def sample_exp_model(n: int, rng: np.random.Generator) -> ExpSpacingSample:
     """One sample of the exponential spacing model, 3 <= n <= 10^6."""
-    _check_n(n, MAX_GEOMETRY_N)
+    _check_int(n, "n", 3, MAX_GEOMETRY_N)
     spac, y, colors = _exp_draw(n, 1, rng)
     return ExpSpacingSample(
         spacings=tuple(spac[0].tolist()), dots=tuple(y[0].tolist()), colors=(*colors[0].tolist(), 0)
@@ -626,8 +611,8 @@ def estimate_bracelet_prob(
     worker count.  Words are packed into 64 bits, so n is at most
     ``MAX_PACKED_N``.
     """
-    _check_n(n, MAX_PACKED_N)
-    _check_trials(trials)
+    _check_int(n, "n", 3, MAX_PACKED_N)
+    _check_int(trials, "trials", 2, MAX_TRIALS)
     if target.n != n:
         raise ValueError(f"target bracelet has n={target.n}, estimate is for n={n}")
     if model not in _MODEL_CHUNKS:
@@ -643,8 +628,8 @@ def estimate_region_stats(
     n: int, trials: int, seed: int, workers: int = 1
 ) -> dict[str, EstimatorResult]:
     """Monte Carlo means of h2/l0/l1/l2/le against their closed forms."""
-    _check_n(n, MAX_GEOMETRY_N)
-    _check_trials(trials)
+    _check_int(n, "n", 3, MAX_GEOMETRY_N)
+    _check_int(trials, "trials", 2, MAX_TRIALS)
     sums = _run_batches(_region_sums, n, trials, seed, workers).tolist()
     return {
         k: _make_result(s, sq, trials, seed, _float_target(k, n))
@@ -654,7 +639,7 @@ def estimate_region_stats(
 
 def interlacing_failures(n: int, trials: int, seed: int) -> int:
     """Number of sampled configurations whose signature fails to interlace."""
-    _check_n(n, MAX_GEOMETRY_N)
+    _check_int(n, "n", 3, MAX_GEOMETRY_N)
     return _run_batches(_interlacing_failures, n, trials, seed, 1)
 
 
@@ -682,11 +667,11 @@ def transfer_check(n: int, trials: int, seed: int) -> TransferReport:
 
     The exponential-model estimator averages (unnormalized type-k length)/(2n),
     which the transfer identity equates with the unit-circle expectation.
-    Internally uses seeds seed+1 (circle) and seed+2 (exponential); n and
-    trials are checked by :func:`estimate_region_stats` before any draw.
+    Internally uses seeds seed+1 (circle) and seed+2 (exponential), so seed
+    is at most 2**64 - 3; n and trials are checked by
+    :func:`estimate_region_stats` before any draw.
     """
-    _check_seed(seed)
-    _check_seed(seed + 2)
+    _check_int(seed, "seed", 0, 2**64 - 3)
     circle = estimate_region_stats(n, trials, seed + 1)
     *typed, (total, total_sq) = _run_batches(_exp_length_sums, n, trials, seed + 2, 1).tolist()
     comparisons = []
@@ -737,8 +722,8 @@ def equidistribution_paths(
     every estimator here (see the module docstring); each batch is summed
     row by row and the batch sums are added in batch order.
     """
-    _check_n(n, MAX_GEOMETRY_N)
-    grid = np.asarray(_check_t_grid(t_grid), dtype=np.float64)
+    _check_int(n, "n", 3, MAX_GEOMETRY_N)
+    grid = np.asarray(_check_grid(t_grid, "t-grid", "[0, 1]"), dtype=np.float64)
     h_acc, l_acc = _run_batches(_path_sums, n, trials, seed, 1, grid) / trials
     return PathReport(
         n=n,
@@ -762,8 +747,8 @@ def max_spacing_check(n: int, trials: int, seed: int) -> EstimatorResult:
     tends to 1/2 slowly.  Trial j is row j mod ``BATCH_SIZE`` of batch
     j // ``BATCH_SIZE``, as in every estimator here (see the module docstring).
     """
-    _check_n(n, MAX_GEOMETRY_N, least=2)
-    _check_trials(trials)
+    _check_int(n, "n", 2, MAX_GEOMETRY_N)
+    _check_int(trials, "trials", 2, MAX_TRIALS)
     total, total_sq = _run_batches(_max_gap_sums, n, trials, seed, 1)[0].tolist()
     harmonic = math.fsum(1 / k for k in range(1, n))
     return _make_result(total, total_sq, trials, seed, n * harmonic / (2 * (n + 1) * math.log(n)))

@@ -78,7 +78,7 @@ class RealizationPlan:
 def _checked_word(w) -> Word:
     """The validated word w, rejected above ``MAX_REALIZE_N`` before anything is built."""
     word = words.check_word(w)
-    words._check_n(len(word) // 2, MAX_REALIZE_N)
+    words._check_int(len(word) // 2, "n", 3, MAX_REALIZE_N)
     return word
 
 

@@ -86,8 +86,8 @@ import numpy as np
 
 from . import enumeration, words
 from .geometry import _check_grid
-from .random_points import _check_trials, _run_batches
-from .words import MAX_BRACELET_N, Bracelet, FoldedWord, Word, _check_n
+from .random_points import MAX_TRIALS, _run_batches
+from .words import MAX_BRACELET_N, Bracelet, FoldedWord, Word, _check_int
 
 _STEP_OF_LETTER = {"00": 0, "11": 0, "10": 1, "01": -1}
 _LETTER_OF_STEP = {-1: 0, 1: 1, 0: 2}
@@ -246,7 +246,7 @@ def sample_uniform_word(n: int, rng: np.random.Generator) -> Word:
     """
     table = _WORD_TABLES.get(n) if type(n) is int else None
     if table is None or isinstance(rng.bit_generator, _MT19937):
-        _check_n(n, MAX_WORD_N)
+        _check_int(n, "n", 3, MAX_WORD_N)
         _check_raw_words(rng)
         if n > _BLOCK or enumeration._word_count(n) > _TABLE_SIZE:
             return words.letters_to_word(*_word_letters(n, rng))
@@ -327,7 +327,7 @@ def sample_uniform_bracelet(n: int, rng: np.random.Generator) -> Bracelet:
     """
     table = _BRACELET_TABLES.get(n) if type(n) is int else None
     if table is None or isinstance(rng.bit_generator, _MT19937):
-        _check_n(n, MAX_BRACELET_N)
+        _check_int(n, "n", 3, MAX_BRACELET_N)
         total = enumeration._burnside_total(n)
         _check_raw_words(rng)
         if total > _TABLE_SIZE:
@@ -382,7 +382,7 @@ def walk_to_word(walk: LatticeWalk, first_zero_is_11: bool = True) -> FoldedWord
 
 def binomial_parity_check(n: int) -> tuple[Fraction, Fraction]:
     """(P(even), P(odd)) for a Binomial(n, 1/3) count, by exact summation."""
-    _check_n(n, _MAX_PARITY_N, least=1)
+    _check_int(n, "n", 1, _MAX_PARITY_N)
     even = Fraction(sum(math.comb(n, k) * 2 ** (n - k) for k in range(0, n + 1, 2)), 3**n)
     return even, 1 - even
 
@@ -517,13 +517,12 @@ def _clt_sums(n: int, rng: np.random.Generator, size: int, bounds: list[int]):
     segment = lengths.index(max(lengths))
     head = min(_COUNT_BLOCK, lengths[segment])
     lengths[segment] -= head
-    # p correctly rounded, from exact integers: tails with no S, an odd and
-    # an even nonzero number of them, each times its head count.  Above 100
-    # tail letters p moves by less than 2^-58, a 32nd of its last bit.
+    # p correctly rounded, from exact integers.  A valid (tail, head) is one
+    # letter string of length head + t with an even nonzero S count, read as
+    # tail then head, and there are half as many of them as realizable words.
+    # Above 100 tail letters p moves by less than 2^-58, a 32nd of its last bit.
     t = min(n - head, 100)
-    valid = 2**t * _COUNTS[_EVEN_WITH_S][head] + (3**t - 1) // 2 * _COUNTS[_ODD][head]
-    valid += ((3**t + 1) // 2 - 2**t) * _COUNTS[_EVEN][head]
-    p = valid / (3**t * _head_count(head, t))
+    p = enumeration._word_count(head + t) // 2 / (3**t * _head_count(head, t))
     total = np.zeros((4, 3, len(bounds)), dtype=np.int64)
     missing = size
     while missing:
@@ -563,12 +562,9 @@ def lln_clt_experiment(
     a t-grid is: each value costs a segment of draws per round.  n, trials
     and the grid are checked before any draw.
     """
-    _check_n(n, MAX_WORD_N)
-    _check_trials(trials)
-    grid = _check_grid(c_grid, "c-grid")
-    if not all(0 < c <= 1 for c in grid):
-        raise ValueError(f"need 0 < c <= 1 for every grid value, got [{', '.join(map(str, grid))}]")
-    grid = tuple(map(float, grid))
+    _check_int(n, "n", 3, MAX_WORD_N)
+    _check_int(trials, "trials", 2, MAX_TRIALS)
+    grid = tuple(map(float, _check_grid(c_grid, "c-grid", "(0, 1]")))
     cuts = [math.floor(c * n) for c in grid]
     bounds = sorted({0, n, *cuts})
     sums = _run_batches(_clt_sums, n, trials, seed, 1, bounds)

@@ -39,17 +39,32 @@ _INT = frozenset({int})
 MAX_BRACELET_N = 5000
 
 
-def _check_n(n: int, most: int, least: int = 3) -> None:
-    """Reject, before anything is built or drawn, an n that is not an integer in [least, most].
+def _shown(value) -> str:
+    """``repr(value)`` when it is at most 40 characters, else only its type, so no message grows with its input.
 
-    n must be exactly an ``int``: a numpy integer would carry fixed-width
-    arithmetic into the exact counts and closed forms, which then overflow
-    silently.
+    An int beyond Python's limit for converting ints to text has no repr
+    (ValueError); it too is shown by its type.
     """
-    if type(n) is not int:
-        raise ValueError(f"need an integer n, got {n!r}")
-    if not least <= n <= most:
-        raise ValueError(f"need {least} <= n <= {most}, got {n}")
+    try:
+        text = repr(value)
+    except ValueError:
+        text = ""
+    return text if 0 < len(text) <= 40 else f"a value of type {type(value).__name__}"
+
+
+def _check_int(value: int, what: str, least: int, most: float = math.inf) -> None:
+    """Reject, before anything is built or drawn, a value that is not exactly an ``int`` in [least, most].
+
+    The one check of every integer a caller controls: n, trials, seeds and
+    worker counts.  A numpy integer would carry fixed-width arithmetic into
+    the exact counts and closed forms, which then overflow silently; it is
+    rejected, and so is a bool.  Values are shown by :func:`_shown`.
+    """
+    if type(value) is not int:
+        raise ValueError(f"need {what} to be an integer, got {_shown(value)}")
+    if not least <= value <= most:
+        bounds = f"{least} <= {what}" + (f" <= {most}" if most < math.inf else "")
+        raise ValueError(f"need {bounds}, got {_shown(value)}")
 
 
 def _as_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
@@ -70,7 +85,7 @@ def _as_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
         except (TypeError, ValueError, OverflowError):
             i = None
         if i is None or i != x:
-            raise ValueError(f"{what} must be integers, got {x!r}")
+            raise ValueError(f"{what} must be integers, got {_shown(x)}")
         ints.append(i)
     return tuple(ints)
 
@@ -197,7 +212,7 @@ def _packed(w: Iterable[int]) -> tuple[int, int]:
     """The validated word w packed by :func:`word_to_int`, and its n, bounded by ``MAX_BRACELET_N``."""
     word = check_word(w)
     n = len(word) // 2
-    _check_n(n, MAX_BRACELET_N)
+    _check_int(n, "n", 3, MAX_BRACELET_N)
     return word_to_int(word), n
 
 
@@ -257,7 +272,7 @@ def prefix_counts(s: Iterable[int], x: float) -> tuple[int, int, int]:
     """Occurrences of each letter among the first floor(x) signature letters, 0 <= x <= n."""
     sig = check_signature(s)
     if not 0 <= x <= len(sig):
-        raise ValueError(f"prefix bound must lie in [0, {len(sig)}], got {x}")
+        raise ValueError(f"prefix bound must lie in [0, {len(sig)}], got {_shown(x)}")
     head = sig[: math.floor(x)]
     return head.count(0), head.count(1), head.count(2)
 
@@ -269,5 +284,5 @@ def run_word(n: int) -> Word:
     followed by a run of n-1 empty ones.  Its bracelet is the most likely
     one under uniform random points.
     """
-    _check_n(n, MAX_BRACELET_N)
+    _check_int(n, "n", 3, MAX_BRACELET_N)
     return (1, 0) + (1,) * (n - 1) + (0,) * (n - 1)

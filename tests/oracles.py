@@ -67,6 +67,19 @@ def letter_count_law(length: int) -> dict[tuple[int, int], Fraction]:
     }
 
 
+def clt_valid_draws(head: int, tail: int) -> int:
+    """Valid (tail, head) letter strings of the CLT sampler, summed over the tail's S count.
+
+    A tail of ``tail`` letters with no S leaves a head of ``head`` letters
+    the requirement of an even nonzero S count (2^tail such tails), one
+    with an odd count an odd one ((3^tail - 1) / 2 tails), and one with an
+    even nonzero count an even one (the rest).
+    """
+    even, odd = (3**head + 1) // 2, (3**head - 1) // 2
+    no_s, odd_s = 2**tail, (3**tail - 1) // 2
+    return no_s * (even - 2**head) + odd_s * odd + (3**tail - no_s - odd_s) * even
+
+
 def realizable_profiles(n: int, bounds) -> Counter:
     """How many realizable (letter string, phase) pairs of n letters have each prefix profile.
 
@@ -485,7 +498,7 @@ def region_stats_by_fractions(config, t_grid=()):
     and converts only the values it returns.
     """
     grid = tuple(t_grid)
-    geometry._check_t_grid(grid)
+    geometry._check_grid(grid, "t-grid", "[0, 1]")
     f = geometry._generic_frame(config)
     m = 2 * f.n
     bnd_units = f.boundaries()

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from bisector_words import cli, enumeration, random_points, realization, sampler
+from bisector_words import cli, enumeration, geometry, random_points, realization, sampler
 from bisector_words.geometry import PointConfig, occupancy_word
 from bisector_words import words
+
+T_RULE = f"need the t-grid to be a flat sequence of at most {geometry.MAX_T_GRID} reals in [0, 1], got"
 
 
 def run_cli(*argv):
@@ -295,7 +297,21 @@ class TestEstimate:
         monkeypatch.setattr(random_points, "batch_rng", not_yet)
         monkeypatch.setattr(words, "canonical_bracelet", not_yet)
         code, out, err = run_cli("estimate", "--n", "4", "--stat", stat, "--trials", trials)
-        assert code == 1 and out == "" and f"--trials must be >= 2, got {trials}" in err
+        assert code == 1 and out == "" and f"need 2 <= --trials <= {random_points.MAX_TRIALS}, got {trials}" in err
+
+    @pytest.mark.parametrize("stat", ["h2", "pb"])
+    @pytest.mark.parametrize("trials", [str(2**53 + 1), "1000000000000000000000000"])
+    def test_trials_above_the_bound_exit_1_before_anything_is_built(self, monkeypatch, stat, trials):
+        # 10^24 trials raised OverflowError from len(range(...)) with a pool,
+        # and ran without end on one worker
+        def not_yet(*args):
+            raise AssertionError("built or drew before checking trials")
+
+        monkeypatch.setattr(random_points, "batch_rng", not_yet)
+        monkeypatch.setattr(words, "canonical_bracelet", not_yet)
+        code, out, err = run_cli("estimate", "--n", "3", "--stat", stat, "--trials", trials, "--workers", "2")
+        assert (code, out) == (1, "")
+        assert err == f"error: need 2 <= --trials <= {random_points.MAX_TRIALS}, got {trials}\n"
 
     def test_infinite_z_prints_as_null(self):
         # both trials have two two-dot regions, and the target is 20/9
@@ -343,16 +359,17 @@ class TestStats:
 
     def test_t_outside_unit_interval_exits_1(self):
         code, out, err = run_cli("stats", "--positions", "0,1/10,3/10", "--t-grid", "2,-1")
-        assert code == 1 and out == "" and "0 <= t <= 1" in err
+        assert code == 1 and out == "" and "reals in [0, 1], got Fraction(2, 1) at position 0" in err
 
     @pytest.mark.parametrize(
         "argv, message",
         [
             (("--positions", "0,1/0,1/2"), "zero denominator in '1/0'"),
             (("--positions", "0,1/10,3/10", "--t-grid", "1/2,1/0"), "zero denominator in '1/0'"),
-            (("--positions", "0,1/10,3/10", "--t-grid", "1e400"), f"need 0 <= t <= 1 for every grid value, got [{10**400}]"),
+            (("--positions", "0,1/10,3/10", "--t-grid", "1e400"), f"{T_RULE} a value of type Fraction at position 0"),
+            (("--positions", "0,1/10,3/10", "--t-grid", "1e5000"), f"{T_RULE} a value of type Fraction at position 0"),
         ],
-        ids=["positions-zero-denominator", "t-grid-zero-denominator", "t-grid-beyond-floats"],
+        ids=["positions-zero-denominator", "t-grid-zero-denominator", "t-grid-beyond-floats", "t-grid-beyond-text"],
     )
     def test_unreadable_values_exit_1_with_no_output(self, argv, message):
         assert run_cli("stats", *argv) == (1, "", f"error: {message}\n")

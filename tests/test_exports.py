@@ -172,8 +172,8 @@ N_FROM_WORD_LENGTH = {"canonical_bracelet", "realize"}
 N_CASES = [
     (name, case)
     for name, (_, _, most) in N_ENTRY_POINTS.items()
-    for case in ("below", "above", 3.5, 4.0, np.int64(4))
-    if (case == "above" and most is not None) or (case != "above" and name not in N_FROM_WORD_LENGTH)
+    for case in ("below", "above", "huge", 3.5, 4.0, np.int64(4))
+    if case == "above" or name not in N_FROM_WORD_LENGTH
 ]
 
 
@@ -185,11 +185,13 @@ def test_n_is_an_integer_in_range_before_any_draw(monkeypatch, name, case):
     monkeypatch.setattr(random_points, "batch_rng", no_draws)
     call, least, most = N_ENTRY_POINTS[name]
     if not isinstance(case, str):
-        n, message = case, f"need an integer n, got {case!r}"
+        n, message = case, f"need n to be an integer, got {case!r}"
+    elif case == "huge":
+        # beyond Python's limit for converting an int to text, so shown by its type
+        n, message = 10**5000, f"need {least} <= n <= {most}, got a value of type int"
     else:
         n = least - 1 if case == "below" else most + 1
-        bounds = f"n >= {least}" if most is None else f"{least} <= n <= {most}"
-        message = f"need {bounds}, got {n}"
+        message = f"need {least} <= n <= {most}, got {n}"
     with pytest.raises(ValueError) as raised:
         call(n)
     assert str(raised.value) == message

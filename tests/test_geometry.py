@@ -35,6 +35,7 @@ from oracles import (
 
 EXAMPLE = PointConfig((0.0, 0.1, 0.3))
 EXAMPLE_EXACT = PointConfig((Fraction(0), Fraction(1, 10), Fraction(3, 10)))
+T_RULE = f"need the t-grid to be a flat sequence of at most {geometry.MAX_T_GRID} reals in [0, 1], got"
 
 
 def random_exact_config(rng, n, denominator=997):
@@ -585,19 +586,31 @@ class TestRegionStats:
     @pytest.mark.parametrize(
         "grid, message",
         [
-            ([[0.5, 0.6]], "need a flat sequence of real numbers as the t-grid, got [[0.5, 0.6]]"),
-            (0.5, "need a flat sequence of real numbers as the t-grid, got 0.5"),
-            ([[0.5]], "need a flat sequence of real numbers as the t-grid, got [[0.5]]"),
-            (["0.5"], "need a flat sequence of real numbers as the t-grid, got ['0.5']"),
-            ("0.5", "need a flat sequence of real numbers as the t-grid, got '0.5'"),
-            ((0.5, Fraction(5, 4), np.float64(-1)), "need 0 <= t <= 1 for every grid value, got [0.5, 5/4, -1.0]"),
-            ((10**400,), f"need 0 <= t <= 1 for every grid value, got [{10**400}]"),
-            (
-                [2.0] * (geometry.MAX_T_GRID + 1),
-                f"need at most {geometry.MAX_T_GRID} t-grid values, got {geometry.MAX_T_GRID + 1}",
-            ),
+            ([[0.5, 0.6]], f"{T_RULE} [0.5, 0.6] at position 0"),
+            (0.5, f"{T_RULE} 0.5"),
+            ([0.5, [0.5]], f"{T_RULE} [0.5] at position 1"),
+            (["0.5"], f"{T_RULE} '0.5' at position 0"),
+            ("0.5", f"{T_RULE} '0' at position 0"),
+            ((0.5, Fraction(5, 4), np.float64(-1)), f"{T_RULE} Fraction(5, 4) at position 1"),
+            ((1, 10**400), f"{T_RULE} a value of type int at position 1"),
+            ((0.5, 10**5000), f"{T_RULE} a value of type int at position 1"),
+            ([0.5] * (geometry.MAX_T_GRID - 1) + [2], f"{T_RULE} 2 at position {geometry.MAX_T_GRID - 1}"),
+            (["0.5"] * geometry.MAX_T_GRID, f"{T_RULE} '0.5' at position 0"),
+            ([2.0] * (geometry.MAX_T_GRID + 1), f"{T_RULE} {geometry.MAX_T_GRID + 1} values"),
         ],
-        ids=["nested", "scalar", "nested-one", "string-item", "string", "out-of-range", "beyond-floats", "too-long"],
+        ids=[
+            "nested",
+            "scalar",
+            "nested-one",
+            "string-item",
+            "string",
+            "out-of-range",
+            "beyond-floats",
+            "beyond-text",
+            "long-out-of-range",
+            "long-strings",
+            "too-long",
+        ],
     )
     @pytest.mark.parametrize(
         "read",
@@ -611,7 +624,8 @@ class TestRegionStats:
         monkeypatch.setattr(random_points, "batch_rng", no_draws)
         with pytest.raises(ValueError) as err:
             read(grid)
-        assert str(err.value) == message
+        # one offence named, so the message stays short however long the grid
+        assert str(err.value) == message and len(message) < 200
 
 
 def chord(a, b):

@@ -92,7 +92,7 @@ class TestClosedForms:
             assert rp._float_target(name, n) == float(rp.closed_form(name, n)), n
 
     def test_one_trial_is_rejected_with_its_reason(self):
-        with pytest.raises(ValueError, match="trials >= 2, got 1"):
+        with pytest.raises(ValueError, match=f"need 2 <= trials <= {rp.MAX_TRIALS}, got 1"):
             rp.estimate_region_stats(4, 1, 0)
 
 
@@ -116,6 +116,9 @@ class TestPhi:
             rp.phi(Fraction(1, 2), 5)
         with pytest.raises(ValueError):
             rp.phi_series(Fraction(3, 5), 5)
+        for phi in (rp.phi, rp.phi_series):
+            with pytest.raises(ValueError, match=r"^need 0 < x < 1/2, got a value of type Fraction$"):
+                phi(10**5000, 5)
         for n in (2, -5):
             with pytest.raises(ValueError, match="need 3 <= n"):
                 rp.phi(Fraction(1, 3), n)
@@ -460,7 +463,7 @@ class TestBatchEngine:
             tracemalloc.stop()
         assert peak < bound
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 10**5000], ids=lambda v: "10**5000" if v == 10**5000 else None)
     def test_paths_and_spacings_check_the_seed(self, seed):
         with pytest.raises(ValueError, match="seed"):
             rp.max_spacing_check(1000, 5, seed)
@@ -537,6 +540,10 @@ class TestBatchEngine:
         for seed in (-1, 1 << 64):
             with pytest.raises(ValueError, match="seed"):
                 rp.batch_rng(seed, 0)
+        # beyond Python's limit for converting an int to text: shown by its type
+        with pytest.raises(ValueError) as raised:
+            rp.batch_rng(10**5000, 0)
+        assert str(raised.value) == f"need 0 <= seed <= {last}, got a value of type int"
 
     def test_type_counts_balanced_per_trial(self):
         rng = rp.batch_rng(13, 0)
@@ -798,7 +805,7 @@ class TestEstimators:
             lambda: rp.batch_rng(seed, 0),
         )
         for run in runs:
-            with pytest.raises(ValueError, match="integer seed"):
+            with pytest.raises(ValueError, match="need seed to be an integer"):
                 run()
         assert made == []
 
@@ -880,19 +887,27 @@ class TestEstimators:
             ("interlacing_failures", (4, 100.0, 35)),
             ("equidistribution_paths", (64, [0.5, 1.0], 2.0, 35)),
             ("lln_clt_experiment", (100, 10.5)),
+            # results multiply trials as a float, exact only up to 2**53
+            ("estimate_region_stats", (4, rp.MAX_TRIALS + 1, 35)),
+            ("estimate_bracelet_prob", (4, words.canonical_bracelet(words.run_word(4)), 10**24, 35)),
+            ("transfer_check", (4, rp.MAX_TRIALS + 1, 35)),
+            ("max_spacing_check", (1000, rp.MAX_TRIALS + 1, 35)),
+            ("interlacing_failures", (4, rp.MAX_TRIALS + 1, 35)),
+            ("equidistribution_paths", (64, [0.5, 1.0], 10**24, 35)),
+            ("lln_clt_experiment", (100, rp.MAX_TRIALS + 1)),
+            # beyond Python's limit for converting an int to text
+            ("estimate_region_stats", (3, -(10**5000), 1)),
         ],
     )
     def test_inputs_bounded_before_any_draw(self, monkeypatch, name, args):
-        drawn = []
+        # a draw fails the test at once, so an unbounded run cannot start
+        def no_draws(seed, index):
+            raise AssertionError("drew before checking the inputs")
 
-        def recording_rng(seed, index):
-            drawn.append(index)
-            return np.random.default_rng(0)
-
-        monkeypatch.setattr(rp, "batch_rng", recording_rng)
-        with pytest.raises(ValueError, match="need"):
+        monkeypatch.setattr(rp, "batch_rng", no_draws)
+        with pytest.raises(ValueError, match="need") as raised:
             getattr(sampler if name == "lln_clt_experiment" else rp, name)(*args)
-        assert drawn == []
+        assert len(str(raised.value)) < 200
 
     def test_estimator_result_fields(self):
         res = rp.estimate_region_stats(3, 1000, seed=21)["h2"]

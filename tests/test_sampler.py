@@ -6,6 +6,7 @@ import random
 import warnings
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from bisector_words.random_points import batch_rng
 from oracles import (
     EveryDraw,
     bracelet_class_tuples,
+    clt_valid_draws,
     count_bracelets_by_canonical,
     enumerate_walks_plus,
     fixed_words,
@@ -259,6 +261,7 @@ def raw_word_count(high: int) -> int:
 # 64-bit words, twice the largest head count 3^39, the largest one-word
 # bounds, and two-word bounds.
 EDGE_HIGHS = [2**32 - 1, 2**32 + 1, 2 * 3**39, 2**64 - 1, 2**64, 2**64 + 3, 3**50]
+C_RULE = f"need the c-grid to be a flat sequence of at most {geometry.MAX_T_GRID} reals in (0, 1], got"
 
 
 class TestUniformBelow:
@@ -548,9 +551,9 @@ class TestTablePath:
     @pytest.mark.parametrize(
         "n, message",
         [
-            (3.0, "need an integer n, got 3.0"),
-            (True, "need an integer n, got True"),
-            (np.int64(3), "need an integer n, got"),
+            (3.0, "need n to be an integer, got 3.0"),
+            (True, "need n to be an integer, got True"),
+            (np.int64(3), "need n to be an integer, got"),
             (2, "need 3 <= n <= {most}, got 2"),
             ("most + 1", "need 3 <= n <= {most}, got {most_1}"),
         ],
@@ -913,6 +916,26 @@ class TestCltExperiment:
         monkeypatch.setattr(random_points, "batch_rng", counting)
         return rngs
 
+    def test_valid_draw_counts_by_brute_force(self):
+        # the requirement each tail leaves, read letter by letter
+        for head in range(1, 4):
+            for tail in range(4):
+                valid = 0
+                for t in product(range(3), repeat=tail):
+                    s = t.count(2)
+                    for h in product(range(3), repeat=head):
+                        hs = h.count(2)
+                        valid += hs % 2 == 1 if s % 2 else hs % 2 == 0 and (hs > 0 or s > 0)
+                assert clt_valid_draws(head, tail) == valid, (head, tail)
+
+    def test_keep_rate_counts_half_the_realizable_words(self):
+        # A valid (tail, head) is a string of head + tail letters with an
+        # even nonzero S count, so the three-term sum is half the
+        # realizable words of that length, which _clt_sums reads p from.
+        for head in range(1, sampler._COUNT_BLOCK + 1):
+            for tail in range(101):
+                assert clt_valid_draws(head, tail) == enumeration._word_count(head + tail) // 2, (head, tail)
+
     def test_draw_layout(self, monkeypatch):
         # bounds 0, 12, 25: the head block is the first 10 letters of the
         # longer segment, so the tail is 12 and 3 letters.  Per tail segment
@@ -1066,18 +1089,16 @@ class TestCltExperiment:
     @pytest.mark.parametrize(
         "grid, message",
         [
-            ((0.0, 1.0), "need 0 < c <= 1 for every grid value, got [0.0, 1.0]"),
-            ((0.5, Fraction(5, 4), math.nan), "need 0 < c <= 1 for every grid value, got [0.5, 5/4, nan]"),
-            ((10**400,), f"need 0 < c <= 1 for every grid value, got [{10**400}]"),
-            (("0.5",), "need a flat sequence of real numbers as the c-grid, got ('0.5',)"),
-            ([[0.5]], "need a flat sequence of real numbers as the c-grid, got [[0.5]]"),
-            (0.5, "need a flat sequence of real numbers as the c-grid, got 0.5"),
-            (
-                [0.5] * (geometry.MAX_T_GRID + 1),
-                f"need at most {geometry.MAX_T_GRID} c-grid values, got {geometry.MAX_T_GRID + 1}",
-            ),
+            ((1.0, 0.0), f"{C_RULE} 0.0 at position 1"),
+            ((0.5, math.nan, Fraction(5, 4)), f"{C_RULE} nan at position 1"),
+            ((10**400,), f"{C_RULE} a value of type int at position 0"),
+            ((10**5000,), f"{C_RULE} a value of type int at position 0"),
+            (("0.5",), f"{C_RULE} '0.5' at position 0"),
+            ([[0.5]], f"{C_RULE} [0.5] at position 0"),
+            (0.5, f"{C_RULE} 0.5"),
+            ([0.5] * (geometry.MAX_T_GRID + 1), f"{C_RULE} {geometry.MAX_T_GRID + 1} values"),
         ],
-        ids=["zero", "out-of-range", "huge-int", "string-item", "nested", "scalar", "too-long"],
+        ids=["zero", "out-of-range", "huge-int", "beyond-text", "string-item", "nested", "scalar", "too-long"],
     )
     def test_grid_validation(self, monkeypatch, grid, message):
         # Checked before any draw, by the rule of a t-grid but on (0, 1]:
@@ -1102,7 +1123,7 @@ class TestCltExperiment:
             raise AssertionError("drew before checking trials")
 
         monkeypatch.setattr(random_points, "batch_rng", no_draws)
-        with pytest.raises(ValueError, match="trials >= 2"):
+        with pytest.raises(ValueError, match=f"need 2 <= trials <= {random_points.MAX_TRIALS}, got {trials}"):
             sampler.lln_clt_experiment(100, trials)
 
     @pytest.mark.parametrize("trials", [10.5, 100.0, True, np.int64(100)])
@@ -1111,7 +1132,7 @@ class TestCltExperiment:
             raise AssertionError("drew before checking trials")
 
         monkeypatch.setattr(random_points, "batch_rng", no_draws)
-        with pytest.raises(ValueError, match="need an integer number of trials"):
+        with pytest.raises(ValueError, match="need trials to be an integer"):
             sampler.lln_clt_experiment(100, trials)
 
     @pytest.mark.parametrize("n", [-1, 2, sampler.MAX_WORD_N + 1])

@@ -316,6 +316,9 @@ class TestPrefixCounts:
             words.prefix_counts((2, 0, 1), 4)
         with pytest.raises(ValueError):
             words.prefix_counts((2, 0, 1), -1)
+        # beyond Python's limit for converting an int to text: shown by its type
+        with pytest.raises(ValueError, match=r"^prefix bound must lie in \[0, 3\], got a value of type int$"):
+            words.prefix_counts((2, 0, 1), 10**5000)
 
 
 class TestSerialization:
