@@ -279,29 +279,22 @@ CRITERIA = (
 
 
 def run_criterion(number: int) -> CriterionResult:
-    for num, name, fn in CRITERIA:
-        if num == number:
-            start = time.perf_counter()
-            passed, detail = fn()
-            return CriterionResult(
-                number=num,
-                name=name,
-                passed=passed,
-                detail=detail,
-                seconds=time.perf_counter() - start,
-            )
-    raise ValueError(f"no criterion numbered {number}")
+    words._check_int(number, "criterion", 1, len(CRITERIA))
+    num, name, fn = CRITERIA[number - 1]
+    start = time.perf_counter()
+    passed, detail = fn()
+    return CriterionResult(number=num, name=name, passed=passed, detail=detail, seconds=time.perf_counter() - start)
 
 
 def run_all(numbers=None) -> Iterator[CriterionResult]:
-    """Results of the wanted criteria (default: all), each run as it is consumed.
+    """Results of the wanted criteria (default: all, numbered 1.. in ``CRITERIA`` order), each run as it is consumed.
 
-    Every number is checked before any criterion runs, so a bad range fails
-    at once instead of after the criteria before it.
+    Every number is checked before any criterion runs, and the numbers are
+    read only up to the first bad one, so a bad range fails at once, however
+    long it is.
     """
-    known = [num for num, _, _ in CRITERIA]
-    wanted = known if numbers is None else list(numbers)
-    unknown = [num for num in wanted if num not in known]
-    if unknown:
-        raise ValueError(f"no criterion numbered {', '.join(map(str, unknown))}")
-    return (run_criterion(num) for num in wanted)
+    wanted = []
+    for number in range(1, len(CRITERIA) + 1) if numbers is None else numbers:
+        words._check_int(number, "criterion", 1, len(CRITERIA))
+        wanted.append(number)
+    return map(run_criterion, wanted)

@@ -25,18 +25,20 @@ class _CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad flags; this CLI reserves 2 for failed
     # verification, so argument problems surface as exit code 1 instead.
+    # argparse quotes the offending text whole, so the message is cut short.
     def error(self, message):
-        raise _CliError(message)
+        raise _CliError(message if len(message) <= 160 else message[:160] + " ...")
 
 
 def _parse_range(text: str) -> range:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        values = range(int(lo), int(hi) + 1)
-    else:
-        values = range(int(text), int(text) + 1)
+    """The ``type`` of a range option: "a" or "a..b" as the range of ints a..b, which must not be empty."""
+    lo, dots, hi = text.partition("..")
+    try:
+        values = range(int(lo), int(hi if dots else lo) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need an integer or a range a..b, got {words._shown(text)}") from None
     if not values:
-        raise _CliError(f"empty range {text!r}")
+        raise argparse.ArgumentTypeError(f"empty range {words._shown(text)}")
     return values
 
 
@@ -59,10 +61,9 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    ns = _parse_range(args.n)
-    for n in ns:
+    for n in args.n:
         words._check_int(n, "n", 3, enumeration.MAX_ENUMERATION_N)
-    for n in ns:
+    for n in args.n:
         spec = f"0{2 * n}b"
         chunks = enumeration._bracelet_chunks(n) if args.bracelets else enumeration._word_chunks(n)
         for chunk in chunks:
@@ -71,11 +72,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    ns = _parse_range(args.n)
-    for n in ns:
+    for n in args.n:
         words._check_int(n, "n", 3, words.MAX_BRACELET_N)
     rows = []
-    for n in ns:
+    for n in args.n:
         rows.append(
             {
                 "n": n,
@@ -152,9 +152,8 @@ def _cmd_stats(args) -> int:
 def _cmd_verify(args) -> int:
     from . import acceptance
 
-    numbers = _parse_range(args.criteria) if args.criteria else None
     failed = 0
-    for result in acceptance.run_all(numbers):
+    for result in acceptance.run_all(args.criteria):
         print(result.line())
         sys.stdout.flush()
         failed += not result.passed
@@ -175,12 +174,12 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_realize)
 
     p = sub.add_parser("enumerate", help="list realizable words (or bracelets)")
-    p.add_argument("--n", required=True, help="single value or range a..b")
+    p.add_argument("--n", type=_parse_range, required=True, help="single value or range a..b")
     p.add_argument("--bracelets", action="store_true", help="only each class's canonical (least) word")
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("count", help="word and bracelet counts as a table")
-    p.add_argument("--n", required=True, help="single value or range a..b")
+    p.add_argument("--n", type=_parse_range, required=True, help="single value or range a..b")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=_cmd_count)
 
@@ -206,7 +205,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_stats)
 
     p = sub.add_parser("verify", help="run the acceptance criteria")
-    p.add_argument("--criteria", default="", help="single value or range a..b (default: all)")
+    p.add_argument("--criteria", type=_parse_range, help="single value or range a..b (default: all)")
     p.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -64,11 +64,27 @@ class NonGenericConfiguration(ValueError):
 
 
 def _fraction_of_string(text: str) -> Fraction:
-    """A decimal or 'p/q' string as an exact Fraction; a zero denominator is a ValueError."""
+    """A decimal or 'p/q' string as an exact Fraction: the one reader of number text.
+
+    Every failure is a ValueError showing the text by ``words._shown``: a
+    zero denominator, an invalid literal, a part beyond Python's limit for
+    converting text to an int, and an exponent of 10**5 or more in
+    magnitude.  The last is rejected before ``Fraction`` builds the power,
+    whose time grows faster than its digits: 1e99999 parses in 9 ms,
+    1e999999 in 0.34 s and 1e3000000 in 1.8 s (2-vCPU Xeon VM).
+    """
+    _, e, exponent = text.lower().rpartition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
     try:
+        if e and len(digits) > 5 and digits.isdecimal():
+            raise ValueError
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise ValueError(f"zero denominator in {words._shown(text)}") from None
+    except ValueError:
+        raise ValueError(
+            f"need a decimal or p/q with |exponent| < 10**5 and at most 4300 digits per part, got {words._shown(text)}"
+        ) from None
 
 
 def _over_common_denominator(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
@@ -95,6 +111,8 @@ class PointConfig:
 
     def __post_init__(self):
         pos = tuple(self.positions)
+        if any(isinstance(p, str) for p in pos):
+            raise ValueError("need numbers as positions, got text; read text with PointConfig.from_strings")
         exact = not any(isinstance(p, float) for p in pos)
         if exact:
             pos = tuple(p if isinstance(p, Fraction) else Fraction(p) for p in pos)

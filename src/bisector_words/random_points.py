@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -93,8 +94,14 @@ MAX_PACKED_N = 32
 # chunk whose temporaries peak at about 100 MB in equidistribution_paths and
 # 50 MB in estimate_region_stats (tracemalloc).  It also bounds the rows
 # of n values that max_spacing_check and sample_exp_model draw, and the n of
-# closed_form and phi, whose largest caller is an estimator.
+# closed_form, whose largest caller is an estimator.
 MAX_GEOMETRY_N = 10**6
+# Largest n * (bits of x's numerator + bits of its denominator) of phi, the
+# size of its exact result, checked before any arithmetic.  At the bound
+# phi took 1.9 s at x = 1/3 (n = 349525), 1.4 s at 3/7, 1.0 s at 2/5, 0.39 s
+# at the float 0.3 and 0.15 s at 1/10**20 (2-vCPU Xeon VM); its callers,
+# criterion 8 and the tests, take n <= 10.
+_MAX_PHI_BITS = 2**20
 # Largest n of one scalar configuration (see :func:`sample_uniform_config`).
 MAX_CONFIG_N = 10**5
 # Largest n of the literal sum phi_series: it has about n^4 / 24 exact
@@ -175,12 +182,17 @@ def _float_target(name: str, n: int) -> float:
     return limit(n) if n >= bound else float(closed_form(name, n))
 
 
+def _phi_x(x) -> Fraction:
+    """x exactly, once it is checked to be a real with 0 < x < 1/2: the domain of phi and phi_series."""
+    if not (isinstance(x, numbers.Real) and 0 < x < Fraction(1, 2)):
+        raise ValueError(f"need x to be a real with 0 < x < 1/2, got {words._shown(x)}")
+    return Fraction(x) if isinstance(x, numbers.Rational) else Fraction(float(x))
+
+
 def phi(x, n: int) -> Fraction:
     """Closed form of the double sum :func:`phi_series` for 0 < x < 1/2."""
-    x = Fraction(x)
-    if not 0 < x < Fraction(1, 2):
-        raise ValueError(f"need 0 < x < 1/2, got {words._shown(x)}")
-    _check_int(n, "n", 3, MAX_GEOMETRY_N)
+    x = _phi_x(x)
+    _check_int(n, "n", 3, _MAX_PHI_BITS // (x.numerator.bit_length() + x.denominator.bit_length()))
     lead = (x / 2) * (1 - x ** (n - 2)) / (1 - x)
     tail = (x / 2 ** (n - 1)) * (1 - (2 * x) ** (n - 2)) / (1 - 2 * x)
     return lead - tail
@@ -188,9 +200,7 @@ def phi(x, n: int) -> Fraction:
 
 def phi_series(x, n: int) -> Fraction:
     """Literal quadruple sum defining phi; exact, for cross-checking :func:`phi`."""
-    x = Fraction(x)
-    if not 0 < x < Fraction(1, 2):
-        raise ValueError(f"need 0 < x < 1/2, got {words._shown(x)}")
+    x = _phi_x(x)
     _check_int(n, "n", 3, _MAX_SERIES_N)
     total = Fraction(0)
     for k in range(1, n - 1):
@@ -613,8 +623,8 @@ def estimate_bracelet_prob(
     """
     _check_int(n, "n", 3, MAX_PACKED_N)
     _check_int(trials, "trials", 2, MAX_TRIALS)
-    if target.n != n:
-        raise ValueError(f"target bracelet has n={target.n}, estimate is for n={n}")
+    if len(target.word) != 2 * n:
+        raise ValueError(f"target bracelet word has {len(target.word)} letters, estimate is for n={n}")
     if model not in _MODEL_CHUNKS:
         raise ValueError(f"unknown model {model!r}; choose from {sorted(_MODEL_CHUNKS)}")
     orbit = words.bracelet_orbit(target.word)

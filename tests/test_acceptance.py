@@ -8,6 +8,7 @@ Criterion 11's chi-square tail is written with ``math``; scipy, a test
 dependency only, is its oracle here.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -36,6 +37,43 @@ def test_criterion(number, name):
     result = acceptance.run_criterion(number)
     print(result.line(), flush=True)
     assert result.passed, result.line()
+
+
+def test_criteria_are_numbered_from_1_in_order():
+    assert [num for num, _, _ in acceptance.CRITERIA] == list(range(1, 15))
+
+
+def test_run_all_reads_numbers_only_up_to_the_first_bad_one(monkeypatch):
+    # run_all listed every number before checking any: 1..10**7 peaked at 1.27 GB
+    def numbers():
+        for k in itertools.count(1):
+            assert k <= 20, "read past the first bad number"
+            yield k
+
+    monkeypatch.setattr(acceptance, "CRITERIA", tuple((num, name, None) for num, name, _ in acceptance.CRITERIA))
+    with pytest.raises(ValueError) as raised:
+        acceptance.run_all(numbers())
+    assert str(raised.value) == "need 1 <= criterion <= 14, got 15"
+
+
+@pytest.mark.parametrize(
+    "number, message",
+    [
+        (0, "need 1 <= criterion <= 14, got 0"),
+        (15, "need 1 <= criterion <= 14, got 15"),
+        (10**5000, "need 1 <= criterion <= 14, got a value of type int"),
+        (True, "need criterion to be an integer, got True"),
+        (13.0, "need criterion to be an integer, got 13.0"),
+        (np.int64(13), "need criterion to be an integer, got np.int64(13)"),
+    ],
+    ids=["zero", "above", "huge", "bool", "float", "numpy"],
+)
+def test_a_criterion_number_is_an_int_from_1_to_14_before_any_runs(monkeypatch, number, message):
+    monkeypatch.setattr(acceptance, "CRITERIA", tuple((num, name, None) for num, name, _ in acceptance.CRITERIA))
+    for call in (acceptance.run_criterion, lambda k: acceptance.run_all([13, k])):
+        with pytest.raises(ValueError) as raised:
+            call(number)
+        assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("df", [*range(1, 61), 100, 203, 519, 1000, 1465])

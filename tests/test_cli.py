@@ -11,6 +11,7 @@ from bisector_words.geometry import PointConfig, occupancy_word
 from bisector_words import words
 
 T_RULE = f"need the t-grid to be a flat sequence of at most {geometry.MAX_T_GRID} reals in [0, 1], got"
+NUMBER_RULE = "need a decimal or p/q with |exponent| < 10**5 and at most 4300 digits per part, got"
 
 
 def run_cli(*argv):
@@ -96,6 +97,27 @@ class TestCountAndEnumerate:
         code, _, err = run_cli("count", "--n", "nope")
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["enumerate", "count"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("nope", "need an integer or a range a..b, got 'nope'"),
+            ("3..", "need an integer or a range a..b, got '3..'"),
+            ("3.." + "9" * 5000, "need an integer or a range a..b, got a value of type str"),
+            ("5..3", "empty range '5..3'"),
+        ],
+        ids=["word", "open", "beyond-text", "empty"],
+    )
+    def test_range_is_read_by_argparse_and_names_its_flag(self, command, text, message):
+        assert run_cli(command, "--n", text) == (1, "", f"error: argument --n: {message}\n")
+
+    def test_range_options_arrive_as_ranges(self):
+        parser = cli.build_parser()
+        assert parser.parse_args(["count", "--n", "3..5"]).n == range(3, 6)
+        assert parser.parse_args(["enumerate", "--n", "4"]).n == range(4, 5)
+        assert parser.parse_args(["verify", "--criteria", "2..3"]).criteria == range(2, 4)
+        assert parser.parse_args(["verify"]).criteria is None
+
     def test_count_table_unchanged(self):
         table = {3: 1, 4: 5, 5: 9, 6: 30, 7: 69, 8: 203, 9: 519, 10: 1466}
         rows = [{"n": n, "words": 3**n - 2 ** (n + 1) + 1, "bracelets": b} for n, b in table.items()]
@@ -178,6 +200,25 @@ class TestArgumentErrors:
     def test_exit_1_with_message_and_no_output(self, argv):
         code, out, err = run_cli(*argv)
         assert code == 1 and out == "" and err.startswith("error:")
+
+    # argparse quotes the offending text whole: these printed up to 100 086 characters
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--n", "4", "z" * 100_000),
+            ("sample", "--kind", "k" * 100_000),
+            ("sample", "--n", "9" * 5000),
+            ("estimate", "--n", "4", "--stat", "h2", "--trials", "9" * 5000),
+            ("verify", "--criteria", "1..100000"),
+            ("stats", "--positions", "0,1/" + "9" * 5001 + ",1/2"),
+        ],
+        ids=["unrecognized", "choice", "int", "trials", "criteria", "denominator"],
+    )
+    def test_every_error_is_one_short_line(self, argv):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+        assert "Exceeds the limit" not in err
 
 
 class TestSample:
@@ -368,8 +409,21 @@ class TestStats:
             (("--positions", "0,1/10,3/10", "--t-grid", "1/2,1/0"), "zero denominator in '1/0'"),
             (("--positions", "0,1/10,3/10", "--t-grid", "1e400"), f"{T_RULE} a value of type Fraction at position 0"),
             (("--positions", "0,1/10,3/10", "--t-grid", "1e5000"), f"{T_RULE} a value of type Fraction at position 0"),
+            (("--positions", "0,1/10,3/10", "--t-grid", "1e99999"), f"{T_RULE} a value of type Fraction at position 0"),
+            (("--positions", "0,1/10,3/10", "--t-grid", "1e100000"), f"{NUMBER_RULE} '1e100000'"),
+            (("--positions", "0,1/3,1e-100000"), f"{NUMBER_RULE} '1e-100000'"),
+            (("--positions", "0,1/3," + "x" * 100_000), f"{NUMBER_RULE} a value of type str"),
         ],
-        ids=["positions-zero-denominator", "t-grid-zero-denominator", "t-grid-beyond-floats", "t-grid-beyond-text"],
+        ids=[
+            "positions-zero-denominator",
+            "t-grid-zero-denominator",
+            "t-grid-beyond-floats",
+            "t-grid-beyond-text",
+            "t-grid-largest-exponent",
+            "t-grid-exponent-too-large",
+            "positions-exponent-too-large",
+            "positions-invalid-literal",
+        ],
     )
     def test_unreadable_values_exit_1_with_no_output(self, argv, message):
         assert run_cli("stats", *argv) == (1, "", f"error: {message}\n")
@@ -399,4 +453,4 @@ class TestVerify:
         )
         code, out, err = run_cli("verify", "--criteria", "7..15")
         assert code == 1 and out == "" and called == []
-        assert "no criterion numbered 15" in err
+        assert err == "error: need 1 <= criterion <= 14, got 15\n"

@@ -113,6 +113,56 @@ class TestPointConfig:
         with pytest.raises(ValueError, match="zero denominator in '1/0'"):
             PointConfig.from_strings(["0", "1/0", "1/2"])
 
+    # ("0", "1/0", "1/2") raised ZeroDivisionError, and text was parsed with no bound on its exponent
+    @pytest.mark.parametrize("positions", [("0", "1/0", "1/2"), (0, "1/3", Fraction(1, 2)), (0.0, "0.25", 0.5)])
+    def test_text_positions_are_a_value_error_pointing_to_from_strings(self, positions):
+        with pytest.raises(ValueError, match=r"^need numbers as positions, got text; read text with PointConfig\.from_strings$"):
+            PointConfig(positions)
+
+
+NUMBER_RULE = "need a decimal or p/q with |exponent| < 10**5 and at most 4300 digits per part, got"
+
+
+class TestFractionOfString:
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("1e99999", 10**99999),
+            ("-1E-0099999", -Fraction(1, 10**99999)),
+            ("2.5e1_0", 25 * 10**9),
+            (" 1/3 ", Fraction(1, 3)),
+            ("1/" + "9" * 4300, Fraction(1, 10**4300 - 1)),
+        ],
+        ids=["largest-exponent", "least-exponent", "underscores", "spaces", "most-digits"],
+    )
+    def test_reads_exactly(self, text, value):
+        assert geometry._fraction_of_string(text) == value
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e100000", "1e-100000", "1E+1_00000", "1e30000000", "1e" + "9" * 5000, "1e\u0669" + "0" * 6],
+        ids=["least", "negative", "underscores", "12-characters", "beyond-text", "arabic-indic-digits"],
+    )
+    def test_exponent_of_10_to_the_5_is_rejected_before_the_power_is_built(self, monkeypatch, text):
+        def no_power(*args):
+            raise AssertionError("built the number before checking its exponent")
+
+        monkeypatch.setattr(geometry, "Fraction", no_power)
+        with pytest.raises(ValueError) as raised:
+            geometry._fraction_of_string(text)
+        assert str(raised.value) == f"{NUMBER_RULE} {words._shown(text)}"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "1/3x", "1e", "0x10", "x" * 100_000, "1/" + "9" * 4301, "1." + "9" * 4301, "1/0", "0/0"],
+        ids=["empty", "trailing", "bare-e", "hex", "long", "denominator-digits", "decimal-digits", "1/0", "0/0"],
+    )
+    def test_every_failure_is_a_short_value_error(self, text):
+        with pytest.raises(ValueError) as raised:
+            geometry._fraction_of_string(text)
+        rule = "zero denominator in" if text.endswith("/0") else NUMBER_RULE
+        assert str(raised.value) == f"{rule} {words._shown(text)}" and len(str(raised.value)) < 200
+
     def test_string_roundtrip(self):
         cfg = PointConfig.from_strings(["0", "1/10", "0.3"])
         assert cfg.is_exact

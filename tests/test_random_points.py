@@ -111,13 +111,38 @@ class TestPhi:
     def test_value_at_one_third(self, n):
         assert rp.phi(Fraction(1, 3), n) == rp.closed_form("phi13", n)
 
+    # inf and None raised OverflowError and TypeError, and text was parsed
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, None, "1/3", 0, 0.5, [0.25], 1j])
+    def test_x_that_is_no_real_in_the_domain_is_a_value_error(self, x):
+        for phi in (rp.phi, rp.phi_series):
+            with pytest.raises(ValueError) as raised:
+                phi(x, 5)
+            assert str(raised.value) == f"need x to be a real with 0 < x < 1/2, got {words._shown(x)}"
+
+    @pytest.mark.parametrize("x", [0.25, np.float64(0.25), np.float32(0.25), np.float16(0.25), Fraction(1, 4)])
+    def test_every_real_reads_exactly(self, x):
+        assert rp.phi(x, 6) == rp.phi_series(x, 6) == rp.phi(Fraction(1, 4), 6)
+
+    # phi(1/3, 10**6) took 13 s and phi(1/10**20, 3 * 10**5) 36 s
+    @pytest.mark.parametrize("x, bits", [(Fraction(1, 3), 3), (0.3, 53 + 55), (Fraction(1, 10**20), 1 + 67)])
+    def test_n_is_bounded_by_the_size_of_the_exact_result(self, x, bits):
+        most = rp._MAX_PHI_BITS // bits
+        for n in (most + 1, 10**6):
+            with pytest.raises(ValueError) as raised:
+                rp.phi(x, n)
+            assert str(raised.value) == f"need 3 <= n <= {most}, got {n}"
+
+    def test_n_at_the_bound_is_computed(self):
+        x = Fraction(1, 2**40 + 1)
+        assert 0 < rp.phi(x, rp._MAX_PHI_BITS // 42) < x
+
     def test_domain(self):
         with pytest.raises(ValueError):
             rp.phi(Fraction(1, 2), 5)
         with pytest.raises(ValueError):
             rp.phi_series(Fraction(3, 5), 5)
         for phi in (rp.phi, rp.phi_series):
-            with pytest.raises(ValueError, match=r"^need 0 < x < 1/2, got a value of type Fraction$"):
+            with pytest.raises(ValueError, match=r"^need x to be a real with 0 < x < 1/2, got a value of type int$"):
                 phi(10**5000, 5)
         for n in (2, -5):
             with pytest.raises(ValueError, match="need 3 <= n"):
@@ -845,8 +870,18 @@ class TestEstimators:
 
         monkeypatch.setattr(rp, "_run_batches", no_batches)
         target = words.canonical_bracelet(words.run_word(5))
-        with pytest.raises(ValueError, match="n=5.*n=4"):
+        with pytest.raises(ValueError, match="10 letters.*n=4"):
             rp.estimate_bracelet_prob(4, target, 1000, seed=1)
+
+    def test_bracelet_prob_checks_the_target_word_not_its_n(self, monkeypatch):
+        # a word of n = 3 under the label n = 4 gave estimate 0, target and z NaN
+        def no_draws(*args):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(rp, "batch_rng", no_draws)
+        target = words.Bracelet(n=4, word=(1, 0, 1, 1, 0, 0), orbit_size=1)
+        with pytest.raises(ValueError, match="^target bracelet word has 6 letters, estimate is for n=4$"):
+            rp.estimate_bracelet_prob(4, target, 1000, 1)
 
     @pytest.mark.parametrize(
         "name,args",
