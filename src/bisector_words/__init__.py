@@ -46,7 +46,9 @@ from .sampler import (
     binomial_parity_check,
     lln_clt_experiment,
     sample_uniform_bracelet,
+    sample_uniform_bracelets,
     sample_uniform_word,
+    sample_uniform_words,
     walk_to_word,
     word_to_walk,
 )
@@ -107,8 +109,10 @@ __all__ = [
     "run_word",
     "sample_exp_model",
     "sample_uniform_bracelet",
+    "sample_uniform_bracelets",
     "sample_uniform_config",
     "sample_uniform_word",
+    "sample_uniform_words",
     "signature",
     "transfer_check",
     "unfold",

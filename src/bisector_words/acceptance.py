@@ -188,14 +188,14 @@ def _criterion_sampler_uniformity():
     details = []
     for n, trials in ((3, 1_000_000), (4, 1_000_000)):
         rng = random_points.batch_rng(_SEED + 500 + n, 0)
-        counts = Counter(sampler.sample_uniform_word(n, rng) for _ in range(trials))
+        counts = Counter(sampler.sample_uniform_words(n, trials, rng))
         cells = enumeration.count_words(n)
         p = _chi_square_pvalue(counts, cells)
         if len(counts) != cells or p <= 1e-3:
             return False, f"words n={n}: {len(counts)}/{cells} cells, p={p:.2e}"
         details.append(f"words n={n}: p={p:.3f}")
     rng = random_points.batch_rng(_SEED + 510, 0)
-    counts = Counter(sampler.sample_uniform_bracelet(4, rng).word for _ in range(100_000))
+    counts = Counter(b.word for b in sampler.sample_uniform_bracelets(4, 100_000, rng))
     p = _chi_square_pvalue(counts, 5)
     if len(counts) != 5 or p <= 1e-3:
         return False, f"bracelets n=4: {len(counts)}/5 cells, p={p:.2e}"

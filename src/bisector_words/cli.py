@@ -104,14 +104,19 @@ def _cmd_sample(args) -> int:
     words._check_int(args.count, "--count", 0)
     words._check_int(args.n, "n", 3, _SAMPLE_MAX_N[args.kind])
     rng = random_points.batch_rng(args.seed, 0)
-    for _ in range(args.count):
-        if args.kind == "word":
-            print(words.word_to_string(sampler.sample_uniform_word(args.n, rng)))
-        elif args.kind == "bracelet":
-            print(str(sampler.sample_uniform_bracelet(args.n, rng)))
-        else:
+    if args.kind == "points":
+        for _ in range(args.count):
             config = random_points.sample_uniform_config(args.n, rng)
             print(json.dumps([float(p) for p in config.positions]))
+        return 0
+    # blocks of the most letters one batch draw takes, each printed before the next is drawn
+    draw, text = {
+        "word": (sampler.sample_uniform_words, words.word_to_string),
+        "bracelet": (sampler.sample_uniform_bracelets, str),
+    }[args.kind]
+    block = sampler.MAX_SAMPLE_LETTERS // args.n
+    for start in range(0, args.count, block):
+        sys.stdout.writelines(f"{text(x)}\n" for x in draw(args.n, min(block, args.count - start), rng))
     return 0
 
 

@@ -347,6 +347,14 @@ def region_values_by_floats(p):
     )
 
 
+def region_values_by_masked_sums(sig, lengths):
+    """Per-row h2, l0, l1, l2 and le as a (5, rows) array from the exact
+    kernel's signatures and half-circle lengths, by the masked axis-1 sums
+    that the batched region values used before their row sums moved to einsum."""
+    l0, l1 = ((lengths * (sig == t)).sum(axis=1) * 2.0**-53 for t in (0, 1))
+    return np.stack([2 * (sig == 2).sum(axis=1), l0, l1, 1 - l0 - l1, l0 + l1 / 2])
+
+
 def _boundary_values(k):
     """Bisectors and their antipodes of integer rows (units of 2**-53, sorted,
     first entry 0) as Python ints in units of 2**-54: a point k is 2k there."""

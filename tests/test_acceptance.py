@@ -2,12 +2,13 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` (or ``bisector-words
 verify``) to see the per-criterion PASS/FAIL lines; the whole gate takes
-7-8 s on a 2-vCPU Xeon VM, 1.6-1.9 s of it criterion 11.
+5-7 s on a 2-vCPU Xeon VM, 0.35-0.45 s of it criterion 11.
 
 Criterion 11's chi-square tail is written with ``math``; scipy, a test
 dependency only, is its oracle here.
 """
 
+import hashlib
 import itertools
 import os
 import subprocess
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bisector_words import acceptance
+from bisector_words import acceptance, random_points, sampler, words
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -99,6 +100,38 @@ def test_chi_square_pvalue_is_pearsons_test_with_missing_cells_as_zero(cells, to
     got = acceptance._chi_square_pvalue(counts, cells)
     assert got == pytest.approx(acceptance._chi_square_tail(float(want.statistic), cells - 1), rel=1e-12)
     assert got == pytest.approx(want.pvalue, rel=1e-10)
+
+
+# sha256 of criterion 11's draws at its seeds, one word or bracelet per line,
+# and the next raw word of the generator after them, as (kind, n, draws, seed
+# offset from acceptance._SEED).  Recorded with one scalar sampler call per
+# draw, before the criterion drew through the batch samplers.
+CRITERION_11_DRAWS = {
+    ("words", 3, 1_000_000, 503): (
+        "8f660dada37216f7ba8d7d10370cd23613ea003b94d087903015a76b0ee1f2d1",
+        12984022426738318661,
+    ),
+    ("words", 4, 1_000_000, 504): (
+        "3b737c7490361a9a94ac64240ef1e7f6c8ac9b9c2f9d9e325f1500daa63c4f3e",
+        386219400982762041,
+    ),
+    ("bracelets", 4, 100_000, 510): (
+        "96c03989ca2bf57f01a0672c9ae03f8d406ca540ddb11c2e480d5d993ce05079",
+        9246291637326761072,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, n, size, offset", sorted(CRITERION_11_DRAWS))
+def test_criterion_11_draws_are_pinned(kind, n, size, offset):
+    rng = random_points.batch_rng(acceptance._SEED + offset, 0)
+    if kind == "words":
+        drawn, text = sampler.sample_uniform_words(n, size, rng), words.word_to_string
+    else:
+        drawn, text = sampler.sample_uniform_bracelets(n, size, rng), str
+    lines = {x: f"{text(x)}\n" for x in set(drawn)}
+    digest = hashlib.sha256("".join(map(lines.__getitem__, drawn)).encode()).hexdigest()
+    assert (digest, rng.bit_generator.random_raw()) == CRITERION_11_DRAWS[kind, n, size, offset]
 
 
 def test_criterion_11_runs_without_scipy():

@@ -221,6 +221,25 @@ class TestArgumentErrors:
         assert "Exceeds the limit" not in err
 
 
+# sha256 of the stdout of ``sample --n N --count 3000 --kind KIND`` (seed 0),
+# recorded with one scalar sampler call per line, before the command drew
+# through the batch samplers in blocks.
+PINNED_SAMPLE_COUNT_3000 = {
+    ("word", 3): "9deb456cff3f9c03531e3a464180e30c1b40ebe89e9752b2f9715fc1c61dbc8b",
+    ("word", 4): "092abc1ff742fffabf9602d2c4c40e6be07450ef71fa96ce450e7e4f245c0840",
+    ("word", 5): "b0cd73498d29164fe519d5e5cf5bacbe8732c4a2e0bd24f53fe533becdad21bc",
+    ("word", 6): "ec8448d58177e4e7ec8207f6d90f20cae9d6d477cc1a544e92d9e0a2297b2075",
+    ("word", 7): "f57b7debde945fdbb6ef17434bd4a56130916e97500b60da42ebd59c7dce8240",
+    ("word", 8): "bbe0b9ce2023d1fb436380e81d64f3636dc470545e417786cfb2c04ee7db9dc9",
+    ("bracelet", 3): "ae6a1e74b2dc29218d11c8b00f8990129c30e1e54b8e8b5b3af12f5651162278",
+    ("bracelet", 4): "7f4779f7b0660c902158aa036e6f208562cfb70d3111569ddbbc7fdae74fbbe9",
+    ("bracelet", 5): "02e4312a86ea4d720f3b2dbd5305e75376c38f25e33d7b0fcbeb3cda313e39b0",
+    ("bracelet", 6): "eae4655c02bec8d27a99c0e88a191b8cbc7d1be42be19fcd5ee92dd311cea0df",
+    ("bracelet", 7): "22322d715c8baadebb6d3e70b48088ef056e29dbf75179cc3ed8cbecdbd27506",
+    ("bracelet", 8): "b85322586f2065625389cae8e9ee5387e482bf82aff0ec0f69191557c9c85364",
+}
+
+
 class TestSample:
     def test_words_deterministic(self):
         a = run_cli("sample", "--n", "4", "--count", "5", "--kind", "word", "--seed", "9")
@@ -264,6 +283,33 @@ class TestSample:
     def test_negative_count_exits_1(self):
         code, out, err = run_cli("sample", "--n", "4", "--count", "-3")
         assert code == 1 and out == "" and "--count" in err
+
+    @pytest.mark.parametrize("kind, n", sorted(PINNED_SAMPLE_COUNT_3000))
+    def test_count_3000_is_pinned(self, kind, n):
+        code, out, _ = run_cli("sample", "--n", str(n), "--count", "3000", "--kind", kind)
+        assert code == 0 and out.count("\n") == 3000
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SAMPLE_COUNT_3000[kind, n]
+
+    @pytest.mark.parametrize("kind, n", [("word", 4), ("word", 7), ("bracelet", 5), ("bracelet", 8)])
+    def test_each_block_is_printed_before_the_next_is_drawn(self, monkeypatch, kind, n):
+        # blocks of 8 // n draws, at 8 letters per batch draw: the same lines as one block
+        _, whole, _ = run_cli("sample", "--n", str(n), "--count", "23", "--kind", kind, "--seed", "4")
+        monkeypatch.setattr(sampler, "MAX_SAMPLE_LETTERS", 8)
+        name = {"word": "sample_uniform_words", "bracelet": "sample_uniform_bracelets"}[kind]
+        batch, sizes = getattr(sampler, name), []
+        out = io.StringIO()
+
+        def recording(n, size, rng):
+            assert out.getvalue().count("\n") == sum(sizes)  # the blocks so far are printed
+            sizes.append(size)
+            return batch(n, size, rng)
+
+        monkeypatch.setattr(sampler, name, recording)
+        with redirect_stdout(out):
+            assert cli.main(["sample", "--n", str(n), "--count", "23", "--kind", kind, "--seed", "4"]) == 0
+        block = 8 // n
+        assert sizes == [block] * (23 // block) + ([23 % block] if 23 % block else [])
+        assert out.getvalue() == whole
 
     def test_points(self):
         code, out, _ = run_cli("sample", "--n", "5", "--count", "2", "--kind", "points")

@@ -122,9 +122,18 @@ N_ENTRY_POINTS = {
         3,
         words.MAX_BRACELET_N,
     ),
+    "sample_uniform_words": (lambda n: sampler.sample_uniform_words(n, 0, NoDraws()), 3, sampler.MAX_WORD_N),
+    "sample_uniform_bracelets": (
+        lambda n: sampler.sample_uniform_bracelets(n, 0, NoDraws()),
+        3,
+        words.MAX_BRACELET_N,
+    ),
     "lln_clt_experiment": (lambda n: sampler.lln_clt_experiment(n, 10), 3, sampler.MAX_WORD_N),
     "binomial_parity_check": (sampler.binomial_parity_check, 1, sampler._MAX_PARITY_N),
     "closed_form": (lambda n: random_points.closed_form("h2", n), 3, random_points.MAX_GEOMETRY_N),
+    "closed_form_pbn": (lambda n: random_points.closed_form("pbn", n), 3, random_points.MAX_GEOMETRY_N),
+    # bounded as phi at 1/3 is, whose callers take n <= 10
+    "closed_form_phi13": (lambda n: random_points.closed_form("phi13", n), 3, random_points._MAX_PHI_BITS // 3),
     "phi": (lambda n: random_points.phi(Fraction(1, 3), n), 3, random_points._MAX_PHI_BITS // 3),
     "phi_series": (lambda n: random_points.phi_series(Fraction(1, 3), n), 3, random_points._MAX_SERIES_N),
     "estimate_bracelet_prob": (

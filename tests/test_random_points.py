@@ -21,6 +21,7 @@ from oracles import (
     path_rows_by_grid_loop,
     region_rows_by_floats,
     region_values_by_floats,
+    region_values_by_masked_sums,
     words_by_stable_argsort,
 )
 
@@ -135,6 +136,46 @@ class TestPhi:
     def test_n_at_the_bound_is_computed(self):
         x = Fraction(1, 2**40 + 1)
         assert 0 < rp.phi(x, rp._MAX_PHI_BITS // 42) < x
+
+    def test_x_too_large_for_any_n_says_so(self):
+        # the bound on n fell below 3 and was printed as an empty range
+        with pytest.raises(ValueError) as raised:
+            rp.phi(Fraction(1, 2**400000), 5)
+        message = str(raised.value)
+        assert message == (
+            "x is too large for phi: its numerator and denominator take 400002 bits,"
+            f" and n >= 3 allows at most {rp._MAX_PHI_BITS // 3}"
+        )
+        assert len(message) < 200
+
+    def test_x_of_the_most_bits_is_computed_at_n_3(self):
+        bits = rp._MAX_PHI_BITS // 3
+        x = Fraction(1, 2 ** (bits - 2))  # numerator 1 bit, denominator bits - 1
+        assert rp.phi(x, 3) == x / 4
+        with pytest.raises(ValueError, match="x is too large for phi"):
+            rp.phi(x / 2, 3)
+
+    def test_phi13_is_bounded_as_phi_at_one_third(self, monkeypatch):
+        # closed_form("phi13", 10**6) took 3.7 s; the first n above the bound
+        # fails before any term of the closed form or power of x is built
+        most = rp._MAX_PHI_BITS // 3
+        assert rp.closed_form("phi13", 10) == rp.phi(Fraction(1, 3), 10)
+        built = []
+
+        def recording(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        def no_power(*args):
+            raise AssertionError("took a power of x before checking n")
+
+        monkeypatch.setattr(rp, "Fraction", recording)
+        monkeypatch.setattr(Fraction, "__pow__", no_power)
+        for call in (lambda n: rp.closed_form("phi13", n), lambda n: rp.phi(Fraction(1, 3), n)):
+            with pytest.raises(ValueError) as raised:
+                call(most + 1)
+            assert str(raised.value) == f"need 3 <= n <= {most}, got {most + 1}"
+        assert built[0] == (1, 3) and (1, 4) not in built  # the closed form's first term
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -412,6 +453,16 @@ class TestBatchEngine:
                 assert (values[0] == expected[0]).all()
                 worst = max(worst, np.abs(values[1:] - expected[1:]).max())
         assert worst < 1e-14
+
+    @pytest.mark.parametrize("model", ["uniform", "exp"])
+    @pytest.mark.parametrize("n", [*range(3, 13), 32, 128, 1000])
+    def test_region_values_equal_the_masked_sums(self, model, n):
+        # bit for bit, on a chunk of rows as the estimators draw it
+        k = model_rows(model, n, max(1, rp._CHUNK_ELEMENTS // (2 * n)), rp.batch_rng(61, n))
+        _, sig, _, half_lengths = rp._region_rows(k)
+        values, expected = rp._region_values(k), region_values_by_masked_sums(sig, half_lengths)
+        assert values.dtype == expected.dtype and values.shape == expected.shape
+        assert values.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
         "make", [lambda: rp.batch_rng(59, 3), lambda: np.random.default_rng(59)], ids=["philox", "pcg64"]

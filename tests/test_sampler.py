@@ -240,16 +240,26 @@ class TestUniformWords:
 
 
 class RawWords:
-    """A generator whose bit generator's ``random_raw()`` returns scripted words, counting them."""
+    """A generator whose bit generator's ``random_raw`` returns scripted words, counting them.
+
+    ``random_raw(size)`` returns the next ``size`` words as a uint64 array
+    and records ``size`` in ``rounds``.
+    """
 
     def __init__(self, script):
         self.script = list(script)
         self.drawn = 0
+        self.rounds = []
         self.bit_generator = self
 
-    def random_raw(self):
-        self.drawn += 1
-        return self.script[self.drawn - 1]
+    def random_raw(self, size=None):
+        if size is None:
+            self.drawn += 1
+            return self.script[self.drawn - 1]
+        assert self.drawn + size <= len(self.script), "read past the script"
+        self.rounds.append(size)
+        self.drawn += size
+        return np.array(self.script[self.drawn - size : self.drawn], dtype=np.uint64)
 
 
 def raw_word_count(high: int) -> int:
@@ -585,6 +595,123 @@ class TestTablePath:
         first, later = batch_rng(n, 2), batch_rng(n, 2)
         assert [sample(n, first) for _ in range(50)] == [sample(n, later) for _ in range(50)]
         assert first.bit_generator.random_raw() == later.bit_generator.random_raw()
+
+
+BATCH_SAMPLERS = pytest.mark.parametrize(
+    "batch, scalar",
+    [
+        (sampler.sample_uniform_words, sampler.sample_uniform_word),
+        (sampler.sample_uniform_bracelets, sampler.sample_uniform_bracelet),
+    ],
+    ids=["words", "bracelets"],
+)
+
+
+def lemire_words(high: int) -> tuple[list[int], list[int]]:
+    """Raw words that a draw on [0, high) accepts and rejects, one per m < high.
+
+    r = ceil(m·2^64 / high) has r·high mod 2^64 = (-m·2^64) mod high, and it
+    is rejected while that is below 2^64 mod high.
+    """
+    threshold = 2**64 % high
+    accepted, rejected = [], []
+    for m in range(high):
+        r = -(-(m << 64) // high)
+        (rejected if r * high - (m << 64) < threshold else accepted).append(r)
+    return accepted, rejected
+
+
+def generator_state(rng) -> dict:
+    """The bit generator's state, with its arrays as lists so that states compare with ==."""
+
+    def plain(value):
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    return plain(rng.bit_generator.state)
+
+
+def table_size(batch, n: int) -> int:
+    """Values of the one draw of the samplers at n <= 6: the length of their table."""
+    return enumeration.count_words(n) if batch is sampler.sample_uniform_words else 4 * n * enumeration.count_bracelets(n)
+
+
+class TestBatchSamplers:
+    """The batch samplers return the scalar calls' values and leave the generator as they do."""
+
+    @pytest.mark.parametrize("size", [0, 1, 7, 3000])
+    @pytest.mark.parametrize("n", range(3, 9))
+    @BATCH_SAMPLERS
+    def test_stream_of_the_scalar_calls(self, batch, scalar, n, size):
+        ours, theirs = batch_rng(n, 40 + size), batch_rng(n, 40 + size)
+        assert batch(n, size, ours) == [scalar(n, theirs) for _ in range(size)]
+        assert generator_state(ours) == generator_state(theirs)
+        assert ours.bit_generator.random_raw(4).tolist() == theirs.bit_generator.random_raw(4).tolist()
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    @BATCH_SAMPLERS
+    def test_rejections_within_and_across_rounds(self, monkeypatch, batch, scalar, n):
+        # Rounds of at most 6 words: the first reads 6 and keeps 3, ending
+        # on a rejection; the second reads the 3 still missing, starting
+        # with one, and keeps 2; the third reads 1, the accepted word whose
+        # low part is exactly 2^64 mod high (m = high - 1).
+        accepted, rejected = lemire_words(table_size(batch, n))
+        assert rejected, "no rejection on this range"
+        monkeypatch.setattr(sampler, "_RAW_ROUND", 6)
+        a = accepted[:: max(1, len(accepted) // 5)][:5] + accepted[-1:]
+        script = [a[0], rejected[0], a[1], rejected[-1], a[2], rejected[0], rejected[-1], a[3], a[4], a[5]]
+        ours, theirs = RawWords(script), RawWords(script)
+        assert batch(n, 6, ours) == [scalar(n, theirs) for _ in range(6)]
+        assert ours.rounds == [6, 3, 1] and ours.drawn == theirs.drawn == 10
+
+    @BATCH_SAMPLERS
+    def test_rounds_are_bounded(self, monkeypatch, batch, scalar):
+        monkeypatch.setattr(sampler, "_RAW_ROUND", 4)
+        rng = RawWords([2**64 - 1] * 10)
+        assert len(batch(4, 10, rng)) == 10
+        assert rng.rounds == [4, 4, 2]
+
+    @BATCH_SAMPLERS
+    def test_size_checked_before_any_draw(self, batch, scalar):
+        most = sampler.MAX_SAMPLE_LETTERS // 4
+        for size, message in [
+            (-1, f"need 0 <= size <= {most}, got -1"),
+            (most + 1, f"need 0 <= size <= {most}, got {most + 1}"),
+            (2.0, "need size to be an integer, got 2.0"),
+        ]:
+            rng = RawWords([])
+            with pytest.raises(ValueError) as raised:
+                batch(4, size, rng)
+            assert str(raised.value) == message and rng.drawn == 0
+
+    @pytest.mark.parametrize(
+        "batch, n", [(sampler.sample_uniform_words, sampler.MAX_WORD_N), (sampler.sample_uniform_bracelets, words.MAX_BRACELET_N)]
+    )
+    def test_letters_bound_the_calls_above_the_table_path(self, monkeypatch, batch, n):
+        # size * n <= 2^22 bounds the scalar calls, whose cost grows with n
+        def no_calls(*args):
+            raise AssertionError("made a scalar call before checking size")
+
+        monkeypatch.setattr(sampler, "sample_uniform_word", no_calls)
+        monkeypatch.setattr(sampler, "sample_uniform_bracelet", no_calls)
+        most = sampler.MAX_SAMPLE_LETTERS // n
+        for size in (most + 1, 2**22):
+            rng = RawWords([])
+            with pytest.raises(ValueError) as raised:
+                batch(n, size, rng)
+            assert str(raised.value) == f"need 0 <= size <= {most}, got {size}" and rng.drawn == 0
+
+    @pytest.mark.parametrize("n", [4, 8])
+    @BATCH_SAMPLERS
+    def test_mt19937_is_rejected_before_any_draw(self, batch, scalar, n):
+        bits = np.random.MT19937(5)
+        with pytest.raises(ValueError) as raised:
+            batch(n, 3, np.random.Generator(bits))
+        with pytest.raises(ValueError) as scalar_raised:
+            scalar(n, np.random.Generator(np.random.MT19937(5)))
+        assert str(raised.value) == str(scalar_raised.value)
+        assert bits.random_raw() == np.random.MT19937(5).random_raw()
 
 
 def _sha256(text: str) -> str:
