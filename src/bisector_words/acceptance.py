@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+import numpy as np
+
 from . import enumeration, random_points, realization, sampler, words
 from .geometry import occupancy_word
 
@@ -184,18 +186,34 @@ def _chi_square_pvalue(counts: dict, expected_cells: int) -> float:
     return _chi_square_tail(math.fsum((o - e) ** 2 for o in observed) / e, expected_cells - 1)
 
 
+def _table_counts(table, size: int, rng) -> Counter:
+    """How often each value of a sampler's ``table`` comes out of ``size`` of its draws.
+
+    The draws are counted as table indices, by :func:`sampler._table_draws`,
+    which reads the stream that ``size`` sampler calls read.
+    """
+    hits = np.zeros(len(table), dtype=np.int64)
+    for values in sampler._table_draws(len(table), size, rng):
+        hits += np.bincount(values, minlength=len(table))
+    counts = Counter()
+    for value, count in zip(table, hits.tolist()):
+        if count:
+            counts[value] += count
+    return counts
+
+
 def _criterion_sampler_uniformity():
     details = []
     for n, trials in ((3, 1_000_000), (4, 1_000_000)):
         rng = random_points.batch_rng(_SEED + 500 + n, 0)
-        counts = Counter(sampler.sample_uniform_words(n, trials, rng))
+        counts = _table_counts(sampler._word_table(n), trials, rng)
         cells = enumeration.count_words(n)
         p = _chi_square_pvalue(counts, cells)
         if len(counts) != cells or p <= 1e-3:
             return False, f"words n={n}: {len(counts)}/{cells} cells, p={p:.2e}"
         details.append(f"words n={n}: p={p:.3f}")
     rng = random_points.batch_rng(_SEED + 510, 0)
-    counts = Counter(b.word for b in sampler.sample_uniform_bracelets(4, 100_000, rng))
+    counts = _table_counts([b.word for b in sampler._bracelet_table(4)], 100_000, rng)
     p = _chi_square_pvalue(counts, 5)
     if len(counts) != 5 or p <= 1e-3:
         return False, f"bracelets n=4: {len(counts)}/5 cells, p={p:.2e}"

@@ -59,6 +59,17 @@ row chunks of at most ``_CHUNK_ELEMENTS`` regions, and per-row values are
 gathered before summing or added in one running sum across chunks, so
 chunking never changes a result.  The scalar APIs stay strict and reject
 near-degenerate input.
+
+Layout: at n <= 12 a row holds a few values, and a numpy step over row
+slices starts one inner loop per row.  So the kernel's elementwise steps
+run over a chunk's contiguous memory as one flat array: the bisectors, the
+lengths and the non-interlacing balance as one flat add, subtract or
+running sum, with the one column that crosses a row boundary fixed up
+after; the antipodal keys and the exponential model's values in place;
+packing as two dot products.  Only the row sorts, the row sums (einsum)
+and the dots' running sums go row by row, and so do the steps that read
+a row in two parts (the sort keys, signatures, spacings and colors) or
+against its own first or last value (the rotation to k_0 = 0, the dot span).
 """
 
 from __future__ import annotations
@@ -81,9 +92,13 @@ from .words import Bracelet, _check_int
 BATCH_SIZE = 1 << 14
 # Most regions (rows * 2n) the batched geometry holds at once: the 2n-wide
 # int64 keys take 256 KiB and each n-wide int64 array (rows, bisectors,
-# lengths) 128 KiB, so a chunk's temporaries stay in the L2 cache.  Chosen by
-# measurement over 2**15..2**17 for an earlier float kernel, which held
-# 2n-wide float64 boundaries and lengths; the larger sizes were slower at n <= 12.
+# lengths) 128 KiB, so a chunk's temporaries stay in the L2 cache.  Measured
+# on the flat kernel by perfbench throughput (items/ref, 2-vCPU Xeon VM with
+# 2 MiB of L2 per core), mc-small-n read 267k, 285k, 306k and 246k at 2**14,
+# 2**15, 2**16 and 2**17, and mc-large-n 22.3k, 23.9k, 24.2k and 24.7k
+# (medians of 3 to 8 runs).  2**16 won on mc-small-n only: on mc-large-n it
+# won 5 of 8 rounds, within the runs' spread, and its traced region
+# statistics at n = 32..128 were 5-30% slower.
 _CHUNK_ELEMENTS = 1 << 15
 # The circle in the units 2**-53 of drawn rows, and half the circle in the
 # batched geometry's units of 2**-54.
@@ -109,6 +124,12 @@ MAX_CONFIG_N = 10**5
 # Fraction terms, so its time grows about as n^4.5 (about 1 s at n = 40 on a
 # 2-vCPU VM).  It cross-checks phi, which criterion 8 does for n <= 8.
 _MAX_SERIES_N = 40
+# Largest n * (bits of x's numerator + bits of its denominator) of
+# phi_series, whose terms take up to about that many bits.  On the bound it
+# took 0.02, 0.14, 0.8 and 2.4 s at n = 12, 20, 30 and 40 (2-vCPU Xeon VM);
+# x = 2**-2000 at n = 12 had taken 0.34 s, and each doubling of x's bits
+# about three times as long.
+_MAX_SERIES_BITS = 2**11
 # Most trials of one call: results multiply trials as a float, which holds
 # every int only up to 2**53.  An estimator needs at least two, since one
 # has no sample variance, so no z.
@@ -211,9 +232,19 @@ def phi(x, n: int) -> Fraction:
 
 
 def phi_series(x, n: int) -> Fraction:
-    """Literal quadruple sum defining phi; exact, for cross-checking :func:`phi`."""
+    """Literal quadruple sum defining phi; exact, for cross-checking :func:`phi`.
+
+    n is at most ``_MAX_SERIES_N``, and n times the bits of x's numerator and
+    denominator at most ``_MAX_SERIES_BITS``, both checked before any term.
+    """
     x = _phi_x(x)
     _check_int(n, "n", 3, _MAX_SERIES_N)
+    bits = x.numerator.bit_length() + x.denominator.bit_length()
+    if n * bits > _MAX_SERIES_BITS:
+        raise ValueError(
+            f"x is too large for phi_series at n = {n}: its numerator and denominator take {bits} bits,"
+            f" and n times that may be at most {_MAX_SERIES_BITS}"
+        )
     total = Fraction(0)
     for k in range(1, n - 1):
         for l in range(1, n - k):
@@ -315,26 +346,34 @@ def _run_batches(fn, n: int, trials: int, seed: int, workers: int, *args):
 
 def _mid_rows(k: np.ndarray) -> np.ndarray:
     """Bisector i of each row, k_i + k_{i+1}; rows sorted, first entry 0."""
-    mid = np.empty_like(k)
-    np.add(k[:, :-1], k[:, 1:], out=mid[:, :-1])
+    flat, mid = k.ravel(), np.empty(k.size, dtype=np.int64)
+    np.add(flat[:-1], flat[1:], out=mid[:-1])
+    mid = mid.reshape(k.shape)
+    # the last column crosses a row boundary: the wrap bisector k_{n-1} + 2**53
     np.add(k[:, -1], _HALF, out=mid[:, -1])
     return mid
 
 
-def _words_rows(k: np.ndarray, mid: np.ndarray | None = None) -> np.ndarray:
+def _antipodal_keys(k: np.ndarray) -> np.ndarray:
+    """Per row, the key 2v + 1 of each antipodal bisector v = bisector + 2**53 mod 2**54."""
+    anti = _mid_rows(k)
+    np.left_shift(anti, 1, out=anti)
+    anti += 2 * _HALF + 1
+    anti &= 4 * _HALF - 1
+    return anti
+
+
+def _words_rows(k: np.ndarray, anti: np.ndarray | None = None) -> np.ndarray:
     """Occupancy words per row by the rank kernel (see the module docstring).
 
-    ``mid`` holds the bisectors of ``k`` if the caller has them.
+    ``anti`` holds the :func:`_antipodal_keys` of ``k`` if the caller has them.
     """
-    if mid is None:
-        mid = _mid_rows(k)
+    if anti is None:
+        anti = _antipodal_keys(k)
     n = k.shape[1]
     keys = np.empty((k.shape[0], 2 * n), dtype=np.int64)
     np.left_shift(k, 2, out=keys[:, :n])
-    # 2 * (mid + 2**53) + 1 mod 2**55 is the key of the antipodal bisector
-    np.left_shift(mid, 1, out=keys[:, n:])
-    keys[:, n:] += 2 * _HALF + 1
-    keys &= 4 * _HALF - 1
+    keys[:, n:] = anti
     keys.sort(axis=1)
     return ((keys & 1) == 0).view(np.uint8)
 
@@ -346,12 +385,16 @@ def _region_rows(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     j + n both have type sig_j and length L_j (see the module docstring).
     """
     n = k.shape[1]
-    mid = _mid_rows(k)
-    w = _words_rows(k, mid)
-    h = np.bitwise_and(mid, _HALF - 1, out=mid)
+    anti = _antipodal_keys(k)
+    w = _words_rows(k, anti)
+    # bisector mod 2**53, read back from its antipodal key in the same buffer
+    h = np.right_shift(anti, 1, out=anti)
+    h &= _HALF - 1
     h.sort(axis=1)
-    lengths = np.empty_like(h)
-    np.subtract(h[:, 1:], h[:, :-1], out=lengths[:, 1:])
+    flat, lengths = h.ravel(), np.empty(h.size, dtype=np.int64)
+    np.subtract(flat[1:], flat[:-1], out=lengths[1:])
+    lengths = lengths.reshape(h.shape)
+    # the first column crosses a row boundary: L_0 = 2**53 + h_0 - h_{n-1}
     np.subtract(h[:, 0] + _HALF, h[:, -1], out=lengths[:, 0])
     return w, w[:, :n] + w[:, n:], h, lengths
 
@@ -368,9 +411,18 @@ def _region_values(k: np.ndarray) -> np.ndarray:
 
 
 def _pack_words(w: np.ndarray) -> np.ndarray:
-    """Rows packed as :func:`words.word_to_int` packs a word; exact up to 64 bits."""
-    weights = np.left_shift(np.uint64(1), np.arange(w.shape[1] - 1, -1, -1, dtype=np.uint64))
-    return w.astype(np.uint64) @ weights
+    """Rows packed as :func:`words.word_to_int` packs a word; exact up to 64 bits.
+
+    The last 32 letters, and the letters before them, are two float64 dot
+    products with powers of two, whose partial sums are integers below
+    2**32, so exact.
+    """
+    wf, m = w.astype(np.float64), w.shape[1]
+    packed = (wf[:, -32:] @ np.exp2(np.arange(min(m, 32) - 1, -1, -1))).astype(np.uint64)
+    if m > 32:
+        high = wf[:, :-32] @ np.exp2(np.arange(m - 33, -1, -1))
+        packed |= high.astype(np.uint64) << np.uint64(32)
+    return packed
 
 
 def _uniform_rows(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -410,18 +462,21 @@ def _exp_draw(n: int, size: int, rng: np.random.Generator):
     is uniform on the multiples of 2^-53 in [0, 1).
     """
     u = rng.random((size, 2 * n - 1))
-    spac = -np.log1p(-u[:, :n])
+    np.negative(u, out=u)
+    spac = np.log1p(u[:, :n])
+    np.negative(spac, out=spac)
     y = np.zeros((size, n + 1))
     np.cumsum(spac, axis=1, out=y[:, 1:])
     colors = np.ones((size, n), dtype=np.int64)
-    colors[:, 1:] = u[:, n:] < 0.5
+    np.greater(u[:, n:], -0.5, out=colors[:, 1:])
     return spac, y, colors
 
 
 def _exp_positions(y: np.ndarray, colors: np.ndarray) -> np.ndarray:
     """Unit-circle positions: the dot span 2*Y_n is the circle, white dots move by 1/2."""
     x = y[:, :-1] / (2 * y[:, -1:])
-    return np.where(colors == 1, x, x + 0.5)
+    x += 0.5 * (colors == 0)
+    return x
 
 
 def _exp_model_rows(n: int, size: int, rng: np.random.Generator):
@@ -434,7 +489,9 @@ def _exp_model_rows(n: int, size: int, rng: np.random.Generator):
     """
     _, y, colors = _exp_draw(n, size, rng)
     x = _exp_positions(y, colors)
-    k = np.floor(x * 2.0**53).astype(np.int64) & (_HALF - 1)
+    x *= 2.0**53
+    k = np.floor(x, out=x).astype(np.int64)
+    k &= _HALF - 1
     k.sort(axis=1)
     return k, 2 * y[:, -1]
 
@@ -451,19 +508,28 @@ def _count_non_interlacing(signatures: np.ndarray) -> int:
     """Rows whose 0s and 2s do not alternate cyclically, or that have neither.
 
     This is the alternation test of :func:`words.is_interlacing` run as a
-    balance: +1 per 2, -1 per 0.  A row interlaces iff its balance ends at 0
-    and, counting the start value 0, takes exactly two values; its steps
+    balance b: +1 per 2, -1 per 0.  A row interlaces iff its balance ends at
+    0 and, counting the start value 0, takes exactly two values; its steps
     are at most 1, so two values is a spread of 1.  If the special letters
     alternate, the balance steps between 0 and the first one's sign and,
     their number being even, ends on 0.  Conversely, two values force each
     special letter to undo the one before it, and ending at 0 makes their
-    number even, so the last differs from the first.
+    number even, so the last differs from the first.  Integers b_j take
+    values in {0, s}, for one s = +1 or -1, and not only 0, iff
+    |sum b_j| = sum b_j^2 > 0: |sum b_j| <= sum |b_j| <= sum b_j^2, with
+    equality iff the b_j have one sign and |b_j| <= 1.
     """
     # cast before subtracting: unsigned signatures would wrap below 0
-    balance = np.cumsum(signatures, axis=1, dtype=np.int32)
-    balance -= np.arange(1, signatures.shape[1] + 1, dtype=np.int32)
-    spread = np.maximum(balance.max(axis=1), 0) - np.minimum(balance.min(axis=1), 0)
-    return int(((balance[:, -1] != 0) | (spread != 1)).sum())
+    steps = np.subtract(signatures, 1, dtype=np.int64)
+    ends = np.einsum("ij->i", steps)
+    # one running balance over the flat rows, each row's first step offset
+    # by the end balance of the row before, so that every row starts at 0
+    steps[1:, 0] -= ends[:-1]
+    flat = steps.ravel()
+    balance = np.cumsum(flat, out=flat).reshape(steps.shape)
+    total = np.einsum("ij->i", balance)
+    squares = np.einsum("ij,ij->i", balance, balance)
+    return int(((ends != 0) | (squares == 0) | (np.abs(total) != squares)).sum())
 
 
 def _path_rows(k: np.ndarray, grid: np.ndarray) -> np.ndarray:

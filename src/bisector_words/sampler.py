@@ -71,7 +71,7 @@ The batch samplers :func:`sample_uniform_words` and
 :func:`sample_uniform_bracelets` return what as many scalar calls return,
 and leave the generator where those calls leave it.  Up to n = 6 they
 apply the rule of :func:`_uniform_below` to arrays of raw words
-(:func:`_batch`): 10^6 words at n = 3 or 4 take about 0.1 s, against
+(:func:`_table_draws`): 10^6 words at n = 3 or 4 take about 0.1 s, against
 0.55 s for the scalar calls.  Above n = 6 they make the scalar calls, so
 each n keeps one decoder and one table.
 
@@ -206,24 +206,38 @@ def _uniform_below(high: int, rng: np.random.Generator) -> int:
             return m >> width
 
 
+def _table_draws(high: int, size: int, rng: np.random.Generator):
+    """The values of ``size`` calls of ``_uniform_below(high, rng)``, 1 <= high < 2^32, as int64 arrays, one per round.
+
+    Lemire's rule of :func:`_uniform_below` on arrays of raw words: a word
+    r gives the value r·high >> 64, and it is skipped while the low 64 bits
+    of r·high are below 2^64 mod high, as :func:`_uniform_below` redraws it.
+    The values kept, in order, are therefore the scalar draws.  r·high is
+    split at r's 32-bit halves, r = a·2^32 + b: a·high and b·high are below
+    2^64, the low bits are (a·high << 32) + b·high mod 2^64 and the value is
+    (a·high + (b·high >> 32)) >> 32.  Each round reads as many raw words as
+    values are still missing, at most ``_RAW_ROUND``, so no round reads past
+    the last value kept, and the generator ends where the scalar draws leave
+    it.  The caller checks the generator (:func:`_check_raw_words`).
+    """
+    threshold, high = np.uint64(_WORD % high), np.uint64(high)
+    while size:
+        raw = rng.bit_generator.random_raw(min(size, _RAW_ROUND))
+        lo = (raw & np.uint64(_LOW32)) * high  # b·high
+        hi = (raw >> np.uint64(32)) * high  # a·high
+        kept = (hi << np.uint64(32)) + lo >= threshold
+        values = ((hi[kept] + (lo[kept] >> np.uint64(32))) >> np.uint64(32)).view(np.int64)
+        size -= len(values)
+        yield values
+
+
 def _batch(sample, table_of, most: int, n: int, size: int, rng: np.random.Generator) -> list:
     """What ``size`` calls of ``sample(n, rng)`` return.
 
     Before any draw: 3 <= n <= ``most``, 0 <= size * n <=
-    ``MAX_SAMPLE_LETTERS``, and ``rng`` is no MT19937.
-
-    Above the table path (``table_of(n)`` is None) the calls are made.  On
-    it, Lemire's rule of :func:`_uniform_below` runs on arrays of raw
-    words, for high = len(table) < 2^32: a word r gives the value
-    r·high >> 64, and it is skipped while the low 64 bits of r·high are
-    below 2^64 mod high, as :func:`_uniform_below` redraws it.  The values
-    kept, in order, are therefore the scalar draws.  r·high is split at r's
-    32-bit halves, r = a·2^32 + b: a·high and b·high are below 2^64, the
-    low bits are (a·high << 32) + b·high mod 2^64 and the value is
-    (a·high + (b·high >> 32)) >> 32.  Each round reads as many raw words
-    as values are still missing, at most ``_RAW_ROUND``, so no round reads
-    past the last value kept, and the generator ends where the scalar
-    draws leave it.
+    ``MAX_SAMPLE_LETTERS``, and ``rng`` is no MT19937.  Above the table path
+    (``table_of(n)`` is None) the calls are made; on it, the draws of
+    :func:`_table_draws` index the table.
     """
     _check_int(n, "n", 3, most)
     _check_int(size, "size", 0, MAX_SAMPLE_LETTERS // n)
@@ -231,15 +245,9 @@ def _batch(sample, table_of, most: int, n: int, size: int, rng: np.random.Genera
     table = table_of(n)
     if table is None:
         return [sample(n, rng) for _ in range(size)]
-    high = np.uint64(len(table))
-    threshold = np.uint64(_WORD % len(table))
     drawn: list = []
-    while len(drawn) < size:
-        raw = rng.bit_generator.random_raw(min(size - len(drawn), _RAW_ROUND))
-        lo = (raw & np.uint64(_LOW32)) * high  # b·high
-        hi = (raw >> np.uint64(32)) * high  # a·high
-        kept = (hi << np.uint64(32)) + lo >= threshold
-        drawn += map(table.__getitem__, ((hi[kept] + (lo[kept] >> np.uint64(32))) >> np.uint64(32)).tolist())
+    for values in _table_draws(len(table), size, rng):
+        drawn += map(table.__getitem__, values.tolist())
     return drawn
 
 
@@ -323,7 +331,7 @@ def sample_uniform_words(n: int, size: int, rng: np.random.Generator) -> list[Wo
     """The ``size`` words that ``size`` calls of :func:`sample_uniform_word` return, size * n <= 2^22.
 
     ``rng`` ends in the state those calls leave.  Up to n = 6 the draws
-    read raw words in arrays (see :func:`_batch`); above, the calls are
+    read raw words in arrays (see :func:`_table_draws`); above, the calls are
     made one by one.  n, size and the generator are checked before any draw.
     """
     return _batch(sample_uniform_word, _word_table, MAX_WORD_N, n, size, rng)
@@ -424,7 +432,7 @@ def sample_uniform_bracelets(n: int, size: int, rng: np.random.Generator) -> lis
     """The ``size`` bracelets that ``size`` calls of :func:`sample_uniform_bracelet` return, size * n <= 2^22.
 
     ``rng`` ends in the state those calls leave.  Up to n = 6 the draws
-    read raw words in arrays (see :func:`_batch`); above, the calls are
+    read raw words in arrays (see :func:`_table_draws`); above, the calls are
     made one by one.  n, size and the generator are checked before any draw.
     """
     return _batch(sample_uniform_bracelet, _bracelet_table, MAX_BRACELET_N, n, size, rng)

@@ -366,6 +366,69 @@ def _boundary_values(k):
     return out
 
 
+def bisector_rows_by_ints(k):
+    """Bisectors, sorted half-circle boundaries h and region lengths L of integer
+    rows (units of 2**-53, sorted, first entry 0), in units of 2**-54, from the
+    bisectors as Python ints, one row at a time: h is each bisector mod 2**53,
+    sorted, L_j = h_j - h_{j-1} and L_0 = 2**53 + h_0 - h_{n-1}."""
+    half = 1 << 53
+    rows = []
+    for mids, _ in _boundary_values(k):
+        h = sorted(m % half for m in mids)
+        rows.append((mids, h, [half + h[0] - h[-1]] + [b - a for a, b in zip(h, h[1:])]))
+    return tuple(np.array(a, dtype=np.int64).reshape(k.shape) for a in zip(*rows))
+
+
+def pack_words_by_uint64_matmul(w):
+    """Rows of 0/1 letters packed into uint64, first letter highest, by the
+    uint64 matrix product that the batched packing used before it split each
+    row into two float64 dot products."""
+    weights = np.left_shift(np.uint64(1), np.arange(w.shape[1] - 1, -1, -1, dtype=np.uint64))
+    return w.astype(np.uint64) @ weights
+
+
+def count_non_interlacing_by_row_spread(signatures) -> int:
+    """Rows whose 0s and 2s do not alternate cyclically, or that have neither,
+    by the axis-1 running balance (+1 per 2, -1 per 0) and its spread that the
+    batched count used before it read one flat balance: a row interlaces iff its
+    balance ends at 0 and spans exactly 1, counting the start value 0."""
+    balance = np.cumsum(signatures, axis=1, dtype=np.int32)
+    balance -= np.arange(1, signatures.shape[1] + 1, dtype=np.int32)
+    spread = np.maximum(balance.max(axis=1), 0) - np.minimum(balance.min(axis=1), 0)
+    return int(((balance[:, -1] != 0) | (spread != 1)).sum())
+
+
+def exp_draw_by_copies(n, size, rng):
+    """Spacings, dots and colors of ``size`` rows of the exponential model, by
+    the formulas the batched draw used before it negated in place: spacings
+    -log1p(-u) of the first n uniforms of each row, dots at their partial sums
+    from Y_0 = 0, and colors u < 1/2 of the last n - 1 (1 black, dot 0 black)."""
+    u = rng.random((size, 2 * n - 1))
+    spac = -np.log1p(-u[:, :n])
+    y = np.zeros((size, n + 1))
+    np.cumsum(spac, axis=1, out=y[:, 1:])
+    colors = np.ones((size, n), dtype=np.int64)
+    colors[:, 1:] = u[:, n:] < 0.5
+    return spac, y, colors
+
+
+def exp_positions_by_where(y, colors):
+    """Unit-circle positions of exponential-model rows, white dots moved by 1/2
+    with ``np.where``, as the batched positions were before they added 0.5 per white dot."""
+    x = y[:, :-1] / (2 * y[:, -1:])
+    return np.where(colors == 1, x, x + 0.5)
+
+
+def exp_model_rows_by_where(n, size, rng):
+    """Rows of the exponential model in units of 2**-53, floor(x * 2**53) mod
+    2**53 of the positions x, sorted, and their circumferences 2 * Y_n, by
+    :func:`exp_draw_by_copies` and :func:`exp_positions_by_where`."""
+    _, y, colors = exp_draw_by_copies(n, size, rng)
+    k = np.floor(exp_positions_by_where(y, colors) * 2.0**53).astype(np.int64) & ((1 << 53) - 1)
+    k.sort(axis=1)
+    return k, 2 * y[:, -1]
+
+
 def words_by_stable_argsort(k):
     """Occupancy words of integer rows (units of 2**-53, sorted, first entry 0),
     by one stable argsort per row of [points, antipodal bisectors] in exact

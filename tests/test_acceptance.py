@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` (or ``bisector-words
 verify``) to see the per-criterion PASS/FAIL lines; the whole gate takes
-5-7 s on a 2-vCPU Xeon VM, 0.35-0.45 s of it criterion 11.
+4-6 s on a 2-vCPU Xeon VM, 0.03-0.05 s of it criterion 11.
 
 Criterion 11's chi-square tail is written with ``math``; scipy, a test
 dependency only, is its oracle here.
@@ -132,6 +132,21 @@ def test_criterion_11_draws_are_pinned(kind, n, size, offset):
     lines = {x: f"{text(x)}\n" for x in set(drawn)}
     digest = hashlib.sha256("".join(map(lines.__getitem__, drawn)).encode()).hexdigest()
     assert (digest, rng.bit_generator.random_raw()) == CRITERION_11_DRAWS[kind, n, size, offset]
+
+
+@pytest.mark.parametrize("size", [0, 1, 3000, 70_000])
+@pytest.mark.parametrize("kind, n", [("words", 3), ("words", 4), ("bracelets", 4)])
+def test_criterion_11_counts_are_the_counts_of_the_sampler_calls(kind, n, size):
+    # the criterion counts table indices; 70_000 draws take two rounds of raw words
+    ours, theirs = random_points.batch_rng(n, size), random_points.batch_rng(n, size)
+    if kind == "words":
+        counts = acceptance._table_counts(sampler._word_table(n), size, ours)
+        want = Counter(sampler.sample_uniform_words(n, size, theirs))
+    else:
+        counts = acceptance._table_counts([b.word for b in sampler._bracelet_table(n)], size, ours)
+        want = Counter(b.word for b in sampler.sample_uniform_bracelets(n, size, theirs))
+    assert counts == want and all(counts.values())
+    assert ours.bit_generator.random_raw() == theirs.bit_generator.random_raw()
 
 
 def test_criterion_11_runs_without_scipy():

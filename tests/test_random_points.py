@@ -15,9 +15,15 @@ from bisector_words import geometry, random_points as rp, sampler, words
 from bisector_words.geometry import PointConfig, occupancy_word, region_stats
 
 from oracles import (
+    bisector_rows_by_ints,
     count_non_interlacing,
+    count_non_interlacing_by_row_spread,
     exp_below_erlangs_prob,
+    exp_draw_by_copies,
+    exp_model_rows_by_where,
+    exp_positions_by_where,
     occupancy_word_by_fractions,
+    pack_words_by_uint64_matmul,
     path_rows_by_grid_loop,
     region_rows_by_floats,
     region_values_by_floats,
@@ -176,6 +182,36 @@ class TestPhi:
                 call(most + 1)
             assert str(raised.value) == f"need 3 <= n <= {most}, got {most + 1}"
         assert built[0] == (1, 3) and (1, 4) not in built  # the closed form's first term
+
+    @pytest.mark.parametrize(
+        "x, n, bits",
+        [(Fraction(1, 2**500), 12, 502), (Fraction(1, 2**2000), 12, 2002), (0.3, 19, 53 + 55), (Fraction(1, 3), 40, 3)],
+    )
+    def test_phi_series_is_bounded_by_the_size_of_x(self, monkeypatch, x, n, bits):
+        # phi_series(2**-2000, 12) took 0.34 s, and each doubling of x's bits
+        # about three times as long; an x too large fails before any term is built
+        most = rp._MAX_SERIES_BITS
+        built = []
+
+        def recording(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        if n * bits <= most:
+            assert rp.phi_series(x, 3) == rp.phi(x, 3)
+            return
+        if most // bits >= 3:
+            assert 0 < rp.phi_series(x, most // bits) < x  # the largest n this x allows
+        monkeypatch.setattr(rp, "Fraction", recording)
+        monkeypatch.setattr(Fraction, "__pow__", lambda *args: pytest.fail("took a power of x before checking it"))
+        with pytest.raises(ValueError) as raised:
+            rp.phi_series(x, n)
+        message = str(raised.value)
+        assert message == (
+            f"x is too large for phi_series at n = {n}: its numerator and denominator take {bits} bits,"
+            f" and n times that may be at most {most}"
+        )
+        assert len(message) < 200 and (0,) not in built
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -359,6 +395,21 @@ def model_rows(model: str, n: int, rows: int, rng) -> np.ndarray:
     return rp._exp_model_rows(n, rows, rng)[0]
 
 
+# (n, rows) of the chunks the estimators draw: a full chunk of
+# _CHUNK_ELEMENTS // (2n) rows, one row (as at n > _CHUNK_ELEMENTS / 2), and
+# the one row of n = 10**5 that the equidistribution estimator draws.
+CHUNK_NS = [*range(3, 13), 31, 32, 64, 128, 1000]
+CHUNK_SHAPES = [*((n, "chunk") for n in CHUNK_NS), *((n, 1) for n in CHUNK_NS), (10**5, 1)]
+
+
+def rng_state(rng) -> str:
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist)
+
+
+def chunk_rows(n: int, rows) -> int:
+    return max(1, rp._CHUNK_ELEMENTS // (2 * n)) if rows == "chunk" else rows
+
+
 class TestBatchEngine:
     def test_words_match_scalar_geometry(self):
         rng = rp.batch_rng(11, 0)
@@ -455,14 +506,49 @@ class TestBatchEngine:
         assert worst < 1e-14
 
     @pytest.mark.parametrize("model", ["uniform", "exp"])
-    @pytest.mark.parametrize("n", [*range(3, 13), 32, 128, 1000])
-    def test_region_values_equal_the_masked_sums(self, model, n):
+    @pytest.mark.parametrize("n,rows", CHUNK_SHAPES)
+    def test_region_values_equal_the_masked_sums(self, model, n, rows):
         # bit for bit, on a chunk of rows as the estimators draw it
-        k = model_rows(model, n, max(1, rp._CHUNK_ELEMENTS // (2 * n)), rp.batch_rng(61, n))
+        k = model_rows(model, n, chunk_rows(n, rows), rp.batch_rng(61, n))
         _, sig, _, half_lengths = rp._region_rows(k)
         values, expected = rp._region_values(k), region_values_by_masked_sums(sig, half_lengths)
         assert values.dtype == expected.dtype and values.shape == expected.shape
         assert values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("model", ["uniform", "exp"])
+    @pytest.mark.parametrize("n,rows", CHUNK_SHAPES)
+    def test_flat_steps_equal_their_row_by_row_oracles(self, model, n, rows):
+        # Each step that runs over a whole chunk as one flat array, with one
+        # column fixed up where a row ends (the last flat value of a 1-row
+        # chunk included), against the same step row by row.
+        size, rng = chunk_rows(n, rows), rp.batch_rng(61, n)
+        if model == "exp":
+            again = rp.batch_rng(61, n)
+            k, circumference = rp._exp_model_rows(n, size, rng)
+            k_ref, circumference_ref = exp_model_rows_by_where(n, size, again)
+            assert k.tobytes() == k_ref.tobytes() and circumference.tobytes() == circumference_ref.tobytes()
+            assert rng_state(rng) == rng_state(again)
+        else:
+            k = rp._uniform_rows(n, size, rng)
+        mids, h_ref, lengths_ref = bisector_rows_by_ints(k)
+        assert rp._mid_rows(k).tobytes() == mids.tobytes()
+        w, sig, h, half_lengths = rp._region_rows(k)
+        assert (w == words_by_stable_argsort(k)).all()
+        assert h.tobytes() == h_ref.tobytes() and half_lengths.tobytes() == lengths_ref.tobytes()
+        assert rp._count_non_interlacing(sig) == count_non_interlacing_by_row_spread(sig) == 0
+        if n <= rp.MAX_PACKED_N:
+            assert rp._pack_words(w).tobytes() == pack_words_by_uint64_matmul(w).tobytes()
+
+    @pytest.mark.parametrize("n,size", [(3, 1), (4, 4096), (12, 1365), (31, 528), (1000, 16)])
+    def test_exp_draw_equals_the_draw_by_copies(self, n, size):
+        # spacings, dots, colors and positions bit for bit, and the generator left where it was
+        rng, again = rp.batch_rng(62, n), rp.batch_rng(62, n)
+        drawn, expected = rp._exp_draw(n, size, rng), exp_draw_by_copies(n, size, again)
+        for a, b in zip(drawn, expected):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert rng_state(rng) == rng_state(again)
+        _, y, colors = drawn
+        assert rp._exp_positions(y, colors).tobytes() == exp_positions_by_where(y, colors).tobytes()
 
     @pytest.mark.parametrize(
         "make", [lambda: rp.batch_rng(59, 3), lambda: np.random.default_rng(59)], ids=["philox", "pcg64"]
@@ -472,16 +558,12 @@ class TestBatchEngine:
         k = raw.bit_generator.random_raw((300, 7)) >> 11
         u = uniform.random((300, 7))
         assert (k * 2.0**-53).tobytes() == u.tobytes()
-
-        def state(rng):
-            return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist)
-
-        assert state(raw) == state(uniform)
+        assert rng_state(raw) == rng_state(uniform)
         # _uniform_rows reads the same words: the rows of rng.random, sorted and rotated
         rows, again = make(), make()
         p = np.sort(again.random((300, 7)), axis=1)
         assert floats(rp._uniform_rows(7, 300, rows)).tobytes() == (p - p[:, :1]).tobytes()
-        assert state(rows) == state(again)
+        assert rng_state(rows) == rng_state(again)
 
     @pytest.mark.parametrize("inner", [(), ((3 << 50) + 12345,), ((3 << 50) + 12345, (1 << 52) + 6789)])
     def test_near_ties_that_the_float_kernel_misorders(self, inner):
@@ -600,8 +682,9 @@ class TestBatchEngine:
         run(rp.BATCH_SIZE + 3, seed)
         assert requested == [(seed + d, i) for d in seeds for i in (0, 1)]
 
-    @pytest.mark.parametrize("n", [3, 31, 32])
+    @pytest.mark.parametrize("n", [3, 16, 17, 31, 32])
     def test_pack_words_matches_word_to_int(self, n):
+        # n = 16 fills the low 32 bits alone; from n = 17 on the high half takes the rest
         rng = np.random.default_rng(200 + n)
         w = rng.integers(0, 2, (64, 2 * n)).astype(np.uint8)
         w[0] = 1  # every bit set, the top one included
@@ -609,6 +692,8 @@ class TestBatchEngine:
         packed = rp._pack_words(w)
         assert packed.dtype == np.uint64
         assert [int(x) for x in packed] == [words.word_to_int(row.tolist()) for row in w]
+        assert packed.tobytes() == pack_words_by_uint64_matmul(w).tobytes()
+        assert rp._pack_words(w[:1]).tobytes() == packed[:1].tobytes()
 
     def test_seed_is_a_64_bit_key(self):
         last = (1 << 64) - 1
@@ -645,7 +730,9 @@ class TestBatchEngine:
         sig = sig.astype(dtype)
         expected = count_non_interlacing(sig)
         assert 0 < expected < len(sig)
-        assert rp._count_non_interlacing(sig) == expected
+        assert rp._count_non_interlacing(sig) == count_non_interlacing_by_row_spread(sig) == expected
+        # one row at a time, where the flat balance has no row before it
+        assert sum(rp._count_non_interlacing(sig[i : i + 1]) for i in range(70)) == count_non_interlacing(sig[:70])
 
 
 # Estimator payloads for seed 2024, each over two batches (one full, one
@@ -667,27 +754,77 @@ PINNED_PAYLOADS = {
     "region_stats:32": "929af463250d2fc07c61ad981f438f90af6ca8faa762c612fea7c01fa925993d",
     "region_stats:128": "65066dd0bd897800de921fc2a2a57167429eedb3f1dc793e664c48a866205b21",
     "bracelet_prob:circle": "21598a97acb56a695ceb50195c8f6b4bb839dfe7f37a87bb7fe93f6778c0f58c",
-    "bracelet_prob:exp": "0d2a6d216b87ca196438f871d17b75b13d0a412b24f6b4ac82e3567787cfbfac",
     "interlacing_failures:12": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
-    "transfer_check:4": "a6d7f34943142994cff91eaef0bc6be8aae92f34bf86988690eac7294fdf10d9",
     # paths and spacings run 2 to 50 trials: the first rows of the one batch
     # stream batch_rng(2024, 0), recorded from the batch engine
     "equidistribution_paths:64": "0b4309a46094bfe8d4a0be304e4afb9e27247fee14958cf17512640ab6191a28",
     "equidistribution_paths:5000": "92ecefcead5f669e9319834ef60c66b7d7e743ca842a95d06465e8cce05fa595",
     "max_spacing_check:1000": "a3777af785dd24c0bed8c9c227e17a486c90609f2f27791b24417537f62a8290",
     "max_spacing_check:3": "14d573e197b7054b29ec6bcbcce644b0dae8304ab68c6cf44a8633b423e4c7a5",
-    # five samples of sample_exp_model from one generator
-    "sample_exp_model:3": "157707e629154854a263f8137efb66371da2c107fa6df457d6e9d37e4941b21a",
-    "sample_exp_model:4": "cdab028db7a94ca2f5b233b824b1dcb84eddd4cc397184f744f12200b9c2f186",
-    "sample_exp_model:5": "f044ffb5241a24d054e5e95d72adfd91ac6c7e5aa012534758b9e10040ddd1a4",
-    "sample_exp_model:6": "2e3db8365b98a7fd74439693f002c24363e0702a532239f51a6e18ddb046646f",
-    "sample_exp_model:7": "1c99e415a10841d50c532abc14b1b2f03c9a6f707eaa095d9f226615d0330bdb",
-    "sample_exp_model:8": "fef3892905ceda49427df880517431e55a52696011f24692bfd72ea3328445d2",
-    "sample_exp_model:9": "80d2f9b9c7e775d17b0f639155309f58bd28e062f1f2a4a6bf73e56a4e3708c0",
-    "sample_exp_model:10": "6d023e3ad767f9c936a64a14fc52fff5dd866386c214e1bff7ec6d7cb82df14c",
-    "sample_exp_model:11": "5aa41343dff2ad66579341973d79721628f488c2cad8e6cad62a9402cae89eed",
-    "sample_exp_model:12": "e469590f73cad09fb677bbfcffaaf4eb6c824d005f3525b75581c0847af20bf5",
 }
+
+# The exponential model's spacings are -log1p(-u).  numpy sends float64
+# np.log1p to SVML where AVX-512 is available and to the C library's log1p
+# otherwise; the two differ in the last bit for about 7% of the uniforms, so
+# each payload of the exponential model has one digest per log1p (equal where
+# no spacing or length reaches it).  math.log1p is the C library's, so a probe
+# on fixed inputs tells which one runs.  The libm digests were recorded with
+# NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" from the row-slice
+# kernel that the flat one replaced, which reproduces them.
+# sample_exp_model:n holds five samples from one generator.
+_PROBE = -np.arange(1024) / 1024
+LOG1P = "libm" if np.log1p(_PROBE).tolist() == [math.log1p(v) for v in _PROBE.tolist()] else "svml"
+PINNED_BY_LOG1P = {
+    "bracelet_prob:exp": {
+        "svml": "0d2a6d216b87ca196438f871d17b75b13d0a412b24f6b4ac82e3567787cfbfac",
+        "libm": "0d2a6d216b87ca196438f871d17b75b13d0a412b24f6b4ac82e3567787cfbfac",
+    },
+    "transfer_check:4": {
+        "svml": "a6d7f34943142994cff91eaef0bc6be8aae92f34bf86988690eac7294fdf10d9",
+        "libm": "d0dd97b0340569ef67b1a5bacde6d2a5645d6b238a7a9c8577d7961d8906e2a1",
+    },
+    "sample_exp_model:3": {
+        "svml": "157707e629154854a263f8137efb66371da2c107fa6df457d6e9d37e4941b21a",
+        "libm": "157707e629154854a263f8137efb66371da2c107fa6df457d6e9d37e4941b21a",
+    },
+    "sample_exp_model:4": {
+        "svml": "cdab028db7a94ca2f5b233b824b1dcb84eddd4cc397184f744f12200b9c2f186",
+        "libm": "62d1f2973e853f99503bd9e4515603c3b15bd3e5e23d76f12000fc218d886543",
+    },
+    "sample_exp_model:5": {
+        "svml": "f044ffb5241a24d054e5e95d72adfd91ac6c7e5aa012534758b9e10040ddd1a4",
+        "libm": "ebed2c7b00ff58db312c1a9e5c7433f3c8b85910fa80c16037a32a9d8184dd41",
+    },
+    "sample_exp_model:6": {
+        "svml": "2e3db8365b98a7fd74439693f002c24363e0702a532239f51a6e18ddb046646f",
+        "libm": "4a3e434141dac33cf4d198d8968b777b5500312a34c53912e5a451082de2732e",
+    },
+    "sample_exp_model:7": {
+        "svml": "1c99e415a10841d50c532abc14b1b2f03c9a6f707eaa095d9f226615d0330bdb",
+        "libm": "d7793ace004ab0b9c4ade1e88ed624dfeecf240af098a222bbf958b115ecd1d0",
+    },
+    "sample_exp_model:8": {
+        "svml": "fef3892905ceda49427df880517431e55a52696011f24692bfd72ea3328445d2",
+        "libm": "d4ed921b93307c69ba3cffe80c1e6fb827ede9c7828f322f94c961f4f20fb758",
+    },
+    "sample_exp_model:9": {
+        "svml": "80d2f9b9c7e775d17b0f639155309f58bd28e062f1f2a4a6bf73e56a4e3708c0",
+        "libm": "f71dc7d62260924263eebe04fee4487cc9705641eade5c6d474cc5c7c899f37c",
+    },
+    "sample_exp_model:10": {
+        "svml": "6d023e3ad767f9c936a64a14fc52fff5dd866386c214e1bff7ec6d7cb82df14c",
+        "libm": "fdd550dc04edbfbd961cb11764b016f84e3b13c9247ed701f85d79c8b21c2bb9",
+    },
+    "sample_exp_model:11": {
+        "svml": "5aa41343dff2ad66579341973d79721628f488c2cad8e6cad62a9402cae89eed",
+        "libm": "1d3aba6689564ca451b8db9cbac8f9581ec34d8daf5e8c55cae43f69fe8daa9e",
+    },
+    "sample_exp_model:12": {
+        "svml": "e469590f73cad09fb677bbfcffaaf4eb6c824d005f3525b75581c0847af20bf5",
+        "libm": "b95040258df72a5cd6c03913f4f45f532720a1736ee72f9c68cc919896395a17",
+    },
+}
+PINNED_PAYLOADS.update((case, digests[LOG1P]) for case, digests in PINNED_BY_LOG1P.items())
 
 
 def _pinned_payload(case: str):
