@@ -57,6 +57,12 @@ FLOAT_TIE_TOLERANCE = 1e-12
 # (tracemalloc), of which the returned PathReport was 2.1 / 21.4 / 213.6 MiB,
 # so no chunking of the computation bounds a longer grid.
 MAX_T_GRID = 10**5
+# Most bits of exact positions over their common denominator: n times the
+# bits of that denominator.  Points with distinct 7-digit prime denominators
+# took 88 MB at n = 4000 and 201 MB at n = 8000 (peak RSS), with an 80k- and
+# a 160k-bit denominator.  realize(w) at n = 2000 takes 1.2e7 bits (about 3n
+# per point), its plan's 2n perturbed positions 2.4e7.
+MAX_EXACT_BITS = 2**26
 
 
 class NonGenericConfiguration(ValueError):
@@ -88,8 +94,17 @@ def _fraction_of_string(text: str) -> Fraction:
 
 
 def _over_common_denominator(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    """The numerators of the Fractions over their least common denominator, and that denominator."""
+    """The numerators of the Fractions over their least common denominator, and that denominator.
+
+    Every numerator is as wide as the denominator, so the numerators take
+    about n times its bits; that is bounded by ``MAX_EXACT_BITS`` before
+    any of them is built.
+    """
     unit = math.lcm(*(x.denominator for x in values))
+    if len(values) * unit.bit_length() > MAX_EXACT_BITS:
+        raise ValueError(
+            f"need n * (bits of the common denominator) <= {MAX_EXACT_BITS}, got {len(values)} * {unit.bit_length()}"
+        )
     return tuple(x.numerator * (unit // x.denominator) for x in values), unit
 
 
@@ -102,7 +117,10 @@ class PointConfig:
     configuration computes in floats only: every position, a Fraction or
     int among floats included, enters the circle units as its float, while
     ``positions`` keeps the values as given.  So mixed input whose exact
-    values round to equal floats, or to 1.0, is rejected here.
+    values round to equal floats, or to 1.0, is rejected here.  A
+    configuration built from units (:meth:`_from_units`) reduces its
+    ``positions`` to Fractions on first read, so equality, the hash and
+    repr, which read them, mean what they mean for the eager build.
     """
 
     positions: tuple
@@ -119,20 +137,31 @@ class PointConfig:
             xs, unit = _over_common_denominator(pos)
         else:
             unit, xs = 1, tuple(map(float, pos))
-        self._settle(pos, exact, xs, unit)
+        self._settle(exact, xs, unit)
+        object.__setattr__(self, "positions", pos)
 
     @classmethod
     def _from_units(cls, xs: Sequence[int], unit: int) -> "PointConfig":
         """The exact configuration of the ints xs over one common unit: positions ``Fraction(x, unit)``.
 
         The ints are kept as given, so no common denominator is taken back
-        from the reduced positions.
+        from the reduced positions, and no Fraction is built until
+        ``positions`` is read.
         """
         config = object.__new__(cls)
-        config._settle(tuple(Fraction(x, unit) for x in xs), True, tuple(xs), unit)
+        config._settle(True, tuple(xs), unit)
         return config
 
-    def _settle(self, pos: tuple, exact: bool, xs: tuple, unit) -> None:
+    def __getattr__(self, name: str):
+        """``positions`` of a configuration from units, reduced once on first read; no other attribute is lazy."""
+        if name != "positions":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        xs, unit = self._units
+        pos = tuple(Fraction(x, unit) for x in xs)
+        object.__setattr__(self, "positions", pos)
+        return pos
+
+    def _settle(self, exact: bool, xs: tuple, unit) -> None:
         """Check the positions in units (at least 3, each in [0, unit), strictly increasing), then set them."""
         if len(xs) < 3:
             raise ValueError(f"need at least 3 points, got {len(xs)}")
@@ -140,13 +169,12 @@ class PointConfig:
             raise ValueError("positions must lie in [0, 1)")
         if any(a >= b for a, b in zip(xs, xs[1:])):
             raise ValueError("positions must be strictly increasing")
-        object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "is_exact", exact)
         object.__setattr__(self, "_units", (xs, unit))
 
     @property
     def n(self) -> int:
-        return len(self.positions)
+        return len(self._units[0])
 
     @classmethod
     def from_points(cls, pts: Iterable) -> "PointConfig":

@@ -11,8 +11,9 @@ distinct sums, so no two chord midpoints can keep shifting in lockstep.
 words such as the one with signature (0,2,0,2), two coinciding midpoints
 shift by the same amount for every epsilon.)  All arithmetic is exact: the
 positions are integer numerators over one common denominator q, and the
-configuration is built from them over q, each turned into a ``Fraction``
-once.
+configuration is built from them over q; it turns them into ``Fraction``s
+only when a caller reads its ``positions``, which reading the word back
+does not.
 """
 
 from __future__ import annotations
@@ -75,23 +76,25 @@ class RealizationPlan:
         }
 
 
-def _checked_word(w) -> Word:
-    """The validated word w, rejected above ``MAX_REALIZE_N`` before anything is built."""
-    word = words.check_word(w)
+def _checked_word(w) -> bytes:
+    """The word w checked once, as bytes, rejected above ``MAX_REALIZE_N`` before anything is built."""
+    word = words._word_bytes(w)
     words._check_int(len(word) // 2, "n", 3, MAX_REALIZE_N)
     return word
 
 
-def _construct(word: Word) -> tuple[dict, int, list[int], list[int]]:
+def _construct(checked: bytes) -> tuple[dict, int, list[int], list[int]]:
     """The construction over one denominator q = 4^n / epsilon, for a word from :func:`_checked_word`.
 
     Returns the plan's integer fields, q, and the numerators over q of the
     base and perturbed positions: eta is e/q with e = 4n * 4^n, and the
-    perturbation of index h is 2^(h+1)/q.
+    perturbation of index h is 2^(h+1)/q.  The signature and its
+    interlacing are read from the checked word, which is not checked again.
     """
-    sig = words.signature(word)
-    if not words.is_interlacing(sig):
+    sig = words._signature_of(checked)
+    if not words._interlaces(sig):
         raise NotRealizable(f"signature {words.word_to_string(sig)} does not interlace")
+    word = tuple(checked)
     n = len(sig)
     m = 2 * n
 

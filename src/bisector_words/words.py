@@ -13,6 +13,14 @@ letters 11/00, strictly alternating, the phase choosing which comes first.
 :func:`letters_to_word` is the one decoder of this form; :func:`unfold`
 and the sampler's walks are views of it.
 
+Words and signatures are read by one byte reader, :func:`_as_bytes`: a
+tuple of exact ints, bools or numpy integers becomes bytes in one C-level
+pass, and anything else (floats, Fractions, numpy bools, text, ints outside
+a byte) falls back to the cast-and-compare reader :func:`_as_ints`, whose
+messages are unchanged.  :func:`is_realizable` then sums the word's two
+halves as big-endian ints into its signature bytes, deletes the 1s with
+``bytes.translate`` and tests that what is left alternates.
+
 Everything here is 0-indexed.  Formulas stated elsewhere in 1-based cyclic
 indexing translate by adding 1 to each index; cyclic indices are reduced
 mod n or mod 2n throughout.
@@ -90,23 +98,51 @@ def _as_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
     return tuple(ints)
 
 
+def _as_bytes(values: Iterable[int], what: str) -> bytes:
+    """The values as bytes, one per value, read in one C-level pass when they are byte-sized integers.
+
+    ``bytes()`` takes exact ints, bools and numpy integers in 0..255 and
+    refuses every other value: floats, Fractions, numpy bools, text, and
+    ints outside a byte.  Refused input goes through :func:`_as_ints`, so
+    every cast and every message stays that reader's; an int it returns
+    outside 0..255 becomes the byte 255, which no alphabet here holds, so
+    the caller's alphabet check rejects it.  ``bytes`` would read an int as
+    a length and a buffer as raw memory, so it is only ever given a tuple.
+    """
+    t = tuple(values)
+    try:
+        return bytes(t)
+    except (TypeError, ValueError):
+        return bytes(x if 0 <= x <= 255 else 255 for x in _as_ints(t, what))
+
+
+def _word_bytes(bits: Iterable[int]) -> bytes:
+    """The one check of a word: its bits as bytes of 0 and 1, of even length 2n, n >= 3."""
+    b = _as_bytes(bits, "word bits")
+    if len(b) < 6 or len(b) % 2 != 0:
+        raise ValueError(f"word length must be an even number >= 6, got {len(b)}")
+    if b.translate(None, b"\x00\x01"):
+        raise ValueError("word bits must be 0 or 1")
+    return b
+
+
+def _signature_bytes(letters: Iterable[int]) -> bytes:
+    """The one check of a signature: its letters as bytes of 0, 1 and 2, at least 3 of them."""
+    b = _as_bytes(letters, "signature letters")
+    if len(b) < 3:
+        raise ValueError(f"signature length must be >= 3, got {len(b)}")
+    if b.translate(None, b"\x00\x01\x02"):
+        raise ValueError("signature letters must be 0, 1 or 2")
+    return b
+
+
 def check_word(bits: Iterable[int]) -> Word:
     """Validate and normalize a word to a tuple of 0/1 ints of length 2n, n >= 3."""
-    w = _as_ints(bits, "word bits")
-    if len(w) < 6 or len(w) % 2 != 0:
-        raise ValueError(f"word length must be an even number >= 6, got {len(w)}")
-    if not set(w) <= {0, 1}:
-        raise ValueError("word bits must be 0 or 1")
-    return w
+    return tuple(_word_bytes(bits))
 
 
 def check_signature(letters: Iterable[int]) -> Signature:
-    s = _as_ints(letters, "signature letters")
-    if len(s) < 3:
-        raise ValueError(f"signature length must be >= 3, got {len(s)}")
-    if any(x not in (0, 1, 2) for x in s):
-        raise ValueError("signature letters must be 0, 1 or 2")
-    return s
+    return tuple(_signature_bytes(letters))
 
 
 def check_folded(letters: Iterable[str]) -> FoldedWord:
@@ -121,7 +157,7 @@ def check_folded(letters: Iterable[str]) -> FoldedWord:
 def word_from_string(s: str) -> Word:
     if not set(s) <= {"0", "1"}:
         raise ValueError("word string must contain only '0' and '1'")
-    return check_word(int(c) for c in s)
+    return check_word(map(int, s))
 
 
 def word_to_string(w: Sequence[int]) -> str:
@@ -140,20 +176,25 @@ def int_to_word(x: int, n: int) -> Word:
     return tuple((x >> (2 * n - 1 - i)) & 1 for i in range(2 * n))
 
 
+def _signature_of(word: bytes) -> bytes:
+    """The signature of a checked word: byte i is word[i] + word[i + n], summed as two big-endian ints, which never carry."""
+    n = len(word) // 2
+    return (int.from_bytes(word[:n], "big") + int.from_bytes(word[n:], "big")).to_bytes(n, "big")
+
+
 def signature(w: Iterable[int]) -> Signature:
     """Letter i is bits[i] + bits[i + n], the point count of an antipodal region pair."""
-    word = check_word(w)
-    n = len(word) // 2
-    return tuple(word[i] + word[i + n] for i in range(n))
+    return tuple(_signature_of(_word_bytes(w)))
 
 
-def _alternates(bits: list[int]) -> bool:
-    """Whether the 0/1 list is nonempty and strictly alternates around its cycle.
+def _interlaces(sig: bytes) -> bool:
+    """Whether the 0s and 2s of a checked signature strictly alternate around its cycle.
 
-    A cyclically alternating list has even length, so it is the two-letter
-    pattern starting from its first element, repeated.
+    With the 1s deleted, a cyclically alternating rest has even length and
+    two distinct letters, so it is its first two letters repeated.
     """
-    return bool(bits) and bits == [bits[0], 1 - bits[0]] * (len(bits) // 2)
+    rest = sig.translate(None, b"\x01")
+    return len(rest) > 1 and rest[0] != rest[1] and rest == rest[:2] * (len(rest) // 2)
 
 
 def is_interlacing(letters: Iterable[int]) -> bool:
@@ -163,18 +204,16 @@ def is_interlacing(letters: Iterable[int]) -> bool:
     cyclically consecutive pair of 0s, with both letters present); the
     equivalence is asserted against the literal definition in the test suite.
     """
-    return _alternates([x // 2 for x in check_signature(letters) if x != 1])
+    return _interlaces(_signature_bytes(letters))
 
 
 def is_realizable(w: Iterable[int]) -> bool:
     """A word is achievable by points on the circle iff its signature interlaces.
 
-    The signature's 0s and 2s are the pairs with w_i == w_{i+n}, letter 2
-    where that bit is 1, so they are read off the word, which is validated
-    once, and tested by the alternation test of :func:`is_interlacing`.
+    The word is checked once, and its signature is read from it as bytes
+    and tested by the alternation test of :func:`is_interlacing`.
     """
-    word = check_word(w)
-    return _alternates([a for a, b in zip(word, word[len(word) // 2 :]) if a == b])
+    return _interlaces(_signature_of(_word_bytes(w)))
 
 
 @dataclass(frozen=True)

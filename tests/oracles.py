@@ -2,8 +2,9 @@
 
 Nothing here imports the library's decision logic, except the reference
 direction-pattern check and the arc-first region statistics, which keep the
-earlier versions of library functions on top of the same geometry helpers;
-these exist to check them.
+earlier versions of library functions on top of the same geometry helpers,
+and the word and signature checks, which keep the formulas that the byte
+reader replaced on top of ``words._as_ints``; these exist to check them.
 The float region kernel is likewise the earlier version of the batched
 geometry, which the exact integer kernel replaced.
 """
@@ -178,6 +179,56 @@ def bracelet_class_tuples(word) -> set[tuple[int, ...]]:
     """Every cyclic shift of a word and of its reverse, as tuples."""
     w = tuple(word)
     return {v[i:] + v[:i] for v in (w, w[::-1]) for i in range(len(v))}
+
+
+def check_word_by_sets(bits) -> tuple[int, ...]:
+    """The word check that the byte reader replaced: every value cast by ``_as_ints``, then a set test."""
+    w = words._as_ints(bits, "word bits")
+    if len(w) < 6 or len(w) % 2 != 0:
+        raise ValueError(f"word length must be an even number >= 6, got {len(w)}")
+    if not set(w) <= {0, 1}:
+        raise ValueError("word bits must be 0 or 1")
+    return w
+
+
+def check_signature_by_sets(letters) -> tuple[int, ...]:
+    """The signature check that the byte reader replaced."""
+    s = words._as_ints(letters, "signature letters")
+    if len(s) < 3:
+        raise ValueError(f"signature length must be >= 3, got {len(s)}")
+    if any(x not in (0, 1, 2) for x in s):
+        raise ValueError("signature letters must be 0, 1 or 2")
+    return s
+
+
+def signature_by_pairs(bits) -> tuple[int, ...]:
+    """The signature formula that the byte reader replaced: w_i + w_{i+n}, one Python add per letter."""
+    word = check_word_by_sets(bits)
+    n = len(word) // 2
+    return tuple(word[i] + word[i + n] for i in range(n))
+
+
+def word_from_string_by_sets(s) -> tuple[int, ...]:
+    """The word text reader that the byte reader replaced."""
+    if not set(s) <= {"0", "1"}:
+        raise ValueError("word string must contain only '0' and '1'")
+    return check_word_by_sets(int(c) for c in s)
+
+
+def _alternates_by_lists(bits: list[int]) -> bool:
+    """Whether the 0/1 list is nonempty and strictly alternates around its cycle."""
+    return bool(bits) and bits == [bits[0], 1 - bits[0]] * (len(bits) // 2)
+
+
+def is_interlacing_by_lists(letters) -> bool:
+    """The interlacing test that the byte reader replaced: the 0s and 2s halved into a list that must alternate."""
+    return _alternates_by_lists([x // 2 for x in check_signature_by_sets(letters) if x != 1])
+
+
+def is_realizable_by_pairs(bits) -> bool:
+    """The realizability test that the byte reader replaced: the pairs w_i == w_{i+n} zipped into a list that must alternate."""
+    word = check_word_by_sets(bits)
+    return _alternates_by_lists([a for a, b in zip(word, word[len(word) // 2 :]) if a == b])
 
 
 def interlacing_signatures(n: int) -> list[tuple[int, ...]]:

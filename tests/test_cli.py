@@ -211,8 +211,9 @@ class TestArgumentErrors:
             ("estimate", "--n", "4", "--stat", "h2", "--trials", "9" * 5000),
             ("verify", "--criteria", "1..100000"),
             ("stats", "--positions", "0,1/" + "9" * 5001 + ",1/2"),
+            ("stats", "--positions", ",".join(f"1/{k}" for k in range(10**6, 10**6 + 3001))),
         ],
-        ids=["unrecognized", "choice", "int", "trials", "criteria", "denominator"],
+        ids=["unrecognized", "choice", "int", "trials", "criteria", "denominator", "common-denominator"],
     )
     def test_every_error_is_one_short_line(self, argv):
         code, out, err = run_cli(*argv)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import logging
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -71,6 +72,24 @@ class TestPointConfig:
         with pytest.raises(ValueError) as public:
             PointConfig(tuple(Fraction(x, 10) for x in xs))
         assert str(from_units.value) == str(public.value) == message
+
+    def test_common_denominator_is_bounded_before_the_numerators(self, monkeypatch):
+        # 3001 points 1/k, k = 10^6..10^6 + 3000: a 32128-bit common denominator
+        points = [Fraction(1, k) for k in range(10**6, 10**6 + 3001)]
+        message = f"need n * (bits of the common denominator) <= {geometry.MAX_EXACT_BITS}, got 3001 * 32128"
+        assert len(message) < 200
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            PointConfig.from_points(points)
+        # the same points fit under a bound just above their size
+        monkeypatch.setattr(geometry, "MAX_EXACT_BITS", 3001 * 32128)
+        assert PointConfig.from_points(points).n == 3001
+
+    def test_common_denominator_bound_accepts_the_realizable_words_at_the_largest_n(self):
+        # realize's units have about 3n bits: 1.2e7 bits in all at n = 2000, 2.4e7 for the plan's 2n positions
+        w = words.run_word(realization.MAX_REALIZE_N)
+        config = realization.realize(w)
+        assert PointConfig(config.positions) == config
+        assert realization.verify_bisector_layout(realization.plan_realization(w))
 
     def test_exactness_detection(self):
         assert EXAMPLE_EXACT.is_exact

@@ -1,6 +1,8 @@
+import copy as copy_module
 import dataclasses
 import hashlib
 import json
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -88,6 +90,50 @@ class TestFromUnits:
             assert got._units[1] % ref._units[1] == 0
             for read in GEOMETRY_READINGS:
                 assert read(got) == read(ref), words.word_to_string(w)
+
+
+class TestLazyPositions:
+    """A configuration from units builds no Fraction until ``positions`` is read."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The list of classes passed to ``Fraction.__new__`` while the test runs."""
+        calls = []
+        original = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(cls)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        return calls
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_realize_and_read_back_build_no_fraction(self, built, n):
+        rng = np.random.default_rng(3864 + n)
+        for w in [words.run_word(n)] + [sampler.sample_uniform_word(n, rng) for _ in range(4)]:
+            config = realize(w)
+            back = occupancy_word(config)
+            assert config.n == n
+            assert built == [], words.word_to_string(w)
+            assert words.canonical_bracelet(back) == words.canonical_bracelet(w)
+            # the patch counts: reading the positions builds them, once
+            positions = config.positions
+            assert len(built) >= n and config.positions is positions
+            built.clear()
+
+    def test_copies_and_pickles_equal_the_original(self):
+        config = realize(words.run_word(9))
+        for twin in (pickle.loads(pickle.dumps(config)), copy_module.copy(config)):
+            assert twin == config and hash(twin) == hash(config) and repr(twin) == repr(config)
+            assert twin._units == config._units and twin.is_exact
+
+    def test_only_positions_is_lazy(self):
+        config = realize(words.run_word(3))
+        with pytest.raises(AttributeError, match="has no attribute 'missing'"):
+            config.missing
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.positions = ()
 
 
 # Four realizable words at each n, packed as hex (:func:`words.word_to_int`):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import chain, product
 
 import numpy as np
@@ -7,7 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bisector_words import enumeration, sampler, words
-from oracles import bracelet_class_tuples, is_interlacing_literal
+from oracles import (
+    bracelet_class_tuples,
+    check_signature_by_sets,
+    check_word_by_sets,
+    is_interlacing_by_lists,
+    is_interlacing_literal,
+    is_realizable_by_pairs,
+    signature_by_pairs,
+    word_from_string_by_sets,
+)
 
 EXAMPLE_18 = (0, 0, 0, 0, 1, 0, 1, 0, 1, 1, 0, 1, 1, 1, 1, 0, 0, 1)
 
@@ -187,6 +197,124 @@ class TestValidation:
     def test_folded_letters_must_be_strings(self, fn, letters):
         with pytest.raises(ValueError, match="folded letters must be one of the strings '00', '01', '10', '11'"):
             fn(letters)
+
+
+def outcome(fn, value):
+    """("value", what fn returns on value), or ("error", the message of the ValueError it raises)."""
+    try:
+        return "value", fn(value)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+WORD_CHECKS = (
+    (words.check_word, check_word_by_sets),
+    (words.is_realizable, is_realizable_by_pairs),
+    (words.signature, signature_by_pairs),
+)
+SIGNATURE_CHECKS = ((words.check_signature, check_signature_by_sets), (words.is_interlacing, is_interlacing_by_lists))
+
+
+def assert_same_outcomes(checks, value):
+    for new, old in checks:
+        kind, got = outcome(new, value)
+        assert (kind, got) == outcome(old, value)
+        if kind == "value" and isinstance(got, tuple):
+            assert type(got) is tuple and {type(x) for x in got} == {int}
+
+
+WORD = (1, 0, 1, 1, 0, 0)
+SIG = (2, 0, 1)
+
+
+def _with_first(seq, value):
+    return (value,) + tuple(seq[1:])
+
+
+# Inputs that bytes() reads, inputs it refuses (read by _as_ints), values outside a byte, text and lengths.
+MIXED_WORDS = [
+    tuple(map(bool, WORD)),
+    tuple(map(np.int64, WORD)),
+    tuple(map(np.uint8, WORD)),
+    tuple(map(np.bool_, WORD)),
+    np.array(WORD),
+    np.array(WORD, dtype=np.uint8),
+    np.array(WORD, dtype=bool),
+    _with_first(WORD, 1.0),
+    _with_first(WORD, np.float64(1.0)),
+    _with_first(WORD, 1.5),
+    _with_first(WORD, Fraction(1)),
+    _with_first(WORD, Fraction(1, 2)),
+    _with_first(WORD, -1),
+    _with_first(WORD, 2),
+    _with_first(WORD, 255),
+    _with_first(WORD, 256),
+    _with_first(WORD, 2**70),
+    _with_first(WORD, np.int64(-1)),
+    _with_first(WORD, None),
+    _with_first(WORD, math.nan),
+    (256, 1.5, 1, 1, 0, 0),
+    (1.5, 256, 1, 1, 0, 0),
+    (2**70, 0, 1, 1),
+    "101100",
+    b"\x01\x00\x01\x01\x00\x00",
+    b"101100",
+    bytearray(WORD),
+    (1, 0, 1, 1),
+    (1, 0, 1, 1, 0, 0, 1),
+    (),
+    (1, 0) * 32,
+    (0, 1) * 33,
+]
+MIXED_SIGNATURES = [
+    tuple(map(np.int8, SIG)),
+    np.array(SIG, dtype=np.uint8),
+    _with_first(SIG, 2.0),
+    _with_first(SIG, 2.5),
+    _with_first(SIG, Fraction(2)),
+    _with_first(SIG, True),
+    _with_first(SIG, np.bool_(True)),
+    _with_first(SIG, 3),
+    _with_first(SIG, -1),
+    _with_first(SIG, 256),
+    _with_first(SIG, 2**70),
+    "201",
+    b"\x02\x00\x01",
+    (2, 0),
+    (0, 2, 1, 1),
+]
+
+
+class TestByteReader:
+    """The byte reader gives the value, or the ValueError message, of the formulas it replaced (kept in oracles)."""
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_every_word(self, n):
+        for w in product((0, 1), repeat=2 * n):
+            assert_same_outcomes(WORD_CHECKS, w)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_every_signature(self, n):
+        for sig in product((0, 1, 2), repeat=n):
+            assert_same_outcomes(SIGNATURE_CHECKS, sig)
+
+    @pytest.mark.parametrize("n", [10, 32, 33])
+    def test_random_words(self, n):
+        rng = np.random.default_rng(3800 + n)
+        for row in rng.integers(0, 2, (200, 2 * n)).tolist():
+            assert_same_outcomes(WORD_CHECKS, tuple(row))
+
+    @pytest.mark.parametrize("bits", MIXED_WORDS, ids=repr)
+    def test_mixed_word_input(self, bits):
+        assert_same_outcomes(WORD_CHECKS, bits)
+
+    @pytest.mark.parametrize("letters", MIXED_SIGNATURES, ids=repr)
+    def test_mixed_signature_input(self, letters):
+        assert_same_outcomes(SIGNATURE_CHECKS, letters)
+
+    @pytest.mark.parametrize("text", ["101100", "0000101111", "01" * 40, "10a100", "1010", "", "1 0 1 1 0 0", b"101100"])
+    def test_word_from_string(self, text):
+        assert_same_outcomes(((words.word_from_string, word_from_string_by_sets),), text)
 
 
 class TestBracelet:
